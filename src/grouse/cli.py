@@ -30,7 +30,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .linalg import NumericalError
-from .results import write_trajectory_csv
+from .results import _fmt, write_trajectory_csv
 
 
 def _int_list(text: str) -> list[int]:
@@ -172,10 +172,6 @@ def parse_args(argv) -> argparse.Namespace:
     cmd = parser.parse_args(argv)
     _validate_ranges(parser, cmd)
     return cmd
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_summary_csv(path, header: list[str], row: list) -> None:

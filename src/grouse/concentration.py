@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import least_squares, singular_values
+from .linalg import least_squares
 from .metrics import Basis, coherence_basis, coherence_vector, epsilon_residual
-from .partial_data import gate_check
+from .partial_data import _gram_extremes, gate_check
+from .results import _fmt
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -88,13 +89,6 @@ def gamma_bound(d: int, mu: float, omega_size: int, delta: float) -> float:
     return math.sqrt(8.0 * d * mu / (3.0 * omega_size) * math.log(2.0 * d / delta))
 
 
-def _gram_eigs(u: Basis, idx: np.ndarray) -> tuple[float, float]:
-    sigma = singular_values(u.columns[idx])
-    eig_max = float(sigma[0] ** 2)
-    eig_min = 0.0 if len(idx) < u.d else float(sigma[-1] ** 2)
-    return eig_min, eig_max
-
-
 def validate_gram_concentration(
     u: Basis, omega_size: int, delta: float, trials: int, seed: int
 ) -> ConcentrationReport:
@@ -114,7 +108,7 @@ def validate_gram_concentration(
     eig_max = np.empty(trials)
     for t in range(trials):
         idx = rng.integers(0, u.n, size=omega_size)
-        eig_min[t], eig_max[t] = _gram_eigs(u, idx)
+        eig_min[t], eig_max[t] = _gram_extremes(u, idx)
     in_window = (eig_min >= low) & (eig_max <= high)
     return ConcentrationReport(
         trials=trials,
@@ -264,10 +258,6 @@ def mu_xt_diagnostics(
         threshold_wide=wide,
         satisfied_rate=satisfied,
     )
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_concentration_csv(path, report: ConcentrationReport) -> None:

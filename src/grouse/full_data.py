@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import orthonormalize
 from .metrics import Basis, epsilon_residual, orthonormality_drift, BASIS_DRIFT_TOL
+from .partial_data import _rotate
 from .results import TrialResult
 
 # theta below THETA_FLOOR (or within THETA_CEIL of pi/2) is an identity
@@ -55,6 +56,22 @@ class FullStepRecord:
     taken: bool = True
 
 
+def _split(cols, v):
+    """(w, p, r, ||w||, ||p||, ||r||, theta) of v against the span of ``cols``."""
+    w = cols.T @ v
+    p = cols @ w
+    r = v - p
+    norm_w = float(np.linalg.norm(w))
+    norm_p = float(np.linalg.norm(p))
+    norm_r = float(np.linalg.norm(r))
+    return w, p, r, norm_w, norm_p, norm_r, float(np.arctan2(norm_r, norm_w))
+
+
+def _is_identity(theta: float) -> bool:
+    """True when theta sits at an endpoint where the step is the identity."""
+    return not THETA_FLOOR < theta < np.pi / 2 - THETA_CEIL
+
+
 def predicted_decrease(u: Basis, ubar: Basis, v, eta: float) -> float:
     """Closed-form value of epsilon_t - epsilon_{t+1} for step length eta.
 
@@ -63,16 +80,10 @@ def predicted_decrease(u: Basis, ubar: Basis, v, eta: float) -> float:
     lies in (0, 2*theta).  Returns 0 at theta = 0 or pi/2 (limit cases, no
     decrease possible).
     """
-    v = np.asarray(v, dtype=float)
-    w = u.columns.T @ v
-    p = u.columns @ w
-    r = v - p
-    norm_w = float(np.linalg.norm(w))
-    norm_r = float(np.linalg.norm(r))
-    theta = float(np.arctan2(norm_r, norm_w))
-    if theta <= THETA_FLOOR or theta >= np.pi / 2 - THETA_CEIL:
+    _, p, _, norm_w, norm_p, norm_r, theta = _split(u.columns, np.asarray(v, dtype=float))
+    if _is_identity(theta):
         return 0.0
-    sigma = norm_r * float(np.linalg.norm(p))
+    sigma = norm_r * norm_p
     s_eta = sigma * eta
     # 1 - ||ubar^T p||^2/||w||^2 == ||(I - ubar ubar^T) p||^2/||w||^2 exactly
     # (||w|| = ||p||); the right-hand form is cancellation-free at small
@@ -93,17 +104,12 @@ def full_step(u: Basis, v, ubar: Basis):
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
         raise ValueError("observation vector is zero")
-    w = u.columns.T @ v
-    p = u.columns @ w
-    r = v - p
-    norm_w = float(np.linalg.norm(w))
-    norm_p = float(np.linalg.norm(p))
-    norm_r = float(np.linalg.norm(r))
-    theta = float(np.arctan2(norm_r, norm_w))
+    split = _split(u.columns, v)
+    w, p, r, _, norm_p, norm_r, theta = split
     sigma = norm_r * norm_p
     eps_before = epsilon_residual(u, ubar)
 
-    if theta <= THETA_FLOOR or theta >= np.pi / 2 - THETA_CEIL:
+    if _is_identity(theta):
         rec = FullStepRecord(
             w=w, p=p, r=r, sigma=sigma, theta=theta, eta=0.0,
             epsilon_before=eps_before, epsilon_after=eps_before,
@@ -114,8 +120,7 @@ def full_step(u: Basis, v, ubar: Basis):
     eta = theta / sigma
     predicted = predicted_decrease(u, ubar, v, eta)
     # sigma*eta == theta for this step length
-    gain = (np.cos(theta) - 1.0) * p / norm_p + np.sin(theta) * r / norm_r
-    u_next = Basis(u.columns + np.outer(gain, w / norm_w), validate=False)
+    u_next, _ = _rotate(u, *split)
     eps_after = epsilon_residual(u_next, ubar)
     rec = FullStepRecord(
         w=w, p=p, r=r, sigma=sigma, theta=theta, eta=eta,
@@ -177,22 +182,14 @@ def run_full(
     taken_flags, norm_r_arr, norm_p_arr, theta_arr = [], [], [], []
     for t in range(1, iters + 1):
         s = rng.standard_normal(d)
-        v = ubar.columns @ s
-        w = u.columns.T @ v
-        p = u.columns @ w
-        r = v - p
-        norm_w = float(np.linalg.norm(w))
-        norm_p = float(np.linalg.norm(p))
-        norm_r = float(np.linalg.norm(r))
-        theta = float(np.arctan2(norm_r, norm_w))
-        if THETA_FLOOR < theta < np.pi / 2 - THETA_CEIL:
-            gain = (np.cos(theta) - 1.0) * p / norm_p + np.sin(theta) * r / norm_r
-            u = Basis(u.columns + np.outer(gain, w / norm_w), validate=False)
+        split = _split(u.columns, ubar.columns @ s)
+        w, _, _, norm_w, norm_p, norm_r, theta = split
+        taken = not _is_identity(theta)
+        if taken:
+            u, gain = _rotate(u, *split)
             if a is not None:
                 a = a + np.outer(w / norm_w, ubar.columns.T @ gain)
-            taken_flags.append(True)
-        else:
-            taken_flags.append(False)
+        taken_flags.append(taken)
         norm_r_arr.append(norm_r)
         norm_p_arr.append(norm_p)
         theta_arr.append(theta)

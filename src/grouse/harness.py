@@ -23,7 +23,7 @@ from .full_data import run_full
 from .linalg import orthonormalize
 from .metrics import Basis
 from .partial_data import Observation, run_stream
-from .results import TrialResult
+from .results import TrialResult, _fmt
 
 _PROBLEM_STREAM = 1
 _OBSERVATION_STREAM = 2
@@ -198,6 +198,15 @@ def tail_slope(epsilons, floor: float = EPSILON_FLOOR) -> float | None:
     return float(np.polyfit(t[half:][keep], np.log(eps[half:][keep]), 1)[0])
 
 
+def _attach_fit(result: TrialResult, spec: ProblemSpec, q: int) -> TrialResult:
+    """Attach the fitted X (at q observed entries per step) and the tail slope."""
+    eps0, eps_n = float(result.epsilons[0]), float(result.epsilons[-1])
+    if eps0 > 0.0 and eps_n > 0.0:
+        result.x_factor = fit_x(eps0, eps_n, spec.n, spec.d, q, spec.iters)
+    result.tail_slope = tail_slope(result.epsilons)
+    return result
+
+
 def _observation_stream(spec: ProblemSpec, ubar: Basis):
     rng = _child_rng(spec.seed, _OBSERVATION_STREAM)
     n, d, q = spec.n, spec.d, spec.q
@@ -231,11 +240,7 @@ def run_partial_trial(
         reortho_every=reortho_every,
         bypass_gate=bypass_gate,
     )
-    eps0, eps_n = float(result.epsilons[0]), float(result.epsilons[-1])
-    if eps0 > 0.0 and eps_n > 0.0:
-        result.x_factor = fit_x(eps0, eps_n, spec.n, spec.d, spec.q, spec.iters)
-    result.tail_slope = tail_slope(result.epsilons)
-    return result
+    return _attach_fit(result, spec, spec.q)
 
 
 def run_full_trial(spec: ProblemSpec, *, reortho_every: int = 100) -> TrialResult:
@@ -248,11 +253,7 @@ def run_full_trial(spec: ProblemSpec, *, reortho_every: int = 100) -> TrialResul
         seed=np.random.SeedSequence([int(spec.seed), _OBSERVATION_STREAM]),
         reortho_every=reortho_every,
     )
-    eps0, eps_n = float(result.epsilons[0]), float(result.epsilons[-1])
-    if eps0 > 0.0 and eps_n > 0.0:
-        result.x_factor = fit_x(eps0, eps_n, spec.n, spec.d, spec.n, spec.iters)
-    result.tail_slope = tail_slope(result.epsilons)
-    return result
+    return _attach_fit(result, spec, spec.n)
 
 
 def sweep_phase(
@@ -307,10 +308,6 @@ def sweep_phase(
                     )
                 )
     return cells
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_sweep_csv(path, cells) -> None:

@@ -100,6 +100,12 @@ class StepRecord:
     epsilon_after: float | None = None
 
 
+def _gram_extremes(u: Basis, idx) -> tuple[float, float]:
+    """(min, max) eigenvalue of the sampled Gram matrix; min is 0 below d rows."""
+    sigma = singular_values(u.columns[idx])
+    return (0.0 if len(idx) < u.d else float(sigma[-1] ** 2)), float(sigma[0] ** 2)
+
+
 def gate_check(u: Basis, omega) -> GateVerdict:
     """Check the sampled-Gram eigenvalue window [0.5|omega|/n, 1.5|omega|/n].
 
@@ -114,10 +120,7 @@ def gate_check(u: Basis, omega) -> GateVerdict:
     upper = 1.5 * m / u.n
     if m == 0:
         return GateVerdict(False, 0.0, 0.0, lower, upper)
-    sub = u.columns[omega]
-    sigma = singular_values(sub)
-    eigen_max = float(sigma[0] ** 2)
-    eigen_min = 0.0 if m < u.d else float(sigma[-1] ** 2)
+    eigen_min, eigen_max = _gram_extremes(u, omega)
     passed = m >= u.d and eigen_min >= lower and eigen_max <= upper
     return GateVerdict(passed, eigen_min, eigen_max, lower, upper)
 
@@ -157,6 +160,12 @@ def step_size(sigma: float, norm_r: float, norm_p: float, alpha: float) -> float
     return float(np.arcsin(min(1.0, alpha * norm_r / norm_p)) / sigma)
 
 
+def _rotate(u: Basis, w, p, r, norm_w, norm_p, norm_r, angle):
+    """The rank-one GROUSE rotation of ``u``; returns (rotated basis, gain)."""
+    gain = (np.cos(angle) - 1.0) * p / norm_p + np.sin(angle) * r / norm_r
+    return Basis(u.columns + np.outer(gain, w / norm_w), validate=False), gain
+
+
 def apply_update(u: Basis, rec: StepRecord) -> Basis:
     """Rotate the basis by the rank-one update recorded in ``rec``.
 
@@ -172,10 +181,7 @@ def apply_update(u: Basis, rec: StepRecord) -> Basis:
     if norm_w == 0.0:
         raise NumericalError("no revealed direction")
     norm_p = float(np.linalg.norm(rec.p))
-    angle = rec.sigma * rec.eta
-    gain = (np.cos(angle) - 1.0) * rec.p / norm_p + np.sin(angle) * rec.r / norm_r
-    cols = u.columns + np.outer(gain, rec.w / norm_w)
-    return Basis(cols, validate=False)
+    return _rotate(u, rec.w, rec.p, rec.r, norm_w, norm_p, norm_r, rec.sigma * rec.eta)[0]
 
 
 def _revealed_theta(u: Basis, ubar: Basis | None, obs: Observation) -> float | None:
@@ -201,8 +207,10 @@ def grouse_step(
     the basis unchanged with ``taken`` False.  A residual below the floor,
     or an observation orthogonal to the sampled basis rows, is an identity
     update with ``taken`` True and eta = 0.  ``epsilon_before/after`` are
-    filled when ``ubar`` is supplied.
+    filled when ``ubar`` is supplied.  ValueError if ``obs.n != u.n``.
     """
+    if obs.n != u.n:
+        raise ValueError("observation and basis ambient dimensions differ")
     verdict = gate_check(u, obs.omega)
     eps_before = None if ubar is None else epsilon_residual(u, ubar)
     theta = _revealed_theta(u, ubar, obs)
@@ -222,20 +230,13 @@ def grouse_step(
     norm_p = float(np.linalg.norm(p))
     scale = float(np.linalg.norm(obs.values))
     sigma = norm_r * norm_p
-
-    if norm_r <= RESIDUAL_FLOOR * scale or norm_p <= RESIDUAL_FLOOR * scale:
-        # exact fit, or nothing revealed along the current span: identity
-        u_next = u
-        eta = 0.0
-        clamped = False
-    else:
-        ratio = alpha * norm_r / norm_p
-        clamped = ratio > 1.0
+    # an exact fit, or nothing revealed along the current span, is the identity
+    u_next, eta, clamped = u, 0.0, False
+    if norm_r > RESIDUAL_FLOOR * scale and norm_p > RESIDUAL_FLOOR * scale:
+        clamped = alpha * norm_r / norm_p > 1.0
         eta = step_size(sigma, norm_r, norm_p, alpha)
-        rec = StepRecord(
-            gate=verdict, taken=True, alpha=alpha, w=w, p=p, r=r, sigma=sigma, eta=eta
-        )
-        u_next = apply_update(u, rec)
+        norm_w = float(np.linalg.norm(w))
+        u_next, _ = _rotate(u, w, p, r, norm_w, norm_p, norm_r, sigma * eta)
 
     eps_after = None if ubar is None else epsilon_residual(u_next, ubar)
     rec = StepRecord(
@@ -324,7 +325,7 @@ def write_observations(path, observations) -> None:
 
 
 def read_observations(path) -> list[Observation]:
-    """Read an observation CSV written by :func:`write_observations`."""
+    """Read an observation CSV written by :func:`write_observations`; t must not repeat."""
     rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -335,4 +336,6 @@ def read_observations(path) -> list[Observation]:
             values = np.array([float(v) for v in row[3].split(";")]) if row[3] else np.zeros(0)
             rows.append((t, Observation(n=n, omega=omega, values=values)))
     rows.sort(key=lambda pair: pair[0])
+    if any(a[0] == b[0] for a, b in zip(rows, rows[1:])):
+        raise ValueError("duplicate observation index t")
     return [obs for _, obs in rows]

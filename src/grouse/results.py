@@ -38,7 +38,7 @@ def _fmt(x: float) -> str:
 
 
 def write_trajectory_csv(path, result: TrialResult) -> None:
-    """Write rows ``t,epsilon,gate_passed,norm_r,norm_p,theta``.
+    """Write rows ``t,epsilon,gate_passed,taken,norm_r,norm_p,theta``.
 
     Row t=0 carries only the starting epsilon; step statistics for step t
     live on row t alongside the epsilon measured after that step.  Missing
@@ -48,8 +48,8 @@ def write_trajectory_csv(path, result: TrialResult) -> None:
     eps = result.epsilons
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "epsilon", "gate_passed", "norm_r", "norm_p", "theta"])
-        writer.writerow([0, _fmt(eps[0]) if eps is not None else "", "", "", "", ""])
+        writer.writerow(["t", "epsilon", "gate_passed", "taken", "norm_r", "norm_p", "theta"])
+        writer.writerow([0, _fmt(eps[0]) if eps is not None else "", "", "", "", "", ""])
         for t in range(n_steps):
             theta = result.theta[t]
             writer.writerow(
@@ -57,6 +57,7 @@ def write_trajectory_csv(path, result: TrialResult) -> None:
                     t + 1,
                     _fmt(eps[t + 1]) if eps is not None else "",
                     int(result.gate_passed[t]),
+                    int(result.taken[t]),
                     _fmt(result.norm_r[t]),
                     _fmt(result.norm_p[t]),
                     "" if np.isnan(theta) else _fmt(theta),
@@ -77,15 +78,17 @@ def read_trajectory_csv(path) -> TrialResult:
         if have_eps:
             eps.append(float(row["epsilon"]))
         gate_passed.append(bool(int(row["gate_passed"])))
+        taken.append(bool(int(row["taken"])))
         norm_r.append(float(row["norm_r"]))
         norm_p.append(float(row["norm_p"]))
         theta.append(float(row["theta"]) if row["theta"] != "" else np.nan)
+    gate_passed, taken = np.array(gate_passed, dtype=bool), np.array(taken, dtype=bool)
     return TrialResult(
         epsilons=None if eps is None else np.array(eps),
-        gate_skips=int(sum(not g for g in gate_passed)),
+        gate_skips=int(np.sum(~gate_passed & ~taken)),
         wall_time=0.0,
-        gate_passed=np.array(gate_passed, dtype=bool),
-        taken=np.zeros(len(gate_passed), dtype=bool),
+        gate_passed=gate_passed,
+        taken=taken,
         norm_r=np.array(norm_r),
         norm_p=np.array(norm_p),
         theta=np.array(theta),

@@ -5,7 +5,8 @@ import pytest
 
 from grouse import cli
 from grouse.linalg import NumericalError
-from grouse.results import read_trajectory_csv
+from grouse.harness import ProblemSpec, run_full_trial, run_partial_trial
+from grouse.results import read_trajectory_csv, write_trajectory_csv
 
 
 def run_cli(argv):
@@ -116,6 +117,28 @@ def test_trajectory_round_trip_precision(tmp_path):
     assert np.array_equal(parsed.norm_p, reference.norm_p)
     ok = np.isfinite(reference.theta)
     assert np.array_equal(parsed.theta[ok], reference.theta[ok])
+
+
+@pytest.mark.parametrize(
+    "spec, bypass_gate",
+    [
+        (ProblemSpec(n=150, d=3, q=40, iters=40, seed=13), False),
+        (ProblemSpec(n=500, d=10, q=12, iters=200, seed=0), True),
+        (ProblemSpec(n=40, d=1, q="full", iters=30, seed=3), None),
+    ],
+    ids=["gated", "bypassed", "full"],
+)
+def test_trajectory_round_trip_every_field(tmp_path, spec, bypass_gate):
+    if bypass_gate is None:
+        result = run_full_trial(spec)
+    else:
+        result = run_partial_trial(spec, bypass_gate=bypass_gate)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, result)
+    back = read_trajectory_csv(path)
+    assert back.gate_skips == result.gate_skips
+    for name in ("epsilons", "gate_passed", "taken", "norm_r", "norm_p", "theta"):
+        assert np.array_equal(getattr(back, name), getattr(result, name), equal_nan=True), name
 
 
 def test_spec_out_round_trip(tmp_path):

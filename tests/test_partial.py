@@ -366,3 +366,19 @@ def test_observation_csv_round_trip(tmp_path):
     for a, b in zip(obs_list, back):
         assert np.array_equal(a.omega, b.omega)
         assert np.array_equal(a.values, b.values)
+
+
+def test_observation_csv_rejects_duplicate_t(tmp_path):
+    path = tmp_path / "observations.csv"
+    path.write_text("0,5,1;3,0.5;1.5\n1,5,2,2.0\n0,5,4,1.0\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        read_observations(path)
+
+
+def test_grouse_step_rejects_dimension_mismatch():
+    u = random_basis(20, 3, 0)
+    obs = Observation(n=30, omega=[0, 5, 25], values=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="dimensions differ"):
+        grouse_step(u, obs, 1.0)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        grouse_step(u, obs, 1.0, bypass_gate=True)
