@@ -2,12 +2,14 @@
 
 Every stochastic verb requires an explicit --seed (no wall-clock seeding),
 so repeating an invocation reproduces its output file exactly.  Exit codes:
-0 success, 1 I/O failure, 2 usage error, 3 numerical error.
+0 success, 1 I/O failure, 2 usage error, 3 numerical error.  The parser
+checks only syntax; every range rule (dimensions, alpha, delta, trials,
+seed) is the library's, whose ValueError becomes exit code 2 with its
+message, before any output file is written.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .concentration import (
@@ -30,7 +32,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .linalg import NumericalError
-from .results import _fmt, write_trajectory_csv
+from .results import _fmt, _write_table, write_trajectory_csv
 
 
 def _int_list(text: str) -> list[int]:
@@ -133,52 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_ranges(parser: argparse.ArgumentParser, cmd: argparse.Namespace) -> None:
-    def ns_pairs():
-        if cmd.verb == "sweep":
-            return [(n, d) for n in cmd.n for d in cmd.d]
-        return [(cmd.n, cmd.d)]
-
-    for n, d in ns_pairs():
-        if d < 1:
-            parser.error("d must be >= 1")
-        if d >= n:
-            parser.error("d must be < n")
-    if cmd.verb == "partial":
-        if cmd.q < cmd.d:
-            parser.error("q must be >= d")
-        if cmd.q > cmd.n:
-            parser.error("q must be <= n")
-    if cmd.verb == "skip-rate":
-        if cmd.q < cmd.d:
-            parser.error("q must be >= d")
-        if cmd.q > cmd.n:
-            parser.error("q must be <= n")
-    if cmd.verb in ("full", "partial", "sweep") and cmd.iters < 1:
-        parser.error("iters must be >= 1")
-    if cmd.verb in ("validate-expectation", "validate-residual", "skip-rate"):
-        if cmd.n < 2 * cmd.d:
-            parser.error("n must be >= 2d for pair construction")
-        if not 0.0 <= cmd.epsilon <= cmd.d:
-            parser.error("epsilon must lie in [0, d]")
-    if cmd.verb in ("validate-concentration", "validate-residual"):
-        if not 0.0 < cmd.delta < 1.0:
-            parser.error("delta must lie in (0, 1)")
-
-
 def parse_args(argv) -> argparse.Namespace:
-    """Parse and range-check argv into a command; usage errors exit with 2."""
-    parser = build_parser()
-    cmd = parser.parse_args(argv)
-    _validate_ranges(parser, cmd)
-    return cmd
-
-
-def _write_summary_csv(path, header: list[str], row: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerow(row)
+    """Parse argv into a command; syntax errors exit with 2."""
+    return build_parser().parse_args(argv)
 
 
 def execute(cmd: argparse.Namespace) -> int:
@@ -246,19 +205,19 @@ def execute(cmd: argparse.Namespace) -> int:
             u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
             mean, stderr = validate_sin_sq_expectation(u, ubar, cmd.trials, cmd.seed)
             target = cmd.epsilon / cmd.d
-            _write_summary_csv(
+            _write_table(
                 cmd.out,
                 ["trials", "mean", "stderr", "target"],
-                [cmd.trials, _fmt(mean), _fmt(stderr), _fmt(target)],
+                [[cmd.trials, _fmt(mean), _fmt(stderr), _fmt(target)]],
             )
             print(f"mean={_fmt(mean)} stderr={_fmt(stderr)} target={_fmt(target)}")
         elif cmd.verb == "skip-rate":
             u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
             rate = estimate_skip_rate(u, cmd.q, cmd.trials, cmd.seed)
-            _write_summary_csv(
+            _write_table(
                 cmd.out,
                 ["n", "d", "q", "trials", "skip_rate"],
-                [cmd.n, cmd.d, cmd.q, cmd.trials, _fmt(rate)],
+                [[cmd.n, cmd.d, cmd.q, cmd.trials, _fmt(rate)]],
             )
             print(f"skip_rate={_fmt(rate)}")
         else:  # pragma: no cover - argparse enforces the verb set
@@ -266,6 +225,9 @@ def execute(cmd: argparse.Namespace) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"grouse: error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ between the two models stays measurable.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 from .linalg import least_squares
 from .metrics import Basis, coherence_basis, coherence_vector, epsilon_residual
 from .partial_data import _gram_extremes, gate_check
-from .results import _fmt
+from .results import _fmt, _read_table, _write_table
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -82,6 +81,11 @@ def sample_with_replacement(n: int, m: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, n, size=m)
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def gamma_bound(d: int, mu: float, omega_size: int, delta: float) -> float:
     """Half-width sqrt((8 d mu / (3 |omega|)) log(2d/delta)) of the window."""
     if d < 1 or mu <= 0 or omega_size < 1 or not 0.0 < delta < 1.0:
@@ -98,9 +102,10 @@ def validate_gram_concentration(
     rate is guaranteed at most delta; the report flags hypothesis_met=False
     (and is still produced) when omega_size is below the hypothesis.
     """
+    _require_trials(trials)
     mu = coherence_basis(u)
-    hypothesis_met = omega_size > 8.0 / 3.0 * u.d * mu * math.log(2.0 * u.d / delta)
     gamma = gamma_bound(u.d, mu, omega_size, delta)
+    hypothesis_met = omega_size > 8.0 / 3.0 * u.d * mu * math.log(2.0 * u.d / delta)
     low = (1.0 - gamma) * omega_size / u.n
     high = (1.0 + gamma) * omega_size / u.n
     rng = np.random.default_rng(seed)
@@ -135,6 +140,7 @@ def validate_residual_bound(
     energy against the bound.  The bound is only asserted when its
     right-hand-side factor is positive (it is vacuous otherwise).
     """
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     d, n = u.d, u.n
     mu_u = coherence_basis(u)
@@ -191,6 +197,7 @@ def estimate_skip_rate(u: Basis, q: int, trials: int, seed: int) -> float:
         raise ValueError("q must be at least d")
     if q > u.n:
         raise ValueError("q cannot exceed n")
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     fails = 0
     for _ in range(trials):
@@ -235,6 +242,7 @@ def mu_xt_diagnostics(
     """
     if epsilon_residual(u, ubar) <= 1e-24:
         raise ValueError("bases coincide: residual direction undefined")
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     n, d = u.n, u.d
     mu_ubar = coherence_basis(ubar)
@@ -262,19 +270,19 @@ def mu_xt_diagnostics(
 
 def write_concentration_csv(path, report: ConcentrationReport) -> None:
     """Per-trial rows ``trial, eig_min, eig_max, in_window``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "eig_min", "eig_max", "in_window"])
-        for t in range(report.trials):
-            writer.writerow(
-                [t, _fmt(report.eig_min[t]), _fmt(report.eig_max[t]), int(report.in_window[t])]
-            )
+    _write_table(
+        path,
+        ["trial", "eig_min", "eig_max", "in_window"],
+        (
+            [t, _fmt(report.eig_min[t]), _fmt(report.eig_max[t]), int(report.in_window[t])]
+            for t in range(report.trials)
+        ),
+    )
 
 
 def read_concentration_csv(path):
     """Arrays (eig_min, eig_max, in_window) from a concentration CSV."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _read_table(path)
     eig_min = np.array([float(r["eig_min"]) for r in rows])
     eig_max = np.array([float(r["eig_max"]) for r in rows])
     in_window = np.array([bool(int(r["in_window"])) for r in rows])
@@ -283,19 +291,19 @@ def read_concentration_csv(path):
 
 def write_residual_csv(path, report: ResidualBoundReport) -> None:
     """Per-trial rows ``trial, lhs, rhs, violated``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "lhs", "rhs", "violated"])
-        for t in range(report.trials):
-            writer.writerow(
-                [t, _fmt(report.lhs[t]), _fmt(report.rhs[t]), int(report.violated[t])]
-            )
+    _write_table(
+        path,
+        ["trial", "lhs", "rhs", "violated"],
+        (
+            [t, _fmt(report.lhs[t]), _fmt(report.rhs[t]), int(report.violated[t])]
+            for t in range(report.trials)
+        ),
+    )
 
 
 def read_residual_csv(path):
     """Arrays (lhs, rhs, violated) from a residual-bound CSV."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _read_table(path)
     lhs = np.array([float(r["lhs"]) for r in rows])
     rhs = np.array([float(r["rhs"]) for r in rows])
     violated = np.array([bool(int(r["violated"])) for r in rows])

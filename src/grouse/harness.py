@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import csv
 import numpy as np
 
 from .full_data import run_full
 from .linalg import orthonormalize
 from .metrics import Basis
 from .partial_data import Observation, run_stream
-from .results import TrialResult, _fmt
+from .results import TrialResult, _fmt, _read_table, _write_table
 
 _PROBLEM_STREAM = 1
 _OBSERVATION_STREAM = 2
@@ -53,12 +52,19 @@ class ProblemSpec:
                 raise ValueError('q must be an integer or "full"')
             if not self.d <= self.q <= self.n:
                 raise ValueError("need d <= q <= n")
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2)")
-        if self.iters < 1:
-            raise ValueError("iters must be at least 1")
-        if self.init_noise_std < 0.0:
-            raise ValueError("init_noise_std must be nonnegative")
+        _check_run(self.iters, self.seed, self.alpha, self.init_noise_std)
+
+
+def _check_run(iters: int, seed: int, alpha: float, init_noise_std: float) -> None:
+    """The rules a run's scalar settings obey, whatever its dimensions."""
+    if not 0.0 < alpha < 2.0:
+        raise ValueError("alpha must lie in (0, 2)")
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if not 0.0 <= init_noise_std < math.inf:
+        raise ValueError("init_noise_std must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,8 @@ def _child_seed(*keys) -> int:
 
 def random_basis(n: int, d: int, seed: int) -> Basis:
     """Orthonormalized iid standard normal n x d matrix."""
+    if not 0 < d < n:
+        raise ValueError("need 0 < d < n")
     rng = np.random.default_rng(seed)
     return Basis(orthonormalize(rng.standard_normal((n, d))))
 
@@ -136,8 +144,8 @@ def pair_with_epsilon(
     matrix is not trivially diagonal.  ``frame="incoherent"`` tilts within a
     flat cosine-harmonic frame instead, keeping both bases at low coherence.
     """
-    if n < 2 * d:
-        raise ValueError("need n >= 2d to tilt into the complement")
+    if d < 1 or n < 2 * d:
+        raise ValueError("need d >= 1 and n >= 2d to tilt into the complement")
     if not 0.0 <= eps <= d:
         raise ValueError("eps must lie in [0, d]")
     rng = np.random.default_rng(seed)
@@ -270,10 +278,14 @@ def sweep_phase(
 ) -> list[SweepCell]:
     """Mean fitted X over seeded trials for every (n, d, q) grid cell.
 
-    Infeasible cells (q < d or q > n or d >= n) are emitted with zero
-    trials and NaN statistics as the skip marker.  Trial seeds derive from
-    (seed, n, d, q, trial), so any execution order gives identical output.
+    Infeasible cells (d < 1 or d >= n or q < d or q > n) are emitted with
+    zero trials and NaN statistics as the skip marker.  Trial seeds derive
+    from (seed, n, d, q, trial), so any execution order gives identical
+    output.
     """
+    if trials_per_cell < 1:
+        raise ValueError("trials_per_cell must be at least 1")
+    _check_run(iters, seed, alpha, init_noise_std)
     cells = []
     for n in ns:
         for d in ds:
@@ -312,18 +324,14 @@ def sweep_phase(
 
 def write_sweep_csv(path, cells) -> None:
     """Rows ``n,d,q,trials,mean_X,std_X`` per grid cell."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "d", "q", "trials", "mean_X", "std_X"])
-        for cell in cells:
-            writer.writerow(
-                [cell.n, cell.d, cell.q, cell.trials, _fmt(cell.mean_x), _fmt(cell.std_x)]
-            )
+    _write_table(
+        path,
+        ["n", "d", "q", "trials", "mean_X", "std_X"],
+        ([c.n, c.d, c.q, c.trials, _fmt(c.mean_x), _fmt(c.std_x)] for c in cells),
+    )
 
 
 def read_sweep_csv(path) -> list[SweepCell]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
     return [
         SweepCell(
             int(r["n"]),
@@ -333,7 +341,7 @@ def read_sweep_csv(path) -> list[SweepCell]:
             float(r["mean_X"]),
             float(r["std_X"]),
         )
-        for r in rows
+        for r in _read_table(path)
     ]
 
 
@@ -358,12 +366,15 @@ def read_problem_spec(path) -> ProblemSpec:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-    return ProblemSpec(
-        n=int(fields["n"]),
-        d=int(fields["d"]),
-        q="full" if fields["q"] == "full" else int(fields["q"]),
-        iters=int(fields["iters"]),
-        seed=int(fields["seed"]),
-        alpha=float(fields["alpha"]),
-        init_noise_std=float(fields["init_noise_std"]),
-    )
+    try:
+        return ProblemSpec(
+            n=int(fields["n"]),
+            d=int(fields["d"]),
+            q="full" if fields["q"] == "full" else int(fields["q"]),
+            iters=int(fields["iters"]),
+            seed=int(fields["seed"]),
+            alpha=float(fields["alpha"]),
+            init_noise_std=float(fields["init_noise_std"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"problem spec file lacks the {exc.args[0]} field") from None

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_table(path, header: list[str], rows) -> None:
+    """Write a CSV file: the header line, then one line per row of cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_table(path) -> list[dict]:
+    """Rows of a CSV file written by :func:`_write_table`, keyed by header name."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_trajectory_csv(path, result: TrialResult) -> None:
     """Write rows ``t,epsilon,gate_passed,taken,norm_r,norm_p,theta``.
 
@@ -46,29 +62,26 @@ def write_trajectory_csv(path, result: TrialResult) -> None:
     """
     n_steps = result.iterations
     eps = result.epsilons
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "epsilon", "gate_passed", "taken", "norm_r", "norm_p", "theta"])
-        writer.writerow([0, _fmt(eps[0]) if eps is not None else "", "", "", "", "", ""])
-        for t in range(n_steps):
-            theta = result.theta[t]
-            writer.writerow(
-                [
-                    t + 1,
-                    _fmt(eps[t + 1]) if eps is not None else "",
-                    int(result.gate_passed[t]),
-                    int(result.taken[t]),
-                    _fmt(result.norm_r[t]),
-                    _fmt(result.norm_p[t]),
-                    "" if np.isnan(theta) else _fmt(theta),
-                ]
-            )
+    eps = [""] * (n_steps + 1) if eps is None else list(map(_fmt, eps.tolist()))
+    steps = zip(
+        range(1, n_steps + 1),
+        eps[1:],
+        result.gate_passed.astype(int).tolist(),
+        result.taken.astype(int).tolist(),
+        map(_fmt, result.norm_r.tolist()),
+        map(_fmt, result.norm_p.tolist()),
+        ("" if math.isnan(theta) else _fmt(theta) for theta in result.theta.tolist()),
+    )
+    _write_table(
+        path,
+        ["t", "epsilon", "gate_passed", "taken", "norm_r", "norm_p", "theta"],
+        itertools.chain([[0, eps[0], "", "", "", "", ""]], steps),
+    )
 
 
 def read_trajectory_csv(path) -> TrialResult:
     """Parse a trajectory CSV back into a TrialResult (losslessly)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _read_table(path)
     if not rows or rows[0]["t"] != "0":
         raise ValueError("trajectory file must start with the t=0 row")
     have_eps = rows[0]["epsilon"] != ""

@@ -21,23 +21,22 @@ def test_parse_full_command():
     assert cmd.alpha == 1.0 and cmd.init_noise_std == 0.5
 
 
-def test_parse_rejects_q_below_d(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.parse_args(
-            ["partial", "--n", "5000", "--d", "10", "--q", "5", "--iters", "10",
-             "--seed", "1", "--out", "x.csv"]
-        )
-    assert exc.value.code == 2
-    assert "q must be >= d" in capsys.readouterr().err
+def test_parse_rejects_q_below_d(tmp_path, capsys):
+    code = run_cli(
+        ["partial", "--n", "5000", "--d", "10", "--q", "5", "--iters", "10",
+         "--seed", "1", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert "d <= q <= n" in capsys.readouterr().err
 
 
-def test_parse_rejects_d_not_less_than_n(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.parse_args(
-            ["full", "--n", "10", "--d", "10", "--iters", "5", "--seed", "1", "--out", "x.csv"]
-        )
-    assert exc.value.code == 2
-    assert "d must be < n" in capsys.readouterr().err
+def test_parse_rejects_d_not_less_than_n(tmp_path, capsys):
+    code = run_cli(
+        ["full", "--n", "10", "--d", "10", "--iters", "5", "--seed", "1",
+         "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert "0 < d < n" in capsys.readouterr().err
 
 
 def test_parse_rejects_unknown_flag():
@@ -226,6 +225,64 @@ def test_numerical_error_exit_code(monkeypatch, tmp_path, capsys):
     )
     assert code == 3
     assert "gate bypassed on singular sample" in capsys.readouterr().err
+
+
+_VALID_ARGV = {
+    "full": ["full", "--n", "50", "--d", "2", "--iters", "3", "--seed", "1"],
+    "partial": ["partial", "--n", "50", "--d", "2", "--q", "20", "--iters", "3", "--seed", "1"],
+    "sweep": ["sweep", "--n", "60", "--d", "3", "--q", "30", "--trials", "1", "--iters", "5",
+              "--seed", "1"],
+    "validate-concentration": ["validate-concentration", "--n", "200", "--d", "4",
+                               "--omega_size", "80", "--delta", "0.1", "--trials", "10",
+                               "--seed", "1"],
+    "validate-residual": ["validate-residual", "--n", "200", "--d", "4", "--epsilon", "1e-4",
+                          "--omega_size", "80", "--delta", "0.1", "--trials", "10", "--seed", "1"],
+    "validate-expectation": ["validate-expectation", "--n", "50", "--d", "5", "--epsilon", "0.1",
+                             "--trials", "10", "--seed", "1"],
+    "skip-rate": ["skip-rate", "--n", "200", "--d", "4", "--q", "40", "--trials", "10",
+                  "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "full --alpha 3",
+        "full --init_noise_std -1",
+        "full --seed -1",
+        "partial --alpha 0",
+        "sweep --alpha 2.5",
+        "sweep --trials 0",
+        "validate-concentration --omega_size 0",
+        "validate-concentration --trials 0",
+        "validate-concentration --delta 0",
+        "validate-residual --trials 0",
+        "validate-expectation --trials 1",
+        "skip-rate --trials 0",
+    ],
+)
+def test_bad_value_exits_2(tmp_path, capsys, row):
+    verb, *bad = row.split()
+    # the valid invocation succeeds; repeating a flag later overrides it
+    assert run_cli(_VALID_ARGV[verb] + ["--out", str(tmp_path / "ok.csv")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "bad.csv"
+    assert run_cli(_VALID_ARGV[verb] + bad + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("grouse: error:")
+    assert not out.exists()
+
+
+def test_sweep_cell_with_d_not_below_n_is_marker_row(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(
+        ["sweep", "--n", "60", "--d", "70", "--q", "30", "--trials", "2", "--iters", "5",
+         "--seed", "1", "--out", str(out)]
+    ) == 0
+    from grouse.harness import read_sweep_csv
+
+    (cell,) = read_sweep_csv(out)
+    assert (cell.n, cell.d, cell.q, cell.trials) == (60, 70, 30, 0)
+    assert np.isnan(cell.mean_x) and np.isnan(cell.std_x)
 
 
 def test_help_exits_zero(capsys):

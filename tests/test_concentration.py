@@ -181,3 +181,27 @@ def test_residual_csv_round_trip(tmp_path):
     finite = np.isfinite(report.rhs)
     assert np.array_equal(rhs[finite], report.rhs[finite])
     assert np.array_equal(violated, report.violated)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, ubar, trials: validate_gram_concentration(u, 80, 0.1, trials, 1),
+        lambda u, ubar, trials: validate_residual_bound(u, ubar, 80, 0.1, trials, 1),
+        lambda u, ubar, trials: estimate_skip_rate(u, 20, trials, 1),
+        lambda u, ubar, trials: mu_xt_diagnostics(u, ubar, trials, 1),
+    ],
+    ids=["gram_concentration", "residual_bound", "skip_rate", "mu_xt"],
+)
+@pytest.mark.parametrize("trials", [0, -2])
+def test_validators_reject_nonpositive_trials(call, trials):
+    u, ubar = pair_with_epsilon(40, 4, 0.1, seed=1)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        call(u, ubar, trials)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, 1.0])
+def test_gram_concentration_rejects_delta_outside_unit_interval(delta):
+    u = incoherent_basis(200, 4, seed=3)
+    with pytest.raises(ValueError, match=r"delta in \(0,1\)"):
+        validate_gram_concentration(u, 80, delta, 10, 1)

@@ -9,6 +9,7 @@ from grouse.harness import (
     generate_problem,
     incoherent_basis,
     pair_with_epsilon,
+    random_basis,
     read_problem_spec,
     read_sweep_csv,
     run_full_trial,
@@ -190,3 +191,45 @@ def test_problem_spec_file_round_trip(tmp_path):
     text = path.read_text()
     for field in ("n=", "d=", "q=", "iters=", "seed=", "alpha=", "init_noise_std="):
         assert field in text
+
+
+def test_problem_spec_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        ProblemSpec(n=100, d=10, q=20, iters=5, seed=-1)
+
+
+@pytest.mark.parametrize("std", [-1.0, math.nan, math.inf])
+def test_problem_spec_rejects_bad_init_noise_std(std):
+    with pytest.raises(ValueError, match="init_noise_std must be finite and nonnegative"):
+        ProblemSpec(n=100, d=10, q=20, iters=5, seed=0, init_noise_std=std)
+
+
+@pytest.mark.parametrize("d", [0, -1, 30])
+def test_random_basis_requires_d_between_zero_and_n(d):
+    with pytest.raises(ValueError, match="0 < d < n"):
+        random_basis(30, d, seed=0)
+
+
+def test_pair_with_epsilon_requires_positive_d():
+    with pytest.raises(ValueError, match="d >= 1"):
+        pair_with_epsilon(40, 0, 0.0, seed=0)
+
+
+def test_sweep_phase_rejects_nonpositive_trials():
+    with pytest.raises(ValueError, match="trials_per_cell must be at least 1"):
+        sweep_phase([60], [3], [30], trials_per_cell=0, iters=5, seed=0)
+
+
+def test_sweep_phase_checks_run_settings_without_feasible_cells():
+    # d >= n makes the only cell a marker; the settings are still checked
+    for rule, bad in (("alpha", 2.5), ("iters", 0), ("seed", -1)):
+        args = {"trials_per_cell": 1, "iters": 5, "seed": 0, rule: bad}
+        with pytest.raises(ValueError, match=rule):
+            sweep_phase([60], [70], [30], **args)
+
+
+def test_problem_spec_file_missing_field(tmp_path):
+    path = tmp_path / "run.spec"
+    path.write_text("n=100\nd=4\nq=20\niters=5\nseed=1\nalpha=1.0\n")
+    with pytest.raises(ValueError, match="init_noise_std"):
+        read_problem_spec(path)
