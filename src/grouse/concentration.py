@@ -138,9 +138,12 @@ def validate_residual_bound(
     Each trial draws a fresh coefficient vector and a fresh with-replacement
     sample, fits the sampled entries, and compares the sampled residual
     energy against the bound.  The bound is only asserted when its
-    right-hand-side factor is positive (it is vacuous otherwise).
+    right-hand-side factor is positive (it is vacuous otherwise).  Needs
+    omega_size >= d, since fewer sampled rows can never determine the fit.
     """
     _require_trials(trials)
+    if omega_size < u.d:
+        raise ValueError("omega_size must be at least d")
     rng = np.random.default_rng(seed)
     d, n = u.d, u.n
     mu_u = coherence_basis(u)

@@ -13,8 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import orthonormalize
-from .metrics import Basis, epsilon_residual, orthonormality_drift, BASIS_DRIFT_TOL
-from .partial_data import _rotate
+from .metrics import (
+    BASIS_DRIFT_TOL,
+    Basis,
+    _check_pair,
+    _residual_energy,
+    epsilon_residual,
+    orthonormality_drift,
+)
+from .partial_data import _rotate, _rotated
 from .results import TrialResult
 
 # theta below THETA_FLOOR (or within THETA_CEIL of pi/2) is an identity
@@ -120,7 +127,7 @@ def full_step(u: Basis, v, ubar: Basis):
     eta = theta / sigma
     predicted = predicted_decrease(u, ubar, v, eta)
     # sigma*eta == theta for this step length
-    u_next, _ = _rotate(u, *split)
+    u_next = _rotated(u, *split)
     eps_after = epsilon_residual(u_next, ubar)
     rec = FullStepRecord(
         w=w, p=p, r=r, sigma=sigma, theta=theta, eta=eta,
@@ -162,43 +169,49 @@ def run_full(
     (exact algebra, refreshed at every re-orthonormalization) and the driver
     falls back to the scratch formula once epsilon nears the cancellation
     floor of d - ||U^T ubar||_F^2.
+
+    The driver owns one n x d buffer, a copy of ``u0.columns`` (``u0`` is
+    left untouched), which every step rotates in place; only a
+    re-orthonormalization replaces it, with the fresh QR factor.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
+    _check_pair(u0, ubar)
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    u = u0
+    cols = np.array(u0.columns)
+    target = ubar.columns
     n, d = u0.n, u0.d
     exact = n * d * d <= _EXACT_EPS_LIMIT
-    a = None if exact else u.columns.T @ ubar.columns
+    a = None if exact else cols.T @ target
 
     def measure() -> float:
         if exact:
-            return epsilon_residual(u, ubar)
+            return _residual_energy(cols, target)
         rough = float(d - np.sum(a * a))
-        return rough if rough >= _EPS_SWITCH else epsilon_residual(u, ubar)
+        return rough if rough >= _EPS_SWITCH else _residual_energy(cols, target)
 
     eps = [measure()]
     taken_flags, norm_r_arr, norm_p_arr, theta_arr = [], [], [], []
     for t in range(1, iters + 1):
         s = rng.standard_normal(d)
-        split = _split(u.columns, ubar.columns @ s)
+        split = _split(cols, target @ s)
         w, _, _, norm_w, norm_p, norm_r, theta = split
         taken = not _is_identity(theta)
         if taken:
-            u, gain = _rotate(u, *split)
+            gain = _rotate(cols, *split)
             if a is not None:
-                a = a + np.outer(w / norm_w, ubar.columns.T @ gain)
+                a = a + np.outer(w / norm_w, target.T @ gain)
         taken_flags.append(taken)
         norm_r_arr.append(norm_r)
         norm_p_arr.append(norm_p)
         theta_arr.append(theta)
         if t % reortho_every == 0 or (
-            exact and orthonormality_drift(u.columns) > BASIS_DRIFT_TOL
+            exact and orthonormality_drift(cols) > BASIS_DRIFT_TOL
         ):
-            u = Basis(orthonormalize(u.columns), validate=False)
+            cols = orthonormalize(cols)
             if a is not None:
-                a = u.columns.T @ ubar.columns
+                a = cols.T @ target
         eps.append(measure())
     n_steps = len(taken_flags)
     return TrialResult(

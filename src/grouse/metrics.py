@@ -18,15 +18,19 @@ BASIS_DRIFT_TOL = 1e-8
 class Basis:
     """An n x d matrix with orthonormal columns (a point on the Grassmannian).
 
-    The wrapped array is read-only.  ``validate=False`` skips the
-    orthonormality check for hot paths that preserve it by construction;
-    stream drivers re-check drift on their own cadence.
+    The wrapped array is read-only.  ``Basis(arr)`` copies ``arr`` and checks
+    it, so the caller's array stays its own and stays writable.
+    ``validate=False`` skips the orthonormality check for hot paths that
+    preserve it by construction (stream drivers re-check drift on their own
+    cadence) and adopts a float64 ``arr`` without copying: the Basis then
+    owns it and marks it read-only, so callers pass only arrays nothing else
+    will write to, such as a fresh rotation or QR factor.
     """
 
     __slots__ = ("columns",)
 
     def __init__(self, columns, *, validate: bool = True):
-        columns = np.array(columns, dtype=float)
+        columns = np.array(columns, dtype=float, copy=True if validate else None)
         if columns.ndim != 2:
             raise ValueError("basis must be a 2-d array")
         n, d = columns.shape
@@ -104,7 +108,16 @@ def epsilon_residual(u: Basis, ubar: Basis) -> float:
     :func:`epsilon` to ~1e-14 absolute.
     """
     _check_pair(u, ubar)
-    g = u.columns - ubar.columns @ (ubar.columns.T @ u.columns)
+    return _residual_energy(u.columns, ubar.columns)
+
+
+def _residual_energy(cols: np.ndarray, target: np.ndarray) -> float:
+    """||cols - target target^T cols||_F^2 on bare arrays; see :func:`epsilon_residual`.
+
+    Drivers that own a writable basis buffer measure it through this, since
+    wrapping the buffer in a :class:`Basis` would freeze it.
+    """
+    g = cols - target @ (target.T @ cols)
     return float(np.sum(g * g))
 
 

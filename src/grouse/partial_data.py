@@ -160,10 +160,33 @@ def step_size(sigma: float, norm_r: float, norm_p: float, alpha: float) -> float
     return float(np.arcsin(min(1.0, alpha * norm_r / norm_p)) / sigma)
 
 
-def _rotate(u: Basis, w, p, r, norm_w, norm_p, norm_r, angle):
-    """The rank-one GROUSE rotation of ``u``; returns (rotated basis, gain)."""
+# Elements per row block of the in-place rotation (256 KB of float64, sized
+# to L2): a block and its outer-product term stay in cache while they add.
+_BLOCK = 32768
+
+
+def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle) -> np.ndarray:
+    """Apply the rank-one GROUSE rotation to ``cols`` in place; returns the gain.
+
+    ``cols`` must be a writable, C-contiguous n x d array owned by the
+    caller (never the columns of a :class:`Basis`).  It becomes
+    ``cols + outer(gain, w / norm_w)``, added in row blocks of about
+    ``_BLOCK`` elements; each entry is rounded exactly as in that expression,
+    so the result is bitwise the same.
+    """
     gain = (np.cos(angle) - 1.0) * p / norm_p + np.sin(angle) * r / norm_r
-    return Basis(u.columns + np.outer(gain, w / norm_w), validate=False), gain
+    y = w / norm_w
+    rows = max(1, _BLOCK // cols.shape[1])
+    for i in range(0, cols.shape[0], rows):
+        cols[i : i + rows] += np.outer(gain[i : i + rows], y)
+    return gain
+
+
+def _rotated(u: Basis, *args) -> Basis:
+    """A new read-only Basis: one copy of ``u`` rotated in place by ``_rotate(copy, *args)``."""
+    cols = np.array(u.columns)
+    _rotate(cols, *args)
+    return Basis(cols, validate=False)
 
 
 def apply_update(u: Basis, rec: StepRecord) -> Basis:
@@ -181,7 +204,7 @@ def apply_update(u: Basis, rec: StepRecord) -> Basis:
     if norm_w == 0.0:
         raise NumericalError("no revealed direction")
     norm_p = float(np.linalg.norm(rec.p))
-    return _rotate(u, rec.w, rec.p, rec.r, norm_w, norm_p, norm_r, rec.sigma * rec.eta)[0]
+    return _rotated(u, rec.w, rec.p, rec.r, norm_w, norm_p, norm_r, rec.sigma * rec.eta)
 
 
 def _revealed_theta(u: Basis, ubar: Basis | None, obs: Observation) -> float | None:
@@ -236,7 +259,7 @@ def grouse_step(
         clamped = alpha * norm_r / norm_p > 1.0
         eta = step_size(sigma, norm_r, norm_p, alpha)
         norm_w = float(np.linalg.norm(w))
-        u_next, _ = _rotate(u, w, p, r, norm_w, norm_p, norm_r, sigma * eta)
+        u_next = _rotated(u, w, p, r, norm_w, norm_p, norm_r, sigma * eta)
 
     eps_after = None if ubar is None else epsilon_residual(u_next, ubar)
     rec = StepRecord(

@@ -257,6 +257,7 @@ _VALID_ARGV = {
         "validate-concentration --trials 0",
         "validate-concentration --delta 0",
         "validate-residual --trials 0",
+        "validate-residual --omega_size 3",
         "validate-expectation --trials 1",
         "skip-rate --trials 0",
     ],

@@ -193,3 +193,27 @@ def test_run_full_measured_decrease_matches_prediction():
         measured = rec.epsilon_before - rec.epsilon_after
         assert abs(measured - rec.predicted_decrease) <= 1e-8 * max(rec.epsilon_before, 1e-12)
         u = u1
+
+
+def test_run_full_leaves_u0_unchanged_and_read_only():
+    u0, ubar = pair_with_epsilon(40, 3, 0.3, seed=18)
+    before = u0.columns.copy()
+    run_full(u0, ubar, 20, seed=3, reortho_every=7)
+    assert np.array_equal(u0.columns, before)
+    assert not u0.columns.flags.writeable
+
+
+def test_run_full_allocates_no_basis_sized_array_per_step():
+    import tracemalloc
+
+    n, d = 3000, 40  # n*d^2 above _EXACT_EPS_LIMIT: maintained-product path
+    u0, ubar = pair_with_epsilon(n, d, 0.5, seed=19)
+    tracemalloc.start()
+    try:
+        run_full(u0, ubar, 30, seed=4, reortho_every=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the one owned buffer plus row blocks and vectors; a fresh n x d array
+    # per step would add at least one more n*d*8 bytes
+    assert peak < 2 * n * d * 8

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from grouse.full_data import _is_identity, _split, full_step
 from grouse.linalg import NumericalError, orthonormalize
-from grouse.metrics import Basis, epsilon_residual
+from grouse.metrics import BASIS_DRIFT_TOL, Basis, epsilon_residual, orthonormality_drift
 from grouse.partial_data import (
     Observation,
     StepRecord,
+    _rotate,
     apply_update,
     gate_check,
     grouse_step,
@@ -382,3 +385,41 @@ def test_grouse_step_rejects_dimension_mismatch():
         grouse_step(u, obs, 1.0)
     with pytest.raises(ValueError, match="dimensions differ"):
         grouse_step(u, obs, 1.0, bypass_gate=True)
+
+
+# (n, d): d = 1, n = d + 1, n*d inside one row block, and several row
+# blocks with a partial last one (1638 rows per block at d = 20)
+_KERNEL_SHAPES = [(2, 1), (300, 1), (6, 5), (40, 8), (5000, 20)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(_KERNEL_SHAPES),
+    seed=st.integers(0, 10_000),
+    angle=st.floats(0.0, np.pi / 2),
+)
+def test_rotate_in_place_is_bitwise_the_outer_product_update(shape, seed, angle):
+    n, d = shape
+    u = random_basis(n, d, seed=seed)
+    v = np.random.default_rng([seed, 1]).standard_normal(n)
+    w, p, r, norm_w, norm_p, norm_r, theta = _split(u.columns, v)
+    assume(not _is_identity(theta))  # the drivers never rotate at these angles
+    cols = np.array(u.columns)
+    gain = _rotate(cols, w, p, r, norm_w, norm_p, norm_r, angle)
+    expected = u.columns + np.outer(gain, w / norm_w)
+    assert cols.tobytes() == expected.tobytes()
+    assert orthonormality_drift(cols) <= BASIS_DRIFT_TOL
+
+
+def test_steps_return_read_only_bases_sharing_no_memory():
+    rng = np.random.default_rng(21)
+    u, ubar = pair_with_epsilon(60, 3, 0.3, seed=21)
+    before = u.columns.copy()
+    obs = make_obs(ubar, gated_draw(rng, u, 30), rng.standard_normal(3))
+    stepped, rec = grouse_step(u, obs, 1.0)
+    assert rec.taken and rec.eta > 0.0
+    full, _ = full_step(u, ubar.columns @ rng.standard_normal(3), ubar)
+    for new in (stepped, apply_update(u, rec), full):
+        assert not new.columns.flags.writeable
+        assert not np.shares_memory(new.columns, u.columns)
+    assert np.array_equal(u.columns, before)
