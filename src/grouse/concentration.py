@@ -21,6 +21,9 @@ from .results import _fmt, _read_table, _write_table
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+# Trials drawn per batch by validate_sin_sq_expectation; bounds its memory.
+_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class ConcentrationReport:
@@ -210,9 +213,7 @@ def estimate_skip_rate(u: Basis, q: int, trials: int, seed: int) -> float:
     return fails / trials
 
 
-def validate_sin_sq_expectation(
-    u: Basis, ubar: Basis, trials: int, seed: int, chunk: int = 8192
-):
+def validate_sin_sq_expectation(u: Basis, ubar: Basis, trials: int, seed: int):
     """Sample mean and standard error of sin^2(theta) over v = ubar @ s.
 
     The mean should sit within a few standard errors of epsilon/d.
@@ -223,7 +224,7 @@ def validate_sin_sq_expectation(
     vals = np.empty(trials)
     done = 0
     while done < trials:
-        take = min(chunk, trials - done)
+        take = min(_CHUNK, trials - done)
         s = rng.standard_normal((take, ubar.d))
         v = s @ ubar.columns.T
         resid = v - (v @ u.columns) @ u.columns.T

@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import orthonormalize
 from .metrics import (
     BASIS_DRIFT_TOL,
+    REORTHO_EVERY,
     Basis,
     _check_pair,
     _residual_energy,
@@ -159,7 +160,6 @@ def run_full(
     ubar: Basis,
     iters: int,
     seed: int,
-    reortho_every: int = 100,
 ) -> TrialResult:
     """Drive full-data steps on v_t = ubar @ s_t, s_t iid standard normal.
 
@@ -172,7 +172,9 @@ def run_full(
 
     The driver owns one n x d buffer, a copy of ``u0.columns`` (``u0`` is
     left untouched), which every step rotates in place; only a
-    re-orthonormalization replaces it, with the fresh QR factor.
+    re-orthonormalization (every ``REORTHO_EVERY`` steps, and on excess
+    drift when epsilon is measured from scratch) replaces it, with the
+    fresh QR factor.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -206,7 +208,7 @@ def run_full(
         norm_r_arr.append(norm_r)
         norm_p_arr.append(norm_p)
         theta_arr.append(theta)
-        if t % reortho_every == 0 or (
+        if t % REORTHO_EVERY == 0 or (
             exact and orthonormality_drift(cols) > BASIS_DRIFT_TOL
         ):
             cols = orthonormalize(cols)
@@ -216,7 +218,6 @@ def run_full(
     n_steps = len(taken_flags)
     return TrialResult(
         epsilons=np.array(eps),
-        gate_skips=0,
         wall_time=time.perf_counter() - start,
         gate_passed=np.ones(n_steps, dtype=bool),
         taken=np.array(taken_flags, dtype=bool),

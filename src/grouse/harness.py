@@ -21,7 +21,7 @@ import numpy as np
 from .full_data import run_full
 from .linalg import orthonormalize
 from .metrics import Basis
-from .partial_data import Observation, run_stream
+from .partial_data import Observation, _check_alpha, run_stream
 from .results import TrialResult, _fmt, _read_table, _write_table
 
 _PROBLEM_STREAM = 1
@@ -57,8 +57,7 @@ class ProblemSpec:
 
 def _check_run(iters: int, seed: int, alpha: float, init_noise_std: float) -> None:
     """The rules a run's scalar settings obey, whatever its dimensions."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
+    _check_alpha(alpha)
     if iters < 1:
         raise ValueError("iters must be at least 1")
     if seed < 0:
@@ -190,17 +189,18 @@ def fit_x(
     return (1.0 - (epsilonN / epsilon0) ** (1.0 / iters)) * n * d / q
 
 
-def tail_slope(epsilons, floor: float = EPSILON_FLOOR) -> float | None:
+def tail_slope(epsilons) -> float | None:
     """Least-squares slope of log(eps) over the last half of the iterations.
 
-    Entries below ``floor`` are measurement noise and are discarded; the
-    asymptotic rate only emerges on later iterations, hence the half-window.
+    Entries below ``EPSILON_FLOOR`` are measurement noise and are discarded;
+    the asymptotic rate only emerges on later iterations, hence the
+    half-window.
     Returns None when fewer than two usable points remain.
     """
     eps = np.asarray(epsilons, dtype=float)
     t = np.arange(len(eps))
     half = len(eps) // 2
-    keep = eps[half:] > floor
+    keep = eps[half:] > EPSILON_FLOOR
     if keep.sum() < 2:
         return None
     return float(np.polyfit(t[half:][keep], np.log(eps[half:][keep]), 1)[0])
@@ -229,7 +229,6 @@ def run_partial_trial(
     spec: ProblemSpec,
     *,
     bypass_gate: bool = False,
-    reortho_every: int = 100,
 ) -> TrialResult:
     """Generate a problem, stream fresh observations, run the gated steps.
 
@@ -245,13 +244,12 @@ def run_partial_trial(
         _observation_stream(spec, ubar),
         alpha=spec.alpha,
         ubar=ubar,
-        reortho_every=reortho_every,
         bypass_gate=bypass_gate,
     )
     return _attach_fit(result, spec, spec.q)
 
 
-def run_full_trial(spec: ProblemSpec, *, reortho_every: int = 100) -> TrialResult:
+def run_full_trial(spec: ProblemSpec) -> TrialResult:
     """Full-data trial (every entry observed, exact step length)."""
     ubar, u0 = generate_problem(spec)
     result = run_full(
@@ -259,7 +257,6 @@ def run_full_trial(spec: ProblemSpec, *, reortho_every: int = 100) -> TrialResul
         ubar,
         spec.iters,
         seed=np.random.SeedSequence([int(spec.seed), _OBSERVATION_STREAM]),
-        reortho_every=reortho_every,
     )
     return _attach_fit(result, spec, spec.n)
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-# Default tolerances: 100-1000x double eps, scaled by dimension where the
-# contract says so.  Callers may override per call.
-ORTHO_TOL = 1e-12
+# Fixed tolerances, 100-1000x double eps, relative to the largest entry.
 SYM_TOL = 1e-12
 RANK_RTOL = 1e-13
 
@@ -41,7 +39,7 @@ def _as_vector(b) -> np.ndarray:
     return b
 
 
-def orthonormalize(a, *, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormalize(a) -> np.ndarray:
     """Return Q with orthonormal columns and range(Q) = range(a).
 
     Householder QR route.  Raises ``ValueError("shape")`` when the input is
@@ -54,12 +52,12 @@ def orthonormalize(a, *, rank_rtol: float = RANK_RTOL) -> np.ndarray:
         raise ValueError("shape: need rows >= cols to orthonormalize columns")
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
-    if diag.min() <= rank_rtol * max(diag.max(), np.finfo(float).tiny):
+    if diag.min() <= RANK_RTOL * max(diag.max(), np.finfo(float).tiny):
         raise NumericalError("rank deficient")
     return q
 
 
-def least_squares(c, b, *, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def least_squares(c, b) -> np.ndarray:
     """Minimize ||c w - b||_2 via Householder QR of c (not normal equations)."""
     c = _as_matrix(c)
     b = _as_vector(b)
@@ -70,7 +68,7 @@ def least_squares(c, b, *, rank_rtol: float = RANK_RTOL) -> np.ndarray:
         raise NumericalError("singular normal equations")
     q, r = np.linalg.qr(c)
     diag = np.abs(np.diag(r))
-    if diag.min() <= rank_rtol * max(diag.max(), np.finfo(float).tiny):
+    if diag.min() <= RANK_RTOL * max(diag.max(), np.finfo(float).tiny):
         raise NumericalError("singular normal equations")
     return solve_triangular(r, q.T @ b)
 
@@ -81,7 +79,7 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def nearest_orthogonal(a, *, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def nearest_orthogonal(a) -> np.ndarray:
     """Orthogonal matrix minimizing ||a - V||_F (polar factor via thin SVD).
 
     Defined for square nonsingular a; the zero-singular-value case has no
@@ -91,17 +89,17 @@ def nearest_orthogonal(a, *, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError("shape: expected a square matrix")
     u, s, vt = np.linalg.svd(a)
-    if s.min() <= rank_rtol * max(s.max(), np.finfo(float).tiny):
+    if s.min() <= RANK_RTOL * max(s.max(), np.finfo(float).tiny):
         raise NumericalError("singular alignment")
     return u @ vt
 
 
-def sym_eigenvalues(g, *, sym_tol: float = SYM_TOL) -> np.ndarray:
+def sym_eigenvalues(g) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted descending."""
     g = _as_matrix(g)
     if g.shape[0] != g.shape[1]:
         raise ValueError("shape: expected a square matrix")
     scale = max(1.0, float(np.abs(g).max()))
-    if np.abs(g - g.T).max() > sym_tol * scale:
+    if np.abs(g - g.T).max() > SYM_TOL * scale:
         raise ValueError("not symmetric")
     return np.linalg.eigvalsh(g)[::-1]

@@ -12,7 +12,10 @@ import numpy as np
 
 from .linalg import NumericalError, nearest_orthogonal, singular_values
 
+# How far a Basis may drift from orthonormal, and the fixed number of steps
+# between the stream drivers' re-orthonormalizations.
 BASIS_DRIFT_TOL = 1e-8
+REORTHO_EVERY = 100
 
 
 class Basis:

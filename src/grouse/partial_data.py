@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import NumericalError, least_squares, orthonormalize, singular_values
 from .metrics import (
     BASIS_DRIFT_TOL,
+    REORTHO_EVERY,
     Basis,
     epsilon_residual,
     orthonormality_drift,
@@ -145,14 +146,19 @@ def partial_residual(u: Basis, obs: Observation):
     return w, p, r
 
 
+def _check_alpha(alpha: float) -> None:
+    """The step factor's range, (0, 2); NaN fails too."""
+    if not 0.0 < alpha < 2.0:
+        raise ValueError("alpha must lie in (0, 2)")
+
+
 def step_size(sigma: float, norm_r: float, norm_p: float, alpha: float) -> float:
     """Step length eta solving sin(sigma*eta) = alpha*||r||/||p||.
 
     The arcsin argument is clamped to 1; far from convergence the ratio can
     exceed one transiently and the rotation then goes the full quarter turn.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
+    _check_alpha(alpha)
     if norm_p <= 0.0:
         raise NumericalError("degenerate projection")
     if norm_r == 0.0 or sigma == 0.0:
@@ -189,24 +195,6 @@ def _rotated(u: Basis, *args) -> Basis:
     return Basis(cols, validate=False)
 
 
-def apply_update(u: Basis, rec: StepRecord) -> Basis:
-    """Rotate the basis by the rank-one update recorded in ``rec``.
-
-    Only the direction p/||p|| moves (toward r/||r||); any z with w^T z = 0
-    satisfies U_new z = U z exactly in exact arithmetic.
-    """
-    if not rec.taken:
-        raise ValueError("record does not describe a taken step")
-    norm_r = float(np.linalg.norm(rec.r))
-    if norm_r == 0.0:
-        return u
-    norm_w = float(np.linalg.norm(rec.w))
-    if norm_w == 0.0:
-        raise NumericalError("no revealed direction")
-    norm_p = float(np.linalg.norm(rec.p))
-    return _rotated(u, rec.w, rec.p, rec.r, norm_w, norm_p, norm_r, rec.sigma * rec.eta)
-
-
 def _revealed_theta(u: Basis, ubar: Basis | None, obs: Observation) -> float | None:
     if ubar is None or obs.latent_s is None:
         return None
@@ -230,8 +218,10 @@ def grouse_step(
     the basis unchanged with ``taken`` False.  A residual below the floor,
     or an observation orthogonal to the sampled basis rows, is an identity
     update with ``taken`` True and eta = 0.  ``epsilon_before/after`` are
-    filled when ``ubar`` is supplied.  ValueError if ``obs.n != u.n``.
+    filled when ``ubar`` is supplied.  ValueError if ``obs.n != u.n`` or
+    alpha lies outside (0, 2), whether or not the step is taken.
     """
+    _check_alpha(alpha)
     if obs.n != u.n:
         raise ValueError("observation and basis ambient dimensions differ")
     verdict = gate_check(u, obs.omega)
@@ -284,23 +274,23 @@ def run_stream(
     stream,
     alpha: float = 1.0,
     ubar: Basis | None = None,
-    reortho_every: int = 100,
     *,
     bypass_gate: bool = False,
 ) -> TrialResult:
     """Apply :func:`grouse_step` over a sequence of observations.
 
-    The basis is re-orthonormalized every ``reortho_every`` steps and
+    The basis is re-orthonormalized every ``REORTHO_EVERY`` steps and
     whenever drift exceeds the budget (the rank-one rotation preserves
     orthonormality only in exact arithmetic).  The epsilon trajectory is
     recorded when ``ubar`` is given; re-orthonormalization does not change
-    the column span, so the trajectory is unaffected by it.
+    the column span, so the trajectory is unaffected by it.  An alpha
+    outside (0, 2) raises ValueError before any observation is read.
     """
+    _check_alpha(alpha)
     start = time.perf_counter()
     u = u0
     eps = None if ubar is None else [epsilon_residual(u0, ubar)]
     gate_passed, taken, norm_r, norm_p, theta = [], [], [], [], []
-    gate_skips = 0
     for t, obs in enumerate(stream, start=1):
         # revealed angle against the basis the step starts from
         theta_t = _revealed_theta(u, ubar, obs)
@@ -310,15 +300,12 @@ def run_stream(
         norm_r.append(0.0 if rec.r is None else float(np.linalg.norm(rec.r)))
         norm_p.append(0.0 if rec.p is None else float(np.linalg.norm(rec.p)))
         theta.append(np.nan if theta_t is None else theta_t)
-        if not rec.taken:
-            gate_skips += 1
-        if t % reortho_every == 0 or orthonormality_drift(u.columns) > BASIS_DRIFT_TOL:
+        if t % REORTHO_EVERY == 0 or orthonormality_drift(u.columns) > BASIS_DRIFT_TOL:
             u = Basis(orthonormalize(u.columns), validate=False)
         if eps is not None:
             eps.append(epsilon_residual(u, ubar))
     return TrialResult(
         epsilons=None if eps is None else np.array(eps),
-        gate_skips=gate_skips,
         wall_time=time.perf_counter() - start,
         gate_passed=np.array(gate_passed, dtype=bool),
         taken=np.array(taken, dtype=bool),

@@ -19,7 +19,6 @@ class TrialResult:
     """
 
     epsilons: np.ndarray | None
-    gate_skips: int
     wall_time: float
     x_factor: float | None = None
     tail_slope: float | None = None
@@ -32,6 +31,11 @@ class TrialResult:
     @property
     def iterations(self) -> int:
         return len(self.gate_passed)
+
+    @property
+    def gate_skips(self) -> int:
+        """Steps skipped because the gate failed (and was not bypassed)."""
+        return int(np.sum(~self.gate_passed & ~self.taken))
 
 
 def _fmt(x: float) -> str:
@@ -95,13 +99,11 @@ def read_trajectory_csv(path) -> TrialResult:
         norm_r.append(float(row["norm_r"]))
         norm_p.append(float(row["norm_p"]))
         theta.append(float(row["theta"]) if row["theta"] != "" else np.nan)
-    gate_passed, taken = np.array(gate_passed, dtype=bool), np.array(taken, dtype=bool)
     return TrialResult(
         epsilons=None if eps is None else np.array(eps),
-        gate_skips=int(np.sum(~gate_passed & ~taken)),
         wall_time=0.0,
-        gate_passed=gate_passed,
-        taken=taken,
+        gate_passed=np.array(gate_passed, dtype=bool),
+        taken=np.array(taken, dtype=bool),
         norm_r=np.array(norm_r),
         norm_p=np.array(norm_p),
         theta=np.array(theta),

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grouse.full_data import _is_identity, _split, full_step
+from grouse.full_data import _is_identity, _split, full_step, run_full
 from grouse.linalg import NumericalError, orthonormalize
 from grouse.metrics import BASIS_DRIFT_TOL, Basis, epsilon_residual, orthonormality_drift
 from grouse.partial_data import (
     Observation,
-    StepRecord,
     _rotate,
-    apply_update,
     gate_check,
     grouse_step,
     partial_residual,
@@ -141,16 +139,6 @@ def test_step_size_rules():
         step_size(1.0, 1.0, 1.0, 2.5)
 
 
-def test_apply_update_zero_residual_is_identity():
-    u = random_basis(10, 2, seed=8)
-    rec = StepRecord(
-        gate=gate_check(u, np.arange(10)), taken=True, alpha=1.0,
-        w=np.array([1.0, 0.0]), p=u.columns[:, 0].copy(), r=np.zeros(10),
-        sigma=0.0, eta=0.0,
-    )
-    assert apply_update(u, rec) is u
-
-
 def test_single_step_line_geometry():
     # n=2, d=1, full sampling: the step rotates u toward v by exactly
     # arcsin(min(1, alpha tan a)); for small angles that is a in O(a^3),
@@ -177,19 +165,14 @@ def test_single_step_line_geometry():
     assert rec.epsilon_after <= a**6
 
 
-def test_apply_update_orthonormal_and_least_change():
+def test_grouse_step_orthonormal_and_least_change():
     rng = np.random.default_rng(9)
     u = random_basis(50, 3, seed=9)
     omega = gated_draw(rng, u, 25)
     values = rng.standard_normal(25)
-    w, p, r = partial_residual(u, Observation(n=50, omega=omega, values=values))
-    sigma = np.linalg.norm(r) * np.linalg.norm(p)
-    eta = step_size(sigma, np.linalg.norm(r), np.linalg.norm(p), 1.0)
-    rec = StepRecord(
-        gate=gate_check(u, omega), taken=True, alpha=1.0, w=w, p=p, r=r,
-        sigma=sigma, eta=eta,
-    )
-    u1 = apply_update(u, rec)
+    u1, rec = grouse_step(u, Observation(n=50, omega=omega, values=values))
+    w = rec.w
+    assert rec.taken and rec.eta > 0.0
     assert np.linalg.norm(u1.columns.T @ u1.columns - np.eye(3)) <= 1e-12
     # orthonormal completion oracle for the least-change direction set
     z = orthonormalize(
@@ -288,6 +271,28 @@ def test_run_stream_edge_cases():
     res = run_stream(spike, bad, ubar=ubar)
     assert res.gate_skips == 5
     assert np.allclose(res.epsilons, res.epsilons[0])
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 2.0, 5.0, np.nan])
+def test_alpha_outside_range_rejected_at_entry(alpha):
+    u = random_basis(30, 3, seed=15)
+    spike = Basis(np.eye(30)[:, :3])
+    fails_gate = Observation(n=30, omega=np.arange(10, 16), values=np.ones(6))
+    in_span = Observation(n=30, omega=np.arange(30), values=u.columns @ [1.0, 2.0, -0.5])
+    # with a valid alpha these are a skipped step and an identity step
+    assert not grouse_step(spike, fails_gate, 1.0)[1].taken
+    assert grouse_step(u, in_span, 1.0)[1].eta == 0.0
+    for basis, obs in ((spike, fails_gate), (u, in_span)):
+        with pytest.raises(ValueError, match="alpha"):
+            grouse_step(basis, obs, alpha)
+
+    def unread():
+        raise AssertionError("stream was read")
+        yield
+
+    for stream in (unread(), [], [fails_gate] * 5):
+        with pytest.raises(ValueError, match="alpha"):
+            run_stream(spike, stream, alpha=alpha)
 
 
 def test_run_stream_forced_in_span_first_observation():
@@ -419,7 +424,96 @@ def test_steps_return_read_only_bases_sharing_no_memory():
     stepped, rec = grouse_step(u, obs, 1.0)
     assert rec.taken and rec.eta > 0.0
     full, _ = full_step(u, ubar.columns @ rng.standard_normal(3), ubar)
-    for new in (stepped, apply_update(u, rec), full):
+    for new in (stepped, full):
         assert not new.columns.flags.writeable
         assert not np.shares_memory(new.columns, u.columns)
     assert np.array_equal(u.columns, before)
+
+
+def _orthogonal_to_rows(sub, rng):
+    """Values on the sample orthogonal to every column of ``sub`` (zero when square)."""
+    q, d = sub.shape
+    complement = np.linalg.qr(sub, mode="complete")[0][:, d:]
+    return complement @ rng.standard_normal(q - d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 5),
+    extra=st.sampled_from([1, 2, 20]),  # n - d; 1 is n = d + 1
+    q_kind=st.sampled_from(["below d", "d", "mid", "n"]),
+    kind=st.sampled_from(["generic", "in span", "orthogonal"]),
+    alpha=st.floats(1.9, 2.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 10_000),
+)
+def test_grouse_step_invariants_on_degenerate_shapes(d, extra, q_kind, kind, alpha, seed):
+    n = d + extra
+    q = {"below d": seed % d, "d": d, "mid": (d + n + 1) // 2, "n": n}[q_kind]
+    rng = np.random.default_rng(seed)
+    u = random_basis(n, d, seed=seed)
+    omega = np.sort(rng.choice(n, size=q, replace=False))
+    sub = u.columns[omega]
+    if kind == "in span":
+        values = sub @ rng.standard_normal(d)
+    elif kind == "orthogonal" and q >= d:
+        values = _orthogonal_to_rows(sub, rng)
+    else:
+        values = rng.standard_normal(q)
+    u1, rec = grouse_step(u, Observation(n=n, omega=omega, values=values), alpha)
+    if q < d:
+        assert not rec.gate.passed
+    if not rec.gate.passed:
+        assert not rec.taken and u1 is u
+        return
+    assert rec.taken
+    off = np.ones(n, dtype=bool)
+    off[omega] = False
+    assert np.all(rec.r[off] == 0.0)
+    assert abs(rec.p @ rec.r) <= 1e-12 * np.linalg.norm(rec.w) * np.linalg.norm(values)
+    assert orthonormality_drift(u1.columns) <= BASIS_DRIFT_TOL
+    if kind != "generic":
+        # nothing to explain, or nothing revealed along the span: identity
+        assert rec.eta == 0.0 and u1 is u
+        return
+    # least change: directions orthogonal to w keep their image
+    if d > 1:
+        z = np.linalg.qr(rec.w.reshape(-1, 1), mode="complete")[0][:, 1:]
+        assert np.linalg.norm(u1.columns @ z - u.columns @ z) <= 1e-10
+
+
+@pytest.mark.parametrize("driver", ["run_full", "run_stream"])
+def test_reorthonormalization_cadence(driver, monkeypatch):
+    import grouse.full_data
+    import grouse.partial_data
+    from grouse.metrics import REORTHO_EVERY
+
+    steps = 2 * REORTHO_EVERY
+    u0, ubar = pair_with_epsilon(40, 3, 0.3, seed=22)
+    module = grouse.full_data if driver == "run_full" else grouse.partial_data
+    seen, at = [0], []
+
+    def counting_orthonormalize(a):
+        at.append(seen[0])
+        return orthonormalize(a)
+
+    monkeypatch.setattr(module, "orthonormalize", counting_orthonormalize)
+    if driver == "run_full":
+        split = grouse.full_data._split
+
+        def counting_split(cols, v):
+            seen[0] += 1
+            return split(cols, v)
+
+        monkeypatch.setattr(grouse.full_data, "_split", counting_split)
+        run_full(u0, ubar, steps, seed=5)
+    else:
+        rng = np.random.default_rng(22)
+
+        def stream():
+            for _ in range(steps):
+                seen[0] += 1
+                omega = np.sort(rng.choice(40, size=20, replace=False))
+                yield make_obs(ubar, omega, rng.standard_normal(3))
+
+        assert run_stream(u0, stream()).taken.sum() > REORTHO_EVERY
+    assert at == [REORTHO_EVERY, 2 * REORTHO_EVERY]
