@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import least_squares
 from .metrics import Basis, coherence_basis, coherence_vector, epsilon_residual
-from .partial_data import _gram_extremes, gate_check
+from .partial_data import _gate, gate_check
 from .results import _fmt, _read_table, _write_table
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -116,7 +116,8 @@ def validate_gram_concentration(
     eig_max = np.empty(trials)
     for t in range(trials):
         idx = rng.integers(0, u.n, size=omega_size)
-        eig_min[t], eig_max[t] = _gram_extremes(u, idx)
+        verdict = _gate(u.columns, idx)
+        eig_min[t], eig_max[t] = verdict.eigen_min, verdict.eigen_max
     in_window = (eig_min >= low) & (eig_max <= high)
     return ConcentrationReport(
         trials=trials,

@@ -7,7 +7,6 @@ applies and exposes as a numerical oracle (:func:`predicted_decrease`).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,25 +114,14 @@ def full_step(u: Basis, v, ubar: Basis):
     split = _split(u.columns, v)
     w, p, r, _, norm_p, norm_r, theta = split
     sigma = norm_r * norm_p
-    eps_before = epsilon_residual(u, ubar)
-
-    if _is_identity(theta):
-        rec = FullStepRecord(
-            w=w, p=p, r=r, sigma=sigma, theta=theta, eta=0.0,
-            epsilon_before=eps_before, epsilon_after=eps_before,
-            predicted_decrease=0.0, taken=False,
-        )
-        return u, rec
-
-    eta = theta / sigma
-    predicted = predicted_decrease(u, ubar, v, eta)
+    taken = not _is_identity(theta)
+    eta = theta / sigma if taken else 0.0
     # sigma*eta == theta for this step length
-    u_next = _rotated(u, *split)
-    eps_after = epsilon_residual(u_next, ubar)
+    u_next = _rotated(u, *split) if taken else u
     rec = FullStepRecord(
         w=w, p=p, r=r, sigma=sigma, theta=theta, eta=eta,
-        epsilon_before=eps_before, epsilon_after=eps_after,
-        predicted_decrease=predicted, taken=True,
+        epsilon_before=epsilon_residual(u, ubar), epsilon_after=epsilon_residual(u_next, ubar),
+        predicted_decrease=predicted_decrease(u, ubar, v, eta), taken=taken,
     )
     return u_next, rec
 
@@ -179,7 +167,6 @@ def run_full(
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     _check_pair(u0, ubar)
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     cols = np.array(u0.columns)
     target = ubar.columns
@@ -218,7 +205,6 @@ def run_full(
     n_steps = len(taken_flags)
     return TrialResult(
         epsilons=np.array(eps),
-        wall_time=time.perf_counter() - start,
         gate_passed=np.ones(n_steps, dtype=bool),
         taken=np.array(taken_flags, dtype=bool),
         norm_r=np.array(norm_r_arr),

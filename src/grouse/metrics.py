@@ -21,29 +21,24 @@ REORTHO_EVERY = 100
 class Basis:
     """An n x d matrix with orthonormal columns (a point on the Grassmannian).
 
-    The wrapped array is read-only.  ``Basis(arr)`` copies ``arr`` and checks
-    it, so the caller's array stays its own and stays writable.
-    ``validate=False`` skips the orthonormality check for hot paths that
-    preserve it by construction (stream drivers re-check drift on their own
-    cadence) and adopts a float64 ``arr`` without copying: the Basis then
-    owns it and marks it read-only, so callers pass only arrays nothing else
-    will write to, such as a fresh rotation or QR factor.
+    ``Basis(arr)`` copies ``arr``, checks that the copy is finite and
+    orthonormal within ``BASIS_DRIFT_TOL``, and marks the copy read-only, so
+    the caller's array stays its own and stays writable.
     """
 
     __slots__ = ("columns",)
 
-    def __init__(self, columns, *, validate: bool = True):
-        columns = np.array(columns, dtype=float, copy=True if validate else None)
+    def __init__(self, columns):
+        columns = np.array(columns, dtype=float)
         if columns.ndim != 2:
             raise ValueError("basis must be a 2-d array")
         n, d = columns.shape
         if not 0 < d < n:
             raise ValueError("basis needs 0 < d < n")
-        if validate:
-            if not np.all(np.isfinite(columns)):
-                raise ValueError("basis entries must be finite")
-            if orthonormality_drift(columns) > BASIS_DRIFT_TOL:
-                raise ValueError("columns are not orthonormal within drift budget")
+        if not np.all(np.isfinite(columns)):
+            raise ValueError("basis entries must be finite")
+        if orthonormality_drift(columns) > BASIS_DRIFT_TOL:
+            raise ValueError("columns are not orthonormal within drift budget")
         columns.flags.writeable = False
         object.__setattr__(self, "columns", columns)
 
@@ -141,11 +136,15 @@ def coherence_vector(x) -> float:
 
 def revealed_angle_sin_sq(u: Basis, v) -> float:
     """sin^2 of the angle between v and the span of u, in [0, 1]."""
-    v = np.asarray(v, dtype=float)
+    return _sin_sq(u.columns, np.asarray(v, dtype=float))
+
+
+def _sin_sq(cols: np.ndarray, v: np.ndarray) -> float:
+    """:func:`revealed_angle_sin_sq` against the span of a bare array."""
     nrm_sq = float(v @ v)
     if nrm_sq == 0.0:
         raise ValueError("undefined angle: zero vector")
-    resid = v - u.columns @ (u.columns.T @ v)
+    resid = v - cols @ (cols.T @ v)
     return float(min(1.0, max(0.0, (resid @ resid) / nrm_sq)))
 
 

@@ -13,7 +13,6 @@ format uses 1-based indices on the wire.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +22,11 @@ from .metrics import (
     BASIS_DRIFT_TOL,
     REORTHO_EVERY,
     Basis,
+    _check_pair,
+    _residual_energy,
+    _sin_sq,
     epsilon_residual,
     orthonormality_drift,
-    revealed_angle_sin_sq,
 )
 from .results import TrialResult
 
@@ -101,28 +102,29 @@ class StepRecord:
     epsilon_after: float | None = None
 
 
-def _gram_extremes(u: Basis, idx) -> tuple[float, float]:
-    """(min, max) eigenvalue of the sampled Gram matrix; min is 0 below d rows."""
-    sigma = singular_values(u.columns[idx])
-    return (0.0 if len(idx) < u.d else float(sigma[-1] ** 2)), float(sigma[0] ** 2)
-
-
 def gate_check(u: Basis, omega) -> GateVerdict:
     """Check the sampled-Gram eigenvalue window [0.5|omega|/n, 1.5|omega|/n].
 
     Samples with fewer than d rows fail automatically (singular Gram); a
     passing verdict certifies ||([U]_omega^T [U]_omega)^-1|| <= 2n/|omega|.
-    The eigenvalues come from the singular values of the row submatrix,
-    which the least-squares fit needs anyway.
+    The eigenvalues come from the singular values of the row submatrix.
     """
-    omega = np.asarray(omega, dtype=int)
+    return _gate(u.columns, np.asarray(omega, dtype=int))
+
+
+def _gate(cols: np.ndarray, omega: np.ndarray) -> GateVerdict:
+    """:func:`gate_check` on a bare basis array and integer row indices, which may repeat."""
+    n, d = cols.shape
     m = len(omega)
-    lower = 0.5 * m / u.n
-    upper = 1.5 * m / u.n
+    lower = 0.5 * m / n
+    upper = 1.5 * m / n
     if m == 0:
         return GateVerdict(False, 0.0, 0.0, lower, upper)
-    eigen_min, eigen_max = _gram_extremes(u, omega)
-    passed = m >= u.d and eigen_min >= lower and eigen_max <= upper
+    sigma = singular_values(cols[omega])
+    # the Gram matrix of fewer than d rows is singular
+    eigen_min = 0.0 if m < d else float(sigma[-1] ** 2)
+    eigen_max = float(sigma[0] ** 2)
+    passed = m >= d and eigen_min >= lower and eigen_max <= upper
     return GateVerdict(passed, eigen_min, eigen_max, lower, upper)
 
 
@@ -135,13 +137,18 @@ def partial_residual(u: Basis, obs: Observation):
     """
     if obs.n != u.n:
         raise ValueError("observation and basis ambient dimensions differ")
-    sub = u.columns[obs.omega]
+    return _fit(u.columns, obs)
+
+
+def _fit(cols: np.ndarray, obs: Observation):
+    """:func:`partial_residual` on a bare basis array of matching n."""
+    sub = cols[obs.omega]
     try:
         w = least_squares(sub, obs.values)
     except NumericalError:
         raise NumericalError("gate bypassed on singular sample") from None
-    p = u.columns @ w
-    r = np.zeros(u.n)
+    p = cols @ w
+    r = np.zeros(cols.shape[0])
     r[obs.omega] = obs.values - sub @ w
     return w, p, r
 
@@ -189,19 +196,47 @@ def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle) -> np.ndar
 
 
 def _rotated(u: Basis, *args) -> Basis:
-    """A new read-only Basis: one copy of ``u`` rotated in place by ``_rotate(copy, *args)``."""
+    """A new read-only Basis: a copy of ``u`` rotated in place by ``_rotate(copy, *args)``."""
     cols = np.array(u.columns)
     _rotate(cols, *args)
-    return Basis(cols, validate=False)
+    return Basis(cols)
 
 
-def _revealed_theta(u: Basis, ubar: Basis | None, obs: Observation) -> float | None:
+def _revealed_theta(cols: np.ndarray, ubar: Basis | None, obs: Observation) -> float | None:
+    """Angle between the observed vector and the span of ``cols``, when it is known."""
     if ubar is None or obs.latent_s is None:
         return None
     v = ubar.columns @ obs.latent_s
     if not np.any(v):
         return None
-    return float(np.arcsin(np.sqrt(revealed_angle_sin_sq(u, v))))
+    return float(np.arcsin(np.sqrt(_sin_sq(cols, v))))
+
+
+def _step(cols: np.ndarray, obs: Observation, alpha: float, bypass_gate: bool):
+    """Gate, fit and step-size rule of one step on a bare basis array, which it only reads.
+
+    Returns ``(verdict, fit, rotation)``.  ``fit`` is None for a skipped step,
+    else ``(norm_r, norm_p, sigma, eta, clamped, w, p, r)``.  ``rotation``
+    holds the arguments of :func:`_rotate` after the array, None for a
+    skipped or identity step.
+    """
+    if obs.n != cols.shape[0]:
+        raise ValueError("observation and basis ambient dimensions differ")
+    verdict = _gate(cols, obs.omega)
+    if not verdict.passed and not bypass_gate:
+        return verdict, None, None
+    w, p, r = _fit(cols, obs)
+    norm_r = float(np.linalg.norm(r))
+    norm_p = float(np.linalg.norm(p))
+    scale = float(np.linalg.norm(obs.values))
+    sigma = norm_r * norm_p
+    # an exact fit, or nothing revealed along the current span, is the identity
+    eta, clamped, rotation = 0.0, False, None
+    if norm_r > RESIDUAL_FLOOR * scale and norm_p > RESIDUAL_FLOOR * scale:
+        clamped = alpha * norm_r / norm_p > 1.0
+        eta = step_size(sigma, norm_r, norm_p, alpha)
+        rotation = (w, p, r, float(np.linalg.norm(w)), norm_p, norm_r, sigma * eta)
+    return verdict, (norm_r, norm_p, sigma, eta, clamped, w, p, r), rotation
 
 
 def grouse_step(
@@ -222,39 +257,12 @@ def grouse_step(
     alpha lies outside (0, 2), whether or not the step is taken.
     """
     _check_alpha(alpha)
-    if obs.n != u.n:
-        raise ValueError("observation and basis ambient dimensions differ")
-    verdict = gate_check(u, obs.omega)
-    eps_before = None if ubar is None else epsilon_residual(u, ubar)
-    theta = _revealed_theta(u, ubar, obs)
-    if not verdict.passed and not bypass_gate:
-        rec = StepRecord(
-            gate=verdict,
-            taken=False,
-            alpha=alpha,
-            theta=theta,
-            epsilon_before=eps_before,
-            epsilon_after=eps_before,
-        )
-        return u, rec
-
-    w, p, r = partial_residual(u, obs)
-    norm_r = float(np.linalg.norm(r))
-    norm_p = float(np.linalg.norm(p))
-    scale = float(np.linalg.norm(obs.values))
-    sigma = norm_r * norm_p
-    # an exact fit, or nothing revealed along the current span, is the identity
-    u_next, eta, clamped = u, 0.0, False
-    if norm_r > RESIDUAL_FLOOR * scale and norm_p > RESIDUAL_FLOOR * scale:
-        clamped = alpha * norm_r / norm_p > 1.0
-        eta = step_size(sigma, norm_r, norm_p, alpha)
-        norm_w = float(np.linalg.norm(w))
-        u_next = _rotated(u, w, p, r, norm_w, norm_p, norm_r, sigma * eta)
-
-    eps_after = None if ubar is None else epsilon_residual(u_next, ubar)
+    verdict, fit, rotation = _step(u.columns, obs, alpha, bypass_gate)
+    sigma, eta, clamped, w, p, r = (0.0, 0.0, False, None, None, None) if fit is None else fit[2:]
+    u_next = u if rotation is None else _rotated(u, *rotation)
     rec = StepRecord(
         gate=verdict,
-        taken=True,
+        taken=fit is not None,
         alpha=alpha,
         w=w,
         p=p,
@@ -262,9 +270,9 @@ def grouse_step(
         sigma=sigma,
         eta=eta,
         clamped=clamped,
-        theta=theta,
-        epsilon_before=eps_before,
-        epsilon_after=eps_after,
+        theta=_revealed_theta(u.columns, ubar, obs),
+        epsilon_before=None if ubar is None else epsilon_residual(u, ubar),
+        epsilon_after=None if ubar is None else epsilon_residual(u_next, ubar),
     )
     return u_next, rec
 
@@ -277,36 +285,44 @@ def run_stream(
     *,
     bypass_gate: bool = False,
 ) -> TrialResult:
-    """Apply :func:`grouse_step` over a sequence of observations.
+    """Apply the steps of :func:`grouse_step` over a sequence of observations.
 
-    The basis is re-orthonormalized every ``REORTHO_EVERY`` steps and
-    whenever drift exceeds the budget (the rank-one rotation preserves
-    orthonormality only in exact arithmetic).  The epsilon trajectory is
-    recorded when ``ubar`` is given; re-orthonormalization does not change
-    the column span, so the trajectory is unaffected by it.  An alpha
-    outside (0, 2) raises ValueError before any observation is read.
+    Steps rotate one owned buffer, a copy of ``u0.columns``, in place; a QR
+    replaces it every ``REORTHO_EVERY`` steps and on excess drift.  A skipped
+    or identity step reuses the drift check and epsilon of the unchanged
+    buffer.  Epsilon is recorded when ``ubar`` is given.  A bad alpha or
+    ``ubar`` raises ValueError before any observation is read; an
+    observation of another n raises ValueError at its step.
     """
     _check_alpha(alpha)
-    start = time.perf_counter()
-    u = u0
-    eps = None if ubar is None else [epsilon_residual(u0, ubar)]
+    if ubar is not None:
+        _check_pair(u0, ubar)
+    cols = np.array(u0.columns)
+    eps = None if ubar is None else [_residual_energy(cols, ubar.columns)]
     gate_passed, taken, norm_r, norm_p, theta = [], [], [], [], []
+    reorthonormalized = False
     for t, obs in enumerate(stream, start=1):
-        # revealed angle against the basis the step starts from
-        theta_t = _revealed_theta(u, ubar, obs)
-        u, rec = grouse_step(u, obs, alpha, bypass_gate=bypass_gate)
-        gate_passed.append(rec.gate.passed)
-        taken.append(rec.taken)
-        norm_r.append(0.0 if rec.r is None else float(np.linalg.norm(rec.r)))
-        norm_p.append(0.0 if rec.p is None else float(np.linalg.norm(rec.p)))
+        theta_t = _revealed_theta(cols, ubar, obs)  # against the basis the step starts from
+        verdict, fit, rotation = _step(cols, obs, alpha, bypass_gate)
+        if rotation is not None:
+            _rotate(cols, *rotation)
+        # an unmoved buffer is the one last found within the drift budget
+        moved = rotation is not None or reorthonormalized
+        gate_passed.append(verdict.passed)
+        taken.append(fit is not None)
+        norm_r.append(0.0 if fit is None else fit[0])
+        norm_p.append(0.0 if fit is None else fit[1])
         theta.append(np.nan if theta_t is None else theta_t)
-        if t % REORTHO_EVERY == 0 or orthonormality_drift(u.columns) > BASIS_DRIFT_TOL:
-            u = Basis(orthonormalize(u.columns), validate=False)
+        reorthonormalized = t % REORTHO_EVERY == 0 or (
+            moved and orthonormality_drift(cols) > BASIS_DRIFT_TOL
+        )
+        if reorthonormalized:
+            cols = orthonormalize(cols)
         if eps is not None:
-            eps.append(epsilon_residual(u, ubar))
+            fresh = moved or reorthonormalized
+            eps.append(_residual_energy(cols, ubar.columns) if fresh else eps[-1])
     return TrialResult(
         epsilons=None if eps is None else np.array(eps),
-        wall_time=time.perf_counter() - start,
         gate_passed=np.array(gate_passed, dtype=bool),
         taken=np.array(taken, dtype=bool),
         norm_r=np.array(norm_r),

@@ -19,7 +19,6 @@ class TrialResult:
     """
 
     epsilons: np.ndarray | None
-    wall_time: float
     x_factor: float | None = None
     tail_slope: float | None = None
     gate_passed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
@@ -101,7 +100,6 @@ def read_trajectory_csv(path) -> TrialResult:
         theta.append(float(row["theta"]) if row["theta"] != "" else np.nan)
     return TrialResult(
         epsilons=None if eps is None else np.array(eps),
-        wall_time=0.0,
         gate_passed=np.array(gate_passed, dtype=bool),
         taken=np.array(taken, dtype=bool),
         norm_r=np.array(norm_r),

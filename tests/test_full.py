@@ -3,6 +3,7 @@ import pytest
 
 from grouse.full_data import full_step, predicted_decrease, psi_diagnostic, run_full
 from grouse.metrics import Basis, epsilon, epsilon_residual
+from grouse.partial_data import Observation, run_stream
 from grouse.harness import pair_with_epsilon, random_basis
 
 
@@ -195,22 +196,46 @@ def test_run_full_measured_decrease_matches_prediction():
         u = u1
 
 
-def test_run_full_leaves_u0_unchanged_and_read_only():
+def _stream(ubar, steps, q, seed):
+    """Observations of ubar @ s on q rows drawn without replacement."""
+    rng = np.random.default_rng(seed)
+    observations = []
+    for _ in range(steps):
+        s = rng.standard_normal(ubar.d)
+        omega = np.sort(rng.choice(ubar.n, size=q, replace=False))
+        values = (ubar.columns @ s)[omega]
+        observations.append(Observation(n=ubar.n, omega=omega, values=values, latent_s=s))
+    return observations
+
+
+@pytest.mark.parametrize("driver", ["run_full", "run_stream"])
+def test_driver_leaves_u0_unchanged_and_read_only(driver):
     u0, ubar = pair_with_epsilon(40, 3, 0.3, seed=18)
     before = u0.columns.copy()
-    run_full(u0, ubar, 120, seed=3)  # crosses one re-orthonormalization
+    # 120 steps cross one re-orthonormalization
+    if driver == "run_full":
+        run_full(u0, ubar, 120, seed=3)
+    else:
+        assert run_stream(u0, _stream(ubar, 120, 20, seed=3), ubar=ubar).taken.any()
     assert np.array_equal(u0.columns, before)
     assert not u0.columns.flags.writeable
 
 
-def test_run_full_allocates_no_basis_sized_array_per_step():
+@pytest.mark.parametrize("driver", ["run_full", "run_stream"])
+def test_driver_allocates_no_basis_sized_array_per_step(driver):
     import tracemalloc
 
     n, d = 3000, 40  # n*d^2 above _EXACT_EPS_LIMIT: maintained-product path
     u0, ubar = pair_with_epsilon(n, d, 0.5, seed=19)
+    # the stream runs without ubar and with the gate bypassed, so every step
+    # rotates and no epsilon temporaries hide a per-step copy
+    stream = _stream(ubar, 30, 200, seed=4) if driver == "run_stream" else None
     tracemalloc.start()
     try:
-        run_full(u0, ubar, 30, seed=4)
+        if driver == "run_full":
+            run_full(u0, ubar, 30, seed=4)
+        else:
+            assert run_stream(u0, stream, bypass_gate=True).taken.all()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -273,6 +273,78 @@ def test_run_stream_edge_cases():
     assert np.allclose(res.epsilons, res.epsilons[0])
 
 
+def test_skipped_steps_reuse_drift_and_epsilon(monkeypatch):
+    import grouse.partial_data
+
+    calls = {"_residual_energy": 0, "orthonormality_drift": 0}
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(grouse.partial_data, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(grouse.partial_data, name, counting)
+    _, ubar = pair_with_epsilon(30, 3, 0.05, seed=15)
+    spike = Basis(np.eye(30)[:, :3])
+    bad = [
+        Observation(n=30, omega=np.arange(10, 16), values=np.ones(6))
+        for _ in range(5)
+    ]
+    res = run_stream(spike, bad, ubar=ubar)
+    assert res.gate_skips == 5
+    # epsilon once at entry, no drift check of the validated, unmoved basis
+    assert calls == {"_residual_energy": 1, "orthonormality_drift": 0}
+    assert np.all(res.epsilons == res.epsilons[0])
+
+    # an identity step and skipped steps reuse; the rotating step measures
+    identity = Observation(n=30, omega=np.arange(30), values=spike.columns @ [1.0, 2.0, 3.0])
+    rotating = make_obs(ubar, np.arange(30), np.array([1.0, -1.0, 0.5]))
+    res = run_stream(spike, [identity, bad[0], identity, rotating, bad[0]], ubar=ubar)
+    assert res.taken.tolist() == [True, False, True, True, False]
+    assert calls == {"_residual_energy": 3, "orthonormality_drift": 1}
+    assert np.all(res.epsilons[:4] == res.epsilons[0]) and res.epsilons[5] == res.epsilons[4]
+
+    # the cadence QR moves the bits: its step and the next one measure afresh
+    from grouse.metrics import REORTHO_EVERY
+
+    calls.update(dict.fromkeys(calls, 0))
+    u = random_basis(30, 3, seed=16)
+    below_d = Observation(n=30, omega=[0, 1], values=[1.0, 1.0])
+    run_stream(u, [below_d] * (REORTHO_EVERY + 2), ubar=ubar)
+    assert calls == {"_residual_energy": 3, "orthonormality_drift": 1}
+
+
+def test_run_stream_is_a_chain_of_grouse_steps():
+    from grouse.metrics import REORTHO_EVERY
+
+    rng = np.random.default_rng(23)
+    u, ubar = pair_with_epsilon(60, 4, 0.3, seed=23)
+    # q = 3 < d always fails the gate; zero values give identity steps
+    shapes = [(3, 1.0), (30, 1.0), (40, 0.0), (12, 1.0)] * 15
+    stream = []
+    for q, scale in shapes:
+        omega = np.sort(rng.choice(60, size=q, replace=False))
+        stream.append(make_obs(ubar, omega, scale * rng.standard_normal(4)))
+    assert len(stream) < REORTHO_EVERY
+    res = run_stream(u, stream, 1.5, ubar)
+    records = []
+    for obs in stream:
+        u, rec = grouse_step(u, obs, 1.5, ubar)
+        records.append(rec)
+    assert res.epsilons[0] == records[0].epsilon_before
+    assert res.epsilons[1:].tolist() == [rec.epsilon_after for rec in records]
+    for field, vector in (("norm_r", "r"), ("norm_p", "p")):
+        vectors = [getattr(rec, vector) for rec in records]
+        expected = [0.0 if x is None else np.linalg.norm(x) for x in vectors]
+        assert getattr(res, field).tolist() == expected
+    assert res.taken.tolist() == [rec.taken for rec in records]
+    assert res.gate_passed.tolist() == [rec.gate.passed for rec in records]
+    theta = [np.nan if rec.theta is None else rec.theta for rec in records]
+    assert np.array_equal(res.theta, theta, equal_nan=True)
+    assert not res.taken.all() and res.taken.any()
+    assert any(rec.taken and rec.eta == 0.0 for rec in records)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -1.0, 2.0, 5.0, np.nan])
 def test_alpha_outside_range_rejected_at_entry(alpha):
     u = random_basis(30, 3, seed=15)
@@ -390,6 +462,11 @@ def test_grouse_step_rejects_dimension_mismatch():
         grouse_step(u, obs, 1.0)
     with pytest.raises(ValueError, match="dimensions differ"):
         grouse_step(u, obs, 1.0, bypass_gate=True)
+    with pytest.raises(ValueError, match="dimensions"):
+        run_stream(u, [], ubar=random_basis(30, 3, 1))
+    fits = Observation(n=20, omega=np.arange(20), values=u.columns @ [1.0, 0.5, -2.0])
+    with pytest.raises(ValueError, match="dimensions differ"):
+        run_stream(u, [fits, obs, fits])
 
 
 # (n, d): d = 1, n = d + 1, n*d inside one row block, and several row
