@@ -20,8 +20,8 @@ import numpy as np
 
 from .full_data import run_full
 from .linalg import orthonormalize
-from .metrics import Basis
-from .partial_data import Observation, _check_alpha, run_stream
+from .metrics import Basis, _residual_energy
+from .partial_data import Observation, _check_alpha, _run_stream, run_stream
 from .results import TrialResult, _fmt, _read_table, _write_table
 
 _PROBLEM_STREAM = 1
@@ -206,11 +206,16 @@ def tail_slope(epsilons) -> float | None:
     return float(np.polyfit(t[half:][keep], np.log(eps[half:][keep]), 1)[0])
 
 
+def _x_factor(eps0: float, eps_n: float, spec: ProblemSpec, q: int) -> float | None:
+    """The fitted X at q observed entries per step; None unless both epsilons are positive."""
+    if eps0 > 0.0 and eps_n > 0.0:
+        return fit_x(eps0, eps_n, spec.n, spec.d, q, spec.iters)
+    return None
+
+
 def _attach_fit(result: TrialResult, spec: ProblemSpec, q: int) -> TrialResult:
     """Attach the fitted X (at q observed entries per step) and the tail slope."""
-    eps0, eps_n = float(result.epsilons[0]), float(result.epsilons[-1])
-    if eps0 > 0.0 and eps_n > 0.0:
-        result.x_factor = fit_x(eps0, eps_n, spec.n, spec.d, q, spec.iters)
+    result.x_factor = _x_factor(float(result.epsilons[0]), float(result.epsilons[-1]), spec, q)
     result.tail_slope = tail_slope(result.epsilons)
     return result
 
@@ -247,6 +252,21 @@ def run_partial_trial(
         bypass_gate=bypass_gate,
     )
     return _attach_fit(result, spec, spec.q)
+
+
+def _sweep_trial_x(spec: ProblemSpec, bypass_gate: bool) -> float:
+    """``run_partial_trial(spec, bypass_gate=...).x_factor``, NaN for None.
+
+    X reads epsilon only at t=0 and t=N, so the stream runs without a target
+    (no step measures epsilon or the revealed angle) and the two ends are
+    measured on ``u0`` and the final buffer, the bits a recording run
+    measures there.
+    """
+    ubar, u0 = generate_problem(spec)
+    _, cols = _run_stream(u0, _observation_stream(spec, ubar), spec.alpha, None, bypass_gate)
+    eps0 = _residual_energy(u0.columns, ubar.columns)
+    x = _x_factor(eps0, _residual_energy(cols, ubar.columns), spec, spec.q)
+    return np.nan if x is None else x
 
 
 def run_full_trial(spec: ProblemSpec) -> TrialResult:
@@ -303,8 +323,7 @@ def sweep_phase(
                         alpha=alpha,
                         init_noise_std=init_noise_std,
                     )
-                    result = run_partial_trial(spec, bypass_gate=bypass_gate)
-                    xs[trial] = result.x_factor if result.x_factor is not None else np.nan
+                    xs[trial] = _sweep_trial_x(spec, bypass_gate)
                 cells.append(
                     SweepCell(
                         n,

@@ -5,12 +5,15 @@ factorization routes are fixed by design: Householder QR for
 orthonormalization and least squares (never normal equations), thin SVD
 for the orthogonal Procrustes factor.  Sampled submatrices near the gate
 boundary can be poorly conditioned, which is why QR/SVD routes are used
-throughout.
+throughout.  Every QR runs through one kernel, :func:`_qr`: the public
+routines reach it after their boundary checks, and callers that hold
+already-checked arrays call it (or :func:`_lstsq`) directly.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 # Fixed tolerances, 100-1000x double eps, relative to the largest entry.
 SYM_TOL = 1e-12
@@ -39,6 +42,30 @@ def _as_vector(b) -> np.ndarray:
     return b
 
 
+def _qr(a: np.ndarray, message: str):
+    """Householder QR of a finite m x d array with m >= d: (Q, R).
+
+    Runs LAPACK ``dgeqrf``/``dorgqr`` at their queried optimal workspace,
+    which is what ``np.linalg.qr`` does, so Q and R are bitwise its own; Q
+    is C-contiguous, as numpy returns it.  Raises ``NumericalError(message)``
+    when a diagonal entry of R is negligible against the largest.
+    """
+    d = a.shape[1]
+    qr, tau, _, _ = dgeqrf(a, lwork=int(dgeqrf(a, lwork=-1)[2][0]))
+    r = np.triu(qr[:d])
+    diag = np.abs(np.diag(r))
+    if diag.min() <= RANK_RTOL * max(diag.max(), np.finfo(float).tiny):
+        raise NumericalError(message)
+    q, _, _ = dorgqr(qr, tau, lwork=int(dorgqr(qr, tau, lwork=-1)[1][0]), overwrite_a=True)
+    return np.ascontiguousarray(q), r
+
+
+def _lstsq(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`least_squares` on a finite m x d array (m >= d) and a length-m vector."""
+    q, r = _qr(c, "singular normal equations")
+    return solve_triangular(r, q.T @ b, check_finite=False)
+
+
 def orthonormalize(a) -> np.ndarray:
     """Return Q with orthonormal columns and range(Q) = range(a).
 
@@ -50,11 +77,7 @@ def orthonormalize(a) -> np.ndarray:
     n, d = a.shape
     if n < d:
         raise ValueError("shape: need rows >= cols to orthonormalize columns")
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_RTOL * max(diag.max(), np.finfo(float).tiny):
-        raise NumericalError("rank deficient")
-    return q
+    return _qr(a, "rank deficient")[0]
 
 
 def least_squares(c, b) -> np.ndarray:
@@ -66,11 +89,7 @@ def least_squares(c, b) -> np.ndarray:
         raise ValueError("shape: rhs length must match row count")
     if m < d:
         raise NumericalError("singular normal equations")
-    q, r = np.linalg.qr(c)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_RTOL * max(diag.max(), np.finfo(float).tiny):
-        raise NumericalError("singular normal equations")
-    return solve_triangular(r, q.T @ b)
+    return _lstsq(c, b)
 
 
 def singular_values(a) -> np.ndarray:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, least_squares, orthonormalize, singular_values
+# least_squares is unused here but stays bound: partial_data.least_squares
+# names the same public fit as linalg.least_squares.
+from .linalg import NumericalError, _lstsq, least_squares, orthonormalize  # noqa: F401
 from .metrics import (
     BASIS_DRIFT_TOL,
     REORTHO_EVERY,
@@ -57,9 +59,9 @@ class Observation:
         if len(omega) > 0:
             if omega[0] < 0 or omega[-1] >= self.n:
                 raise ValueError("omega indices out of range")
-            if np.any(np.diff(omega) <= 0):
+            if (omega[1:] <= omega[:-1]).any():
                 raise ValueError("omega indices must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
@@ -120,7 +122,7 @@ def _gate(cols: np.ndarray, omega: np.ndarray) -> GateVerdict:
     upper = 1.5 * m / n
     if m == 0:
         return GateVerdict(False, 0.0, 0.0, lower, upper)
-    sigma = singular_values(cols[omega])
+    sigma = np.linalg.svd(cols[omega], compute_uv=False)
     # the Gram matrix of fewer than d rows is singular
     eigen_min = 0.0 if m < d else float(sigma[-1] ** 2)
     eigen_max = float(sigma[0] ** 2)
@@ -141,12 +143,19 @@ def partial_residual(u: Basis, obs: Observation):
 
 
 def _fit(cols: np.ndarray, obs: Observation):
-    """:func:`partial_residual` on a bare basis array of matching n."""
+    """:func:`partial_residual` on a bare basis array of matching n.
+
+    Both arrays are finite already (an owned buffer and a checked
+    :class:`Observation`), so the fit runs the bare QR kernel.
+    """
     sub = cols[obs.omega]
+    singular = "gate bypassed on singular sample"
+    if len(sub) < cols.shape[1]:
+        raise NumericalError(singular)
     try:
-        w = least_squares(sub, obs.values)
+        w = _lstsq(sub, obs.values)
     except NumericalError:
-        raise NumericalError("gate bypassed on singular sample") from None
+        raise NumericalError(singular) from None
     p = cols @ w
     r = np.zeros(cols.shape[0])
     r[obs.omega] = obs.values - sub @ w
@@ -294,6 +303,15 @@ def run_stream(
     ``ubar`` raises ValueError before any observation is read; an
     observation of another n raises ValueError at its step.
     """
+    return _run_stream(u0, stream, alpha, ubar, bypass_gate)[0]
+
+
+def _run_stream(u0: Basis, stream, alpha: float, ubar: Basis | None, bypass_gate: bool):
+    """:func:`run_stream`, also returning the final owned buffer: ``(result, cols)``.
+
+    Without ``ubar`` no per-step epsilon or revealed angle is measured, so a
+    caller that needs epsilon only at the ends measures ``u0`` and ``cols``.
+    """
     _check_alpha(alpha)
     if ubar is not None:
         _check_pair(u0, ubar)
@@ -328,7 +346,7 @@ def run_stream(
         norm_r=np.array(norm_r),
         norm_p=np.array(norm_p),
         theta=np.array(theta),
-    )
+    ), cols
 
 
 def write_observations(path, observations) -> None:
@@ -350,6 +368,25 @@ def write_observations(path, observations) -> None:
             )
 
 
+def _parse_field(field: str, dtype) -> np.ndarray:
+    """A semicolon-separated wire field as a 1-d array; ValueError on malformed text.
+
+    The field holds no whitespace (the writer emits none).  ``np.fromstring``
+    raises on most malformed text, but it reads a blank element, a bare sign
+    or a sign followed by whitespace as a number, and it stops short at a
+    trailing ";"; those are rejected here.
+    """
+    if not field:
+        return np.zeros(0, dtype=dtype)
+    padded = f";{field};"
+    if field.split() != [field] or ";-;" in padded or ";+;" in padded:
+        raise ValueError("malformed observation field")
+    values = np.fromstring(field, dtype=dtype, sep=";")
+    if len(values) != field.count(";") + 1:
+        raise ValueError("malformed observation field")
+    return values
+
+
 def read_observations(path) -> list[Observation]:
     """Read an observation CSV written by :func:`write_observations`; t must not repeat."""
     rows = []
@@ -358,8 +395,8 @@ def read_observations(path) -> list[Observation]:
             if not row:
                 continue
             t, n = int(row[0]), int(row[1])
-            omega = np.array([int(i) - 1 for i in row[2].split(";")]) if row[2] else np.zeros(0, dtype=int)
-            values = np.array([float(v) for v in row[3].split(";")]) if row[3] else np.zeros(0)
+            omega = _parse_field(row[2], int) - 1
+            values = _parse_field(row[3], float)
             rows.append((t, Observation(n=n, omega=omega, values=values)))
     rows.sort(key=lambda pair: pair[0])
     if any(a[0] == b[0] for a, b in zip(rows, rows[1:])):

@@ -5,6 +5,7 @@ import pytest
 
 from grouse.harness import (
     ProblemSpec,
+    _child_seed,
     fit_x,
     generate_problem,
     incoherent_basis,
@@ -158,6 +159,20 @@ def test_sweep_phase_markers_and_determinism():
     assert len(marked) == 2
     for a, b in zip(cells_a, cells_b):
         assert (a.mean_x == b.mean_x) or (math.isnan(a.mean_x) and math.isnan(b.mean_x))
+
+
+@pytest.mark.parametrize("q, bypass_gate", [(30, False), (15, True)])
+def test_sweep_x_values_are_the_recorded_trials_x(q, bypass_gate):
+    # sweep trials measure epsilon only at t=0 and t=N; X must be bitwise
+    # the X of the trial that records every step
+    n, d, trials, iters, seed = 200, 5, 3, 150, 41
+    (cell,) = sweep_phase([n], [d], [q], trials, iters, seed, bypass_gate=bypass_gate)
+    expected = []
+    for trial in range(trials):
+        spec = ProblemSpec(n=n, d=d, q=q, iters=iters, seed=_child_seed(seed, n, d, q, trial))
+        x = run_partial_trial(spec, bypass_gate=bypass_gate).x_factor
+        expected.append(np.nan if x is None else x)
+    assert cell.x_values.tobytes() == np.array(expected).tobytes()
 
 
 def test_sweep_phase_transition_shape_desk_scale():

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grouse.concentration import validate_residual_bound
 from grouse.linalg import (
     NumericalError,
+    _qr,
     least_squares,
     nearest_orthogonal,
     orthonormalize,
     singular_values,
     sym_eigenvalues,
 )
+from grouse.metrics import Basis
+from grouse.partial_data import Observation, partial_residual
 
 
 def test_orthonormalize_identity():
@@ -159,3 +163,50 @@ def test_property_orthonormalize_contract(seed, n, d):
     a = np.random.default_rng(seed).standard_normal((n, d))
     q = orthonormalize(a)
     assert np.linalg.norm(q.T @ q - np.eye(d)) <= 1e-12
+
+
+def _assert_qr_is_numpys(a):
+    q, r = _qr(a, "unused")
+    q_ref, r_ref = np.linalg.qr(a)
+    assert q.flags.c_contiguous
+    assert q.tobytes() == q_ref.tobytes()
+    assert r.tobytes() == r_ref.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    d=st.integers(1, 32),
+    extra=st.integers(0, 60),
+    order=st.sampled_from("CF"),
+)
+def test_property_qr_kernel_is_bitwise_numpys_qr(seed, d, extra, order):
+    a = np.random.default_rng(seed).standard_normal((d + extra, d))
+    _assert_qr_is_numpys(np.asarray(a, order=order))
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("shape", [(300, 64), (5000, 5), (10000, 200)])
+def test_qr_kernel_is_bitwise_numpys_qr_blocked_and_tall(shape, order):
+    # d = 64 and 200 exceed LAPACK's block size, so these take the blocked
+    # code, whose bits depend on the workspace size
+    a = np.random.default_rng(shape[1]).standard_normal(shape)
+    _assert_qr_is_numpys(np.asarray(a, order=order))
+
+
+def test_rank_deficient_input_raises_each_callers_message():
+    dependent = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    with pytest.raises(NumericalError, match="^rank deficient$"):
+        orthonormalize(dependent)
+    with pytest.raises(NumericalError, match="^singular normal equations$"):
+        least_squares(dependent, np.ones(3))
+    with pytest.raises(NumericalError, match="^either message$"):
+        _qr(dependent, "either message")
+    # rows 0 and 1 carry the whole basis: any other sampled rows are zero
+    u = Basis(np.eye(40, 2))
+    obs = Observation(n=40, omega=[5, 6, 7], values=[1.0, 2.0, 3.0])
+    with pytest.raises(NumericalError, match="^gate bypassed on singular sample$"):
+        partial_residual(u, obs)
+    ubar = Basis(np.eye(40, 2, k=-2))
+    with pytest.raises(NumericalError, match="^singular normal equations$"):
+        validate_residual_bound(u, ubar, omega_size=3, delta=0.1, trials=20, seed=0)

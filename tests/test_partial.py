@@ -33,12 +33,23 @@ def make_obs(ubar, omega, s):
 
 
 def test_observation_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Observation(n=5, omega=[1, 1], values=[0.0, 0.0])
-    with pytest.raises(ValueError, match="out of range"):
-        Observation(n=5, omega=[0, 5], values=[0.0, 0.0])
-    with pytest.raises(ValueError, match="equally long"):
+    with pytest.raises(ValueError, match="^omega and values must be 1-d and equally long$"):
         Observation(n=5, omega=[0, 1], values=[0.0])
+    with pytest.raises(ValueError, match="^omega and values must be 1-d and equally long$"):
+        Observation(n=5, omega=[[0, 1]], values=[[0.0, 0.0]])
+    with pytest.raises(ValueError, match="^omega indices out of range$"):
+        Observation(n=5, omega=[0, 5], values=[0.0, 0.0])
+    with pytest.raises(ValueError, match="^omega indices out of range$"):
+        Observation(n=5, omega=[-1, 2], values=[0.0, 0.0])
+    with pytest.raises(ValueError, match="^omega indices must be strictly increasing$"):
+        Observation(n=5, omega=[1, 1], values=[0.0, 0.0])
+    with pytest.raises(ValueError, match="^omega indices must be strictly increasing$"):
+        Observation(n=5, omega=[0, 3, 2], values=[0.0, 0.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^observed values must be finite$"):
+            Observation(n=5, omega=[0, 2], values=[1.0, bad])
+    empty = Observation(n=5, omega=[], values=[])
+    assert empty.omega.dtype == np.int_ and empty.values.dtype == np.float64
 
 
 def test_gate_full_sampling_passes():
@@ -435,6 +446,10 @@ def test_observation_csv_round_trip(tmp_path):
     for t in range(4):
         omega = np.sort(rng.choice(25, size=8, replace=False))
         obs_list.append(Observation(n=25, omega=omega, values=rng.standard_normal(8)))
+    # repr floats at the edges of binary64, a signed zero, and an empty sample
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    edges = [0.1, -0.0, 1.0 / 3.0, tiny, -huge, 2.2250738585072014e-308, 1e22, -7.0]
+    obs_list += [Observation(n=25, omega=np.arange(0, 24, 3), values=edges), Observation(n=25, omega=[], values=[])]
     path = tmp_path / "observations.csv"
     write_observations(path, obs_list)
     text = path.read_text()
@@ -442,10 +457,39 @@ def test_observation_csv_round_trip(tmp_path):
     first_indices = text.splitlines()[0].split(",")[2]
     assert "0" not in first_indices.split(";")
     back = read_observations(path)
-    assert len(back) == 4
+    assert len(back) == 6
     for a, b in zip(obs_list, back):
-        assert np.array_equal(a.omega, b.omega)
-        assert np.array_equal(a.values, b.values)
+        assert b.omega.dtype == a.omega.dtype and b.values.dtype == a.values.dtype
+        assert b.omega.tobytes() == a.omega.tobytes()
+        assert b.values.tobytes() == a.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "indices, values",
+    [
+        ("1.5", "1.0"),
+        ("x", "1.0"),
+        ("1;;2", "1.0;2.0"),
+        ("1e3", "1.0"),
+        ("1;2;", "1.0;2.0"),  # a trailing separator would parse short
+        ("1;2", "1.0;2.0;"),
+        (";1", "1.0"),
+        ("1;-", "1.0;2.0"),  # a bare sign would parse as 0
+        ("1; ", "1.0;2.0"),  # a blank element would parse as 0
+        ("1;2", "1.0; "),  # ... or as -1.0
+        ("- 1", "1.0"),
+        ("1_0", "1.0"),
+        ("1", "x"),
+        ("1", "1.0;;2.0"),
+        ("1", "1_0.5"),
+        ("1", "0x10"),
+    ],
+)
+def test_observation_csv_rejects_malformed_fields(tmp_path, indices, values):
+    path = tmp_path / "observations.csv"
+    path.write_text(f"0,20,{indices},{values}\n")
+    with pytest.raises(ValueError):
+        read_observations(path)
 
 
 def test_observation_csv_rejects_duplicate_t(tmp_path):
