@@ -10,6 +10,7 @@ message, before any output file is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .concentration import (
@@ -37,7 +38,7 @@ from .results import _fmt, _write_table, write_trajectory_csv
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -63,17 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="verb", required=True)
+    # every verb, like the top level, takes its flags only as spelled in full
+    add_verb = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    full = subs.add_parser("full", help="full-data run (every entry observed)")
+    full = add_verb("full", help="full-data run (every entry observed)")
     _add_problem_flags(full, with_q=False)
     full.add_argument("--out", required=True, help="trajectory CSV path")
 
-    partial = subs.add_parser("partial", help="partial-data gated run")
+    partial = add_verb("partial", help="partial-data gated run")
     _add_problem_flags(partial, with_q=True)
     partial.add_argument("--bypass_gate", action="store_true", help="take every step")
     partial.add_argument("--out", required=True, help="trajectory CSV path")
 
-    sweep = subs.add_parser("sweep", help="phase-transition sweep over (n, d, q)")
+    sweep = add_verb("sweep", help="phase-transition sweep over (n, d, q)")
     sweep.add_argument("--n", type=_int_list, required=True, help="comma-separated n values")
     sweep.add_argument("--d", type=_int_list, required=True, help="comma-separated d values")
     sweep.add_argument("--q", type=_int_list, required=True, help="comma-separated q values")
@@ -85,9 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--bypass_gate", action="store_true", help="take every step")
     sweep.add_argument("--out", required=True, help="sweep CSV path")
 
-    conc = subs.add_parser(
-        "validate-concentration", help="sampled-Gram eigenvalue window check"
-    )
+    conc = add_verb("validate-concentration", help="sampled-Gram eigenvalue window check")
     conc.add_argument("--n", type=int, required=True)
     conc.add_argument("--d", type=int, required=True)
     conc.add_argument("--omega_size", type=int, required=True)
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     conc.add_argument("--out", required=True, help="per-trial report CSV path")
 
-    resid = subs.add_parser("validate-residual", help="sampled-residual lower bound check")
+    resid = add_verb("validate-residual", help="sampled-residual lower bound check")
     resid.add_argument("--n", type=int, required=True)
     resid.add_argument("--d", type=int, required=True)
     resid.add_argument("--epsilon", type=float, required=True, help="pair error metric")
@@ -110,9 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     resid.add_argument("--seed", type=int, required=True)
     resid.add_argument("--out", required=True, help="per-trial report CSV path")
 
-    expect = subs.add_parser(
-        "validate-expectation", help="E[sin^2 theta] = epsilon/d check"
-    )
+    expect = add_verb("validate-expectation", help="E[sin^2 theta] = epsilon/d check")
     expect.add_argument("--n", type=int, required=True)
     expect.add_argument("--d", type=int, required=True)
     expect.add_argument("--epsilon", type=float, required=True, help="pair error metric")
@@ -120,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     expect.add_argument("--seed", type=int, required=True)
     expect.add_argument("--out", required=True, help="summary CSV path")
 
-    skip = subs.add_parser("skip-rate", help="gate failure rate on algorithm-mode samples")
+    skip = add_verb("skip-rate", help="gate failure rate on algorithm-mode samples")
     skip.add_argument("--n", type=int, required=True)
     skip.add_argument("--d", type=int, required=True)
     skip.add_argument("--q", type=int, required=True)

@@ -11,18 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import orthonormalize
-from .metrics import (
-    BASIS_DRIFT_TOL,
-    REORTHO_EVERY,
-    Basis,
-    _check_pair,
-    _residual_energy,
-    epsilon_residual,
-    orthonormality_drift,
-)
+from .metrics import Basis, _check_pair, epsilon_residual
 from .partial_data import _rotate, _rotated
-from .results import TrialResult
+from .results import TrialResult, _Trajectory
 
 # theta below THETA_FLOOR (or within THETA_CEIL of pi/2) is an identity
 # step: eta = theta/sigma is 0/0 at theta = 0 and the decrease is exactly
@@ -36,10 +27,6 @@ THETA_CEIL = 1e-9
 # step; above it a rank-one-maintained U^T ubar product is used instead
 # (refreshed at every re-orthonormalization).
 _EXACT_EPS_LIMIT = 2_000_000
-
-# d - ||A||_F^2 loses accuracy to cancellation near convergence; below this
-# value the driver switches to the residual-projection formula.
-_EPS_SWITCH = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,7 +74,13 @@ def predicted_decrease(u: Basis, ubar: Basis, v, eta: float) -> float:
     lies in (0, 2*theta).  Returns 0 at theta = 0 or pi/2 (limit cases, no
     decrease possible).
     """
-    _, p, _, norm_w, norm_p, norm_r, theta = _split(u.columns, np.asarray(v, dtype=float))
+    _check_pair(u, ubar)
+    return _decrease(_split(u.columns, np.asarray(v, dtype=float)), ubar.columns, eta)
+
+
+def _decrease(split, target: np.ndarray, eta: float) -> float:
+    """:func:`predicted_decrease` from the ``_split`` of v and the target basis array."""
+    _, p, _, norm_w, norm_p, norm_r, theta = split
     if _is_identity(theta):
         return 0.0
     sigma = norm_r * norm_p
@@ -95,7 +88,7 @@ def predicted_decrease(u: Basis, ubar: Basis, v, eta: float) -> float:
     # 1 - ||ubar^T p||^2/||w||^2 == ||(I - ubar ubar^T) p||^2/||w||^2 exactly
     # (||w|| = ||p||); the right-hand form is cancellation-free at small
     # errors, keeping the identity sharp down to the measurement floor.
-    missed = p - ubar.columns @ (ubar.columns.T @ p)
+    missed = p - target @ (target.T @ p)
     gap = float(missed @ missed) / norm_w**2
     return float(np.sin(s_eta) * np.sin(2 * theta - s_eta) / np.sin(theta) ** 2 * gap)
 
@@ -121,7 +114,7 @@ def full_step(u: Basis, v, ubar: Basis):
     rec = FullStepRecord(
         w=w, p=p, r=r, sigma=sigma, theta=theta, eta=eta,
         epsilon_before=epsilon_residual(u, ubar), epsilon_after=epsilon_residual(u_next, ubar),
-        predicted_decrease=predicted_decrease(u, ubar, v, eta), taken=taken,
+        predicted_decrease=_decrease(split, ubar.columns, eta), taken=taken,
     )
     return u_next, rec
 
@@ -152,17 +145,14 @@ def run_full(
     """Drive full-data steps on v_t = ubar @ s_t, s_t iid standard normal.
 
     Records the epsilon trajectory (length iters+1).  For small problems
-    epsilon is measured from scratch each step; for large ones the product
-    U^T ubar is maintained by rank-one updates between re-orthonormalizations
-    (exact algebra, refreshed at every re-orthonormalization) and the driver
-    falls back to the scratch formula once epsilon nears the cancellation
-    floor of d - ||U^T ubar||_F^2.
+    epsilon is measured from scratch each step; above ``_EXACT_EPS_LIMIT``
+    the product U^T ubar is maintained by rank-one updates (refreshed at
+    every re-orthonormalization) until epsilon nears the cancellation floor
+    of d - ||U^T ubar||_F^2, and drift is not checked.
 
-    The driver owns one n x d buffer, a copy of ``u0.columns`` (``u0`` is
-    left untouched), which every step rotates in place; only a
-    re-orthonormalization (every ``REORTHO_EVERY`` steps, and on excess
-    drift when epsilon is measured from scratch) replaces it, with the
-    fresh QR factor.
+    Steps rotate one owned buffer, a copy of ``u0.columns``, in place; a QR
+    replaces it at the fixed re-orthonormalization cadence and on excess
+    drift.  An identity step reuses the last drift check and epsilon.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -170,44 +160,12 @@ def run_full(
     rng = np.random.default_rng(seed)
     cols = np.array(u0.columns)
     target = ubar.columns
-    n, d = u0.n, u0.d
-    exact = n * d * d <= _EXACT_EPS_LIMIT
-    a = None if exact else cols.T @ target
-
-    def measure() -> float:
-        if exact:
-            return _residual_energy(cols, target)
-        rough = float(d - np.sum(a * a))
-        return rough if rough >= _EPS_SWITCH else _residual_energy(cols, target)
-
-    eps = [measure()]
-    taken_flags, norm_r_arr, norm_p_arr, theta_arr = [], [], [], []
-    for t in range(1, iters + 1):
-        s = rng.standard_normal(d)
-        split = _split(cols, target @ s)
-        w, _, _, norm_w, norm_p, norm_r, theta = split
+    d = u0.d
+    track = _Trajectory(cols, target, maintained=u0.n * d * d > _EXACT_EPS_LIMIT)
+    for _ in range(iters):
+        split = _split(cols, target @ rng.standard_normal(d))
+        *_, norm_p, norm_r, theta = split
         taken = not _is_identity(theta)
-        if taken:
-            gain = _rotate(cols, *split)
-            if a is not None:
-                a = a + np.outer(w / norm_w, target.T @ gain)
-        taken_flags.append(taken)
-        norm_r_arr.append(norm_r)
-        norm_p_arr.append(norm_p)
-        theta_arr.append(theta)
-        if t % REORTHO_EVERY == 0 or (
-            exact and orthonormality_drift(cols) > BASIS_DRIFT_TOL
-        ):
-            cols = orthonormalize(cols)
-            if a is not None:
-                a = cols.T @ target
-        eps.append(measure())
-    n_steps = len(taken_flags)
-    return TrialResult(
-        epsilons=np.array(eps),
-        gate_passed=np.ones(n_steps, dtype=bool),
-        taken=np.array(taken_flags, dtype=bool),
-        norm_r=np.array(norm_r_arr),
-        norm_p=np.array(norm_p_arr),
-        theta=np.array(theta_arr),
-    )
+        rank_one = _rotate(cols, *split) if taken else None
+        cols = track.step(cols, (True, taken, norm_r, norm_p, theta), rank_one)
+    return track.result()

@@ -95,6 +95,13 @@ def random_basis(n: int, d: int, seed: int) -> Basis:
     return Basis(orthonormalize(rng.standard_normal((n, d))))
 
 
+def _cosine_frame(rng, n: int, k: int) -> np.ndarray:
+    """k distinct discrete-cosine harmonics of length n, drawn from ``rng``, as columns."""
+    freqs = rng.choice(np.arange(1, n), size=k, replace=False)
+    grid = np.pi * (2 * np.arange(n)[:, None] + 1) / (2 * n)
+    return math.sqrt(2.0 / n) * np.cos(grid * freqs[None, :])
+
+
 def incoherent_basis(n: int, d: int, seed: int) -> Basis:
     """A basis with nearly flat rows (coherence close to 1).
 
@@ -104,11 +111,8 @@ def incoherent_basis(n: int, d: int, seed: int) -> Basis:
     if not 0 < d < n:
         raise ValueError("need 0 < d < n")
     rng = np.random.default_rng(seed)
-    freqs = rng.choice(np.arange(1, n), size=d, replace=False)
-    signs = rng.choice([-1.0, 1.0], size=d)
-    grid = np.pi * (2 * np.arange(n)[:, None] + 1) / (2 * n)
-    cols = math.sqrt(2.0 / n) * np.cos(grid * freqs[None, :]) * signs[None, :]
-    return Basis(cols)
+    # the frame's draws come first, then the signs
+    return Basis(_cosine_frame(rng, n, d) * rng.choice([-1.0, 1.0], size=d))
 
 
 def _split_epsilon(rng, d: int, eps: float, angles: str) -> np.ndarray:
@@ -151,9 +155,7 @@ def pair_with_epsilon(
     if frame == "gaussian":
         cols = orthonormalize(rng.standard_normal((n, 2 * d)))
     elif frame == "incoherent":
-        freqs = rng.choice(np.arange(1, n), size=2 * d, replace=False)
-        grid = np.pi * (2 * np.arange(n)[:, None] + 1) / (2 * n)
-        cols = math.sqrt(2.0 / n) * np.cos(grid * freqs[None, :])
+        cols = _cosine_frame(rng, n, 2 * d)
     else:
         raise ValueError('frame must be "gaussian" or "incoherent"')
     ubar_cols, comp = cols[:, :d], cols[:, d:]

@@ -19,18 +19,9 @@ import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
-from .linalg import NumericalError, _lstsq, least_squares, orthonormalize  # noqa: F401
-from .metrics import (
-    BASIS_DRIFT_TOL,
-    REORTHO_EVERY,
-    Basis,
-    _check_pair,
-    _residual_energy,
-    _sin_sq,
-    epsilon_residual,
-    orthonormality_drift,
-)
-from .results import TrialResult
+from .linalg import NumericalError, _lstsq, least_squares  # noqa: F401
+from .metrics import Basis, _check_pair, _sin_sq, epsilon_residual
+from .results import TrialResult, _Trajectory
 
 # Residuals this small (relative to the observed entries) are treated as an
 # exact fit: the rotation is the identity.
@@ -187,21 +178,21 @@ def step_size(sigma: float, norm_r: float, norm_p: float, alpha: float) -> float
 _BLOCK = 32768
 
 
-def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle) -> np.ndarray:
-    """Apply the rank-one GROUSE rotation to ``cols`` in place; returns the gain.
+def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
+    """Apply the rank-one GROUSE rotation to ``cols`` in place; returns ``(y, gain)``.
 
     ``cols`` must be a writable, C-contiguous n x d array owned by the
     caller (never the columns of a :class:`Basis`).  It becomes
-    ``cols + outer(gain, w / norm_w)``, added in row blocks of about
-    ``_BLOCK`` elements; each entry is rounded exactly as in that expression,
-    so the result is bitwise the same.
+    ``cols + outer(gain, y)`` with ``y = w / norm_w``, added in row blocks of
+    about ``_BLOCK`` elements; each entry is rounded exactly as in that
+    expression, so the result is bitwise the same.
     """
     gain = (np.cos(angle) - 1.0) * p / norm_p + np.sin(angle) * r / norm_r
     y = w / norm_w
     rows = max(1, _BLOCK // cols.shape[1])
     for i in range(0, cols.shape[0], rows):
         cols[i : i + rows] += np.outer(gain[i : i + rows], y)
-    return gain
+    return y, gain
 
 
 def _rotated(u: Basis, *args) -> Basis:
@@ -297,9 +288,9 @@ def run_stream(
     """Apply the steps of :func:`grouse_step` over a sequence of observations.
 
     Steps rotate one owned buffer, a copy of ``u0.columns``, in place; a QR
-    replaces it every ``REORTHO_EVERY`` steps and on excess drift.  A skipped
-    or identity step reuses the drift check and epsilon of the unchanged
-    buffer.  Epsilon is recorded when ``ubar`` is given.  A bad alpha or
+    replaces it at the fixed re-orthonormalization cadence and on excess
+    drift.  A skipped or identity step reuses the drift check and epsilon of
+    the unchanged buffer.  Epsilon is recorded when ``ubar`` is given.  A bad alpha or
     ``ubar`` raises ValueError before any observation is read; an
     observation of another n raises ValueError at its step.
     """
@@ -316,37 +307,14 @@ def _run_stream(u0: Basis, stream, alpha: float, ubar: Basis | None, bypass_gate
     if ubar is not None:
         _check_pair(u0, ubar)
     cols = np.array(u0.columns)
-    eps = None if ubar is None else [_residual_energy(cols, ubar.columns)]
-    gate_passed, taken, norm_r, norm_p, theta = [], [], [], [], []
-    reorthonormalized = False
-    for t, obs in enumerate(stream, start=1):
-        theta_t = _revealed_theta(cols, ubar, obs)  # against the basis the step starts from
+    track = _Trajectory(cols, None if ubar is None else ubar.columns, maintained=False)
+    for obs in stream:
+        theta = _revealed_theta(cols, ubar, obs)  # against the basis the step starts from
         verdict, fit, rotation = _step(cols, obs, alpha, bypass_gate)
-        if rotation is not None:
-            _rotate(cols, *rotation)
-        # an unmoved buffer is the one last found within the drift budget
-        moved = rotation is not None or reorthonormalized
-        gate_passed.append(verdict.passed)
-        taken.append(fit is not None)
-        norm_r.append(0.0 if fit is None else fit[0])
-        norm_p.append(0.0 if fit is None else fit[1])
-        theta.append(np.nan if theta_t is None else theta_t)
-        reorthonormalized = t % REORTHO_EVERY == 0 or (
-            moved and orthonormality_drift(cols) > BASIS_DRIFT_TOL
-        )
-        if reorthonormalized:
-            cols = orthonormalize(cols)
-        if eps is not None:
-            fresh = moved or reorthonormalized
-            eps.append(_residual_energy(cols, ubar.columns) if fresh else eps[-1])
-    return TrialResult(
-        epsilons=None if eps is None else np.array(eps),
-        gate_passed=np.array(gate_passed, dtype=bool),
-        taken=np.array(taken, dtype=bool),
-        norm_r=np.array(norm_r),
-        norm_p=np.array(norm_p),
-        theta=np.array(theta),
-    ), cols
+        norm_r, norm_p = (0.0, 0.0) if fit is None else fit[:2]
+        row = (verdict.passed, fit is not None, norm_r, norm_p, np.nan if theta is None else theta)
+        cols = track.step(cols, row, None if rotation is None else _rotate(cols, *rotation))
+    return track.result(), cols
 
 
 def write_observations(path, observations) -> None:

@@ -63,6 +63,19 @@ def test_parse_sweep_grid_lists():
     # cartesian expansion: 2 * 1 * 3 = 6 cells
 
 
+@pytest.mark.parametrize("q", ["", ",", "3,,30", "30,", ",30"])
+def test_sweep_grid_lists_reject_empty_items(tmp_path, capsys, q):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            ["sweep", "--n", "60", "--d", "3", "--q", q, "--trials", "1", "--iters", "5",
+             "--seed", "1", "--out", str(out)]
+        )
+    assert exc.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_full_run_d1_reports_tiny_epsilon(tmp_path, capsys):
     out = tmp_path / "d1.csv"
     code = run_cli(
@@ -270,6 +283,28 @@ def test_bad_value_exits_2(tmp_path, capsys, row):
     out = tmp_path / "bad.csv"
     assert run_cli(_VALID_ARGV[verb] + bad + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("grouse: error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, flag, abbreviated",
+    [
+        ("full", "--seed", "--se"),
+        ("partial", "--iters", "--it"),
+        ("sweep", "--trials", "--tri"),
+        ("validate-concentration", "--omega_size", "--omega"),
+        ("validate-residual", "--epsilon", "--eps"),
+        ("validate-expectation", "--trials", "--tr"),
+        ("skip-rate", "--trials", "--tr"),
+    ],
+)
+def test_subcommands_reject_abbreviated_flags(tmp_path, verb, flag, abbreviated):
+    out = tmp_path / "x.csv"
+    argv = _VALID_ARGV[verb] + ["--out", str(out)]
+    assert flag in argv
+    with pytest.raises(SystemExit) as exc:
+        run_cli([abbreviated if arg == flag else arg for arg in argv])
+    assert exc.value.code == 2
     assert not out.exists()
 
 

@@ -88,6 +88,13 @@ def test_predicted_decrease_at_exact_eta_simplifies():
     assert abs(predicted_decrease(u, ubar, v, 2 * theta / sigma)) <= 1e-12
 
 
+@pytest.mark.parametrize("n, d", [(40, 3), (30, 4)])
+def test_predicted_decrease_rejects_bases_of_other_shapes(n, d):
+    u = random_basis(30, 3, seed=1)
+    with pytest.raises(ValueError, match="^bases must share ambient and subspace dimensions$"):
+        predicted_decrease(u, random_basis(n, d, seed=2), np.ones(30), 0.1)
+
+
 def test_predicted_decrease_nonnegative_over_step_range():
     rng = np.random.default_rng(9)
     u, ubar = pair_with_epsilon(50, 3, 0.4, seed=9)

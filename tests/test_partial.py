@@ -17,6 +17,7 @@ from grouse.partial_data import (
     write_observations,
 )
 from grouse.harness import pair_with_epsilon, random_basis
+from grouse.results import read_trajectory_csv, write_trajectory_csv
 
 
 def gated_draw(rng, u, q):
@@ -284,45 +285,65 @@ def test_run_stream_edge_cases():
     assert np.allclose(res.epsilons, res.epsilons[0])
 
 
-def test_skipped_steps_reuse_drift_and_epsilon(monkeypatch):
-    import grouse.partial_data
+@pytest.mark.parametrize("driver", ["run_full", "run_stream"])
+def test_skipped_steps_reuse_drift_and_epsilon(driver, monkeypatch):
+    import grouse.results
+    from grouse.metrics import REORTHO_EVERY
 
     calls = {"_residual_energy": 0, "orthonormality_drift": 0}
     for name in calls:
 
-        def counting(*args, _name=name, _original=getattr(grouse.partial_data, name)):
+        def counting(*args, _name=name, _original=getattr(grouse.results, name)):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(grouse.partial_data, name, counting)
+        monkeypatch.setattr(grouse.results, name, counting)
     _, ubar = pair_with_epsilon(30, 3, 0.05, seed=15)
+    steps = 2 * REORTHO_EVERY + 50
     spike = Basis(np.eye(30)[:, :3])
-    bad = [
-        Observation(n=30, omega=np.arange(10, 16), values=np.ones(6))
-        for _ in range(5)
-    ]
-    res = run_stream(spike, bad, ubar=ubar)
-    assert res.gate_skips == 5
-    # epsilon once at entry, no drift check of the validated, unmoved basis
-    assert calls == {"_residual_energy": 1, "orthonormality_drift": 0}
-    assert np.all(res.epsilons == res.epsilons[0])
+    bad = Observation(n=30, omega=np.arange(10, 16), values=np.ones(6))
+    if driver == "run_full":
+        # every draw lies in the span of the start basis: identity steps only
+        res = run_full(ubar, ubar, steps, seed=2)
+        assert not res.taken.any()
+    else:
+        res = run_stream(spike, [bad] * steps, ubar=ubar)
+        assert res.gate_skips == steps
+    # epsilon at entry and after each cadence QR; no drift check of the
+    # validated, unmoved basis, one of each fresh QR factor
+    assert calls == {"_residual_energy": 3, "orthonormality_drift": 2}
+    eps = res.epsilons
+    for start in range(0, steps + 1, REORTHO_EVERY):
+        assert np.all(eps[start : start + REORTHO_EVERY] == eps[start])
+    if driver == "run_full":
+        return
 
     # an identity step and skipped steps reuse; the rotating step measures
+    calls.update(dict.fromkeys(calls, 0))
     identity = Observation(n=30, omega=np.arange(30), values=spike.columns @ [1.0, 2.0, 3.0])
     rotating = make_obs(ubar, np.arange(30), np.array([1.0, -1.0, 0.5]))
-    res = run_stream(spike, [identity, bad[0], identity, rotating, bad[0]], ubar=ubar)
+    res = run_stream(spike, [identity, bad, identity, rotating, bad], ubar=ubar)
     assert res.taken.tolist() == [True, False, True, True, False]
-    assert calls == {"_residual_energy": 3, "orthonormality_drift": 1}
+    assert calls == {"_residual_energy": 2, "orthonormality_drift": 1}
     assert np.all(res.epsilons[:4] == res.epsilons[0]) and res.epsilons[5] == res.epsilons[4]
 
-    # the cadence QR moves the bits: its step and the next one measure afresh
-    from grouse.metrics import REORTHO_EVERY
 
-    calls.update(dict.fromkeys(calls, 0))
-    u = random_basis(30, 3, seed=16)
-    below_d = Observation(n=30, omega=[0, 1], values=[1.0, 1.0])
-    run_stream(u, [below_d] * (REORTHO_EVERY + 2), ubar=ubar)
-    assert calls == {"_residual_energy": 3, "orthonormality_drift": 1}
+def test_empty_runs_build_typed_zero_length_step_arrays(tmp_path):
+    u, ubar = pair_with_epsilon(30, 3, 0.05, seed=15)
+    path = tmp_path / "t0.csv"
+    write_trajectory_csv(path, run_stream(u, [], ubar=ubar))
+    assert len(path.read_text().splitlines()) == 2  # the header and the t=0 row
+    for res in (run_full(u, ubar, 0, seed=1), run_stream(u, []), read_trajectory_csv(path)):
+        for name, dtype in [
+            ("gate_passed", bool),
+            ("taken", bool),
+            ("norm_r", np.float64),
+            ("norm_p", np.float64),
+            ("theta", np.float64),
+        ]:
+            column = getattr(res, name)
+            assert column.shape == (0,) and column.dtype == dtype, name
+        assert res.iterations == 0 and res.gate_skips == 0
 
 
 def test_run_stream_is_a_chain_of_grouse_steps():
@@ -531,7 +552,8 @@ def test_rotate_in_place_is_bitwise_the_outer_product_update(shape, seed, angle)
     w, p, r, norm_w, norm_p, norm_r, theta = _split(u.columns, v)
     assume(not _is_identity(theta))  # the drivers never rotate at these angles
     cols = np.array(u.columns)
-    gain = _rotate(cols, w, p, r, norm_w, norm_p, norm_r, angle)
+    y, gain = _rotate(cols, w, p, r, norm_w, norm_p, norm_r, angle)
+    assert y.tobytes() == (w / norm_w).tobytes()
     expected = u.columns + np.outer(gain, w / norm_w)
     assert cols.tobytes() == expected.tobytes()
     assert orthonormality_drift(cols) <= BASIS_DRIFT_TOL
@@ -605,19 +627,18 @@ def test_grouse_step_invariants_on_degenerate_shapes(d, extra, q_kind, kind, alp
 @pytest.mark.parametrize("driver", ["run_full", "run_stream"])
 def test_reorthonormalization_cadence(driver, monkeypatch):
     import grouse.full_data
-    import grouse.partial_data
+    import grouse.results
     from grouse.metrics import REORTHO_EVERY
 
     steps = 2 * REORTHO_EVERY
     u0, ubar = pair_with_epsilon(40, 3, 0.3, seed=22)
-    module = grouse.full_data if driver == "run_full" else grouse.partial_data
     seen, at = [0], []
 
     def counting_orthonormalize(a):
         at.append(seen[0])
         return orthonormalize(a)
 
-    monkeypatch.setattr(module, "orthonormalize", counting_orthonormalize)
+    monkeypatch.setattr(grouse.results, "orthonormalize", counting_orthonormalize)
     if driver == "run_full":
         split = grouse.full_data._split
 
