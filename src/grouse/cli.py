@@ -33,7 +33,16 @@ from .harness import (
     write_sweep_csv,
 )
 from .linalg import NumericalError
-from .results import _fmt, _write_table, write_trajectory_csv
+from .results import _FLOAT, _INT, _write_table, write_trajectory_csv
+
+# The one-row summary tables of validate-expectation and skip-rate.
+_EXPECTATION = {"trials": _INT, "mean": _FLOAT, "stderr": _FLOAT, "target": _FLOAT}
+_SKIP_RATE = {"n": _INT, "d": _INT, "q": _INT, "trials": _INT, "skip_rate": _FLOAT}
+
+
+def _fmt(x) -> str:
+    """A printed summary value: its shortest round-trip repr, or na where it does not exist."""
+    return "na" if x is None else repr(float(x))
 
 
 def _int_list(text: str) -> list[int]:
@@ -142,34 +151,21 @@ def parse_args(argv) -> argparse.Namespace:
 def execute(cmd: argparse.Namespace) -> int:
     """Run one parsed command, write its CSV, print a one-line summary."""
     try:
-        if cmd.verb == "full":
+        if cmd.verb in ("full", "partial"):
             spec = ProblemSpec(
-                n=cmd.n, d=cmd.d, q="full", iters=cmd.iters, seed=cmd.seed,
+                n=cmd.n, d=cmd.d, q=getattr(cmd, "q", "full"), iters=cmd.iters, seed=cmd.seed,
                 alpha=cmd.alpha, init_noise_std=cmd.init_noise_std,
             )
-            result = run_full_trial(spec)
+            if cmd.verb == "full":
+                result = run_full_trial(spec)
+                last = f"tail_slope={_fmt(result.tail_slope)}"
+            else:
+                result = run_partial_trial(spec, bypass_gate=cmd.bypass_gate)
+                last = f"gate_skips={result.gate_skips}"
             write_trajectory_csv(cmd.out, result)
             if cmd.spec_out:
                 write_problem_spec(cmd.spec_out, spec)
-            print(
-                f"final epsilon={_fmt(result.epsilons[-1])}"
-                f" X={_fmt(result.x_factor) if result.x_factor is not None else 'na'}"
-                f" tail_slope={_fmt(result.tail_slope) if result.tail_slope is not None else 'na'}"
-            )
-        elif cmd.verb == "partial":
-            spec = ProblemSpec(
-                n=cmd.n, d=cmd.d, q=cmd.q, iters=cmd.iters, seed=cmd.seed,
-                alpha=cmd.alpha, init_noise_std=cmd.init_noise_std,
-            )
-            result = run_partial_trial(spec, bypass_gate=cmd.bypass_gate)
-            write_trajectory_csv(cmd.out, result)
-            if cmd.spec_out:
-                write_problem_spec(cmd.spec_out, spec)
-            print(
-                f"final epsilon={_fmt(result.epsilons[-1])}"
-                f" X={_fmt(result.x_factor) if result.x_factor is not None else 'na'}"
-                f" gate_skips={result.gate_skips}"
-            )
+            print(f"final epsilon={_fmt(result.epsilons[-1])} X={_fmt(result.x_factor)} {last}")
         elif cmd.verb == "sweep":
             cells = sweep_phase(
                 cmd.n, cmd.d, cmd.q,
@@ -179,9 +175,8 @@ def execute(cmd: argparse.Namespace) -> int:
             )
             write_sweep_csv(cmd.out, cells)
             feasible = [c.mean_x for c in cells if c.trials > 0]
-            lo = _fmt(min(feasible)) if feasible else "na"
-            hi = _fmt(max(feasible)) if feasible else "na"
-            print(f"cells={len(cells)} mean_X_range=[{lo},{hi}]")
+            lo, hi = min(feasible, default=None), max(feasible, default=None)
+            print(f"cells={len(cells)} mean_X_range=[{_fmt(lo)},{_fmt(hi)}]")
         elif cmd.verb == "validate-concentration":
             maker = incoherent_basis if cmd.basis == "incoherent" else random_basis
             u = maker(cmd.n, cmd.d, cmd.seed)
@@ -204,20 +199,12 @@ def execute(cmd: argparse.Namespace) -> int:
             u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
             mean, stderr = validate_sin_sq_expectation(u, ubar, cmd.trials, cmd.seed)
             target = cmd.epsilon / cmd.d
-            _write_table(
-                cmd.out,
-                ["trials", "mean", "stderr", "target"],
-                [[cmd.trials, _fmt(mean), _fmt(stderr), _fmt(target)]],
-            )
+            _write_table(cmd.out, _EXPECTATION, [[cmd.trials], [mean], [stderr], [target]])
             print(f"mean={_fmt(mean)} stderr={_fmt(stderr)} target={_fmt(target)}")
         elif cmd.verb == "skip-rate":
             u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
             rate = estimate_skip_rate(u, cmd.q, cmd.trials, cmd.seed)
-            _write_table(
-                cmd.out,
-                ["n", "d", "q", "trials", "skip_rate"],
-                [[cmd.n, cmd.d, cmd.q, cmd.trials, _fmt(rate)]],
-            )
+            _write_table(cmd.out, _SKIP_RATE, [[cmd.n], [cmd.d], [cmd.q], [cmd.trials], [rate]])
             print(f"skip_rate={_fmt(rate)}")
         else:  # pragma: no cover - argparse enforces the verb set
             return 2

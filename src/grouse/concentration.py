@@ -17,7 +17,7 @@ import numpy as np
 from .linalg import _lstsq
 from .metrics import Basis, coherence_basis, coherence_vector, epsilon_residual
 from .partial_data import _gate, gate_check
-from .results import _fmt, _read_table, _write_table
+from .results import _FLAG, _FLOAT, _INT, _read_table, _write_table
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -273,43 +273,30 @@ def mu_xt_diagnostics(
     )
 
 
+# The per-trial report tables of the two validators that write one.
+_CONCENTRATION = {"trial": _INT, "eig_min": _FLOAT, "eig_max": _FLOAT, "in_window": _FLAG}
+_RESIDUAL = {"trial": _INT, "lhs": _FLOAT, "rhs": _FLOAT, "violated": _FLAG}
+
+
 def write_concentration_csv(path, report: ConcentrationReport) -> None:
-    """Per-trial rows ``trial, eig_min, eig_max, in_window``."""
+    """Per-trial rows: trial, eig_min, eig_max, in_window."""
     _write_table(
         path,
-        ["trial", "eig_min", "eig_max", "in_window"],
-        (
-            [t, _fmt(report.eig_min[t]), _fmt(report.eig_max[t]), int(report.in_window[t])]
-            for t in range(report.trials)
-        ),
+        _CONCENTRATION,
+        [range(report.trials), report.eig_min, report.eig_max, report.in_window],
     )
 
 
 def read_concentration_csv(path):
-    """Arrays (eig_min, eig_max, in_window) from a concentration CSV."""
-    rows = _read_table(path)
-    eig_min = np.array([float(r["eig_min"]) for r in rows])
-    eig_max = np.array([float(r["eig_max"]) for r in rows])
-    in_window = np.array([bool(int(r["in_window"])) for r in rows])
-    return eig_min, eig_max, in_window
+    """Arrays (eig_min, eig_max, in_window) from a concentration CSV; ValueError on a malformed file."""
+    return tuple(_read_table(path, _CONCENTRATION)[1:])
 
 
 def write_residual_csv(path, report: ResidualBoundReport) -> None:
-    """Per-trial rows ``trial, lhs, rhs, violated``."""
-    _write_table(
-        path,
-        ["trial", "lhs", "rhs", "violated"],
-        (
-            [t, _fmt(report.lhs[t]), _fmt(report.rhs[t]), int(report.violated[t])]
-            for t in range(report.trials)
-        ),
-    )
+    """Per-trial rows: trial, lhs, rhs, violated."""
+    _write_table(path, _RESIDUAL, [range(report.trials), report.lhs, report.rhs, report.violated])
 
 
 def read_residual_csv(path):
-    """Arrays (lhs, rhs, violated) from a residual-bound CSV."""
-    rows = _read_table(path)
-    lhs = np.array([float(r["lhs"]) for r in rows])
-    rhs = np.array([float(r["rhs"]) for r in rows])
-    violated = np.array([bool(int(r["violated"])) for r in rows])
-    return lhs, rhs, violated
+    """Arrays (lhs, rhs, violated) from a residual-bound CSV; ValueError on a malformed file."""
+    return tuple(_read_table(path, _RESIDUAL)[1:])

@@ -22,7 +22,7 @@ from .full_data import run_full
 from .linalg import orthonormalize
 from .metrics import Basis, _residual_energy
 from .partial_data import Observation, _check_alpha, _run_stream, run_stream
-from .results import TrialResult, _fmt, _read_table, _write_table
+from .results import _FLOAT, _INT, TrialResult, _read_table, _write_table
 
 _PROBLEM_STREAM = 1
 _OBSERVATION_STREAM = 2
@@ -340,59 +340,54 @@ def sweep_phase(
     return cells
 
 
+# The sweep table: one row per grid cell, in SweepCell field order.
+_SWEEP = {"n": _INT, "d": _INT, "q": _INT, "trials": _INT, "mean_X": _FLOAT, "std_X": _FLOAT}
+
+
 def write_sweep_csv(path, cells) -> None:
-    """Rows ``n,d,q,trials,mean_X,std_X`` per grid cell."""
-    _write_table(
-        path,
-        ["n", "d", "q", "trials", "mean_X", "std_X"],
-        ([c.n, c.d, c.q, c.trials, _fmt(c.mean_x), _fmt(c.std_x)] for c in cells),
-    )
+    """One row per grid cell: n, d, q, trials, mean and std of X."""
+    stats = [(c.n, c.d, c.q, c.trials, c.mean_x, c.std_x) for c in cells]
+    # zip of no cells yields no columns; an empty sweep writes six empty ones
+    _write_table(path, _SWEEP, list(zip(*stats)) or [()] * len(_SWEEP))
 
 
 def read_sweep_csv(path) -> list[SweepCell]:
-    return [
-        SweepCell(
-            int(r["n"]),
-            int(r["d"]),
-            int(r["q"]),
-            int(r["trials"]),
-            float(r["mean_X"]),
-            float(r["std_X"]),
-        )
-        for r in _read_table(path)
-    ]
+    """Parse a sweep CSV back into its cells; ValueError on a malformed file."""
+    return [SweepCell(*stats) for stats in zip(*(c.tolist() for c in _read_table(path, _SWEEP)))]
+
+
+# The run-spec file's keys, in file order, each with the parser of its value.
+_SPEC_KEYS = {
+    "n": int,
+    "d": int,
+    "q": lambda value: value if value == "full" else int(value),
+    "iters": int,
+    "seed": int,
+    "alpha": float,
+    "init_noise_std": float,
+}
 
 
 def write_problem_spec(path, spec: ProblemSpec) -> None:
     """Flat ``key=value`` text file carrying exactly the ProblemSpec fields."""
     with open(path, "w") as fh:
-        fh.write(f"n={spec.n}\n")
-        fh.write(f"d={spec.d}\n")
-        fh.write(f"q={spec.q}\n")
-        fh.write(f"iters={spec.iters}\n")
-        fh.write(f"seed={spec.seed}\n")
-        fh.write(f"alpha={_fmt(spec.alpha)}\n")
-        fh.write(f"init_noise_std={_fmt(spec.init_noise_std)}\n")
+        for key, parse in _SPEC_KEYS.items():
+            value = getattr(spec, key)
+            fh.write(f"{key}={repr(float(value)) if parse is float else value}\n")
 
 
 def read_problem_spec(path) -> ProblemSpec:
+    """Parse a run-spec file; ValueError on a missing, unknown or repeated key."""
     fields: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    try:
-        return ProblemSpec(
-            n=int(fields["n"]),
-            d=int(fields["d"]),
-            q="full" if fields["q"] == "full" else int(fields["q"]),
-            iters=int(fields["iters"]),
-            seed=int(fields["seed"]),
-            alpha=float(fields["alpha"]),
-            init_noise_std=float(fields["init_noise_std"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"problem spec file lacks the {exc.args[0]} field") from None
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _SPEC_KEYS or key in fields:
+                raise ValueError(f"problem spec file has an unknown or repeated key {key!r}")
+            fields[key] = value
+    missing = [key for key in _SPEC_KEYS if key not in fields]
+    if missing:
+        raise ValueError(f"problem spec file lacks the {missing[0]} field")
+    return ProblemSpec(**{key: parse(fields[key]) for key, parse in _SPEC_KEYS.items()})

@@ -362,6 +362,8 @@ def read_observations(path) -> list[Observation]:
         for row in csv.reader(fh):
             if not row:
                 continue
+            if len(row) != 4:
+                raise ValueError(f"observation row has {len(row)} fields, not 4")
             t, n = int(row[0]), int(row[1])
             omega = _parse_field(row[2], int) - 1
             values = _parse_field(row[3], float)

@@ -5,6 +5,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,15 +50,6 @@ class TrialResult:
     def gate_skips(self) -> int:
         """Steps skipped because the gate failed (and was not bypassed)."""
         return int(np.sum(~self.gate_passed & ~self.taken))
-
-
-def _from_rows(epsilons, rows) -> TrialResult:
-    """A TrialResult from the epsilons (or None) and a list of ``_STEP_DTYPE`` row tuples."""
-    table = np.array(rows, dtype=_STEP_DTYPE)
-    return TrialResult(
-        epsilons=None if epsilons is None else np.array(epsilons, dtype=float),
-        **{name: table[name].copy() for name in _STEP_DTYPE.names},
-    )
 
 
 class _Trajectory:
@@ -112,68 +104,103 @@ class _Trajectory:
         return cols
 
     def result(self) -> TrialResult:
-        return _from_rows(self._epsilons, self._rows)
+        table = np.array(self._rows, dtype=_STEP_DTYPE)
+        return TrialResult(
+            epsilons=None if self._epsilons is None else np.array(self._epsilons, dtype=float),
+            **{name: table[name].copy() for name in _STEP_DTYPE.names},
+        )
 
 
-def _fmt(x: float) -> str:
-    # repr round-trips binary64 exactly (shortest 17-significant-digit form)
-    return repr(float(x))
+class _Kind(NamedTuple):
+    """How the cells of one table column are written and read back."""
+
+    dtype: type
+    write: Callable  # a Python scalar of ``dtype`` -> its cell
+    read: Callable  # a cell -> its value; ValueError or KeyError on a cell it cannot read
 
 
-def _write_table(path, header: list[str], rows) -> None:
-    """Write a CSV file: the header line, then one line per row of cells."""
+_FLAG = _Kind(bool, int, {"0": False, "1": True}.__getitem__)
+_INT = _Kind(int, str, int)
+# repr round-trips binary64 exactly (shortest 17-significant-digit form)
+_FLOAT = _Kind(float, repr, float)
+# an empty cell is a value that does not exist, NaN in memory
+_OPT_FLOAT = _Kind(float, lambda x: "" if x != x else repr(x), lambda c: float(c) if c else math.nan)
+
+
+def _write_table(path, schema: dict, columns, lagged=()) -> None:
+    """Write the header of ``schema``, then ``columns`` as rows.
+
+    ``schema`` maps each column name, in file order, to its kind;
+    ``columns`` holds one sequence of values per schema column.  A column
+    named in ``lagged`` holds one value fewer than the table has rows and
+    leaves the first row's cell empty.
+    """
+    cells = []
+    for (name, kind), values in zip(schema.items(), columns, strict=True):
+        text = map(kind.write, np.asarray(values, dtype=kind.dtype).tolist())
+        cells.append(itertools.chain([""], text) if name in lagged else text)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(schema)
+        writer.writerows(zip(*cells, strict=True))
 
 
-def _read_table(path) -> list[dict]:
-    """Rows of a CSV file written by :func:`_write_table`, keyed by header name."""
+def _read_table(path, schema: dict, lagged=()) -> list[np.ndarray]:
+    """The columns of a table written by :func:`_write_table`, as arrays of their kinds' dtypes.
+
+    Raises ValueError unless the header names exactly ``schema``'s columns in
+    order, every row has one cell per column, every cell reads as its
+    column's kind and every ``lagged`` column's first cell is empty.
+    """
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != list(schema):
+        raise ValueError(f"table header must be {','.join(schema)}")
+    for line, row in enumerate(rows, 1):
+        if len(row) != len(schema):
+            raise ValueError(f"table line {line} has {len(row)} cells, not {len(schema)}")
+    columns = []
+    for (name, kind), (_, *cells) in zip(schema.items(), zip(*rows)):
+        if name in lagged:
+            if cells[:1] != [""]:
+                raise ValueError(f"the first {name} cell must be empty")
+            cells = cells[1:]
+        try:
+            values = list(map(kind.read, cells))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"malformed {name} cell: {exc}") from None
+        columns.append(np.array(values, dtype=kind.dtype))
+    return columns
+
+
+# The trajectory table: the step number, the epsilon measured after that step,
+# then the step's own columns, whose row t=0 is empty.
+_TRAJECTORY = {
+    "t": _INT,
+    "epsilon": _OPT_FLOAT,
+    **{name: _FLAG if _STEP_DTYPE[name] == bool else _OPT_FLOAT for name in _STEP_DTYPE.names},
+}
 
 
 def write_trajectory_csv(path, result: TrialResult) -> None:
-    """Write rows ``t,epsilon,gate_passed,taken,norm_r,norm_p,theta``.
+    """Write one row per t = 0..N: t, epsilon, then one column per step field.
 
-    Row t=0 carries only the starting epsilon; step statistics for step t
-    live on row t alongside the epsilon measured after that step.  Missing
-    values (no target basis, no revealed angle) are empty cells.
+    Row t=0 carries only the starting epsilon; the statistics of step t live
+    on row t alongside the epsilon measured after that step.  Missing values
+    (no target basis, no revealed angle) are empty cells.
     """
-    n_steps = result.iterations
-    eps = result.epsilons
-    eps = [""] * (n_steps + 1) if eps is None else list(map(_fmt, eps.tolist()))
-    steps = zip(
-        range(1, n_steps + 1),
-        eps[1:],
-        result.gate_passed.astype(int).tolist(),
-        result.taken.astype(int).tolist(),
-        map(_fmt, result.norm_r.tolist()),
-        map(_fmt, result.norm_p.tolist()),
-        ("" if math.isnan(theta) else _fmt(theta) for theta in result.theta.tolist()),
-    )
-    _write_table(
-        path,
-        ["t", "epsilon", "gate_passed", "taken", "norm_r", "norm_p", "theta"],
-        itertools.chain([[0, eps[0], "", "", "", "", ""]], steps),
-    )
+    rows = result.iterations + 1
+    eps = np.full(rows, np.nan) if result.epsilons is None else result.epsilons
+    steps = [getattr(result, name) for name in _STEP_DTYPE.names]
+    _write_table(path, _TRAJECTORY, [range(rows), eps, *steps], lagged=_STEP_DTYPE.names)
 
 
 def read_trajectory_csv(path) -> TrialResult:
-    """Parse a trajectory CSV back into a TrialResult (losslessly)."""
-    rows = _read_table(path)
-    if not rows or rows[0]["t"] != "0":
-        raise ValueError("trajectory file must start with the t=0 row")
-    eps = None if rows[0]["epsilon"] == "" else [float(row["epsilon"]) for row in rows]
-    steps = [
-        (
-            int(row["gate_passed"]),
-            int(row["taken"]),
-            float(row["norm_r"]),
-            float(row["norm_p"]),
-            float(row["theta"]) if row["theta"] else np.nan,
-        )
-        for row in rows[1:]
-    ]
-    return _from_rows(eps, steps)
+    """Parse a trajectory CSV back into a TrialResult (losslessly); ValueError on a malformed file."""
+    t, eps, *steps = _read_table(path, _TRAJECTORY, lagged=_STEP_DTYPE.names)
+    if not len(t) or not np.array_equal(t, np.arange(len(t))):
+        raise ValueError("trajectory rows must count t = 0, 1, 2, ...")
+    return TrialResult(
+        epsilons=None if np.isnan(eps).all() else eps,
+        **dict(zip(_STEP_DTYPE.names, steps)),
+    )

@@ -1,11 +1,19 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 
 from grouse import cli
 from grouse.linalg import NumericalError
-from grouse.harness import ProblemSpec, run_full_trial, run_partial_trial
+from grouse.harness import (
+    ProblemSpec,
+    _observation_stream,
+    generate_problem,
+    run_full_trial,
+    run_partial_trial,
+)
+from grouse.partial_data import Observation, run_stream
 from grouse.results import read_trajectory_csv, write_trajectory_csv
 
 
@@ -131,26 +139,65 @@ def test_trajectory_round_trip_precision(tmp_path):
     assert np.array_equal(parsed.theta[ok], reference.theta[ok])
 
 
+def _angle_free_trial(spec, with_target):
+    # observations without their latent coefficients reveal no angle: theta is NaN
+    ubar, u0 = generate_problem(spec)
+    stream = (Observation(n=o.n, omega=o.omega, values=o.values) for o in _observation_stream(spec, ubar))
+    return run_stream(u0, stream, alpha=spec.alpha, ubar=ubar if with_target else None)
+
+
 @pytest.mark.parametrize(
-    "spec, bypass_gate",
+    "run, spec",
     [
-        (ProblemSpec(n=150, d=3, q=40, iters=40, seed=13), False),
-        (ProblemSpec(n=500, d=10, q=12, iters=200, seed=0), True),
-        (ProblemSpec(n=40, d=1, q="full", iters=30, seed=3), None),
+        (run_partial_trial, ProblemSpec(n=150, d=3, q=40, iters=40, seed=13)),
+        (partial(run_partial_trial, bypass_gate=True), ProblemSpec(n=500, d=10, q=12, iters=200, seed=0)),
+        (run_full_trial, ProblemSpec(n=40, d=1, q="full", iters=30, seed=3)),
+        (partial(_angle_free_trial, with_target=True), ProblemSpec(n=150, d=3, q=40, iters=40, seed=13)),
+        (partial(_angle_free_trial, with_target=False), ProblemSpec(n=150, d=3, q=40, iters=40, seed=13)),
     ],
-    ids=["gated", "bypassed", "full"],
+    ids=["gated", "bypassed", "full", "gated-nan-theta", "no-target"],
 )
-def test_trajectory_round_trip_every_field(tmp_path, spec, bypass_gate):
-    if bypass_gate is None:
-        result = run_full_trial(spec)
-    else:
-        result = run_partial_trial(spec, bypass_gate=bypass_gate)
+def test_trajectory_round_trip_every_field(tmp_path, run, spec):
+    result = run(spec)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, result)
     back = read_trajectory_csv(path)
     assert back.gate_skips == result.gate_skips
+    assert (back.epsilons is None) == (result.epsilons is None)
     for name in ("epsilons", "gate_passed", "taken", "norm_r", "norm_p", "theta"):
-        assert np.array_equal(getattr(back, name), getattr(result, name), equal_nan=True), name
+        if getattr(result, name) is not None:
+            assert np.array_equal(getattr(back, name), getattr(result, name), equal_nan=True), name
+    # write -> read -> write reproduces the file byte for byte
+    again = tmp_path / "again.csv"
+    write_trajectory_csv(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_read_trajectory_csv_rejects_malformed_files(tmp_path, malform_table):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, run_partial_trial(ProblemSpec(n=60, d=3, q=20, iters=5, seed=1)))
+    malform_table(path)
+    with pytest.raises(ValueError):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["0,0.5,,,,,", "1,0.5,1,0,0.1,0.2,", "7,0.5,0,0,0.0,0.0,"],
+        ["0,0.5,,,,,", "1,0.5,1,0,0.1,0.2,", "1,0.5,0,0,0.0,0.0,"],
+        ["0,0.5,,,,,", "x,0.5,1,0,0.1,0.2,"],
+        ["0,0.5,,,,,", "1,0.5,2,0,0.1,0.2,"],
+        ["0,0.5,,,,,", "1,0.5,1,-1,0.1,0.2,"],
+        ["0,0.5,1,,,,", "1,0.5,1,0,0.1,0.2,"],
+    ],
+    ids=["t-skips", "t-repeats", "t-not-integer", "gate_passed-2", "taken-minus-1", "step-cell-at-t0"],
+)
+def test_read_trajectory_csv_rejects_bad_flags_and_t(tmp_path, rows):
+    path = tmp_path / "traj.csv"
+    path.write_text("\n".join(["t,epsilon,gate_passed,taken,norm_r,norm_p,theta", *rows]) + "\n")
+    with pytest.raises(ValueError):
+        read_trajectory_csv(path)
 
 
 def test_spec_out_round_trip(tmp_path):

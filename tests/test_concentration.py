@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,18 +170,61 @@ def test_concentration_csv_round_trip(tmp_path):
     assert np.array_equal(eig_min, report.eig_min)
     assert np.array_equal(eig_max, report.eig_max)
     assert np.array_equal(in_window, report.in_window)
+    again = tmp_path / "again.csv"
+    write_concentration_csv(again, replace(report, eig_min=eig_min, eig_max=eig_max, in_window=in_window))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_residual_csv_round_trip(tmp_path):
     u, ubar = pair_with_epsilon(100, 4, 1e-4, seed=37)
-    report = validate_residual_bound(u, ubar, 500, 0.1, 30, seed=38)
+    # omega_size=10 leaves the bound vacuous: every rhs is NaN
+    for omega_size in (500, 10):
+        report = validate_residual_bound(u, ubar, omega_size, 0.1, 30, seed=38)
+        path = tmp_path / "resid.csv"
+        write_residual_csv(path, report)
+        lhs, rhs, violated = read_residual_csv(path)
+        assert np.array_equal(lhs, report.lhs)
+        assert np.array_equal(rhs, report.rhs, equal_nan=True)
+        assert np.array_equal(violated, report.violated)
+        again = tmp_path / "again.csv"
+        write_residual_csv(again, replace(report, lhs=lhs, rhs=rhs, violated=violated))
+        assert again.read_bytes() == path.read_bytes()
+    assert np.isnan(report.rhs).all()
+
+
+def test_read_concentration_csv_rejects_malformed_files(tmp_path, malform_table):
+    path = tmp_path / "conc.csv"
+    report = validate_gram_concentration(incoherent_basis(100, 4, seed=35), 80, 0.1, 3, seed=36)
+    write_concentration_csv(path, report)
+    malform_table(path)
+    with pytest.raises(ValueError):
+        read_concentration_csv(path)
+
+
+def test_read_residual_csv_rejects_malformed_files(tmp_path, malform_table):
+    u, ubar = pair_with_epsilon(100, 4, 1e-4, seed=37)
     path = tmp_path / "resid.csv"
-    write_residual_csv(path, report)
-    lhs, rhs, violated = read_residual_csv(path)
-    assert np.array_equal(lhs, report.lhs)
-    finite = np.isfinite(report.rhs)
-    assert np.array_equal(rhs[finite], report.rhs[finite])
-    assert np.array_equal(violated, report.violated)
+    write_residual_csv(path, validate_residual_bound(u, ubar, 500, 0.1, 3, seed=38))
+    malform_table(path)
+    with pytest.raises(ValueError):
+        read_residual_csv(path)
+
+
+@pytest.mark.parametrize(
+    "reader, table",
+    [
+        (read_concentration_csv, "trial,eig_min,eig_max,in_window\n0,0.5,1.5,2\n"),
+        (read_concentration_csv, "trial,eig_min,eig_max,in_window\n0,0.5,1.5,-1\n"),
+        (read_residual_csv, "trial,lhs,rhs,violated\n0,0.5,0.25,7\n"),
+    ],
+    ids=["in_window-2", "in_window-minus-1", "violated-7"],
+)
+def test_report_readers_accept_only_0_or_1_flags(tmp_path, reader, table):
+    path = tmp_path / "report.csv"
+    path.write_text(table)
+    with pytest.raises(ValueError):
+        reader(path)
+
 
 
 @pytest.mark.parametrize(

@@ -184,7 +184,9 @@ def test_sweep_phase_transition_shape_desk_scale():
 
 
 def test_sweep_csv_round_trip(tmp_path):
-    cells = sweep_phase([50], [3], [3, 25], trials_per_cell=2, iters=30, seed=28)
+    # q=60 > n makes an infeasible cell with NaN statistics
+    cells = sweep_phase([50], [3], [3, 25, 60], trials_per_cell=2, iters=30, seed=28)
+    assert cells[-1].trials == 0
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, cells)
     back = read_sweep_csv(path)
@@ -193,6 +195,17 @@ def test_sweep_csv_round_trip(tmp_path):
         assert (a.n, a.d, a.q, a.trials) == (b.n, b.d, b.q, b.trials)
         assert a.mean_x == b.mean_x or (math.isnan(a.mean_x) and math.isnan(b.mean_x))
         assert a.std_x == b.std_x or (math.isnan(a.std_x) and math.isnan(b.std_x))
+    again = tmp_path / "again.csv"
+    write_sweep_csv(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_read_sweep_csv_rejects_malformed_files(tmp_path, malform_table):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, sweep_phase([50], [3], [60], trials_per_cell=2, iters=30, seed=28))
+    malform_table(path)
+    with pytest.raises(ValueError):
+        read_sweep_csv(path)
 
 
 def test_problem_spec_file_round_trip(tmp_path):
@@ -200,12 +213,24 @@ def test_problem_spec_file_round_trip(tmp_path):
     path = tmp_path / "run.spec"
     write_problem_spec(path, spec)
     assert read_problem_spec(path) == spec
+    again = tmp_path / "again.spec"
+    write_problem_spec(again, read_problem_spec(path))
+    assert again.read_bytes() == path.read_bytes()
     full_spec = ProblemSpec(n=50, d=2, q="full", iters=10, seed=1)
     write_problem_spec(path, full_spec)
     assert read_problem_spec(path) == full_spec
     text = path.read_text()
     for field in ("n=", "d=", "q=", "iters=", "seed=", "alpha=", "init_noise_std="):
         assert field in text
+
+
+@pytest.mark.parametrize("extra", ["bogus=3\n", "bypass_gate=1\n", "seed=2\n", "n=123\n"])
+def test_problem_spec_file_rejects_unknown_or_repeated_keys(tmp_path, extra):
+    path = tmp_path / "run.spec"
+    write_problem_spec(path, ProblemSpec(n=123, d=7, q=31, iters=77, seed=5))
+    path.write_text(path.read_text() + extra)
+    with pytest.raises(ValueError, match="unknown or repeated key"):
+        read_problem_spec(path)
 
 
 def test_problem_spec_rejects_negative_seed():

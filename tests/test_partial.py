@@ -513,6 +513,14 @@ def test_observation_csv_rejects_malformed_fields(tmp_path, indices, values):
         read_observations(path)
 
 
+@pytest.mark.parametrize("row", ["0,5", "0,5,1", "0,5,1,0.5,0.5"])
+def test_observation_csv_rejects_short_and_long_rows(tmp_path, row):
+    path = tmp_path / "observations.csv"
+    path.write_text(f"1,5,2,2.0\n{row}\n")
+    with pytest.raises(ValueError, match="fields"):
+        read_observations(path)
+
+
 def test_observation_csv_rejects_duplicate_t(tmp_path):
     path = tmp_path / "observations.csv"
     path.write_text("0,5,1;3,0.5;1.5\n1,5,2,2.0\n0,5,4,1.0\n")
