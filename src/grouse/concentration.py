@@ -287,9 +287,17 @@ def write_concentration_csv(path, report: ConcentrationReport) -> None:
     )
 
 
+def _read_report(path, schema: dict) -> tuple:
+    """The columns after ``trial`` of a per-trial report; ValueError unless trial counts 0, 1, 2, ..."""
+    trial, *columns = _read_table(path, schema)
+    if not np.array_equal(trial, np.arange(len(trial))):
+        raise ValueError("report rows must count trial = 0, 1, 2, ...")
+    return tuple(columns)
+
+
 def read_concentration_csv(path):
     """Arrays (eig_min, eig_max, in_window) from a concentration CSV; ValueError on a malformed file."""
-    return tuple(_read_table(path, _CONCENTRATION)[1:])
+    return _read_report(path, _CONCENTRATION)
 
 
 def write_residual_csv(path, report: ResidualBoundReport) -> None:
@@ -299,4 +307,4 @@ def write_residual_csv(path, report: ResidualBoundReport) -> None:
 
 def read_residual_csv(path):
     """Arrays (lhs, rhs, violated) from a residual-bound CSV; ValueError on a malformed file."""
-    return tuple(_read_table(path, _RESIDUAL)[1:])
+    return _read_report(path, _RESIDUAL)

@@ -7,6 +7,7 @@ applies and exposes as a numerical oracle (:func:`predicted_decrease`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,10 @@ def _split(cols, v):
     w = cols.T @ v
     p = cols @ w
     r = v - p
-    norm_w = float(np.linalg.norm(w))
-    norm_p = float(np.linalg.norm(p))
-    norm_r = float(np.linalg.norm(r))
+    # sqrt(x.dot(x)) is np.linalg.norm's own formula for a 1-d vector
+    norm_w = math.sqrt(w.dot(w))
+    norm_p = math.sqrt(p.dot(p))
+    norm_r = math.sqrt(r.dot(r))
     return w, p, r, norm_w, norm_p, norm_r, float(np.arctan2(norm_r, norm_w))
 
 
@@ -101,7 +103,7 @@ def full_step(u: Basis, v, ubar: Basis):
     unchanged; the decrease is exactly zero at those endpoints.
     """
     v = np.asarray(v, dtype=float)
-    norm_v = float(np.linalg.norm(v))
+    norm_v = math.sqrt(v.dot(v))
     if norm_v == 0.0:
         raise ValueError("observation vector is zero")
     split = _split(u.columns, v)

@@ -45,6 +45,10 @@ class ProblemSpec:
     init_noise_std: float = 0.5
 
     def __post_init__(self):
+        # a bool is an int, but its spec file line would not read back
+        for name in ("n", "d", "q", "iters", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be an integer, not a bool")
         if not 0 < self.d < self.n:
             raise ValueError("need 0 < d < n")
         if self.q != "full":

@@ -5,15 +5,18 @@ factorization routes are fixed by design: Householder QR for
 orthonormalization and least squares (never normal equations), thin SVD
 for the orthogonal Procrustes factor.  Sampled submatrices near the gate
 boundary can be poorly conditioned, which is why QR/SVD routes are used
-throughout.  Every QR runs through one kernel, :func:`_qr`: the public
-routines reach it after their boundary checks, and callers that hold
-already-checked arrays call it (or :func:`_lstsq`) directly.
+throughout.
+
+Every QR, triangular solve and singular-value computation of a checked
+array runs through one kernel each, :func:`_qr`, :func:`_lstsq` and
+:func:`_sv`, and each calls LAPACK directly, bitwise the numpy or scipy
+routine it replaces.  The public routines reach them after their boundary
+checks; callers that hold already-checked arrays call them directly.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf, dorgqr
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork, dorgqr, dtrtrs
 
 # Fixed tolerances, 100-1000x double eps, relative to the largest entry.
 SYM_TOL = 1e-12
@@ -47,11 +50,14 @@ def _qr(a: np.ndarray, message: str):
 
     Runs LAPACK ``dgeqrf``/``dorgqr`` at their queried optimal workspace,
     which is what ``np.linalg.qr`` does, so Q and R are bitwise its own; Q
-    is C-contiguous, as numpy returns it.  Raises ``NumericalError(message)``
-    when a diagonal entry of R is negligible against the largest.
+    and R are C-contiguous, as numpy returns them.  Raises
+    ``NumericalError(message)`` when a diagonal entry of R is negligible
+    against the largest.
     """
-    d = a.shape[1]
-    qr, tau, _, _ = dgeqrf(a, lwork=int(dgeqrf(a, lwork=-1)[2][0]))
+    m, d = a.shape
+    # a dgeqrf(a, lwork=-1) query would copy a C-ordered ``a`` to Fortran order
+    qr, tau, _, _ = dgeqrf(a, lwork=int(dgeqrf_lwork(m, d)[0]))
+    # the copy matters: at d=1, qr[:d] is a view that dorgqr overwrites
     r = np.triu(qr[:d])
     diag = np.abs(np.diag(r))
     if diag.min() <= RANK_RTOL * max(diag.max(), np.finfo(float).tiny):
@@ -61,9 +67,32 @@ def _qr(a: np.ndarray, message: str):
 
 
 def _lstsq(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`least_squares` on a finite m x d array (m >= d) and a length-m vector."""
+    """:func:`least_squares` on a finite m x d array (m >= d) and a length-m vector.
+
+    Solves R w = Q^T b with LAPACK ``dtrtrs`` on the Fortran-ordered
+    transpose of the C-ordered R, the call ``solve_triangular`` makes for
+    it, so w is bitwise ``solve_triangular(r, q.T @ b)``.
+    """
     q, r = _qr(c, "singular normal equations")
-    return solve_triangular(r, q.T @ b, check_finite=False)
+    w, info = dtrtrs(r.T, q.T @ b, lower=1, trans=1)
+    if info != 0:
+        raise NumericalError("singular normal equations")
+    return w
+
+
+def _sv(a: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a finite 2-d array of any shape.
+
+    Runs LAPACK ``dgesdd`` without singular vectors at its optimal
+    workspace, as ``np.linalg.svd(a, compute_uv=False)`` does, so the values
+    are bitwise its own.
+    """
+    m, d = a.shape
+    lwork = int(dgesdd_lwork(m, d, compute_uv=0, full_matrices=0)[0])
+    _, s, _, info = dgesdd(a, compute_uv=0, full_matrices=0, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return s
 
 
 def orthonormalize(a) -> np.ndarray:
@@ -94,8 +123,7 @@ def least_squares(c, b) -> np.ndarray:
 
 def singular_values(a) -> np.ndarray:
     """Singular values of a, sorted descending (all nonnegative)."""
-    a = _as_matrix(a)
-    return np.linalg.svd(a, compute_uv=False)
+    return _sv(_as_matrix(a))
 
 
 def nearest_orthogonal(a) -> np.ndarray:

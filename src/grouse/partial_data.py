@@ -13,13 +13,14 @@ format uses 1-based indices on the wire.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
-from .linalg import NumericalError, _lstsq, least_squares  # noqa: F401
+from .linalg import NumericalError, _lstsq, _sv, least_squares  # noqa: F401
 from .metrics import Basis, _check_pair, _sin_sq, epsilon_residual
 from .results import TrialResult, _Trajectory
 
@@ -113,7 +114,7 @@ def _gate(cols: np.ndarray, omega: np.ndarray) -> GateVerdict:
     upper = 1.5 * m / n
     if m == 0:
         return GateVerdict(False, 0.0, 0.0, lower, upper)
-    sigma = np.linalg.svd(cols[omega], compute_uv=False)
+    sigma = _sv(cols[omega])
     # the Gram matrix of fewer than d rows is singular
     eigen_min = 0.0 if m < d else float(sigma[-1] ** 2)
     eigen_max = float(sigma[0] ** 2)
@@ -190,8 +191,13 @@ def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
     gain = (np.cos(angle) - 1.0) * p / norm_p + np.sin(angle) * r / norm_r
     y = w / norm_w
     rows = max(1, _BLOCK // cols.shape[1])
+    # one block-sized temporary; multiply-then-add rounds as np.outer and + do
+    tmp = np.empty((min(rows, cols.shape[0]), cols.shape[1]))
     for i in range(0, cols.shape[0], rows):
-        cols[i : i + rows] += np.outer(gain[i : i + rows], y)
+        blk = cols[i : i + rows]
+        term = tmp[: len(blk)]
+        np.multiply(gain[i : i + rows, None], y, out=term)
+        blk += term
     return y, gain
 
 
@@ -226,16 +232,17 @@ def _step(cols: np.ndarray, obs: Observation, alpha: float, bypass_gate: bool):
     if not verdict.passed and not bypass_gate:
         return verdict, None, None
     w, p, r = _fit(cols, obs)
-    norm_r = float(np.linalg.norm(r))
-    norm_p = float(np.linalg.norm(p))
-    scale = float(np.linalg.norm(obs.values))
+    # sqrt(x.dot(x)) is np.linalg.norm's own formula for a 1-d vector
+    norm_r = math.sqrt(r.dot(r))
+    norm_p = math.sqrt(p.dot(p))
+    scale = math.sqrt(obs.values.dot(obs.values))
     sigma = norm_r * norm_p
     # an exact fit, or nothing revealed along the current span, is the identity
     eta, clamped, rotation = 0.0, False, None
     if norm_r > RESIDUAL_FLOOR * scale and norm_p > RESIDUAL_FLOOR * scale:
         clamped = alpha * norm_r / norm_p > 1.0
         eta = step_size(sigma, norm_r, norm_p, alpha)
-        rotation = (w, p, r, float(np.linalg.norm(w)), norm_p, norm_r, sigma * eta)
+        rotation = (w, p, r, math.sqrt(w.dot(w)), norm_p, norm_r, sigma * eta)
     return verdict, (norm_r, norm_p, sigma, eta, clamped, w, p, r), rotation
 
 

@@ -210,6 +210,16 @@ def test_read_residual_csv_rejects_malformed_files(tmp_path, malform_table):
         read_residual_csv(path)
 
 
+@pytest.mark.parametrize("trials", ["5,5", "1,2", "0,0", "1,0"])
+@pytest.mark.parametrize("reader", [read_concentration_csv, read_residual_csv])
+def test_report_readers_require_trial_to_count_from_zero(tmp_path, reader, trials):
+    path = tmp_path / "report.csv"
+    header = "trial,eig_min,eig_max,in_window" if reader is read_concentration_csv else "trial,lhs,rhs,violated"
+    path.write_text(header + "\n" + "".join(f"{t},0.5,1.5,1\n" for t in trials.split(",")))
+    with pytest.raises(ValueError, match="trial = 0, 1, 2"):
+        reader(path)
+
+
 @pytest.mark.parametrize(
     "reader, table",
     [

@@ -33,6 +33,11 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError, match="iters"):
         ProblemSpec(n=100, d=10, q=20, iters=0, seed=0)
     ProblemSpec(n=100, d=10, q="full", iters=5, seed=0)
+    # a bool is an int, but its spec file line would not read back
+    fields = dict(n=5, d=1, q=2, iters=1, seed=0)
+    for name, flag in [("n", True), ("d", True), ("q", True), ("iters", True), ("seed", False)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not a bool$"):
+            ProblemSpec(**{**fields, name: flag})
 
 
 def test_generate_problem_noise_free_start():

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from grouse.concentration import validate_residual_bound
 from grouse.linalg import (
     NumericalError,
+    _lstsq,
     _qr,
+    _sv,
     least_squares,
     nearest_orthogonal,
     orthonormalize,
@@ -165,12 +170,19 @@ def test_property_orthonormalize_contract(seed, n, d):
     assert np.linalg.norm(q.T @ q - np.eye(d)) <= 1e-12
 
 
-def _assert_qr_is_numpys(a):
+def _assert_kernels_are_numpys(a):
+    """The QR, least-squares and singular-value kernels on a tall ``a`` are bitwise numpy's and scipy's."""
     q, r = _qr(a, "unused")
     q_ref, r_ref = np.linalg.qr(a)
-    assert q.flags.c_contiguous
+    assert q.flags.c_contiguous and r.flags.c_contiguous
     assert q.tobytes() == q_ref.tobytes()
     assert r.tobytes() == r_ref.tobytes()
+    b = np.random.default_rng(a.shape[0]).standard_normal(a.shape[0])
+    w_ref = solve_triangular(r_ref, q_ref.T @ b, check_finite=False)
+    assert _lstsq(a, b).tobytes() == w_ref.tobytes()
+    # the transpose is wide (m < d) and in the other memory order
+    for sample in (a, a.T):
+        assert _sv(sample).tobytes() == np.linalg.svd(sample, compute_uv=False).tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -182,16 +194,29 @@ def _assert_qr_is_numpys(a):
 )
 def test_property_qr_kernel_is_bitwise_numpys_qr(seed, d, extra, order):
     a = np.random.default_rng(seed).standard_normal((d + extra, d))
-    _assert_qr_is_numpys(np.asarray(a, order=order))
+    _assert_kernels_are_numpys(np.asarray(a, order=order))
 
 
 @pytest.mark.parametrize("order", "CF")
-@pytest.mark.parametrize("shape", [(300, 64), (5000, 5), (10000, 200)])
+@pytest.mark.parametrize(
+    "shape",
+    [(300, 64), (5000, 5), (10000, 200), (1, 1), (7, 1), (10, 10), (40, 10), (80, 10), (213, 10), (400, 5)],
+)
 def test_qr_kernel_is_bitwise_numpys_qr_blocked_and_tall(shape, order):
     # d = 64 and 200 exceed LAPACK's block size, so these take the blocked
-    # code, whose bits depend on the workspace size
+    # code, whose bits depend on the workspace size; 40x10 to 213x10 are the
+    # sampled rows of the sweep and stream steps, 5000x5 the residual
+    # validator's sample, and every kernel is checked, not the QR alone
     a = np.random.default_rng(shape[1]).standard_normal(shape)
-    _assert_qr_is_numpys(np.asarray(a, order=order))
+    _assert_kernels_are_numpys(np.asarray(a, order=order))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e150])
+@pytest.mark.parametrize("length", [1, 2, 10, 40, 2000])
+def test_vector_norm_formula_is_bitwise_numpys(scale, length):
+    # the step paths take each 1-d 2-norm as sqrt(x.dot(x))
+    x = scale * np.random.default_rng(length).standard_normal(length)
+    assert math.sqrt(x.dot(x)) == np.linalg.norm(x)
 
 
 def test_rank_deficient_input_raises_each_callers_message():
