@@ -116,7 +116,7 @@ def validate_gram_concentration(
     eig_max = np.empty(trials)
     for t in range(trials):
         idx = rng.integers(0, u.n, size=omega_size)
-        verdict = _gate(u.columns, idx)
+        verdict = _gate(u.columns[idx], u.n)
         eig_min[t], eig_max[t] = verdict.eigen_min, verdict.eigen_max
     in_window = (eig_min >= low) & (eig_max <= high)
     return ConcentrationReport(

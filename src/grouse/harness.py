@@ -22,7 +22,16 @@ from .full_data import run_full
 from .linalg import orthonormalize
 from .metrics import Basis, _residual_energy
 from .partial_data import Observation, _check_alpha, _run_stream, run_stream
-from .results import _FLOAT, _INT, TrialResult, _read_table, _write_table
+from .results import (
+    _FLOAT,
+    _INT,
+    _INT_OR_FULL,
+    TrialResult,
+    _read_cells,
+    _read_table,
+    _write_cells,
+    _write_table,
+)
 
 _PROBLEM_STREAM = 1
 _OBSERVATION_STREAM = 2
@@ -360,38 +369,52 @@ def read_sweep_csv(path) -> list[SweepCell]:
     return [SweepCell(*stats) for stats in zip(*(c.tolist() for c in _read_table(path, _SWEEP)))]
 
 
-# The run-spec file's keys, in file order, each with the parser of its value.
+# The run-spec file's keys, in file order, each with the kind of its value.
 _SPEC_KEYS = {
-    "n": int,
-    "d": int,
-    "q": lambda value: value if value == "full" else int(value),
-    "iters": int,
-    "seed": int,
-    "alpha": float,
-    "init_noise_std": float,
+    "n": _INT,
+    "d": _INT,
+    "q": _INT_OR_FULL,
+    "iters": _INT,
+    "seed": _INT,
+    "alpha": _FLOAT,
+    "init_noise_std": _FLOAT,
 }
 
 
 def write_problem_spec(path, spec: ProblemSpec) -> None:
     """Flat ``key=value`` text file carrying exactly the ProblemSpec fields."""
     with open(path, "w") as fh:
-        for key, parse in _SPEC_KEYS.items():
-            value = getattr(spec, key)
-            fh.write(f"{key}={repr(float(value)) if parse is float else value}\n")
+        for key, kind in _SPEC_KEYS.items():
+            (cell,) = _write_cells(kind, [getattr(spec, key)])
+            fh.write(f"{key}={cell}\n")
 
 
 def read_problem_spec(path) -> ProblemSpec:
-    """Parse a run-spec file; ValueError on a missing, unknown or repeated key."""
+    """Parse a run-spec file written by :func:`write_problem_spec`.
+
+    Every line but a blank one is ``key=value`` exactly as the writer
+    writes it: nothing is stripped around the key or the value, and each
+    value obeys its kind's one cell rule (``results._Kind``), so
+    ``n = 500``, ``n=5_00``, ``q=+30``, ``alpha=1``, ``alpha=1e0`` and
+    ``init_noise_std=.5`` are rejected.  ValueError on a missing, unknown or
+    repeated key or such a value.
+    """
     fields: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
             if not line.strip():
                 continue
-            key, _, value = (part.strip() for part in line.partition("="))
+            key, _, value = line.removesuffix("\n").partition("=")
             if key not in _SPEC_KEYS or key in fields:
                 raise ValueError(f"problem spec file has an unknown or repeated key {key!r}")
             fields[key] = value
     missing = [key for key in _SPEC_KEYS if key not in fields]
     if missing:
         raise ValueError(f"problem spec file lacks the {missing[0]} field")
-    return ProblemSpec(**{key: parse(fields[key]) for key, parse in _SPEC_KEYS.items()})
+    values = {}
+    for key, kind in _SPEC_KEYS.items():
+        try:
+            (values[key],) = _read_cells(kind, [fields[key]])
+        except ValueError as exc:
+            raise ValueError(f"malformed {key} value: {exc}") from None
+    return ProblemSpec(**values)

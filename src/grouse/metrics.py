@@ -29,18 +29,7 @@ class Basis:
     __slots__ = ("columns",)
 
     def __init__(self, columns):
-        columns = np.array(columns, dtype=float)
-        if columns.ndim != 2:
-            raise ValueError("basis must be a 2-d array")
-        n, d = columns.shape
-        if not 0 < d < n:
-            raise ValueError("basis needs 0 < d < n")
-        if not np.all(np.isfinite(columns)):
-            raise ValueError("basis entries must be finite")
-        if orthonormality_drift(columns) > BASIS_DRIFT_TOL:
-            raise ValueError("columns are not orthonormal within drift budget")
-        columns.flags.writeable = False
-        object.__setattr__(self, "columns", columns)
+        _hold(self, np.array(columns, dtype=float))
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
@@ -55,6 +44,32 @@ class Basis:
 
     def __repr__(self) -> str:
         return f"Basis(n={self.n}, d={self.d})"
+
+
+def _hold(basis: Basis, columns: np.ndarray) -> None:
+    """Check a float array as :class:`Basis` checks its copy, then freeze it as ``basis.columns``."""
+    if columns.ndim != 2:
+        raise ValueError("basis must be a 2-d array")
+    n, d = columns.shape
+    if not 0 < d < n:
+        raise ValueError("basis needs 0 < d < n")
+    if not np.all(np.isfinite(columns)):
+        raise ValueError("basis entries must be finite")
+    if orthonormality_drift(columns) > BASIS_DRIFT_TOL:
+        raise ValueError("columns are not orthonormal within drift budget")
+    columns.flags.writeable = False
+    object.__setattr__(basis, "columns", columns)
+
+
+def _adopt(columns: np.ndarray) -> Basis:
+    """A Basis of ``columns`` itself, not a copy, after the checks ``Basis`` runs.
+
+    ``columns`` must be a fresh float array that no one else holds (the
+    single-step functions' rotated copy); it becomes read-only.
+    """
+    basis = object.__new__(Basis)
+    _hold(basis, columns)
+    return basis
 
 
 def orthonormality_drift(columns: np.ndarray) -> float:

@@ -21,8 +21,8 @@ import numpy as np
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
 from .linalg import NumericalError, _lstsq, _sv, least_squares  # noqa: F401
-from .metrics import Basis, _check_pair, _sin_sq, epsilon_residual
-from .results import TrialResult, _Trajectory
+from .metrics import Basis, _adopt, _check_pair, _sin_sq, epsilon_residual
+from .results import _FLOAT, _INT, TrialResult, _Trajectory, _write_cells
 
 # Residuals this small (relative to the observed entries) are treated as an
 # exact fit: the rotation is the identity.
@@ -103,18 +103,17 @@ def gate_check(u: Basis, omega) -> GateVerdict:
     passing verdict certifies ||([U]_omega^T [U]_omega)^-1|| <= 2n/|omega|.
     The eigenvalues come from the singular values of the row submatrix.
     """
-    return _gate(u.columns, np.asarray(omega, dtype=int))
+    return _gate(u.columns[np.asarray(omega, dtype=int)], u.n)
 
 
-def _gate(cols: np.ndarray, omega: np.ndarray) -> GateVerdict:
-    """:func:`gate_check` on a bare basis array and integer row indices, which may repeat."""
-    n, d = cols.shape
-    m = len(omega)
+def _gate(sub: np.ndarray, n: int) -> GateVerdict:
+    """:func:`gate_check` on the sampled rows of a bare n-row basis array (rows may repeat)."""
+    m, d = sub.shape
     lower = 0.5 * m / n
     upper = 1.5 * m / n
     if m == 0:
         return GateVerdict(False, 0.0, 0.0, lower, upper)
-    sigma = _sv(cols[omega])
+    sigma = _sv(sub)
     # the Gram matrix of fewer than d rows is singular
     eigen_min = 0.0 if m < d else float(sigma[-1] ** 2)
     eigen_max = float(sigma[0] ** 2)
@@ -131,16 +130,15 @@ def partial_residual(u: Basis, obs: Observation):
     """
     if obs.n != u.n:
         raise ValueError("observation and basis ambient dimensions differ")
-    return _fit(u.columns, obs)
+    return _fit(u.columns, u.columns[obs.omega], obs)
 
 
-def _fit(cols: np.ndarray, obs: Observation):
-    """:func:`partial_residual` on a bare basis array of matching n.
+def _fit(cols: np.ndarray, sub: np.ndarray, obs: Observation):
+    """:func:`partial_residual` on a bare basis array of matching n and its rows ``cols[obs.omega]``.
 
     Both arrays are finite already (an owned buffer and a checked
     :class:`Observation`), so the fit runs the bare QR kernel.
     """
-    sub = cols[obs.omega]
     singular = "gate bypassed on singular sample"
     if len(sub) < cols.shape[1]:
         raise NumericalError(singular)
@@ -202,10 +200,14 @@ def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
 
 
 def _rotated(u: Basis, *args) -> Basis:
-    """A new read-only Basis: a copy of ``u`` rotated in place by ``_rotate(copy, *args)``."""
+    """A new read-only Basis: a copy of ``u`` rotated in place by ``_rotate(copy, *args)``.
+
+    The Basis adopts the rotated copy itself, after the finiteness and
+    drift checks that guard chained single steps: one n x d copy per call.
+    """
     cols = np.array(u.columns)
     _rotate(cols, *args)
-    return Basis(cols)
+    return _adopt(cols)
 
 
 def _revealed_theta(cols: np.ndarray, ubar: Basis | None, obs: Observation) -> float | None:
@@ -228,10 +230,11 @@ def _step(cols: np.ndarray, obs: Observation, alpha: float, bypass_gate: bool):
     """
     if obs.n != cols.shape[0]:
         raise ValueError("observation and basis ambient dimensions differ")
-    verdict = _gate(cols, obs.omega)
+    sub = cols[obs.omega]
+    verdict = _gate(sub, cols.shape[0])
     if not verdict.passed and not bypass_gate:
         return verdict, None, None
-    w, p, r = _fit(cols, obs)
+    w, p, r = _fit(cols, sub, obs)
     # sqrt(x.dot(x)) is np.linalg.norm's own formula for a 1-d vector
     norm_r = math.sqrt(r.dot(r))
     norm_p = math.sqrt(p.dot(p))
@@ -335,10 +338,9 @@ def write_observations(path, observations) -> None:
         for t, obs in enumerate(observations):
             writer.writerow(
                 [
-                    t,
-                    obs.n,
-                    ";".join(str(i + 1) for i in obs.omega),
-                    ";".join(repr(float(v)) for v in obs.values),
+                    *_write_cells(_INT, [t, obs.n]),
+                    ";".join(_write_cells(_INT, obs.omega + 1)),
+                    ";".join(_write_cells(_FLOAT, obs.values)),
                 ]
             )
 
@@ -346,7 +348,11 @@ def write_observations(path, observations) -> None:
 def _parse_field(field: str, dtype) -> np.ndarray:
     """A semicolon-separated wire field as a 1-d array; ValueError on malformed text.
 
-    The field holds no whitespace (the writer emits none).  ``np.fromstring``
+    The one reader outside the cell rule of ``results._Kind``: observation
+    files also come from other programs, so an element need not be spelled
+    as the writer spells it (``.5`` reads as 0.5), and a canonical re-write
+    check would cost about three times the parse.  The field holds no
+    whitespace (the writer emits none).  ``np.fromstring``
     raises on most malformed text, but it reads a blank element, a bare sign
     or a sign followed by whitespace as a number, and it stops short at a
     trailing ";"; those are rejected here.

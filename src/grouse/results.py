@@ -1,4 +1,4 @@
-"""Trial results, the trajectory bookkeeping and CSV interface shared by both drivers."""
+"""Trial results, trajectory bookkeeping, and the cell codec of every file the library writes."""
 from __future__ import annotations
 
 import csv
@@ -112,19 +112,56 @@ class _Trajectory:
 
 
 class _Kind(NamedTuple):
-    """How the cells of one table column are written and read back."""
+    """How the cells of one column, or one run-spec value, are written and read back.
 
-    dtype: type
-    write: Callable  # a Python scalar of ``dtype`` -> its cell
-    read: Callable  # a cell -> its value; ValueError or KeyError on a cell it cannot read
+    The one cell rule: a cell is accepted only if the kind writes its value
+    back as the same text, ``write(dtype(read(cell))) == cell``, so every
+    value has exactly one cell and a reader accepts only what a writer
+    writes (no sign, padding, leading zero, underscore, exponent or other
+    spelling of the written text).  :func:`_write_cells` and
+    :func:`_read_cells` apply it, for every file the library writes; only
+    the observation reader (``partial_data._parse_field``) keeps a looser
+    rule of its own.
+    """
+
+    dtype: Callable  # a value -> the Python scalar its cell holds; a table column's array dtype
+    write: Callable  # a Python scalar of ``dtype`` -> its cell text
+    read: Callable  # a cell -> its value; ValueError on text it cannot read
 
 
-_FLAG = _Kind(bool, int, {"0": False, "1": True}.__getitem__)
+_FLAG = _Kind(bool, lambda flag: "1" if flag else "0", int)
 _INT = _Kind(int, str, int)
 # repr round-trips binary64 exactly (shortest 17-significant-digit form)
 _FLOAT = _Kind(float, repr, float)
 # an empty cell is a value that does not exist, NaN in memory
 _OPT_FLOAT = _Kind(float, lambda x: "" if x != x else repr(x), lambda c: float(c) if c else math.nan)
+
+
+def _int_or_full(value):
+    return value if value == "full" else int(value)
+
+
+# an integer or the word "full", as the run-spec file's q
+_INT_OR_FULL = _Kind(_int_or_full, str, _int_or_full)
+
+
+def _write_cells(kind: _Kind, values) -> list[str]:
+    """The cells of a sequence of values, each passed through ``kind.dtype`` first."""
+    return list(map(kind.write, map(kind.dtype, np.asarray(values).tolist())))
+
+
+def _read_cells(kind: _Kind, cells: list[str]) -> list:
+    """The Python values of a sequence of cells under the one cell rule of :class:`_Kind`.
+
+    Raises ValueError on a cell ``kind`` cannot read or would write as
+    other text.
+    """
+    values = list(map(kind.dtype, map(kind.read, cells)))
+    written = list(map(kind.write, values))
+    if written != cells:
+        cell, text = next((c, w) for c, w in zip(cells, written) if c != w)
+        raise ValueError(f"{cell!r} is not the written form of its value, {text!r}")
+    return values
 
 
 def _write_table(path, schema: dict, columns, lagged=()) -> None:
@@ -137,7 +174,7 @@ def _write_table(path, schema: dict, columns, lagged=()) -> None:
     """
     cells = []
     for (name, kind), values in zip(schema.items(), columns, strict=True):
-        text = map(kind.write, np.asarray(values, dtype=kind.dtype).tolist())
+        text = _write_cells(kind, values)
         cells.append(itertools.chain([""], text) if name in lagged else text)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -149,8 +186,9 @@ def _read_table(path, schema: dict, lagged=()) -> list[np.ndarray]:
     """The columns of a table written by :func:`_write_table`, as arrays of their kinds' dtypes.
 
     Raises ValueError unless the header names exactly ``schema``'s columns in
-    order, every row has one cell per column, every cell reads as its
-    column's kind and every ``lagged`` column's first cell is empty.
+    order, every row has one cell per column, every cell obeys its column
+    kind's one cell rule (:class:`_Kind`) and fits the column's array dtype,
+    and every ``lagged`` column's first cell is empty.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -166,10 +204,10 @@ def _read_table(path, schema: dict, lagged=()) -> list[np.ndarray]:
                 raise ValueError(f"the first {name} cell must be empty")
             cells = cells[1:]
         try:
-            values = list(map(kind.read, cells))
-        except (KeyError, ValueError) as exc:
+            # an int past int64 reads, then overflows the column array
+            columns.append(np.array(_read_cells(kind, cells), dtype=kind.dtype))
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"malformed {name} cell: {exc}") from None
-        columns.append(np.array(values, dtype=kind.dtype))
     return columns
 
 

@@ -14,7 +14,7 @@ from grouse.harness import (
     run_partial_trial,
 )
 from grouse.partial_data import Observation, run_stream
-from grouse.results import read_trajectory_csv, write_trajectory_csv
+from grouse.results import _read_table, _write_table, read_trajectory_csv, write_trajectory_csv
 
 
 def run_cli(argv):
@@ -190,14 +190,30 @@ def test_read_trajectory_csv_rejects_malformed_files(tmp_path, malform_table):
         ["0,0.5,,,,,", "1,0.5,2,0,0.1,0.2,"],
         ["0,0.5,,,,,", "1,0.5,1,-1,0.1,0.2,"],
         ["0,0.5,1,,,,", "1,0.5,1,0,0.1,0.2,"],
+        # an absent value is an empty cell, never nan text
+        ["0,0.5,,,,,", "1,0.5,1,0,0.1,0.2,nan"],
+        ["0,NaN,,,,,", "1,0.5,1,0,0.1,0.2,"],
     ],
-    ids=["t-skips", "t-repeats", "t-not-integer", "gate_passed-2", "taken-minus-1", "step-cell-at-t0"],
+    ids=[
+        "t-skips", "t-repeats", "t-not-integer", "gate_passed-2", "taken-minus-1", "step-cell-at-t0",
+        "theta-nan-text", "epsilon-NaN-text",
+    ],
 )
 def test_read_trajectory_csv_rejects_bad_flags_and_t(tmp_path, rows):
     path = tmp_path / "traj.csv"
     path.write_text("\n".join(["t,epsilon,gate_passed,taken,norm_r,norm_p,theta", *rows]) + "\n")
     with pytest.raises(ValueError):
         read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("verb, schema", [("validate-expectation", cli._EXPECTATION), ("skip-rate", cli._SKIP_RATE)])
+def test_summary_csv_round_trip(tmp_path, verb, schema):
+    path = tmp_path / "summary.csv"
+    assert run_cli([*_VALID_ARGV[verb], "--out", str(path)]) == 0
+    # write -> read -> write reproduces the file byte for byte
+    again = tmp_path / "again.csv"
+    _write_table(again, schema, _read_table(path, schema))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_spec_out_round_trip(tmp_path):

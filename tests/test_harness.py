@@ -207,7 +207,8 @@ def test_sweep_csv_round_trip(tmp_path):
 
 def test_read_sweep_csv_rejects_malformed_files(tmp_path, malform_table):
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, sweep_phase([50], [3], [60], trials_per_cell=2, iters=30, seed=28))
+    # q=25 gives the float-cell faults a finite X to rewrite; q=60 is infeasible
+    write_sweep_csv(path, sweep_phase([50], [3], [25, 60], trials_per_cell=2, iters=30, seed=28))
     malform_table(path)
     with pytest.raises(ValueError):
         read_sweep_csv(path)
@@ -224,6 +225,8 @@ def test_problem_spec_file_round_trip(tmp_path):
     full_spec = ProblemSpec(n=50, d=2, q="full", iters=10, seed=1)
     write_problem_spec(path, full_spec)
     assert read_problem_spec(path) == full_spec
+    write_problem_spec(again, read_problem_spec(path))
+    assert again.read_bytes() == path.read_bytes()
     text = path.read_text()
     for field in ("n=", "d=", "q=", "iters=", "seed=", "alpha=", "init_noise_std="):
         assert field in text
@@ -235,6 +238,28 @@ def test_problem_spec_file_rejects_unknown_or_repeated_keys(tmp_path, extra):
     write_problem_spec(path, ProblemSpec(n=123, d=7, q=31, iters=77, seed=5))
     path.write_text(path.read_text() + extra)
     with pytest.raises(ValueError, match="unknown or repeated key"):
+        read_problem_spec(path)
+
+
+# Each line reads, stripped and by Python's int() or float(), as the written one.
+@pytest.mark.parametrize(
+    "line, written",
+    [
+        ("n = 500", "n=500"),
+        ("n=5_00", "n=500"),
+        ("q=+30", "q=30"),
+        ("alpha=1", "alpha=1.0"),
+        ("alpha=1e0", "alpha=1.0"),
+        ("init_noise_std=.5", "init_noise_std=0.5"),
+    ],
+)
+def test_problem_spec_file_rejects_values_not_as_written(tmp_path, line, written):
+    path = tmp_path / "run.spec"
+    write_problem_spec(path, ProblemSpec(n=500, d=7, q=30, iters=77, seed=5))
+    text = path.read_text()
+    assert f"{written}\n" in text
+    path.write_text(text.replace(f"{written}\n", f"{line}\n"))
+    with pytest.raises(ValueError):
         read_problem_spec(path)
 
 

@@ -4,6 +4,7 @@ import pytest
 from grouse.linalg import NumericalError, orthonormalize
 from grouse.metrics import (
     Basis,
+    _adopt,
     alignment,
     coherence_basis,
     coherence_vector,
@@ -45,6 +46,15 @@ def test_basis_copies_its_input():
     assert arr.flags.writeable and not np.shares_memory(arr, b.columns)
     arr[0, 0] += 1.0
     assert b.columns[0, 0] != arr[0, 0]
+
+
+def test_adopted_basis_holds_its_array_after_the_basis_checks():
+    arr = orthonormalize(np.random.default_rng(2).standard_normal((6, 2)))
+    b = _adopt(arr)
+    assert b.columns is arr and not arr.flags.writeable
+    for bad in (np.full((6, 2), np.nan), np.ones((6, 2))):
+        with pytest.raises(ValueError, match="finite|orthonormal"):
+            _adopt(bad)
 
 
 def test_principal_angles_identical_and_orthogonal():

@@ -202,6 +202,25 @@ def test_grouse_step_gate_failure_returns_input():
     assert rec.w is None and rec.r is None and rec.sigma == 0.0 and rec.eta == 0.0
 
 
+def test_grouse_step_makes_one_basis_sized_copy():
+    import tracemalloc
+
+    n, d, m = 3000, 40, 400
+    u = random_basis(n, d, seed=41)
+    rng = np.random.default_rng(42)
+    obs = Observation(n=n, omega=np.sort(rng.choice(n, size=m, replace=False)), values=rng.standard_normal(m))
+    tracemalloc.start()
+    try:
+        u1, rec = grouse_step(u, obs, bypass_gate=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.eta > 0.0 and not u1.columns.flags.writeable
+    # the rotated copy plus a row block and vectors; a Basis that copied the
+    # rotated array again would add another n*d*8 bytes
+    assert peak < 1.5 * n * d * 8
+
+
 def test_grouse_step_in_span_observation_is_identity():
     rng = np.random.default_rng(11)
     ubar = random_basis(60, 4, seed=11)
