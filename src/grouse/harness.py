@@ -21,7 +21,7 @@ import numpy as np
 from .full_data import run_full
 from .linalg import orthonormalize
 from .metrics import Basis, _residual_energy
-from .partial_data import Observation, _check_alpha, _run_stream, run_stream
+from .partial_data import _check_alpha, _run_stream, _trusted_observation, run_stream
 from .results import (
     _FLOAT,
     _INT,
@@ -236,13 +236,19 @@ def _attach_fit(result: TrialResult, spec: ProblemSpec, q: int) -> TrialResult:
 
 
 def _observation_stream(spec: ProblemSpec, ubar: Basis):
+    """The seeded synthetic observations of a partial trial.
+
+    Each draw is already in the checked form of an ``Observation`` (sorted
+    distinct int64 indices inside [0, n), q >= d of them, finite float64
+    values), so it is built without re-checking.
+    """
     rng = _child_rng(spec.seed, _OBSERVATION_STREAM)
     n, d, q = spec.n, spec.d, spec.q
     for _ in range(spec.iters):
         s = rng.standard_normal(d)
         v = ubar.columns @ s
         omega = np.sort(rng.choice(n, size=q, replace=False))
-        yield Observation(n=n, omega=omega, values=v[omega], latent_s=s)
+        yield _trusted_observation(n, omega, v[omega], s)
 
 
 def run_partial_trial(
@@ -273,12 +279,13 @@ def _sweep_trial_x(spec: ProblemSpec, bypass_gate: bool) -> float:
     """``run_partial_trial(spec, bypass_gate=...).x_factor``, NaN for None.
 
     X reads epsilon only at t=0 and t=N, so the stream runs without a target
-    (no step measures epsilon or the revealed angle) and the two ends are
-    measured on ``u0`` and the final buffer, the bits a recording run
-    measures there.
+    (no step measures epsilon or the revealed angle) and keeps no per-step
+    rows (a bypassed gate is not evaluated), and the two ends are measured
+    on ``u0`` and the final buffer, the bits a recording run measures there.
     """
     ubar, u0 = generate_problem(spec)
-    _, cols = _run_stream(u0, _observation_stream(spec, ubar), spec.alpha, None, bypass_gate)
+    stream = _observation_stream(spec, ubar)
+    _, cols = _run_stream(u0, stream, spec.alpha, None, bypass_gate, record=False)
     eps0 = _residual_energy(u0.columns, ubar.columns)
     x = _x_factor(eps0, _residual_energy(cols, ubar.columns), spec, spec.q)
     return np.nan if x is None else x

@@ -22,6 +22,9 @@ from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork, dorg
 SYM_TOL = 1e-12
 RANK_RTOL = 1e-13
 
+# The smallest normal double: the floor of a rank check's scale.
+_TINY = np.finfo(float).tiny
+
 
 class NumericalError(ValueError):
     """A numerically singular or degenerate input reached a kernel routine."""
@@ -45,22 +48,24 @@ def _as_vector(b) -> np.ndarray:
     return b
 
 
-def _qr(a: np.ndarray, message: str):
+def _qr(a: np.ndarray, message: str, triangular: bool = True):
     """Householder QR of a finite m x d array with m >= d: (Q, R).
 
     Runs LAPACK ``dgeqrf``/``dorgqr`` at their queried optimal workspace,
     which is what ``np.linalg.qr`` does, so Q and R are bitwise its own; Q
-    and R are C-contiguous, as numpy returns them.  Raises
+    and R are C-contiguous, as numpy returns them.  With ``triangular``
+    False, R's entries below the diagonal are left as the Householder
+    vectors instead of zeroed, for a solve that reads one triangle.  Raises
     ``NumericalError(message)`` when a diagonal entry of R is negligible
     against the largest.
     """
     m, d = a.shape
     # a dgeqrf(a, lwork=-1) query would copy a C-ordered ``a`` to Fortran order
     qr, tau, _, _ = dgeqrf(a, lwork=int(dgeqrf_lwork(m, d)[0]))
-    # the copy matters: at d=1, qr[:d] is a view that dorgqr overwrites
-    r = np.triu(qr[:d])
+    # a real copy either way: at d=1, qr[:d] is a view that dorgqr overwrites
+    r = np.triu(qr[:d]) if triangular else np.array(qr[:d], order="C")
     diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_RTOL * max(diag.max(), np.finfo(float).tiny):
+    if diag.min() <= RANK_RTOL * max(diag.max(), _TINY):
         raise NumericalError(message)
     q, _, _ = dorgqr(qr, tau, lwork=int(dorgqr(qr, tau, lwork=-1)[1][0]), overwrite_a=True)
     return np.ascontiguousarray(q), r
@@ -71,9 +76,11 @@ def _lstsq(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Solves R w = Q^T b with LAPACK ``dtrtrs`` on the Fortran-ordered
     transpose of the C-ordered R, the call ``solve_triangular`` makes for
-    it, so w is bitwise ``solve_triangular(r, q.T @ b)``.
+    it, so w is bitwise ``solve_triangular(r, q.T @ b)``.  ``dtrtrs`` reads
+    only the lower triangle of that transpose, so R is not zeroed below
+    its diagonal first.
     """
-    q, r = _qr(c, "singular normal equations")
+    q, r = _qr(c, "singular normal equations", triangular=False)
     w, info = dtrtrs(r.T, q.T @ b, lower=1, trans=1)
     if info != 0:
         raise NumericalError("singular normal equations")
@@ -136,7 +143,7 @@ def nearest_orthogonal(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError("shape: expected a square matrix")
     u, s, vt = np.linalg.svd(a)
-    if s.min() <= RANK_RTOL * max(s.max(), np.finfo(float).tiny):
+    if s.min() <= RANK_RTOL * max(s.max(), _TINY):
         raise NumericalError("singular alignment")
     return u @ vt
 

@@ -61,6 +61,20 @@ class Observation:
             object.__setattr__(self, "latent_s", np.asarray(self.latent_s, dtype=float))
 
 
+def _trusted_observation(n: int, omega: np.ndarray, values: np.ndarray, latent_s: np.ndarray):
+    """An :class:`Observation` holding these arrays as they are, without the checks.
+
+    Only for arrays already in the checked form: ``omega`` an int64 array,
+    strictly increasing inside [0, n), ``values`` a finite float64 array of
+    its length and ``latent_s`` a float64 array, as the synthetic
+    observation stream draws them.  The checks would convert nothing and
+    cost about ten times the construction.
+    """
+    obs = object.__new__(Observation)
+    obs.__dict__.update(n=n, omega=omega, values=values, latent_s=latent_s)
+    return obs
+
+
 @dataclass(frozen=True)
 class GateVerdict:
     """Outcome of the sampled-Gram eigenvalue check."""
@@ -220,19 +234,20 @@ def _revealed_theta(cols: np.ndarray, ubar: Basis | None, obs: Observation) -> f
     return float(np.arcsin(np.sqrt(_sin_sq(cols, v))))
 
 
-def _step(cols: np.ndarray, obs: Observation, alpha: float, bypass_gate: bool):
+def _step(cols: np.ndarray, obs: Observation, alpha: float, bypass_gate: bool, record: bool = True):
     """Gate, fit and step-size rule of one step on a bare basis array, which it only reads.
 
     Returns ``(verdict, fit, rotation)``.  ``fit`` is None for a skipped step,
     else ``(norm_r, norm_p, sigma, eta, clamped, w, p, r)``.  ``rotation``
     holds the arguments of :func:`_rotate` after the array, None for a
-    skipped or identity step.
+    skipped or identity step.  A bypassed gate whose verdict no one records
+    (``record`` False) is not evaluated, and the verdict is None.
     """
     if obs.n != cols.shape[0]:
         raise ValueError("observation and basis ambient dimensions differ")
     sub = cols[obs.omega]
-    verdict = _gate(sub, cols.shape[0])
-    if not verdict.passed and not bypass_gate:
+    verdict = _gate(sub, cols.shape[0]) if record or not bypass_gate else None
+    if not bypass_gate and not verdict.passed:
         return verdict, None, None
     w, p, r = _fit(cols, sub, obs)
     # sqrt(x.dot(x)) is np.linalg.norm's own formula for a 1-d vector
@@ -307,11 +322,15 @@ def run_stream(
     return _run_stream(u0, stream, alpha, ubar, bypass_gate)[0]
 
 
-def _run_stream(u0: Basis, stream, alpha: float, ubar: Basis | None, bypass_gate: bool):
+def _run_stream(
+    u0: Basis, stream, alpha: float, ubar: Basis | None, bypass_gate: bool, record: bool = True
+):
     """:func:`run_stream`, also returning the final owned buffer: ``(result, cols)``.
 
     Without ``ubar`` no per-step epsilon or revealed angle is measured, so a
     caller that needs epsilon only at the ends measures ``u0`` and ``cols``.
+    With ``record`` False no per-step row is kept and the result is None,
+    so a bypassed gate is not evaluated: no row would hold its verdict.
     """
     _check_alpha(alpha)
     if ubar is not None:
@@ -320,11 +339,14 @@ def _run_stream(u0: Basis, stream, alpha: float, ubar: Basis | None, bypass_gate
     track = _Trajectory(cols, None if ubar is None else ubar.columns, maintained=False)
     for obs in stream:
         theta = _revealed_theta(cols, ubar, obs)  # against the basis the step starts from
-        verdict, fit, rotation = _step(cols, obs, alpha, bypass_gate)
-        norm_r, norm_p = (0.0, 0.0) if fit is None else fit[:2]
-        row = (verdict.passed, fit is not None, norm_r, norm_p, np.nan if theta is None else theta)
+        verdict, fit, rotation = _step(cols, obs, alpha, bypass_gate, record)
+        row = None
+        if record:
+            norm_r, norm_p = (0.0, 0.0) if fit is None else fit[:2]
+            theta = np.nan if theta is None else theta
+            row = (verdict.passed, fit is not None, norm_r, norm_p, theta)
         cols = track.step(cols, row, None if rotation is None else _rotate(cols, *rotation))
-    return track.result(), cols
+    return (track.result() if record else None), cols
 
 
 def write_observations(path, observations) -> None:
@@ -369,7 +391,11 @@ def _parse_field(field: str, dtype) -> np.ndarray:
 
 
 def read_observations(path) -> list[Observation]:
-    """Read an observation CSV written by :func:`write_observations`; t must not repeat."""
+    """Read an observation CSV written by :func:`write_observations`; t must not repeat.
+
+    The t and n fields are plain ASCII decimal digits: a sign, padding or
+    an underscore, which ``int()`` would read, raises ValueError.
+    """
     rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -377,7 +403,10 @@ def read_observations(path) -> list[Observation]:
                 continue
             if len(row) != 4:
                 raise ValueError(f"observation row has {len(row)} fields, not 4")
-            t, n = int(row[0]), int(row[1])
+            t, n = row[0], row[1]
+            if not (t.isascii() and t.isdigit() and n.isascii() and n.isdigit()):
+                raise ValueError("observation t and n fields must be plain decimal digits")
+            t, n = int(t), int(n)
             omega = _parse_field(row[2], int) - 1
             values = _parse_field(row[3], float)
             rows.append((t, Observation(n=n, omega=omega, values=values)))

@@ -60,13 +60,15 @@ class _Trajectory:
     from scratch only below ``_EPS_SWITCH``) and checks no drift, so no step
     costs O(n d^2).  A QR replaces the buffer every ``REORTHO_EVERY`` steps
     and on excess drift; a step that leaves the buffer as the last drift
-    check or epsilon found it reuses that result.
+    check or epsilon found it reuses that result.  A step recorded with no
+    row counts toward the cadence but keeps nothing for :meth:`result`.
     """
 
     def __init__(self, cols: np.ndarray, target: np.ndarray | None, maintained: bool):
         self._target = target
         self._product = cols.T @ target if maintained else None
         self._rows = []
+        self._steps = 0
         # the Basis the buffer copies passed the drift check
         self._checked = True
         self._epsilons = None if target is None else [self._measure(cols)]
@@ -78,18 +80,21 @@ class _Trajectory:
                 return rough
         return _residual_energy(cols, self._target)
 
-    def step(self, cols: np.ndarray, row: tuple, rank_one) -> np.ndarray:
+    def step(self, cols: np.ndarray, row: tuple | None, rank_one) -> np.ndarray:
         """Record a step; ``rank_one`` is ``(y, gain)`` if it added outer(gain, y) to ``cols``.
 
-        Returns the buffer to step next, a fresh QR factor or ``cols``.
+        ``row`` is None for a step whose row no one reads.  Returns the
+        buffer to step next, a fresh QR factor or ``cols``.
         """
-        self._rows.append(row)
+        self._steps += 1
+        if row is not None:
+            self._rows.append(row)
         if rank_one is not None:
             self._checked = False
             if self._product is not None:
                 y, gain = rank_one
                 self._product = self._product + np.outer(y, self._target.T @ gain)
-        qr = len(self._rows) % REORTHO_EVERY == 0
+        qr = self._steps % REORTHO_EVERY == 0
         if not (qr or self._checked or self._product is not None):
             qr = orthonormality_drift(cols) > BASIS_DRIFT_TOL
             self._checked = not qr

@@ -1,7 +1,8 @@
 """Golden digests: seeded runs must reproduce these SHA-256 hashes bit for bit.
 
 The digests hash in-memory arrays (not trajectory CSVs, whose column set
-may grow) plus the bytes of one seeded sweep CSV.  OpenBLAS partitions some
+may grow) plus the bytes of two seeded sweep CSVs, one gated and one with
+the gate bypassed.  OpenBLAS partitions some
 products differently per thread count, so the runs happen in a child
 process with BLAS pinned to one thread.  Recorded with numpy 2.4.6 on
 OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels), Python
@@ -36,6 +37,7 @@ GOLDEN = {
     "partial_bypassed": "f686ffc27ba3d4dc178b8ed52c61a3d792801b144ef63215b99d50cb1b64f39b",
     "full_step_chain": "7f954a9e09092f35c67a4043bc16f339a28cb0a326347ff51dfab72bd2138089",
     "sweep_csv": "d3ccb91da146ffdd87ed67b77477ae3ff12a829350d329ae812b0f2323528401",
+    "sweep_bypassed_csv": "3a78c525ccb640d180ba6f7dff09ba0745e40b62eb1dab6e98a6d31aadb45953",
 }
 
 
@@ -71,13 +73,13 @@ def _full_step_chain_sha() -> str:
     return _sha(u.columns, np.array(decreases), np.array(epsilons))
 
 
-def _sweep_csv_sha() -> str:
+def _sweep_csv_sha(*flags) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.csv"
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(
                 ["sweep", "--n", "80", "--d", "3", "--q", "3,12,40", "--trials", "3",
-                 "--iters", "60", "--seed", "18", "--out", str(out)]
+                 "--iters", "60", "--seed", "18", "--out", str(out), *flags]
             )
         assert code == 0
         return hashlib.sha256(out.read_bytes()).hexdigest()
@@ -102,6 +104,7 @@ def compute_digests() -> dict:
         ),
         "full_step_chain": _full_step_chain_sha(),
         "sweep_csv": _sweep_csv_sha(),
+        "sweep_bypassed_csv": _sweep_csv_sha("--bypass_gate"),
     }
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from grouse import partial_data
 from grouse.harness import (
     ProblemSpec,
     _child_seed,
+    _observation_stream,
     fit_x,
     generate_problem,
     incoherent_basis,
@@ -21,6 +23,7 @@ from grouse.harness import (
     write_sweep_csv,
 )
 from grouse.metrics import coherence_basis, epsilon
+from grouse.partial_data import Observation
 
 
 def test_problem_spec_validation():
@@ -178,6 +181,56 @@ def test_sweep_x_values_are_the_recorded_trials_x(q, bypass_gate):
         x = run_partial_trial(spec, bypass_gate=bypass_gate).x_factor
         expected.append(np.nan if x is None else x)
     assert cell.x_values.tobytes() == np.array(expected).tobytes()
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` for this test so that each call appends to the returned list."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("bypass_gate, per_step", [(True, 0), (False, 1)])
+def test_sweep_trial_evaluates_the_gate_only_when_it_decides(monkeypatch, bypass_gate, per_step):
+    # a bypassed sweep trial keeps no verdict, so it evaluates no gate
+    calls = _count_calls(monkeypatch, partial_data, "_gate")
+    trials, iters = 2, 30
+    sweep_phase([100], [4], [12], trials, iters, seed=3, bypass_gate=bypass_gate)
+    assert len(calls) == per_step * trials * iters
+
+
+def test_recorded_bypassed_stream_evaluates_every_gate(monkeypatch):
+    spec = ProblemSpec(n=100, d=4, q=30, iters=40, seed=5)
+    ubar, u0 = generate_problem(spec)
+    calls = _count_calls(monkeypatch, partial_data, "_gate")
+    result = partial_data.run_stream(u0, _observation_stream(spec, ubar), ubar=ubar, bypass_gate=True)
+    assert len(calls) == 40
+    # each recorded verdict is the gate's own: some steps fail it, all are taken
+    assert result.taken.all() and 0 < result.gate_passed.sum() < 40
+
+
+def test_harness_observations_are_built_without_the_checks(monkeypatch):
+    spec = ProblemSpec(n=300, d=5, q=20, iters=25, seed=8)
+    ubar, _ = generate_problem(spec)
+    calls = _count_calls(monkeypatch, Observation, "__post_init__")
+    stream = list(_observation_stream(spec, ubar))
+    assert not calls
+    monkeypatch.undo()
+    for obs in stream:
+        checked = Observation(n=obs.n, omega=obs.omega, values=obs.values, latent_s=obs.latent_s)
+        assert type(obs) is Observation and obs.n == checked.n == spec.n
+        for name in ("omega", "values", "latent_s"):
+            trusted, held = getattr(obs, name), getattr(checked, name)
+            # the checks convert nothing: the checked Observation holds the same array
+            assert held is trusted
+            assert (trusted.dtype, trusted.shape) == (held.dtype, held.shape)
+            assert trusted.tobytes() == held.tobytes()
+        assert obs.omega.dtype == np.int64 and obs.values.dtype == obs.latent_s.dtype == np.float64
 
 
 def test_sweep_phase_transition_shape_desk_scale():

@@ -17,7 +17,7 @@ from grouse.linalg import (
     singular_values,
     sym_eigenvalues,
 )
-from grouse.metrics import Basis
+from grouse.metrics import Basis, orthonormality_drift
 from grouse.partial_data import Observation, partial_residual
 
 
@@ -217,6 +217,15 @@ def test_vector_norm_formula_is_bitwise_numpys(scale, length):
     # the step paths take each 1-d 2-norm as sqrt(x.dot(x))
     x = scale * np.random.default_rng(length).standard_normal(length)
     assert math.sqrt(x.dot(x)) == np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("shape", [(1000, 10), (2000, 10), (40, 10), (10000, 200)])
+def test_drift_norm_formula_is_bitwise_numpys(shape):
+    # orthonormality_drift takes sqrt(x.dot(x)) of the raveled Gram matrix
+    rng = np.random.default_rng(shape[1])
+    b = orthonormalize(rng.standard_normal(shape))
+    for cols in (b, b + 1e-6 * rng.standard_normal(shape)):
+        assert orthonormality_drift(cols) == np.linalg.norm(cols.T @ cols - np.eye(shape[1]))
 
 
 def test_rank_deficient_input_raises_each_callers_message():

@@ -532,7 +532,22 @@ def test_observation_csv_rejects_malformed_fields(tmp_path, indices, values):
         read_observations(path)
 
 
-@pytest.mark.parametrize("row", ["0,5", "0,5,1", "0,5,1,0.5,0.5"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,5",
+        "0,5,1",
+        "0,5,1,0.5,0.5",
+        # t and n are plain digits; int() would read each of these
+        "+0, 1_0,1;2,0.5;0.25",
+        "0,1_0,1;2,0.5;0.25",
+        "+0,5,1,0.5",
+        "-0,5,1,0.5",
+        " 0,5,1,0.5",
+        "0,+5,1,0.5",
+        "0,5 ,1,0.5",
+    ],
+)
 def test_observation_csv_rejects_short_and_long_rows(tmp_path, row):
     path = tmp_path / "observations.csv"
     path.write_text(f"1,5,2,2.0\n{row}\n")
