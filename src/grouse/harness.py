@@ -21,7 +21,7 @@ import numpy as np
 from .full_data import run_full
 from .linalg import orthonormalize
 from .metrics import Basis, _residual_energy
-from .partial_data import _check_alpha, _run_stream, _trusted_observation, run_stream
+from .partial_data import _check_alpha, _run_stream
 from .results import (
     _FLOAT,
     _INT,
@@ -236,11 +236,11 @@ def _attach_fit(result: TrialResult, spec: ProblemSpec, q: int) -> TrialResult:
 
 
 def _observation_stream(spec: ProblemSpec, ubar: Basis):
-    """The seeded synthetic observations of a partial trial.
+    """The seeded synthetic observations of a partial trial, as ``(omega, values, latent_s)``.
 
-    Each draw is already in the checked form of an ``Observation`` (sorted
-    distinct int64 indices inside [0, n), q >= d of them, finite float64
-    values), so it is built without re-checking.
+    Each draw is in the form a checked ``Observation`` of n holds: sorted
+    distinct int64 indices inside [0, n), q >= d of them, and finite
+    float64 values and coefficients.
     """
     rng = _child_rng(spec.seed, _OBSERVATION_STREAM)
     n, d, q = spec.n, spec.d, spec.q
@@ -248,7 +248,7 @@ def _observation_stream(spec: ProblemSpec, ubar: Basis):
         s = rng.standard_normal(d)
         v = ubar.columns @ s
         omega = np.sort(rng.choice(n, size=q, replace=False))
-        yield _trusted_observation(n, omega, v[omega], s)
+        yield omega, v[omega], s
 
 
 def run_partial_trial(
@@ -265,13 +265,7 @@ def run_partial_trial(
     if spec.q == "full":
         raise ValueError("partial trials need a finite q")
     ubar, u0 = generate_problem(spec)
-    result = run_stream(
-        u0,
-        _observation_stream(spec, ubar),
-        alpha=spec.alpha,
-        ubar=ubar,
-        bypass_gate=bypass_gate,
-    )
+    result, _ = _run_stream(u0, _observation_stream(spec, ubar), spec.alpha, ubar, bypass_gate)
     return _attach_fit(result, spec, spec.q)
 
 

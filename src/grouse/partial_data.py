@@ -61,18 +61,11 @@ class Observation:
             object.__setattr__(self, "latent_s", np.asarray(self.latent_s, dtype=float))
 
 
-def _trusted_observation(n: int, omega: np.ndarray, values: np.ndarray, latent_s: np.ndarray):
-    """An :class:`Observation` holding these arrays as they are, without the checks.
-
-    Only for arrays already in the checked form: ``omega`` an int64 array,
-    strictly increasing inside [0, n), ``values`` a finite float64 array of
-    its length and ``latent_s`` a float64 array, as the synthetic
-    observation stream draws them.  The checks would convert nothing and
-    cost about ten times the construction.
-    """
-    obs = object.__new__(Observation)
-    obs.__dict__.update(n=n, omega=omega, values=values, latent_s=latent_s)
-    return obs
+def _arrays(obs: Observation, n: int):
+    """The arrays ``(omega, values, latent_s)`` of ``obs``; ValueError unless its n is ``n``."""
+    if obs.n != n:
+        raise ValueError("observation and basis ambient dimensions differ")
+    return obs.omega, obs.values, obs.latent_s
 
 
 @dataclass(frozen=True)
@@ -142,27 +135,26 @@ def partial_residual(u: Basis, obs: Observation):
     the full predicted vector p = U w, and the residual r supported on the
     sample (zero elsewhere).  p^T r = 0 by construction.
     """
-    if obs.n != u.n:
-        raise ValueError("observation and basis ambient dimensions differ")
-    return _fit(u.columns, u.columns[obs.omega], obs)
+    omega, values, _ = _arrays(obs, u.n)
+    return _fit(u.columns, u.columns[omega], omega, values)
 
 
-def _fit(cols: np.ndarray, sub: np.ndarray, obs: Observation):
-    """:func:`partial_residual` on a bare basis array of matching n and its rows ``cols[obs.omega]``.
+def _fit(cols: np.ndarray, sub: np.ndarray, omega: np.ndarray, values: np.ndarray):
+    """:func:`partial_residual` on a bare basis array, its rows ``cols[omega]`` and ``values``.
 
-    Both arrays are finite already (an owned buffer and a checked
-    :class:`Observation`), so the fit runs the bare QR kernel.
+    All are finite already (an owned buffer and a checked observation's
+    arrays), so the fit runs the bare QR kernel.
     """
     singular = "gate bypassed on singular sample"
     if len(sub) < cols.shape[1]:
         raise NumericalError(singular)
     try:
-        w = _lstsq(sub, obs.values)
+        w = _lstsq(sub, values)
     except NumericalError:
         raise NumericalError(singular) from None
     p = cols @ w
     r = np.zeros(cols.shape[0])
-    r[obs.omega] = obs.values - sub @ w
+    r[omega] = values - sub @ w
     return w, p, r
 
 
@@ -224,36 +216,35 @@ def _rotated(u: Basis, *args) -> Basis:
     return _adopt(cols)
 
 
-def _revealed_theta(cols: np.ndarray, ubar: Basis | None, obs: Observation) -> float | None:
+def _revealed_theta(cols: np.ndarray, ubar: Basis | None, latent_s) -> float | None:
     """Angle between the observed vector and the span of ``cols``, when it is known."""
-    if ubar is None or obs.latent_s is None:
+    if ubar is None or latent_s is None:
         return None
-    v = ubar.columns @ obs.latent_s
+    v = ubar.columns @ latent_s
     if not np.any(v):
         return None
     return float(np.arcsin(np.sqrt(_sin_sq(cols, v))))
 
 
-def _step(cols: np.ndarray, obs: Observation, alpha: float, bypass_gate: bool, record: bool = True):
+def _step(cols: np.ndarray, omega, values, alpha: float, bypass_gate: bool, record: bool = True):
     """Gate, fit and step-size rule of one step on a bare basis array, which it only reads.
 
-    Returns ``(verdict, fit, rotation)``.  ``fit`` is None for a skipped step,
-    else ``(norm_r, norm_p, sigma, eta, clamped, w, p, r)``.  ``rotation``
-    holds the arguments of :func:`_rotate` after the array, None for a
-    skipped or identity step.  A bypassed gate whose verdict no one records
-    (``record`` False) is not evaluated, and the verdict is None.
+    ``omega`` and ``values`` are a checked observation's arrays.  Returns
+    ``(verdict, fit, rotation)``.  ``fit`` is None for a skipped step, else
+    ``(norm_r, norm_p, sigma, eta, clamped, w, p, r)``.  ``rotation`` holds
+    the arguments of :func:`_rotate` after the array, None for a skipped or
+    identity step.  A bypassed gate whose verdict no one records (``record``
+    False) is not evaluated, and the verdict is None.
     """
-    if obs.n != cols.shape[0]:
-        raise ValueError("observation and basis ambient dimensions differ")
-    sub = cols[obs.omega]
+    sub = cols[omega]
     verdict = _gate(sub, cols.shape[0]) if record or not bypass_gate else None
     if not bypass_gate and not verdict.passed:
         return verdict, None, None
-    w, p, r = _fit(cols, sub, obs)
+    w, p, r = _fit(cols, sub, omega, values)
     # sqrt(x.dot(x)) is np.linalg.norm's own formula for a 1-d vector
     norm_r = math.sqrt(r.dot(r))
     norm_p = math.sqrt(p.dot(p))
-    scale = math.sqrt(obs.values.dot(obs.values))
+    scale = math.sqrt(values.dot(values))
     sigma = norm_r * norm_p
     # an exact fit, or nothing revealed along the current span, is the identity
     eta, clamped, rotation = 0.0, False, None
@@ -282,7 +273,8 @@ def grouse_step(
     alpha lies outside (0, 2), whether or not the step is taken.
     """
     _check_alpha(alpha)
-    verdict, fit, rotation = _step(u.columns, obs, alpha, bypass_gate)
+    omega, values, latent_s = _arrays(obs, u.n)
+    verdict, fit, rotation = _step(u.columns, omega, values, alpha, bypass_gate)
     sigma, eta, clamped, w, p, r = (0.0, 0.0, False, None, None, None) if fit is None else fit[2:]
     u_next = u if rotation is None else _rotated(u, *rotation)
     rec = StepRecord(
@@ -295,7 +287,7 @@ def grouse_step(
         sigma=sigma,
         eta=eta,
         clamped=clamped,
-        theta=_revealed_theta(u.columns, ubar, obs),
+        theta=_revealed_theta(u.columns, ubar, latent_s),
         epsilon_before=None if ubar is None else epsilon_residual(u, ubar),
         epsilon_after=None if ubar is None else epsilon_residual(u_next, ubar),
     )
@@ -319,27 +311,29 @@ def run_stream(
     ``ubar`` raises ValueError before any observation is read; an
     observation of another n raises ValueError at its step.
     """
-    return _run_stream(u0, stream, alpha, ubar, bypass_gate)[0]
+    arrays = (_arrays(obs, u0.n) for obs in stream)
+    return _run_stream(u0, arrays, alpha, ubar, bypass_gate)[0]
 
 
 def _run_stream(
     u0: Basis, stream, alpha: float, ubar: Basis | None, bypass_gate: bool, record: bool = True
 ):
-    """:func:`run_stream`, also returning the final owned buffer: ``(result, cols)``.
+    """:func:`run_stream` over checked observations' arrays ``(omega, values, latent_s)``.
 
-    Without ``ubar`` no per-step epsilon or revealed angle is measured, so a
-    caller that needs epsilon only at the ends measures ``u0`` and ``cols``.
-    With ``record`` False no per-step row is kept and the result is None,
-    so a bypassed gate is not evaluated: no row would hold its verdict.
+    Returns ``(result, cols)``, ``cols`` the final owned buffer.  Without
+    ``ubar`` no per-step epsilon or revealed angle is measured, so a caller
+    that needs epsilon only at the ends measures ``u0`` and ``cols``.  With
+    ``record`` False no per-step row is kept and the result is None, so a
+    bypassed gate is not evaluated: no row would hold its verdict.
     """
     _check_alpha(alpha)
     if ubar is not None:
         _check_pair(u0, ubar)
     cols = np.array(u0.columns)
     track = _Trajectory(cols, None if ubar is None else ubar.columns, maintained=False)
-    for obs in stream:
-        theta = _revealed_theta(cols, ubar, obs)  # against the basis the step starts from
-        verdict, fit, rotation = _step(cols, obs, alpha, bypass_gate, record)
+    for omega, values, latent_s in stream:
+        theta = _revealed_theta(cols, ubar, latent_s)  # against the basis the step starts from
+        verdict, fit, rotation = _step(cols, omega, values, alpha, bypass_gate, record)
         row = None
         if record:
             norm_r, norm_p = (0.0, 0.0) if fit is None else fit[:2]

@@ -142,7 +142,7 @@ def test_trajectory_round_trip_precision(tmp_path):
 def _angle_free_trial(spec, with_target):
     # observations without their latent coefficients reveal no angle: theta is NaN
     ubar, u0 = generate_problem(spec)
-    stream = (Observation(n=o.n, omega=o.omega, values=o.values) for o in _observation_stream(spec, ubar))
+    stream = (Observation(spec.n, omega, values) for omega, values, _ in _observation_stream(spec, ubar))
     return run_stream(u0, stream, alpha=spec.alpha, ubar=ubar if with_target else None)
 
 
@@ -334,6 +334,7 @@ _VALID_ARGV = {
         "validate-concentration --delta 0",
         "validate-residual --trials 0",
         "validate-residual --omega_size 3",
+        "validate-residual --omega_size 4",
         "validate-expectation --trials 1",
         "skip-rate --trials 0",
     ],

@@ -261,9 +261,10 @@ def test_gram_concentration_rejects_delta_outside_unit_interval(delta):
         validate_gram_concentration(u, 80, delta, 10, 1)
 
 
-@pytest.mark.parametrize("omega_size", [1, 3])
+@pytest.mark.parametrize("omega_size", [1, 3, 4])
 def test_residual_bound_rejects_omega_size_below_d(omega_size):
-    # fewer sampled rows than d can never determine the least-squares fit
+    # fewer sampled rows than d can never determine the least-squares fit,
+    # and d rows fit exactly: a zero residual against a vacuous bound
     u, ubar = pair_with_epsilon(40, 4, 0.1, seed=1)
     with pytest.raises(ValueError, match="omega_size must be at least d"):
         validate_residual_bound(u, ubar, omega_size, 0.1, 5, 1)

@@ -208,29 +208,28 @@ def test_recorded_bypassed_stream_evaluates_every_gate(monkeypatch):
     spec = ProblemSpec(n=100, d=4, q=30, iters=40, seed=5)
     ubar, u0 = generate_problem(spec)
     calls = _count_calls(monkeypatch, partial_data, "_gate")
-    result = partial_data.run_stream(u0, _observation_stream(spec, ubar), ubar=ubar, bypass_gate=True)
+    stream = (Observation(spec.n, *draw) for draw in _observation_stream(spec, ubar))
+    result = partial_data.run_stream(u0, stream, ubar=ubar, bypass_gate=True)
     assert len(calls) == 40
     # each recorded verdict is the gate's own: some steps fail it, all are taken
     assert result.taken.all() and 0 < result.gate_passed.sum() < 40
 
 
-def test_harness_observations_are_built_without_the_checks(monkeypatch):
+def test_harness_draws_are_in_the_checked_form(monkeypatch):
     spec = ProblemSpec(n=300, d=5, q=20, iters=25, seed=8)
     ubar, _ = generate_problem(spec)
     calls = _count_calls(monkeypatch, Observation, "__post_init__")
     stream = list(_observation_stream(spec, ubar))
+    # the harness streams bare arrays: drawing builds no Observation
     assert not calls
     monkeypatch.undo()
-    for obs in stream:
-        checked = Observation(n=obs.n, omega=obs.omega, values=obs.values, latent_s=obs.latent_s)
-        assert type(obs) is Observation and obs.n == checked.n == spec.n
-        for name in ("omega", "values", "latent_s"):
-            trusted, held = getattr(obs, name), getattr(checked, name)
-            # the checks convert nothing: the checked Observation holds the same array
-            assert held is trusted
-            assert (trusted.dtype, trusted.shape) == (held.dtype, held.shape)
-            assert trusted.tobytes() == held.tobytes()
-        assert obs.omega.dtype == np.int64 and obs.values.dtype == obs.latent_s.dtype == np.float64
+    assert len(stream) == spec.iters
+    for draw in stream:
+        omega, values, latent_s = draw
+        assert omega.dtype == np.int64 and values.dtype == latent_s.dtype == np.float64
+        checked = Observation(spec.n, *draw)
+        # the checks convert nothing: the checked Observation holds the very same arrays
+        assert checked.omega is omega and checked.values is values and checked.latent_s is latent_s
 
 
 def test_sweep_phase_transition_shape_desk_scale():

@@ -569,6 +569,8 @@ def test_grouse_step_rejects_dimension_mismatch():
         grouse_step(u, obs, 1.0)
     with pytest.raises(ValueError, match="dimensions differ"):
         grouse_step(u, obs, 1.0, bypass_gate=True)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        partial_residual(u, obs)
     with pytest.raises(ValueError, match="dimensions"):
         run_stream(u, [], ubar=random_basis(30, 3, 1))
     fits = Observation(n=20, omega=np.arange(20), values=u.columns @ [1.0, 0.5, -2.0])
