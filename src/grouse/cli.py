@@ -1,7 +1,8 @@
 """Command-line front end: reproducible runs, sweeps and validation reports.
 
 Every stochastic verb requires an explicit --seed (no wall-clock seeding),
-so repeating an invocation reproduces its output file exactly.  Exit codes:
+so repeating an invocation reproduces its output file exactly, at any BLAS
+thread count (:func:`main` runs the verb on one OpenBLAS thread).  Exit codes:
 0 success, 1 I/O failure, 2 usage error, 3 numerical error.  The parser
 checks only syntax; every range rule (dimensions, alpha, delta, trials,
 seed) is the library's, whose ValueError becomes exit code 2 with its
@@ -32,7 +33,7 @@ from .harness import (
     write_problem_spec,
     write_sweep_csv,
 )
-from .linalg import NumericalError
+from .linalg import NumericalError, _one_blas_thread
 from .results import _FLOAT, _INT, _write_table, write_trajectory_csv
 
 # The one-row summary tables of validate-expectation and skip-rate.
@@ -221,8 +222,10 @@ def execute(cmd: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    """Parse ``argv`` and run its command on one BLAS thread (``linalg._one_blas_thread``)."""
     cmd = parse_args(sys.argv[1:] if argv is None else argv)
-    return execute(cmd)
+    with _one_blas_thread():
+        return execute(cmd)
 
 
 if __name__ == "__main__":

@@ -13,13 +13,15 @@ cells and trials can run in any order or in parallel.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .full_data import run_full
-from .linalg import orthonormalize
+from .linalg import _one_blas_thread, orthonormalize
 from .metrics import Basis, _residual_energy
 from .partial_data import _check_alpha, _run_stream
 from .results import (
@@ -314,44 +316,76 @@ def sweep_phase(
     Infeasible cells (d < 1 or d >= n or q < d or q > n) are emitted with
     zero trials and NaN statistics as the skip marker.  Trial seeds derive
     from (seed, n, d, q, trial), so any execution order gives identical
-    output.
+    output.  The trials of all cells run as one task list, in forked worker
+    processes (as many as the process may use CPUs) or in-process (see
+    ``_trial_xs``).  Every trial runs on one BLAS thread, and each cell's
+    ``x_values`` hold its trials' X in trial order, the same bits either way.
     """
     if trials_per_cell < 1:
         raise ValueError("trials_per_cell must be at least 1")
     _check_run(iters, seed, alpha, init_noise_std)
+    grid = [(n, d, q, 0 < d < n and d <= q <= n) for n in ns for d in ds for q in qs]
+    specs = [
+        ProblemSpec(
+            n=n,
+            d=d,
+            q=q,
+            iters=iters,
+            seed=_child_seed(seed, n, d, q, trial),
+            alpha=alpha,
+            init_noise_std=init_noise_std,
+        )
+        for n, d, q, feasible in grid
+        if feasible
+        for trial in range(trials_per_cell)
+    ]
+    with _one_blas_thread():
+        xs = iter(_trial_xs(specs, bypass_gate))
     cells = []
-    for n in ns:
-        for d in ds:
-            for q in qs:
-                if not (0 < d < n and d <= q <= n):
-                    cells.append(
-                        SweepCell(n, d, q, 0, float("nan"), float("nan"))
-                    )
-                    continue
-                xs = np.empty(trials_per_cell)
-                for trial in range(trials_per_cell):
-                    spec = ProblemSpec(
-                        n=n,
-                        d=d,
-                        q=q,
-                        iters=iters,
-                        seed=_child_seed(seed, n, d, q, trial),
-                        alpha=alpha,
-                        init_noise_std=init_noise_std,
-                    )
-                    xs[trial] = _sweep_trial_x(spec, bypass_gate)
-                cells.append(
-                    SweepCell(
-                        n,
-                        d,
-                        q,
-                        trials_per_cell,
-                        float(np.nanmean(xs)),
-                        float(np.nanstd(xs, ddof=1)) if trials_per_cell > 1 else 0.0,
-                        x_values=xs,
-                    )
-                )
+    for n, d, q, feasible in grid:
+        if not feasible:
+            cells.append(SweepCell(n, d, q, 0, float("nan"), float("nan")))
+            continue
+        x_values = np.array(list(itertools.islice(xs, trials_per_cell)), dtype=float)
+        cells.append(
+            SweepCell(
+                n,
+                d,
+                q,
+                trials_per_cell,
+                float(np.nanmean(x_values)),
+                float(np.nanstd(x_values, ddof=1)) if trials_per_cell > 1 else 0.0,
+                x_values=x_values,
+            )
+        )
     return cells
+
+
+def _trial_xs(specs, bypass_gate: bool) -> list:
+    """``_sweep_trial_x`` of every spec, in spec order.
+
+    The tasks go one at a time to forked workers, so cells of mixed sizes
+    still balance; the workers inherit the caller's BLAS thread count.  With
+    one worker, or without ``fork`` or a CPU affinity to count, the loop runs
+    in-process.  A trial's exception reaches the caller with its type and
+    message.
+    """
+    # imported here, so that ``import grouse`` does not load the pool machinery
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(specs), cpus)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_sweep_trial_x(spec, bypass_gate) for spec in specs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # forked, not spawned: a spawned worker would import numpy and scipy
+    # afresh, about as long as a whole sweep cell takes
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_sweep_trial_x, specs, itertools.repeat(bypass_gate)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # The sweep table: one row per grid cell, in SweepCell field order.

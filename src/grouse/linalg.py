@@ -12,10 +12,20 @@ array runs through one kernel each, :func:`_qr`, :func:`_lstsq` and
 :func:`_sv`, and each calls LAPACK directly, bitwise the numpy or scipy
 routine it replaces.  The public routines reach them after their boundary
 checks; callers that hold already-checked arrays call them directly.
+
+:func:`_one_blas_thread` runs a block on one OpenBLAS thread, so that its
+products give the same bits whatever thread count the process started with.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork, dorgqr, dtrtrs
 
 # Fixed tolerances, 100-1000x double eps, relative to the largest entry.
@@ -25,9 +35,62 @@ RANK_RTOL = 1e-13
 # The smallest normal double: the floor of a rank check's scale.
 _TINY = np.finfo(float).tiny
 
+# The OpenBLAS builds bundled with numpy and with scipy: the package, the
+# library's file pattern beside the package directory, and the thread-count
+# setter and getter it exports.
+_OPENBLAS = (
+    (np, "numpy.libs/libscipy_openblas64_*.so",
+     "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    (scipy, "scipy.libs/libscipy_openblas-*.so",
+     "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
 
 class NumericalError(ValueError):
     """A numerically singular or degenerate input reached a kernel routine."""
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(setter, getter) of each bundled OpenBLAS library that exports both symbols.
+
+    The libraries are already loaded by numpy and scipy, so opening the same
+    file again returns the loaded copy.  A missing file or symbol leaves that
+    library out.
+    """
+    controls = []
+    for package, pattern, set_name, get_name in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in glob.glob(os.path.join(site, pattern)):
+            lib = ctypes.CDLL(path)
+            if not (hasattr(lib, set_name) and hasattr(lib, get_name)):
+                continue
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            controls.append((setter, getter))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every bundled OpenBLAS library on one thread.
+
+    Yields the thread counts found on entry, one per library, and restores
+    them on exit.  A product splits its inner dimension by the thread count,
+    so pinning one thread makes results the same bits at any
+    ``OPENBLAS_NUM_THREADS``.  Where neither library is found this pins
+    nothing and yields an empty tuple.
+    """
+    controls = _openblas_thread_controls()
+    previous = tuple(getter() for _, getter in controls)
+    for setter, _ in controls:
+        setter(1)
+    try:
+        yield previous
+    finally:
+        for (setter, _), count in zip(controls, previous):
+            setter(count)
 
 
 def _as_matrix(a) -> np.ndarray:

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,3 +394,31 @@ def test_help_exits_zero(capsys):
         cli.parse_args(["--help"])
     assert exc.value.code == 0
     assert "grouse" in capsys.readouterr().out
+
+
+def _cli_at_blas_threads(argv, threads, out) -> str:
+    """Run ``grouse <argv> --out <out>`` in a child process at this OpenBLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grouse.cli", *argv.split(), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n d^2 above _EXACT_EPS_LIMIT: epsilon from the maintained U^T ubar product
+        "full --n 1500 --d 40 --iters 300 --seed 7",
+        "full --n 2000 --d 10 --iters 300 --seed 7",
+        # q=40 > n=30 is an infeasible marker cell
+        "sweep --n 30,200 --d 3 --q 3,12,40 --trials 3 --iters 60 --seed 18",
+    ],
+)
+def test_outputs_do_not_depend_on_the_blas_thread_count(argv, tmp_path):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert _cli_at_blas_threads(argv, 1, one) == _cli_at_blas_threads(argv, 2, two)
+    assert one.read_bytes() == two.read_bytes()

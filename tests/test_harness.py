@@ -1,9 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from grouse import partial_data
+from grouse import cli, harness, partial_data
 from grouse.harness import (
     ProblemSpec,
     _child_seed,
@@ -22,6 +23,7 @@ from grouse.harness import (
     write_problem_spec,
     write_sweep_csv,
 )
+from grouse.linalg import NumericalError
 from grouse.metrics import coherence_basis, epsilon
 from grouse.partial_data import Observation
 
@@ -195,9 +197,52 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def _see_one_cpu(monkeypatch) -> None:
+    """Make the harness see one CPU for this test, so sweep trials run in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.mark.parametrize("bypass_gate", [False, True])
+def test_sweep_workers_give_the_in_process_bits(monkeypatch, tmp_path, bypass_gate):
+    # n=5 makes the q=20 and q=60 cells infeasible markers between feasible ones
+    args = ([60, 5, 200], [4], [4, 20, 60], 3, 40, 26)
+    in_workers = sweep_phase(*args, bypass_gate=bypass_gate)
+    write_sweep_csv(tmp_path / "workers.csv", in_workers)
+    _see_one_cpu(monkeypatch)
+    in_process = sweep_phase(*args, bypass_gate=bypass_gate)
+    write_sweep_csv(tmp_path / "in_process.csv", in_process)
+    assert [c.trials for c in in_process] == [3, 3, 3, 3, 0, 0, 3, 3, 3]
+    for a, b in zip(in_workers, in_process, strict=True):
+        assert (a.n, a.d, a.q, a.trials) == (b.n, b.d, b.q, b.trials)
+        assert a.x_values.tobytes() == b.x_values.tobytes()
+    assert (tmp_path / "workers.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+
+
+@pytest.mark.parametrize("in_process", [False, True])
+def test_sweep_trial_error_reaches_the_caller(monkeypatch, tmp_path, capsys, in_process):
+    # the pool pickles _sweep_trial_x by name, so patch a function it calls
+    def singular(spec):
+        raise NumericalError("singular trial")
+
+    monkeypatch.setattr(harness, "generate_problem", singular)
+    if in_process:
+        _see_one_cpu(monkeypatch)
+    with pytest.raises(NumericalError, match="^singular trial$") as exc:
+        sweep_phase([60], [3], [10, 30], trials_per_cell=2, iters=5, seed=1)
+    assert type(exc.value) is NumericalError
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--n", "60", "--d", "3", "--q", "10,30", "--trials", "2", "--iters", "5",
+            "--seed", "1", "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "numerical error: singular trial\n"
+
+
 @pytest.mark.parametrize("bypass_gate, per_step", [(True, 0), (False, 1)])
 def test_sweep_trial_evaluates_the_gate_only_when_it_decides(monkeypatch, bypass_gate, per_step):
-    # a bypassed sweep trial keeps no verdict, so it evaluates no gate
+    # a bypassed sweep trial keeps no verdict, so it evaluates no gate; the
+    # calls are counted in this process, so the trials must run here
+    _see_one_cpu(monkeypatch)
     calls = _count_calls(monkeypatch, partial_data, "_gate")
     trials, iters = 2, 30
     sweep_phase([100], [4], [12], trials, iters, seed=3, bypass_gate=bypass_gate)

@@ -9,6 +9,8 @@ from grouse.concentration import validate_residual_bound
 from grouse.linalg import (
     NumericalError,
     _lstsq,
+    _one_blas_thread,
+    _openblas_thread_controls,
     _qr,
     _sv,
     least_squares,
@@ -244,3 +246,21 @@ def test_rank_deficient_input_raises_each_callers_message():
     ubar = Basis(np.eye(40, 2, k=-2))
     with pytest.raises(NumericalError, match="^singular normal equations$"):
         validate_residual_bound(u, ubar, omega_size=3, delta=0.1, trials=20, seed=0)
+
+
+def test_one_blas_thread_pins_both_bundled_openblas_libraries_and_restores():
+    # numpy and scipy each bundle an OpenBLAS; scipy's serves the LAPACK kernels
+    controls = _openblas_thread_controls()
+    assert len(controls) == 2
+    initial = [getter() for _, getter in controls]
+    try:
+        for setter, _ in controls:
+            setter(2)
+        entry = tuple(getter() for _, getter in controls)
+        with _one_blas_thread() as previous:
+            assert previous == entry
+            assert [getter() for _, getter in controls] == [1, 1]
+        assert tuple(getter() for _, getter in controls) == entry
+    finally:
+        for (setter, _), count in zip(controls, initial):
+            setter(count)
