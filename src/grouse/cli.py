@@ -53,6 +53,12 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _add_ints(sub, *names):
+    """One required integer flag per name; its range rule is the library's."""
+    for name in names:
+        sub.add_argument(f"--{name}", type=int, required=True)
+
+
 def _add_problem_flags(sub, with_q: bool):
     sub.add_argument("--n", type=int, required=True, help="ambient dimension")
     sub.add_argument("--d", type=int, required=True, help="subspace dimension")
@@ -99,12 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="sweep CSV path")
 
     conc = add_verb("validate-concentration", help="sampled-Gram eigenvalue window check")
-    conc.add_argument("--n", type=int, required=True)
-    conc.add_argument("--d", type=int, required=True)
-    conc.add_argument("--omega_size", type=int, required=True)
+    _add_ints(conc, "n", "d", "omega_size")
     conc.add_argument("--delta", type=float, required=True)
-    conc.add_argument("--trials", type=int, required=True)
-    conc.add_argument("--seed", type=int, required=True)
+    _add_ints(conc, "trials", "seed")
     conc.add_argument(
         "--basis", choices=("incoherent", "gaussian"), default="incoherent",
         help="test-basis construction",
@@ -112,29 +115,21 @@ def build_parser() -> argparse.ArgumentParser:
     conc.add_argument("--out", required=True, help="per-trial report CSV path")
 
     resid = add_verb("validate-residual", help="sampled-residual lower bound check")
-    resid.add_argument("--n", type=int, required=True)
-    resid.add_argument("--d", type=int, required=True)
+    _add_ints(resid, "n", "d")
     resid.add_argument("--epsilon", type=float, required=True, help="pair error metric")
-    resid.add_argument("--omega_size", type=int, required=True)
+    _add_ints(resid, "omega_size")
     resid.add_argument("--delta", type=float, required=True)
-    resid.add_argument("--trials", type=int, required=True)
-    resid.add_argument("--seed", type=int, required=True)
+    _add_ints(resid, "trials", "seed")
     resid.add_argument("--out", required=True, help="per-trial report CSV path")
 
     expect = add_verb("validate-expectation", help="E[sin^2 theta] = epsilon/d check")
-    expect.add_argument("--n", type=int, required=True)
-    expect.add_argument("--d", type=int, required=True)
+    _add_ints(expect, "n", "d")
     expect.add_argument("--epsilon", type=float, required=True, help="pair error metric")
-    expect.add_argument("--trials", type=int, required=True)
-    expect.add_argument("--seed", type=int, required=True)
+    _add_ints(expect, "trials", "seed")
     expect.add_argument("--out", required=True, help="summary CSV path")
 
     skip = add_verb("skip-rate", help="gate failure rate on algorithm-mode samples")
-    skip.add_argument("--n", type=int, required=True)
-    skip.add_argument("--d", type=int, required=True)
-    skip.add_argument("--q", type=int, required=True)
-    skip.add_argument("--trials", type=int, required=True)
-    skip.add_argument("--seed", type=int, required=True)
+    _add_ints(skip, "n", "d", "q", "trials", "seed")
     skip.add_argument(
         "--epsilon", type=float, default=1e-4,
         help="error metric of the near-solution basis",

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _lstsq
-from .metrics import Basis, coherence_basis, coherence_vector, epsilon_residual
+from .linalg import _count, _lstsq, _rng
+from .metrics import Basis, _dims, coherence_basis, coherence_vector, epsilon_residual
 from .partial_data import _gate, gate_check
 from .results import _FLAG, _FLOAT, _INT, _read_table, _write_table
 
@@ -79,20 +79,17 @@ class MuXtSummary:
 
 def sample_with_replacement(n: int, m: int, seed: int) -> np.ndarray:
     """m iid uniform draws from {0..n-1}; deterministic under seed."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    return np.random.default_rng(seed).integers(0, n, size=m)
-
-
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _count("n", n, 1)
+    _count("m", m, 1)
+    return _rng(seed).integers(0, n, size=m)
 
 
 def gamma_bound(d: int, mu: float, omega_size: int, delta: float) -> float:
     """Half-width sqrt((8 d mu / (3 |omega|)) log(2d/delta)) of the window."""
-    if d < 1 or mu <= 0 or omega_size < 1 or not 0.0 < delta < 1.0:
-        raise ValueError("need positive d, mu, omega_size and delta in (0,1)")
+    _count("d", d, 1)
+    _count("omega_size", omega_size, 1)
+    if mu <= 0 or not 0.0 < delta < 1.0:
+        raise ValueError("need positive mu and delta in (0,1)")
     return math.sqrt(8.0 * d * mu / (3.0 * omega_size) * math.log(2.0 * d / delta))
 
 
@@ -105,13 +102,13 @@ def validate_gram_concentration(
     rate is guaranteed at most delta; the report flags hypothesis_met=False
     (and is still produced) when omega_size is below the hypothesis.
     """
-    _require_trials(trials)
+    _count("trials", trials, 1)
     mu = coherence_basis(u)
     gamma = gamma_bound(u.d, mu, omega_size, delta)
     hypothesis_met = omega_size > 8.0 / 3.0 * u.d * mu * math.log(2.0 * u.d / delta)
     low = (1.0 - gamma) * omega_size / u.n
     high = (1.0 + gamma) * omega_size / u.n
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     eig_min = np.empty(trials)
     eig_max = np.empty(trials)
     for t in range(trials):
@@ -146,10 +143,9 @@ def validate_residual_bound(
     omega_size > d: fewer sampled rows can never determine the fit, and d
     rows fit exactly, leaving a zero residual and a vacuous bound.
     """
-    _require_trials(trials)
-    if omega_size <= u.d:
-        raise ValueError("omega_size must be at least d + 1")
-    rng = np.random.default_rng(seed)
+    _count("omega_size", omega_size, u.d + 1, "d + 1")
+    _count("trials", trials, 1)
+    rng = _rng(seed)
     d, n = u.d, u.n
     mu_u = coherence_basis(u)
     gamma = gamma_bound(d, mu_u, omega_size, delta)
@@ -201,12 +197,9 @@ def validate_residual_bound(
 
 def estimate_skip_rate(u: Basis, q: int, trials: int, seed: int) -> float:
     """Fraction of algorithm-mode samples (without replacement) failing the gate."""
-    if q < u.d:
-        raise ValueError("q must be at least d")
-    if q > u.n:
-        raise ValueError("q cannot exceed n")
-    _require_trials(trials)
-    rng = np.random.default_rng(seed)
+    _dims(u.n, u.d, q)
+    _count("trials", trials, 1)
+    rng = _rng(seed)
     fails = 0
     for _ in range(trials):
         idx = np.sort(rng.choice(u.n, size=q, replace=False))
@@ -220,9 +213,8 @@ def validate_sin_sq_expectation(u: Basis, ubar: Basis, trials: int, seed: int):
 
     The mean should sit within a few standard errors of epsilon/d.
     """
-    if trials < 2:
-        raise ValueError("need at least two trials")
-    rng = np.random.default_rng(seed)
+    _count("trials", trials, 2)
+    rng = _rng(seed)
     vals = np.empty(trials)
     done = 0
     while done < trials:
@@ -246,10 +238,10 @@ def mu_xt_diagnostics(
     is observed to grow like log(n).  Reported against the two analysis
     thresholds for the supplied sampling constant c1; no assertion is made.
     """
+    _count("trials", trials, 1)
     if epsilon_residual(u, ubar) <= 1e-24:
         raise ValueError("bases coincide: residual direction undefined")
-    _require_trials(trials)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n, d = u.n, u.d
     mu_ubar = coherence_basis(ubar)
     mus = np.empty(trials)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _as_vector, _count
 from .metrics import Basis, _check_pair, epsilon_residual
 from .partial_data import _rotate, _rotated
 from .results import TrialResult, _Trajectory
@@ -77,7 +78,7 @@ def predicted_decrease(u: Basis, ubar: Basis, v, eta: float) -> float:
     decrease possible).
     """
     _check_pair(u, ubar)
-    return _decrease(_split(u.columns, np.asarray(v, dtype=float)), ubar.columns, eta)
+    return _decrease(_split(u.columns, _as_vector(v)), ubar.columns, eta)
 
 
 def _decrease(split, target: np.ndarray, eta: float) -> float:
@@ -102,9 +103,8 @@ def full_step(u: Basis, v, ubar: Basis):
     (theta = 0) or is orthogonal to it (theta = pi/2) the basis is returned
     unchanged; the decrease is exactly zero at those endpoints.
     """
-    v = np.asarray(v, dtype=float)
-    norm_v = math.sqrt(v.dot(v))
-    if norm_v == 0.0:
+    v = _as_vector(v)
+    if v.dot(v) == 0.0:
         raise ValueError("observation vector is zero")
     split = _split(u.columns, v)
     w, p, r, _, norm_p, norm_r, theta = split
@@ -128,7 +128,7 @@ def psi_diagnostic(u: Basis, ubar: Basis, s) -> float:
     that frame, psi = sum(s~_i^2 sin^2 phi_i) / sum(s~_i^2).  Test-side
     diagnostic; not part of the step records.
     """
-    s = np.asarray(s, dtype=float)
+    s = _as_vector(s)
     left, sigma, _ = np.linalg.svd(ubar.columns.T @ u.columns)
     s_rot = left.T @ s
     sin_sq = 1.0 - np.clip(sigma, 0.0, 1.0) ** 2
@@ -156,8 +156,7 @@ def run_full(
     replaces it at the fixed re-orthonormalization cadence and on excess
     drift.  An identity step reuses the last drift check and epsilon.
     """
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
+    _count("iters", iters, 0)
     _check_pair(u0, ubar)
     rng = np.random.default_rng(seed)
     cols = np.array(u0.columns)

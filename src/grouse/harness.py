@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .full_data import run_full
-from .linalg import _one_blas_thread, orthonormalize
-from .metrics import Basis, _residual_energy
+from .linalg import _count, _one_blas_thread, _rng, orthonormalize
+from .metrics import Basis, _dims, _residual_energy
 from .partial_data import _check_alpha, _run_stream
 from .results import (
     _FLOAT,
@@ -45,7 +45,11 @@ EPSILON_FLOOR = 1e-24
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Dimensions, sampling size, step factor and seed of one experiment."""
+    """Dimensions, sampling size, step factor and seed of one experiment.
+
+    n, d, q (unless "full"), iters and seed are integers, never bools, so
+    that the spec file reads back equal.
+    """
 
     n: int
     d: int
@@ -56,27 +60,15 @@ class ProblemSpec:
     init_noise_std: float = 0.5
 
     def __post_init__(self):
-        # a bool is an int, but its spec file line would not read back
-        for name in ("n", "d", "q", "iters", "seed"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be an integer, not a bool")
-        if not 0 < self.d < self.n:
-            raise ValueError("need 0 < d < n")
-        if self.q != "full":
-            if not isinstance(self.q, (int, np.integer)):
-                raise ValueError('q must be an integer or "full"')
-            if not self.d <= self.q <= self.n:
-                raise ValueError("need d <= q <= n")
+        _dims(self.n, self.d, None if self.q == "full" else self.q)
         _check_run(self.iters, self.seed, self.alpha, self.init_noise_std)
 
 
 def _check_run(iters: int, seed: int, alpha: float, init_noise_std: float) -> None:
     """The rules a run's scalar settings obey, whatever its dimensions."""
     _check_alpha(alpha)
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    _count("iters", iters, 1)
+    _count("seed", seed, 0)
     if not 0.0 <= init_noise_std < math.inf:
         raise ValueError("init_noise_std must be finite and nonnegative")
 
@@ -104,9 +96,8 @@ def _child_seed(*keys) -> int:
 
 def random_basis(n: int, d: int, seed: int) -> Basis:
     """Orthonormalized iid standard normal n x d matrix."""
-    if not 0 < d < n:
-        raise ValueError("need 0 < d < n")
-    rng = np.random.default_rng(seed)
+    _dims(n, d)
+    rng = _rng(seed)
     return Basis(orthonormalize(rng.standard_normal((n, d))))
 
 
@@ -123,9 +114,8 @@ def incoherent_basis(n: int, d: int, seed: int) -> Basis:
     Columns are d distinct discrete-cosine harmonics with random signs, so
     every row carries about d/n of the total energy.
     """
-    if not 0 < d < n:
-        raise ValueError("need 0 < d < n")
-    rng = np.random.default_rng(seed)
+    _dims(n, d)
+    rng = _rng(seed)
     # the frame's draws come first, then the signs
     return Basis(_cosine_frame(rng, n, d) * rng.choice([-1.0, 1.0], size=d))
 
@@ -162,11 +152,13 @@ def pair_with_epsilon(
     matrix is not trivially diagonal.  ``frame="incoherent"`` tilts within a
     flat cosine-harmonic frame instead, keeping both bases at low coherence.
     """
+    _count("n", n)
+    _count("d", d)
     if d < 1 or n < 2 * d:
         raise ValueError("need d >= 1 and n >= 2d to tilt into the complement")
     if not 0.0 <= eps <= d:
         raise ValueError("eps must lie in [0, d]")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if frame == "gaussian":
         cols = orthonormalize(rng.standard_normal((n, 2 * d)))
     elif frame == "incoherent":
@@ -199,10 +191,10 @@ def fit_x(
     Negative X is legal and signals divergence (eps_N > eps_0); nonpositive
     epsilon values are an error.
     """
+    for name, count in (("n", n), ("d", d), ("q", q), ("iters", iters)):
+        _count(name, count, 1)
     if epsilon0 <= 0.0 or epsilonN <= 0.0:
         raise ValueError("epsilon values must be positive")
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
     return (1.0 - (epsilonN / epsilon0) ** (1.0 / iters)) * n * d / q
 
 
@@ -313,17 +305,18 @@ def sweep_phase(
 ) -> list[SweepCell]:
     """Mean fitted X over seeded trials for every (n, d, q) grid cell.
 
-    Infeasible cells (d < 1 or d >= n or q < d or q > n) are emitted with
-    zero trials and NaN statistics as the skip marker.  Trial seeds derive
-    from (seed, n, d, q, trial), so any execution order gives identical
-    output.  The trials of all cells run as one task list, in forked worker
-    processes (as many as the process may use CPUs) or in-process (see
-    ``_trial_xs``).  Every trial runs on one BLAS thread, and each cell's
+    Every grid value is an integer.  Infeasible cells (d < 1 or d >= n or
+    q < d or q > n) are emitted with zero trials and NaN statistics as the
+    skip marker.  Trial seeds derive from (seed, n, d, q, trial), so any
+    execution order gives identical output.  The trials of all cells run
+    as one task list, in forked worker processes (as many as the process
+    may use CPUs) or in-process (see ``_trial_xs``).  Every trial runs on one BLAS thread, and each cell's
     ``x_values`` hold its trials' X in trial order, the same bits either way.
     """
-    if trials_per_cell < 1:
-        raise ValueError("trials_per_cell must be at least 1")
+    _count("trials_per_cell", trials_per_cell, 1)
     _check_run(iters, seed, alpha, init_noise_std)
+    for name, value in [("n", n) for n in ns] + [("d", d) for d in ds] + [("q", q) for q in qs]:
+        _count(name, value)
     grid = [(n, d, q, 0 < d < n and d <= q <= n) for n in ns for d in ds for q in qs]
     specs = [
         ProblemSpec(

@@ -15,6 +15,11 @@ checks; callers that hold already-checked arrays call them directly.
 
 :func:`_one_blas_thread` runs a block on one OpenBLAS thread, so that its
 products give the same bits whatever thread count the process started with.
+
+The library's argument rules live here too, each in one helper that raises
+``ValueError`` before the argument reaches numpy: :func:`_count` for counts
+and seeds (:func:`_rng` turns a checked seed into a generator),
+:func:`_as_matrix` and :func:`_as_vector` for finite arrays.
 """
 from __future__ import annotations
 
@@ -91,6 +96,24 @@ def _one_blas_thread():
     finally:
         for (setter, _), count in zip(controls, previous):
             setter(count)
+
+
+def _count(name: str, value, floor: int | None = None, floor_text: str | None = None) -> None:
+    """The count rule: ``value`` is an ``int`` or ``np.integer``, not a bool, at least ``floor``.
+
+    Raises ``ValueError`` naming ``name`` otherwise; ``floor`` None checks
+    the type alone, and ``floor_text`` spells the floor in the message.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not a {type(value).__name__}")
+    if floor is not None and value < floor:
+        raise ValueError(f"{name} must be at least {floor_text or floor}")
+
+
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for a seed obeying the count rule, an integer >= 0."""
+    _count("seed", seed, 0)
+    return np.random.default_rng(seed)
 
 
 def _as_matrix(a) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, nearest_orthogonal, singular_values
+from .linalg import NumericalError, _as_vector, _count, nearest_orthogonal, singular_values
 
 # How far a Basis may drift from orthonormal, and the fixed number of steps
 # between the stream drivers' re-orthonormalizations.
@@ -51,15 +51,28 @@ def _hold(basis: Basis, columns: np.ndarray) -> None:
     """Check a float array as :class:`Basis` checks its copy, then freeze it as ``basis.columns``."""
     if columns.ndim != 2:
         raise ValueError("basis must be a 2-d array")
-    n, d = columns.shape
-    if not 0 < d < n:
-        raise ValueError("basis needs 0 < d < n")
+    _dims(*columns.shape)
     if not np.all(np.isfinite(columns)):
         raise ValueError("basis entries must be finite")
     if orthonormality_drift(columns) > BASIS_DRIFT_TOL:
         raise ValueError("columns are not orthonormal within drift budget")
     columns.flags.writeable = False
     object.__setattr__(basis, "columns", columns)
+
+
+def _dims(n, d, q=None) -> None:
+    """The (n, d) rule: integer 0 < d < n, and with a sample size ``q``, integer d <= q <= n.
+
+    Each of n, d and q obeys ``linalg._count``; ValueError otherwise.
+    """
+    _count("n", n)
+    _count("d", d)
+    if not 0 < d < n:
+        raise ValueError("need 0 < d < n")
+    if q is not None:
+        _count("q", q)
+        if not d <= q <= n:
+            raise ValueError("need d <= q <= n")
 
 
 def _adopt(columns: np.ndarray) -> Basis:
@@ -146,7 +159,7 @@ def coherence_basis(u: Basis) -> float:
 
 def coherence_vector(x) -> float:
     """n ||x||_inf^2 / ||x||_2^2; in [1, n]."""
-    x = np.asarray(x, dtype=float)
+    x = _as_vector(x)
     nrm_sq = float(x @ x)
     if nrm_sq == 0.0:
         raise ValueError("undefined coherence: zero vector")
@@ -155,7 +168,7 @@ def coherence_vector(x) -> float:
 
 def revealed_angle_sin_sq(u: Basis, v) -> float:
     """sin^2 of the angle between v and the span of u, in [0, 1]."""
-    return _sin_sq(u.columns, np.asarray(v, dtype=float))
+    return _sin_sq(u.columns, _as_vector(v))
 
 
 def _sin_sq(cols: np.ndarray, v: np.ndarray) -> float:

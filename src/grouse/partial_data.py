@@ -20,7 +20,7 @@ import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
-from .linalg import NumericalError, _lstsq, _sv, least_squares  # noqa: F401
+from .linalg import NumericalError, _as_vector, _count, _lstsq, _sv, least_squares  # noqa: F401
 from .metrics import Basis, _adopt, _check_pair, _sin_sq, epsilon_residual
 from .results import _FLOAT, _INT, TrialResult, _Trajectory, _write_cells
 
@@ -33,8 +33,9 @@ RESIDUAL_FLOOR = 1e-14
 class Observation:
     """Observed entries of one subspace vector on an index sample.
 
-    ``omega`` is strictly increasing, 0-based, inside [0, n).  ``latent_s``
-    is the coefficient vector that generated the full vector; it is present
+    ``omega`` is strictly increasing, 0-based, inside [0, n) (the index
+    rule of :func:`_indices`), and ``n`` is an integer.  ``latent_s`` is the
+    finite coefficient vector that generated the full vector; it is present
     only for synthetic data.
     """
 
@@ -44,21 +45,39 @@ class Observation:
     latent_s: np.ndarray | None = None
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=int)
+        omega = np.asarray(self.omega)
         values = np.asarray(self.values, dtype=float)
         if omega.ndim != 1 or values.shape != omega.shape:
             raise ValueError("omega and values must be 1-d and equally long")
-        if len(omega) > 0:
-            if omega[0] < 0 or omega[-1] >= self.n:
-                raise ValueError("omega indices out of range")
-            if (omega[1:] <= omega[:-1]).any():
-                raise ValueError("omega indices must be strictly increasing")
+        omega = _indices(omega, self.n, increasing=True)
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
         if self.latent_s is not None:
-            object.__setattr__(self, "latent_s", np.asarray(self.latent_s, dtype=float))
+            object.__setattr__(self, "latent_s", _as_vector(self.latent_s))
+
+
+def _indices(omega, n: int, increasing: bool = False) -> np.ndarray:
+    """The index rule: ``omega`` as a 1-d int array inside [0, n); ValueError otherwise.
+
+    ``n`` obeys the count rule.  An empty sample of any dtype becomes an empty int array.  With
+    ``increasing`` the indices must also strictly increase, and then only
+    the two ends are range-checked.
+    """
+    _count("n", n)
+    omega = np.asarray(omega)
+    if omega.ndim != 1 or (len(omega) and omega.dtype.kind not in "iu"):
+        raise ValueError("omega must be a 1-d array of integers")
+    omega = omega.astype(int, copy=False)
+    if len(omega) == 0:
+        return omega
+    if increasing and (omega[1:] <= omega[:-1]).any():
+        raise ValueError("omega indices must be strictly increasing")
+    low, high = (omega[0], omega[-1]) if increasing else (omega.min(), omega.max())
+    if low < 0 or high >= n:
+        raise ValueError("omega indices out of range")
+    return omega
 
 
 def _arrays(obs: Observation, n: int):
@@ -109,8 +128,10 @@ def gate_check(u: Basis, omega) -> GateVerdict:
     Samples with fewer than d rows fail automatically (singular Gram); a
     passing verdict certifies ||([U]_omega^T [U]_omega)^-1|| <= 2n/|omega|.
     The eigenvalues come from the singular values of the row submatrix.
+    ``omega`` obeys the index rule of :func:`_indices` in any order, with
+    repeats allowed.
     """
-    return _gate(u.columns[np.asarray(omega, dtype=int)], u.n)
+    return _gate(u.columns[_indices(omega, u.n)], u.n)
 
 
 def _gate(sub: np.ndarray, n: int) -> GateVerdict:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -26,6 +27,11 @@ def test_sample_with_replacement_basics():
     a = sample_with_replacement(10, 100, seed=3)
     b = sample_with_replacement(10, 100, seed=3)
     assert np.array_equal(a, b)
+    assert np.array_equal(sample_with_replacement(np.int64(10), np.int32(100), seed=np.uint8(3)), a)
+    for name, bad in [("n", 10.0), ("m", 2.5), ("seed", 1.5), ("seed", -1), ("n", 0), ("m", True)]:
+        args = {"n": 10, "m": 100, "seed": 3, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sample_with_replacement(**args)
 
 
 def test_sample_with_replacement_frequencies():
@@ -46,6 +52,10 @@ def test_gamma_bound_values():
     assert np.isclose(gamma_bound(10, 2.0, 2000, 0.1), 0.3758835765339418, atol=1e-12)
     with pytest.raises(ValueError):
         gamma_bound(10, 2.0, 2000, 1.5)
+    for name, bad in [("d", 10.0), ("omega_size", 2000.0), ("d", 0), ("omega_size", 0)]:
+        args = {"d": 10, "mu": 2.0, "omega_size": 2000, "delta": 0.1, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            gamma_bound(**args)
 
 
 def test_gram_concentration_guarantee_holds():
@@ -252,6 +262,48 @@ def test_validators_reject_nonpositive_trials(call, trials):
     u, ubar = pair_with_epsilon(40, 4, 0.1, seed=1)
     with pytest.raises(ValueError, match="trials must be at least 1"):
         call(u, ubar, trials)
+
+
+# each validator as a call on (u, ubar) and its counts, which default to valid values
+_GOOD = {"omega_size": 80, "q": 20, "trials": 3, "seed": 1}
+_VALIDATOR_CALLS = {
+    "gram_concentration": lambda u, ubar, omega_size=80, trials=3, seed=1: (
+        validate_gram_concentration(u, omega_size, 0.1, trials, seed)
+    ),
+    "residual_bound": lambda u, ubar, omega_size=80, trials=3, seed=1: (
+        validate_residual_bound(u, ubar, omega_size, 0.1, trials, seed)
+    ),
+    "skip_rate": lambda u, ubar, q=20, trials=3, seed=1: estimate_skip_rate(u, q, trials, seed),
+    "sin_sq": lambda u, ubar, trials=3, seed=1: validate_sin_sq_expectation(u, ubar, trials, seed),
+    "mu_xt": lambda u, ubar, trials=3, seed=1: mu_xt_diagnostics(u, ubar, trials, seed),
+}
+
+
+@pytest.mark.parametrize(
+    "validator, name",
+    [
+        (validator, name)
+        for validator, call in _VALIDATOR_CALLS.items()
+        for name in call.__code__.co_varnames[2 : call.__code__.co_argcount]
+    ],
+)
+def test_validators_take_integer_counts(validator, name):
+    call = _VALIDATOR_CALLS[validator]
+    u, ubar = pair_with_epsilon(40, 4, 0.1, seed=1)
+    # a float, bool or negative count fails at the boundary, before it reaches numpy
+    for bad in (_GOOD[name] + 0.5, float(_GOOD[name]), True, -1):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call(u, ubar, **{name: bad})
+    # numpy integers are counts, and give the same report
+    same, plain = call(u, ubar, **{name: np.int64(_GOOD[name])}), call(u, ubar)
+    fields = lambda r: dataclasses.astuple(r) if dataclasses.is_dataclass(r) else np.atleast_1d(r)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(fields(same), fields(plain)))
+
+
+def test_sin_sq_expectation_needs_two_trials():
+    u, ubar = pair_with_epsilon(40, 4, 0.1, seed=1)
+    with pytest.raises(ValueError, match="^trials must be at least 2$"):
+        validate_sin_sq_expectation(u, ubar, 1, 1)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, 1.0])

@@ -31,6 +31,32 @@ def test_full_step_zero_vector_rejected():
     u = random_basis(10, 2, seed=4)
     with pytest.raises(ValueError):
         full_step(u, np.zeros(10), u)
+    with pytest.raises(ValueError, match="^observation vector is zero$"):
+        full_step(u, np.zeros(10), u)
+
+
+def test_vector_arguments_must_be_finite():
+    # a NaN must not pass as an identity step or a NaN or zero decrease
+    u, ubar = pair_with_epsilon(20, 2, 0.1, seed=5)
+    v = ubar.columns @ np.array([1.0, -2.0])
+    v[3] = np.nan
+    for call in (
+        lambda: full_step(u, v, ubar),
+        lambda: predicted_decrease(u, ubar, v, 0.1),
+        lambda: psi_diagnostic(u, ubar, [np.nan, 1.0]),
+        lambda: psi_diagnostic(u, ubar, [[1.0, 1.0]]),
+    ):
+        with pytest.raises(ValueError, match="^vector entries must be finite$|^shape"):
+            call()
+
+
+def test_run_full_takes_an_integer_iters():
+    u0, ubar = pair_with_epsilon(40, 3, 0.3, seed=16)
+    for bad in (5.0, True, -1):
+        with pytest.raises(ValueError, match="^iters must be"):
+            run_full(u0, ubar, bad, seed=1)
+    five = run_full(u0, ubar, np.int64(5), seed=1)
+    assert np.array_equal(five.epsilons, run_full(u0, ubar, 5, seed=1).epsilons)
 
 
 def test_full_step_record_invariants():

@@ -38,11 +38,18 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError, match="iters"):
         ProblemSpec(n=100, d=10, q=20, iters=0, seed=0)
     ProblemSpec(n=100, d=10, q="full", iters=5, seed=0)
-    # a bool is an int, but its spec file line would not read back
+    # a bool is an int, but its spec file line would not read back; a float
+    # count (seed=1.5) would run as another value and read back unequal
     fields = dict(n=5, d=1, q=2, iters=1, seed=0)
-    for name, flag in [("n", True), ("d", True), ("q", True), ("iters", True), ("seed", False)]:
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, not a bool$"):
-            ProblemSpec(**{**fields, name: flag})
+    for name, bad in [
+        ("n", True), ("d", True), ("q", True), ("iters", True), ("seed", False),
+        ("n", 5.0), ("d", 1.0), ("q", 2.0), ("iters", 1.0), ("seed", 1.5), ("q", "2"),
+    ]:
+        kind = type(bad).__name__
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not a {kind}$"):
+            ProblemSpec(**{**fields, name: bad})
+    numpy_counts = {name: np.int64(value) for name, value in fields.items()}
+    assert ProblemSpec(**numpy_counts) == ProblemSpec(**fields)
 
 
 def test_generate_problem_noise_free_start():
@@ -99,6 +106,14 @@ def test_fit_x_documented_value():
 
 def test_fit_x_divergence_and_errors():
     assert fit_x(1e-3, 2e-3, 100, 5, 20, 50) < 0.0
+    # q=0 would divide by zero
+    good = {"n": 100, "d": 5, "q": 20, "iters": 50}
+    for name, bad in [("n", 100.0), ("d", 5.0), ("q", 20.0), ("iters", 50.0), ("q", 0), ("iters", 0)]:
+        counts = {**good, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fit_x(1e-3, 2e-3, **counts)
+    numpy_counts = {name: np.int32(value) for name, value in good.items()}
+    assert fit_x(1e-3, 2e-3, **numpy_counts) == fit_x(1e-3, 2e-3, **good)
     with pytest.raises(ValueError):
         fit_x(0.0, 1e-3, 100, 5, 20, 50)
     with pytest.raises(ValueError):
@@ -382,6 +397,20 @@ def test_pair_with_epsilon_requires_positive_d():
         pair_with_epsilon(40, 0, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("make", [random_basis, incoherent_basis, pair_with_epsilon])
+@pytest.mark.parametrize(
+    "name, bad", [("n", 40.0), ("d", 2.0), ("seed", 1.5), ("seed", -1), ("d", True)]
+)
+def test_basis_makers_take_integer_counts(make, name, bad):
+    args = {"n": 40, "d": 2, "seed": 3, name: bad}
+    call = (lambda n, d, seed: make(n, d, 0.1, seed)[0]) if make is pair_with_epsilon else make
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(**args)
+    # numpy integers are counts, and give the same basis
+    same = call(n=np.int64(40), d=np.int32(2), seed=np.uint16(3))
+    assert np.array_equal(same.columns, call(n=40, d=2, seed=3).columns)
+
+
 def test_sweep_phase_rejects_nonpositive_trials():
     with pytest.raises(ValueError, match="trials_per_cell must be at least 1"):
         sweep_phase([60], [3], [30], trials_per_cell=0, iters=5, seed=0)
@@ -389,10 +418,25 @@ def test_sweep_phase_rejects_nonpositive_trials():
 
 def test_sweep_phase_checks_run_settings_without_feasible_cells():
     # d >= n makes the only cell a marker; the settings are still checked
-    for rule, bad in (("alpha", 2.5), ("iters", 0), ("seed", -1)):
+    for rule, bad in (("alpha", 2.5), ("iters", 0), ("seed", -1), ("iters", 5.0), ("seed", 1.5)):
         args = {"trials_per_cell": 1, "iters": 5, "seed": 0, rule: bad}
         with pytest.raises(ValueError, match=rule):
             sweep_phase([60], [70], [30], **args)
+
+
+def test_sweep_phase_takes_integer_counts():
+    # a float grid value is an error, not an infeasible marker cell
+    grids = {"n": ([2.5], [3], [12]), "d": ([60], [3.0], [30]), "q": ([60], [70], [True])}
+    for name, grid in grids.items():
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            sweep_phase(*grid, trials_per_cell=1, iters=5, seed=0)
+    with pytest.raises(ValueError, match="^trials_per_cell must be an integer, not a float$"):
+        sweep_phase([60], [3], [30], trials_per_cell=2.0, iters=5, seed=0)
+    # numpy integers are counts, and give the same trials
+    grid = ([np.int64(60)], [np.int32(3), 70], [np.int64(30)])
+    cells = sweep_phase(*grid, trials_per_cell=np.int64(1), iters=5, seed=0)
+    plain = sweep_phase([60], [3, 70], [30], trials_per_cell=1, iters=5, seed=0)
+    assert [c.x_values.tolist() for c in cells] == [c.x_values.tolist() for c in plain]
 
 
 def test_problem_spec_file_missing_field(tmp_path):

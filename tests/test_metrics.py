@@ -117,6 +117,9 @@ def test_coherence_vector():
     assert np.isclose(coherence_vector(np.array([3.0, 4.0, 0.0, 0.0])), 2.56)
     with pytest.raises(ValueError, match="undefined coherence"):
         coherence_vector(np.zeros(3))
+    # a NaN entry has no coherence
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        coherence_vector([np.nan, 1.0])
 
 
 def test_revealed_angle_sin_sq():
@@ -132,6 +135,9 @@ def test_revealed_angle_sin_sq():
     )
     with pytest.raises(ValueError):
         revealed_angle_sin_sq(u, np.zeros(3))
+    # a NaN entry has no angle
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        revealed_angle_sin_sq(u, np.array([np.nan, 1.0, 0.0]))
 
 
 def test_alignment_identity_and_rotated_frame():

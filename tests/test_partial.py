@@ -49,8 +49,33 @@ def test_observation_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^observed values must be finite$"):
             Observation(n=5, omega=[0, 2], values=[1.0, bad])
+    # float indices are not truncated, a float n is not an integer
+    with pytest.raises(ValueError, match="^omega must be a 1-d array of integers$"):
+        Observation(n=5, omega=[0.5, 1.7], values=[0.0, 0.0])
+    with pytest.raises(ValueError, match="^n must be an integer, not a float$"):
+        Observation(n=5.0, omega=[0, 2], values=[0.0, 0.0])
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        Observation(n=5, omega=[0, 2], values=[0.0, 0.0], latent_s=[np.nan, 1.0])
     empty = Observation(n=5, omega=[], values=[])
     assert empty.omega.dtype == np.int_ and empty.values.dtype == np.float64
+    narrow = Observation(n=np.int64(5), omega=np.array([1, 3], dtype=np.int32), values=[0.0, 0.0])
+    assert narrow.omega.dtype == np.int_
+
+
+def test_gate_check_index_rule():
+    u = random_basis(30, 4, seed=2)
+    for bad in ([-1, 0, 1, 2], [0, 1, 2, 30], [0.5, 1.7, 2.2, 3.9], [[0, 1], [2, 3]]):
+        with pytest.raises(ValueError, match="^omega"):
+            gate_check(u, bad)
+    # any order and repeats pass the rule; the verdict reads the same rows
+    rows = np.array([7, 2, 2, 19, 0, 11])
+    verdict = gate_check(u, rows)
+    for same in (rows.astype(np.uint16), list(rows)):
+        assert gate_check(u, same) == verdict
+    flipped = gate_check(u, rows[::-1])
+    assert np.isclose(flipped.eigen_min, verdict.eigen_min, rtol=1e-12)
+    assert np.isclose(flipped.eigen_max, verdict.eigen_max, rtol=1e-12)
+    assert not gate_check(u, []).passed
 
 
 def test_gate_full_sampling_passes():
