@@ -31,7 +31,10 @@ print(f"gate skipped {res.gate_skips} of {spec.iters} observations")
 print(f"fitted convergence factor X = {res.x_factor:.3f} (near 1 means the")
 print("   per-step contraction is close to 1 - q/(n d))")
 
-out_dir = Path(tempfile.mkdtemp(prefix="grouse_demo_"))
+# the demo's files live in a temporary directory, removed at the end (or at
+# interpreter exit, should the demo fail first)
+tmp = tempfile.TemporaryDirectory(prefix="grouse_demo_")
+out_dir = Path(tmp.name)
 traj_path = out_dir / "trajectory.csv"
 write_trajectory_csv(traj_path, res)
 print(f"trajectory written to {traj_path}")
@@ -65,3 +68,4 @@ write_observations(obs_path, obs)
 print(obs_path.read_text().strip())
 back = read_observations(obs_path)
 print(f"round-trip ok: {all(np.array_equal(a.values, b.values) for a, b in zip(obs, back))}")
+tmp.cleanup()

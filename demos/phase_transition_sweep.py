@@ -21,8 +21,9 @@ print(f"{'q':>5} {'q/d':>6} {'mean X':>8} {'std X':>8}")
 for cell in cells:
     print(f"{cell.q:>5} {cell.q / d:>6.1f} {cell.mean_x:>8.3f} {cell.std_x:>8.3f}")
 
-out = Path(tempfile.mkdtemp(prefix="grouse_demo_")) / "sweep.csv"
-write_sweep_csv(out, cells)
-print(f"\nsweep table written to {out}")
+with tempfile.TemporaryDirectory(prefix="grouse_demo_") as out_dir:
+    out = Path(out_dir) / "sweep.csv"
+    write_sweep_csv(out, cells)
+    print(f"\nsweep table written to {out} (removed on exit)")
 print("the jump between q/d = 1 and q/d ~ 4-8 is the phase transition;")
 print("above it X plateaus below-but-near 1 independently of q.")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _count, _lstsq, _rng
+from .linalg import _count, _lstsq, _real, _rng
 from .metrics import Basis, _dims, coherence_basis, coherence_vector, epsilon_residual
 from .partial_data import _gate, gate_check
 from .results import _FLAG, _FLOAT, _INT, _read_table, _write_table
@@ -88,8 +88,8 @@ def gamma_bound(d: int, mu: float, omega_size: int, delta: float) -> float:
     """Half-width sqrt((8 d mu / (3 |omega|)) log(2d/delta)) of the window."""
     _count("d", d, 1)
     _count("omega_size", omega_size, 1)
-    if mu <= 0 or not 0.0 < delta < 1.0:
-        raise ValueError("need positive mu and delta in (0,1)")
+    _real("mu", mu)
+    _real("delta", delta, 0.0, 1.0, message="need delta in (0,1)")
     return math.sqrt(8.0 * d * mu / (3.0 * omega_size) * math.log(2.0 * d / delta))
 
 
@@ -239,6 +239,7 @@ def mu_xt_diagnostics(
     thresholds for the supplied sampling constant c1; no assertion is made.
     """
     _count("trials", trials, 1)
+    _real("c1", c1)
     if epsilon_residual(u, ubar) <= 1e-24:
         raise ValueError("bases coincide: residual direction undefined")
     rng = _rng(seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_vector, _count
+from .linalg import _as_vector, _count, _real, _rng
 from .metrics import Basis, _check_pair, epsilon_residual
 from .partial_data import _rotate, _rotated
 from .results import TrialResult, _Trajectory
@@ -78,7 +78,8 @@ def predicted_decrease(u: Basis, ubar: Basis, v, eta: float) -> float:
     decrease possible).
     """
     _check_pair(u, ubar)
-    return _decrease(_split(u.columns, _as_vector(v)), ubar.columns, eta)
+    _real("eta", eta, -np.inf, message="eta must be finite")
+    return _decrease(_split(u.columns, _as_vector(v, u.n)), ubar.columns, eta)
 
 
 def _decrease(split, target: np.ndarray, eta: float) -> float:
@@ -103,7 +104,7 @@ def full_step(u: Basis, v, ubar: Basis):
     (theta = 0) or is orthogonal to it (theta = pi/2) the basis is returned
     unchanged; the decrease is exactly zero at those endpoints.
     """
-    v = _as_vector(v)
+    v = _as_vector(v, u.n)
     if v.dot(v) == 0.0:
         raise ValueError("observation vector is zero")
     split = _split(u.columns, v)
@@ -128,7 +129,8 @@ def psi_diagnostic(u: Basis, ubar: Basis, s) -> float:
     that frame, psi = sum(s~_i^2 sin^2 phi_i) / sum(s~_i^2).  Test-side
     diagnostic; not part of the step records.
     """
-    s = _as_vector(s)
+    _check_pair(u, ubar)
+    s = _as_vector(s, ubar.d)
     left, sigma, _ = np.linalg.svd(ubar.columns.T @ u.columns)
     s_rot = left.T @ s
     sin_sq = 1.0 - np.clip(sigma, 0.0, 1.0) ** 2
@@ -142,7 +144,7 @@ def run_full(
     u0: Basis,
     ubar: Basis,
     iters: int,
-    seed: int,
+    seed: int | np.random.SeedSequence,
 ) -> TrialResult:
     """Drive full-data steps on v_t = ubar @ s_t, s_t iid standard normal.
 
@@ -158,7 +160,7 @@ def run_full(
     """
     _count("iters", iters, 0)
     _check_pair(u0, ubar)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     cols = np.array(u0.columns)
     target = ubar.columns
     d = u0.d

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .full_data import run_full
-from .linalg import _count, _one_blas_thread, _rng, orthonormalize
+from .linalg import _count, _one_blas_thread, _real, _rng, orthonormalize
 from .metrics import Basis, _dims, _residual_energy
 from .partial_data import _check_alpha, _run_stream
 from .results import (
@@ -69,8 +69,7 @@ def _check_run(iters: int, seed: int, alpha: float, init_noise_std: float) -> No
     _check_alpha(alpha)
     _count("iters", iters, 1)
     _count("seed", seed, 0)
-    if not 0.0 <= init_noise_std < math.inf:
-        raise ValueError("init_noise_std must be finite and nonnegative")
+    _real("init_noise_std", init_noise_std, closed=True)
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ class SweepCell:
 
 
 def _child_rng(seed, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
+    return _rng(np.random.SeedSequence([int(seed), stream]))
 
 
 def _child_seed(*keys) -> int:
@@ -156,8 +155,7 @@ def pair_with_epsilon(
     _count("d", d)
     if d < 1 or n < 2 * d:
         raise ValueError("need d >= 1 and n >= 2d to tilt into the complement")
-    if not 0.0 <= eps <= d:
-        raise ValueError("eps must lie in [0, d]")
+    _real("eps", eps, 0.0, d, closed=True, message="eps must lie in [0, d]")
     rng = _rng(seed)
     if frame == "gaussian":
         cols = orthonormalize(rng.standard_normal((n, 2 * d)))
@@ -193,8 +191,8 @@ def fit_x(
     """
     for name, count in (("n", n), ("d", d), ("q", q), ("iters", iters)):
         _count(name, count, 1)
-    if epsilon0 <= 0.0 or epsilonN <= 0.0:
-        raise ValueError("epsilon values must be positive")
+    for name, value in (("epsilon0", epsilon0), ("epsilonN", epsilonN)):
+        _real(name, value)
     return (1.0 - (epsilonN / epsilon0) ** (1.0 / iters)) * n * d / q
 
 

@@ -17,9 +17,10 @@ checks; callers that hold already-checked arrays call them directly.
 products give the same bits whatever thread count the process started with.
 
 The library's argument rules live here too, each in one helper that raises
-``ValueError`` before the argument reaches numpy: :func:`_count` for counts
-and seeds (:func:`_rng` turns a checked seed into a generator),
-:func:`_as_matrix` and :func:`_as_vector` for finite arrays.
+``ValueError`` before the argument reaches numpy: :func:`_count` for counts,
+:func:`_real` for real settings, :func:`_rng` for seeds (it makes every
+generator the library draws from), :func:`_as_matrix` and :func:`_as_vector`
+for finite arrays, and :func:`_lstsq` for fits with fewer rows than columns.
 """
 from __future__ import annotations
 
@@ -39,6 +40,9 @@ RANK_RTOL = 1e-13
 
 # The smallest normal double: the floor of a rank check's scale.
 _TINY = np.finfo(float).tiny
+# The largest finite double: a real setting past it (an int, say) has no
+# finite float value.
+_HUGE = float(np.finfo(float).max)
 
 # The OpenBLAS builds bundled with numpy and with scipy: the package, the
 # library's file pattern beside the package directory, and the thread-count
@@ -110,25 +114,55 @@ def _count(name: str, value, floor: int | None = None, floor_text: str | None = 
         raise ValueError(f"{name} must be at least {floor_text or floor}")
 
 
+def _real(name: str, value, low=0.0, high=np.inf, closed: bool = False, message=None) -> None:
+    """The real rule: ``value`` is a real number, not a bool, finite and in range.
+
+    A real number is an ``int``, a ``float`` or a numpy integer or float.
+
+    Finite means finite as a double, so an int past ``_HUGE`` fails too.
+    The range runs from ``low`` to ``high``, both ends excluded, or both
+    included when ``closed``; by default it is the positive half-line, or
+    the nonnegative one when ``closed``.  Raises ``ValueError`` naming
+    ``name`` for a value of another type, and ``ValueError(message)`` for
+    one outside the range, NaN and infinities included; the default
+    message says that ``name`` must be finite and positive (nonnegative).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, not a {type(value).__name__}")
+    if not (-_HUGE <= value <= _HUGE and (low <= value <= high if closed else low < value < high)):
+        sign = "nonnegative" if closed else "positive"
+        raise ValueError(message or f"{name} must be finite and {sign}")
+
+
 def _rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` for a seed obeying the count rule, an integer >= 0."""
-    _count("seed", seed, 0)
+    """The seed rule: ``np.random.default_rng(seed)`` for a seed >= 0 or a ``SeedSequence``.
+
+    An integer seed obeys the count rule.  This is the library's only
+    generator factory; a derived stream passes the ``SeedSequence`` it
+    builds, and gets the generator numpy makes of it.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        _count("seed", seed, 0)
     return np.random.default_rng(seed)
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, square: bool = False) -> np.ndarray:
+    """The matrix rule: ``a`` as a finite 2-d float array, nonempty, and square if ``square``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError("shape: expected a 2-d matrix with positive dimensions")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
+    if square and a.shape[0] != a.shape[1]:
+        raise ValueError("shape: expected a square matrix")
     return a
 
 
-def _as_vector(b) -> np.ndarray:
+def _as_vector(b, length: int | None = None) -> np.ndarray:
+    """The vector rule: ``b`` as a finite 1-d float array of ``length`` entries (or of any >= 1)."""
     b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] < 1:
-        raise ValueError("shape: expected a 1-d vector with positive length")
+    if b.ndim != 1 or len(b) < 1 or len(b) != (length or len(b)):
+        raise ValueError(f"shape: expected a 1-d vector of length {length or 'at least 1'}")
     if not np.all(np.isfinite(b)):
         raise ValueError("vector entries must be finite")
     return b
@@ -157,19 +191,22 @@ def _qr(a: np.ndarray, message: str, triangular: bool = True):
     return np.ascontiguousarray(q), r
 
 
-def _lstsq(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`least_squares` on a finite m x d array (m >= d) and a length-m vector.
+def _lstsq(c: np.ndarray, b: np.ndarray, message: str = "singular normal equations") -> np.ndarray:
+    """:func:`least_squares` on a finite m x d array and a length-m vector.
 
-    Solves R w = Q^T b with LAPACK ``dtrtrs`` on the Fortran-ordered
-    transpose of the C-ordered R, the call ``solve_triangular`` makes for
-    it, so w is bitwise ``solve_triangular(r, q.T @ b)``.  ``dtrtrs`` reads
-    only the lower triangle of that transpose, so R is not zeroed below
-    its diagonal first.
+    Raises ``NumericalError(message)`` when the fit is singular: fewer rows
+    than columns, or a negligible diagonal entry of R.  Solves R w = Q^T b
+    with LAPACK ``dtrtrs`` on the Fortran-ordered transpose of the
+    C-ordered R, the call ``solve_triangular`` makes for it, so w is bitwise
+    ``solve_triangular(r, q.T @ b)``.  ``dtrtrs`` reads only the lower
+    triangle of that transpose, so R is not zeroed below its diagonal first.
     """
-    q, r = _qr(c, "singular normal equations", triangular=False)
+    if len(c) < c.shape[1]:
+        raise NumericalError(message)
+    q, r = _qr(c, message, triangular=False)
     w, info = dtrtrs(r.T, q.T @ b, lower=1, trans=1)
     if info != 0:
-        raise NumericalError("singular normal equations")
+        raise NumericalError(message)
     return w
 
 
@@ -205,13 +242,7 @@ def orthonormalize(a) -> np.ndarray:
 def least_squares(c, b) -> np.ndarray:
     """Minimize ||c w - b||_2 via Householder QR of c (not normal equations)."""
     c = _as_matrix(c)
-    b = _as_vector(b)
-    m, d = c.shape
-    if b.shape[0] != m:
-        raise ValueError("shape: rhs length must match row count")
-    if m < d:
-        raise NumericalError("singular normal equations")
-    return _lstsq(c, b)
+    return _lstsq(c, _as_vector(b, len(c)))
 
 
 def singular_values(a) -> np.ndarray:
@@ -225,10 +256,7 @@ def nearest_orthogonal(a) -> np.ndarray:
     Defined for square nonsingular a; the zero-singular-value case has no
     unique minimizer and raises ``NumericalError("singular alignment")``.
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("shape: expected a square matrix")
-    u, s, vt = np.linalg.svd(a)
+    u, s, vt = np.linalg.svd(_as_matrix(a, square=True))
     if s.min() <= RANK_RTOL * max(s.max(), _TINY):
         raise NumericalError("singular alignment")
     return u @ vt
@@ -236,9 +264,7 @@ def nearest_orthogonal(a) -> np.ndarray:
 
 def sym_eigenvalues(g) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted descending."""
-    g = _as_matrix(g)
-    if g.shape[0] != g.shape[1]:
-        raise ValueError("shape: expected a square matrix")
+    g = _as_matrix(g, square=True)
     scale = max(1.0, float(np.abs(g).max()))
     if np.abs(g - g.T).max() > SYM_TOL * scale:
         raise ValueError("not symmetric")

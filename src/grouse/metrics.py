@@ -168,7 +168,7 @@ def coherence_vector(x) -> float:
 
 def revealed_angle_sin_sq(u: Basis, v) -> float:
     """sin^2 of the angle between v and the span of u, in [0, 1]."""
-    return _sin_sq(u.columns, _as_vector(v))
+    return _sin_sq(u.columns, _as_vector(v, u.n))
 
 
 def _sin_sq(cols: np.ndarray, v: np.ndarray) -> float:

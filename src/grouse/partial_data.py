@@ -20,7 +20,7 @@ import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
-from .linalg import NumericalError, _as_vector, _count, _lstsq, _sv, least_squares  # noqa: F401
+from .linalg import NumericalError, _as_vector, _count, _lstsq, _real, _sv, least_squares  # noqa: F401
 from .metrics import Basis, _adopt, _check_pair, _sin_sq, epsilon_residual
 from .results import _FLOAT, _INT, TrialResult, _Trajectory, _write_cells
 
@@ -80,11 +80,16 @@ def _indices(omega, n: int, increasing: bool = False) -> np.ndarray:
     return omega
 
 
-def _arrays(obs: Observation, n: int):
-    """The arrays ``(omega, values, latent_s)`` of ``obs``; ValueError unless its n is ``n``."""
-    if obs.n != n:
+def _arrays(obs: Observation, u: Basis, ubar: Basis | None = None):
+    """The arrays ``(omega, values, latent_s)`` of ``obs``; ValueError unless its n is ``u.n``.
+
+    With a target ``ubar``, ``latent_s`` (if any) obeys the vector rule at
+    length ``ubar.d``; without one no step reads it, and it comes back None.
+    """
+    if obs.n != u.n:
         raise ValueError("observation and basis ambient dimensions differ")
-    return obs.omega, obs.values, obs.latent_s
+    s = obs.latent_s
+    return obs.omega, obs.values, None if s is None or ubar is None else _as_vector(s, ubar.d)
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def partial_residual(u: Basis, obs: Observation):
     the full predicted vector p = U w, and the residual r supported on the
     sample (zero elsewhere).  p^T r = 0 by construction.
     """
-    omega, values, _ = _arrays(obs, u.n)
+    omega, values, _ = _arrays(obs, u)
     return _fit(u.columns, u.columns[omega], omega, values)
 
 
@@ -166,13 +171,7 @@ def _fit(cols: np.ndarray, sub: np.ndarray, omega: np.ndarray, values: np.ndarra
     All are finite already (an owned buffer and a checked observation's
     arrays), so the fit runs the bare QR kernel.
     """
-    singular = "gate bypassed on singular sample"
-    if len(sub) < cols.shape[1]:
-        raise NumericalError(singular)
-    try:
-        w = _lstsq(sub, values)
-    except NumericalError:
-        raise NumericalError(singular) from None
+    w = _lstsq(sub, values, "gate bypassed on singular sample")
     p = cols @ w
     r = np.zeros(cols.shape[0])
     r[omega] = values - sub @ w
@@ -180,9 +179,8 @@ def _fit(cols: np.ndarray, sub: np.ndarray, omega: np.ndarray, values: np.ndarra
 
 
 def _check_alpha(alpha: float) -> None:
-    """The step factor's range, (0, 2); NaN fails too."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
+    """The step factor's range, (0, 2), by the real rule."""
+    _real("alpha", alpha, 0.0, 2.0, message="alpha must lie in (0, 2)")
 
 
 def step_size(sigma: float, norm_r: float, norm_p: float, alpha: float) -> float:
@@ -190,12 +188,21 @@ def step_size(sigma: float, norm_r: float, norm_p: float, alpha: float) -> float
 
     The arcsin argument is clamped to 1; far from convergence the ratio can
     exceed one transiently and the rotation then goes the full quarter turn.
+    ``sigma`` and the norms are finite and nonnegative, and ``norm_p`` is
+    positive.
     """
     _check_alpha(alpha)
-    if norm_p <= 0.0:
+    for name, value in (("sigma", sigma), ("norm_r", norm_r), ("norm_p", norm_p)):
+        _real(name, value, closed=True)
+    if norm_p == 0.0:
         raise NumericalError("degenerate projection")
     if norm_r == 0.0 or sigma == 0.0:
         return 0.0
+    return _eta(sigma, norm_r, norm_p, alpha)
+
+
+def _eta(sigma: float, norm_r: float, norm_p: float, alpha: float) -> float:
+    """:func:`step_size` without its checks, for positive sigma and norms and a checked alpha."""
     return float(np.arcsin(min(1.0, alpha * norm_r / norm_p)) / sigma)
 
 
@@ -271,7 +278,7 @@ def _step(cols: np.ndarray, omega, values, alpha: float, bypass_gate: bool, reco
     eta, clamped, rotation = 0.0, False, None
     if norm_r > RESIDUAL_FLOOR * scale and norm_p > RESIDUAL_FLOOR * scale:
         clamped = alpha * norm_r / norm_p > 1.0
-        eta = step_size(sigma, norm_r, norm_p, alpha)
+        eta = _eta(sigma, norm_r, norm_p, alpha)
         rotation = (w, p, r, math.sqrt(w.dot(w)), norm_p, norm_r, sigma * eta)
     return verdict, (norm_r, norm_p, sigma, eta, clamped, w, p, r), rotation
 
@@ -294,7 +301,7 @@ def grouse_step(
     alpha lies outside (0, 2), whether or not the step is taken.
     """
     _check_alpha(alpha)
-    omega, values, latent_s = _arrays(obs, u.n)
+    omega, values, latent_s = _arrays(obs, u, ubar)
     verdict, fit, rotation = _step(u.columns, omega, values, alpha, bypass_gate)
     sigma, eta, clamped, w, p, r = (0.0, 0.0, False, None, None, None) if fit is None else fit[2:]
     u_next = u if rotation is None else _rotated(u, *rotation)
@@ -332,7 +339,7 @@ def run_stream(
     ``ubar`` raises ValueError before any observation is read; an
     observation of another n raises ValueError at its step.
     """
-    arrays = (_arrays(obs, u0.n) for obs in stream)
+    arrays = (_arrays(obs, u0, ubar) for obs in stream)
     return _run_stream(u0, arrays, alpha, ubar, bypass_gate)[0]
 
 

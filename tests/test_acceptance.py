@@ -21,8 +21,8 @@ from grouse.harness import (
     sweep_phase,
 )
 from grouse.linalg import orthonormalize
-from grouse.metrics import alignment, coherence_basis, epsilon
-from grouse.partial_data import Observation, gate_check, grouse_step
+from grouse.metrics import Basis, alignment, coherence_basis, epsilon, epsilon_residual
+from grouse.partial_data import Observation, _rotate, gate_check, grouse_step
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -337,4 +337,38 @@ def test_criterion_11_algebraic_step_invariants(
         ok,
         f"{count} gated steps, {len(violations)} violations {sorted(set(violations))!r}",
     )
+    assert ok
+
+
+# --------------------------------------------------------------- criterion 12
+
+
+def test_criterion_12_incremental_svd_relation():
+    # Rotating U by t = atan2(2|p||r|, 1 + |p|^2 - |r|^2) / 2 spans the top-d left
+    # singular subspace of [U, v]: incremental SVD with unit singular values.
+    # In the (p/|p|, r/|r|) frame the new column adds the 2x2 block
+    # [[1, |p|], [0, |r|]], and every other direction of U keeps singular value 1.
+    # The check needs no recorded bits, so it guards the rotation on any BLAS core.
+    rng = np.random.default_rng(1212)
+    worst = 0.0
+    cases = 0
+    for n, d in ((50, 1), (200, 5), (1000, 10), (30, 29)):
+        for _ in range(50):
+            cols = orthonormalize(rng.standard_normal((n, d)))
+            # a span part and a complement part of independent log-uniform sizes
+            v = cols @ rng.standard_normal(d) + 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(n)
+            v *= 10.0 ** rng.uniform(-3, 2) / np.linalg.norm(v)
+            w = cols.T @ v
+            p = cols @ w
+            r = v - p
+            norm_w, norm_p, norm_r = (float(np.linalg.norm(x)) for x in (w, p, r))
+            t = 0.5 * math.atan2(2.0 * norm_p * norm_r, 1.0 + norm_p**2 - norm_r**2)
+            top = np.linalg.svd(np.column_stack([cols, v]), full_matrices=False)[0][:, :d]
+            rotated = np.array(cols)
+            _rotate(rotated, w, p, r, norm_w, norm_p, norm_r, t)
+            worst = max(worst, epsilon_residual(Basis(rotated), Basis(top)))
+            cases += 1
+    ok = worst <= 1e-18
+    detail = f"max epsilon {worst:.3e} over {cases} cases (tol 1e-18)"
+    _report(12, "incremental-svd-relation", ok, detail)
     assert ok

@@ -12,11 +12,17 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script, tmp_path):
+    cwd, tmp = tmp_path / "cwd", tmp_path / "tmp"
+    cwd.mkdir()
+    tmp.mkdir()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # a demo's temporary files go under TMPDIR, and must be gone when it exits
+    env["TMPDIR"] = str(tmp)
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, str(script)], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert list(cwd.iterdir()) == []
+    assert list(tmp.iterdir()) == []

@@ -4,11 +4,15 @@ The digests hash in-memory arrays (not trajectory CSVs, whose column set
 may grow) plus the bytes of two seeded sweep CSVs, one gated and one with
 the gate bypassed.  OpenBLAS partitions some
 products differently per thread count, so the runs happen in a child
-process with BLAS pinned to one thread.  Recorded with numpy 2.4.6 on
-OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels), Python
-3.11.7, x86_64; a different BLAS build may legitimately move the last ulp
-and so change them.  Any change to the algorithms that reorders
-floating-point operations shows up here.
+process with BLAS pinned to one thread.  Recorded with Python 3.11.7 on
+x86_64, numpy 2.4.6 (bundled OpenBLAS 0.3.31) and scipy 1.17.1 (bundled
+OpenBLAS 0.3.30), both DYNAMIC_ARCH builds running their SkylakeX kernels
+(the core ``scipy_openblas_get_corename64_`` and
+``scipy_openblas_get_corename`` report).  The digests hold for that core
+only: another core, or another BLAS build, may legitimately move the last
+ulp and so change them (``OPENBLAS_CORETYPE=Haswell`` changes all seven).
+Any change to the algorithms that reorders floating-point operations shows
+up here.
 
 Run this file as a script to print the current digests.
 """
