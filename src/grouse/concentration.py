@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _count, _lstsq, _real, _rng
-from .metrics import Basis, _dims, coherence_basis, coherence_vector, epsilon_residual
-from .partial_data import _gate, gate_check
+from .metrics import Basis, _check_pair, _dims, _off_span, coherence_basis, coherence_vector
+from .metrics import epsilon_residual
+from .partial_data import _gate, _sample, gate_check
 from .results import _FLAG, _FLOAT, _INT, _read_table, _write_table
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -143,6 +144,7 @@ def validate_residual_bound(
     omega_size > d: fewer sampled rows can never determine the fit, and d
     rows fit exactly, leaving a zero residual and a vacuous bound.
     """
+    _check_pair(u, ubar)
     _count("omega_size", omega_size, u.d + 1, "d + 1")
     _count("trials", trials, 1)
     rng = _rng(seed)
@@ -151,10 +153,11 @@ def validate_residual_bound(
     gamma = gamma_bound(d, mu_u, omega_size, delta)
     log_inv_delta = math.log(1.0 / delta)
     lhs = np.empty(trials)
-    rhs = np.empty(trials)
+    # a trial whose v lies in the span of u keeps rhs, xi and beta at zero
+    rhs = np.zeros(trials)
     violated = np.zeros(trials, dtype=bool)
-    xi_all = np.empty(trials)
-    beta_all = np.empty(trials)
+    xi_all = np.zeros(trials)
+    beta_all = np.zeros(trials)
     for t in range(trials):
         s = rng.standard_normal(d)
         v = ubar.columns @ s
@@ -163,12 +166,9 @@ def validate_residual_bound(
         v_sub = v[idx]
         res = v_sub - sub @ _lstsq(sub, v_sub)
         lhs[t] = res @ res
-        x = v - u.columns @ (u.columns.T @ v)
+        x = _off_span(u.columns, v)
         x_sq = float(x @ x)
         if x_sq == 0.0:
-            rhs[t] = 0.0
-            xi_all[t] = 0.0
-            beta_all[t] = 0.0
             continue
         mu_x = coherence_vector(x)
         xi = math.sqrt(2.0 * mu_x**2 / omega_size * log_inv_delta)
@@ -202,8 +202,7 @@ def estimate_skip_rate(u: Basis, q: int, trials: int, seed: int) -> float:
     rng = _rng(seed)
     fails = 0
     for _ in range(trials):
-        idx = np.sort(rng.choice(u.n, size=q, replace=False))
-        if not gate_check(u, idx).passed:
+        if not gate_check(u, _sample(rng, u.n, q)).passed:
             fails += 1
     return fails / trials
 
@@ -213,6 +212,7 @@ def validate_sin_sq_expectation(u: Basis, ubar: Basis, trials: int, seed: int):
 
     The mean should sit within a few standard errors of epsilon/d.
     """
+    _check_pair(u, ubar)
     _count("trials", trials, 2)
     rng = _rng(seed)
     vals = np.empty(trials)
@@ -248,9 +248,7 @@ def mu_xt_diagnostics(
     mus = np.empty(trials)
     for t in range(trials):
         s = rng.standard_normal(d)
-        v = ubar.columns @ s
-        x = v - u.columns @ (u.columns.T @ v)
-        mus[t] = coherence_vector(x)
+        mus[t] = coherence_vector(_off_span(u.columns, ubar.columns @ s))
     log_n = math.log(n)
     log20d = math.log(20.0 * d)
     narrow = log_n * math.sqrt(0.045 / math.log(10.0) * c1 * d * mu_ubar * log20d)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _as_vector, _count, _real, _rng
-from .metrics import Basis, _check_pair, epsilon_residual
-from .partial_data import _rotate, _rotated
+from .metrics import Basis, _check_pair, _off_span, _rotated, epsilon_residual
 from .results import TrialResult, _Trajectory
 
 # theta below THETA_FLOOR (or within THETA_CEIL of pi/2) is an identity
@@ -79,7 +78,7 @@ def predicted_decrease(u: Basis, ubar: Basis, v, eta: float) -> float:
     """
     _check_pair(u, ubar)
     _real("eta", eta, -np.inf, message="eta must be finite")
-    return _decrease(_split(u.columns, _as_vector(v, u.n)), ubar.columns, eta)
+    return _decrease(_split(u.columns, _as_vector("v", v, u.n)), ubar.columns, eta)
 
 
 def _decrease(split, target: np.ndarray, eta: float) -> float:
@@ -92,7 +91,7 @@ def _decrease(split, target: np.ndarray, eta: float) -> float:
     # 1 - ||ubar^T p||^2/||w||^2 == ||(I - ubar ubar^T) p||^2/||w||^2 exactly
     # (||w|| = ||p||); the right-hand form is cancellation-free at small
     # errors, keeping the identity sharp down to the measurement floor.
-    missed = p - target @ (target.T @ p)
+    missed = _off_span(target, p)
     gap = float(missed @ missed) / norm_w**2
     return float(np.sin(s_eta) * np.sin(2 * theta - s_eta) / np.sin(theta) ** 2 * gap)
 
@@ -104,7 +103,7 @@ def full_step(u: Basis, v, ubar: Basis):
     (theta = 0) or is orthogonal to it (theta = pi/2) the basis is returned
     unchanged; the decrease is exactly zero at those endpoints.
     """
-    v = _as_vector(v, u.n)
+    v = _as_vector("v", v, u.n)
     if v.dot(v) == 0.0:
         raise ValueError("observation vector is zero")
     split = _split(u.columns, v)
@@ -130,7 +129,7 @@ def psi_diagnostic(u: Basis, ubar: Basis, s) -> float:
     diagnostic; not part of the step records.
     """
     _check_pair(u, ubar)
-    s = _as_vector(s, ubar.d)
+    s = _as_vector("s", s, ubar.d)
     left, sigma, _ = np.linalg.svd(ubar.columns.T @ u.columns)
     s_rot = left.T @ s
     sin_sq = 1.0 - np.clip(sigma, 0.0, 1.0) ** 2
@@ -154,21 +153,20 @@ def run_full(
     every re-orthonormalization) until epsilon nears the cancellation floor
     of d - ||U^T ubar||_F^2, and drift is not checked.
 
-    Steps rotate one owned buffer, a copy of ``u0.columns``, in place; a QR
-    replaces it at the fixed re-orthonormalization cadence and on excess
-    drift.  An identity step reuses the last drift check and epsilon.
+    Steps rotate the buffer of ``results._Trajectory``, a copy of
+    ``u0.columns``, in place; a QR replaces it at the fixed
+    re-orthonormalization cadence and on excess drift.  An identity step
+    reuses the last drift check and epsilon.
     """
     _count("iters", iters, 0)
     _check_pair(u0, ubar)
     rng = _rng(seed)
-    cols = np.array(u0.columns)
     target = ubar.columns
     d = u0.d
-    track = _Trajectory(cols, target, maintained=u0.n * d * d > _EXACT_EPS_LIMIT)
+    track = _Trajectory(u0, target, maintained=u0.n * d * d > _EXACT_EPS_LIMIT)
     for _ in range(iters):
-        split = _split(cols, target @ rng.standard_normal(d))
+        split = _split(track.cols, target @ rng.standard_normal(d))
         *_, norm_p, norm_r, theta = split
         taken = not _is_identity(theta)
-        rank_one = _rotate(cols, *split) if taken else None
-        cols = track.step(cols, (True, taken, norm_r, norm_p, theta), rank_one)
+        track.step((True, taken, norm_r, norm_p, theta), split if taken else None)
     return track.result()

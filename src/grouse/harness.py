@@ -23,7 +23,7 @@ import numpy as np
 from .full_data import run_full
 from .linalg import _count, _one_blas_thread, _real, _rng, orthonormalize
 from .metrics import Basis, _dims, _residual_energy
-from .partial_data import _check_alpha, _run_stream
+from .partial_data import _check_alpha, _run_stream, _sample
 from .results import (
     _FLOAT,
     _INT,
@@ -199,12 +199,15 @@ def fit_x(
 def tail_slope(epsilons) -> float | None:
     """Least-squares slope of log(eps) over the last half of the iterations.
 
-    Entries below ``EPSILON_FLOOR`` are measurement noise and are discarded;
-    the asymptotic rate only emerges on later iterations, hence the
-    half-window.
-    Returns None when fewer than two usable points remain.
+    Entries below ``EPSILON_FLOOR`` (and NaN entries) are measurement noise
+    and are discarded; the asymptotic rate only emerges on later
+    iterations, hence the half-window.  Returns None when fewer than two
+    usable points remain, an empty trajectory included; ValueError unless
+    ``epsilons`` is 1-d.
     """
     eps = np.asarray(epsilons, dtype=float)
+    if eps.ndim != 1:
+        raise ValueError("epsilons must be a 1-d trajectory")
     t = np.arange(len(eps))
     half = len(eps) // 2
     keep = eps[half:] > EPSILON_FLOOR
@@ -239,7 +242,7 @@ def _observation_stream(spec: ProblemSpec, ubar: Basis):
     for _ in range(spec.iters):
         s = rng.standard_normal(d)
         v = ubar.columns @ s
-        omega = np.sort(rng.choice(n, size=q, replace=False))
+        omega = _sample(rng, n, q)
         yield omega, v[omega], s
 
 

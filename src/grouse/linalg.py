@@ -158,32 +158,35 @@ def _as_matrix(a, square: bool = False) -> np.ndarray:
     return a
 
 
-def _as_vector(b, length: int | None = None) -> np.ndarray:
-    """The vector rule: ``b`` as a finite 1-d float array of ``length`` entries (or of any >= 1)."""
+def _as_vector(name: str, b, length: int | None = None) -> np.ndarray:
+    """The vector rule: ``b`` as a finite 1-d float array of ``length`` entries (or of any >= 1).
+
+    Raises ``ValueError`` naming ``name`` otherwise.
+    """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or len(b) < 1 or len(b) != (length or len(b)):
-        raise ValueError(f"shape: expected a 1-d vector of length {length or 'at least 1'}")
+        raise ValueError(f"{name} must be a 1-d vector of length {length or 'at least 1'}")
     if not np.all(np.isfinite(b)):
-        raise ValueError("vector entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     return b
 
 
-def _qr(a: np.ndarray, message: str, triangular: bool = True):
+def _qr(a: np.ndarray, message: str):
     """Householder QR of a finite m x d array with m >= d: (Q, R).
 
     Runs LAPACK ``dgeqrf``/``dorgqr`` at their queried optimal workspace,
-    which is what ``np.linalg.qr`` does, so Q and R are bitwise its own; Q
-    and R are C-contiguous, as numpy returns them.  With ``triangular``
-    False, R's entries below the diagonal are left as the Householder
-    vectors instead of zeroed, for a solve that reads one triangle.  Raises
-    ``NumericalError(message)`` when a diagonal entry of R is negligible
-    against the largest.
+    which is what ``np.linalg.qr`` does, so Q and R's upper triangle are
+    bitwise its own; Q and R are C-contiguous, as numpy returns them.  R's
+    entries below the diagonal are left as the Householder vectors, not
+    zeroed: the one solve that reads R (:func:`_lstsq`) reads one triangle.
+    Raises ``NumericalError(message)`` when a diagonal entry of R is
+    negligible against the largest.
     """
     m, d = a.shape
     # a dgeqrf(a, lwork=-1) query would copy a C-ordered ``a`` to Fortran order
     qr, tau, _, _ = dgeqrf(a, lwork=int(dgeqrf_lwork(m, d)[0]))
-    # a real copy either way: at d=1, qr[:d] is a view that dorgqr overwrites
-    r = np.triu(qr[:d]) if triangular else np.array(qr[:d], order="C")
+    # a real copy: at d=1, qr[:d] is a view that dorgqr overwrites
+    r = np.array(qr[:d], order="C")
     diag = np.abs(np.diag(r))
     if diag.min() <= RANK_RTOL * max(diag.max(), _TINY):
         raise NumericalError(message)
@@ -199,11 +202,12 @@ def _lstsq(c: np.ndarray, b: np.ndarray, message: str = "singular normal equatio
     with LAPACK ``dtrtrs`` on the Fortran-ordered transpose of the
     C-ordered R, the call ``solve_triangular`` makes for it, so w is bitwise
     ``solve_triangular(r, q.T @ b)``.  ``dtrtrs`` reads only the lower
-    triangle of that transpose, so R is not zeroed below its diagonal first.
+    triangle of that transpose, so R's Householder vectors below its
+    diagonal never enter the solve.
     """
     if len(c) < c.shape[1]:
         raise NumericalError(message)
-    q, r = _qr(c, message, triangular=False)
+    q, r = _qr(c, message)
     w, info = dtrtrs(r.T, q.T @ b, lower=1, trans=1)
     if info != 0:
         raise NumericalError(message)
@@ -242,7 +246,7 @@ def orthonormalize(a) -> np.ndarray:
 def least_squares(c, b) -> np.ndarray:
     """Minimize ||c w - b||_2 via Householder QR of c (not normal equations)."""
     c = _as_matrix(c)
-    return _lstsq(c, _as_vector(b, len(c)))
+    return _lstsq(c, _as_vector("b", b, len(c)))
 
 
 def singular_values(a) -> np.ndarray:

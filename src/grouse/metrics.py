@@ -1,8 +1,13 @@
-"""Subspace geometry: principal angles, the error metric, coherences.
+"""Subspace geometry: bases, the rank-one rotation, principal angles, the error metric, coherences.
 
 The central quantity is ``epsilon(u, ubar) = d - ||ubar^T u||_F^2``, the sum
 of squared sines of the principal angles between the two column spans.  It
 is zero exactly when the subspaces coincide and at most d.
+
+Each step computation on a basis array is written once here: the GROUSE
+rotation (:func:`_rotate`, in place; :func:`_rotated` on a copy adopted as a
+new :class:`Basis`) and the off-span residual ``v - U (U^T v)``
+(:func:`_off_span`).
 """
 from __future__ import annotations
 
@@ -86,6 +91,44 @@ def _adopt(columns: np.ndarray) -> Basis:
     return basis
 
 
+# Elements per row block of the in-place rotation (256 KB of float64, sized
+# to L2): a block and its outer-product term stay in cache while they add.
+_BLOCK = 32768
+
+
+def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
+    """Apply the rank-one GROUSE rotation to ``cols`` in place; returns ``(y, gain)``.
+
+    ``cols`` must be a writable, C-contiguous n x d array that no one else
+    holds (never the columns of a :class:`Basis`).  It becomes
+    ``cols + outer(gain, y)`` with ``y = w / norm_w``, added in row blocks of
+    about ``_BLOCK`` elements; each entry is rounded exactly as in that
+    expression, so the result is bitwise the same.
+    """
+    gain = (np.cos(angle) - 1.0) * p / norm_p + np.sin(angle) * r / norm_r
+    y = w / norm_w
+    rows = max(1, _BLOCK // cols.shape[1])
+    # one block-sized temporary; multiply-then-add rounds as np.outer and + do
+    tmp = np.empty((min(rows, cols.shape[0]), cols.shape[1]))
+    for i in range(0, cols.shape[0], rows):
+        blk = cols[i : i + rows]
+        term = tmp[: len(blk)]
+        np.multiply(gain[i : i + rows, None], y, out=term)
+        blk += term
+    return y, gain
+
+
+def _rotated(u: Basis, *args) -> Basis:
+    """A new read-only Basis: a copy of ``u`` rotated in place by ``_rotate(copy, *args)``.
+
+    The Basis adopts the rotated copy itself, after the finiteness and
+    drift checks that guard chained single steps: one n x d copy per call.
+    """
+    cols = np.array(u.columns)
+    _rotate(cols, *args)
+    return _adopt(cols)
+
+
 def orthonormality_drift(columns: np.ndarray) -> float:
     """||B^T B - I||_F, the distance from exact orthonormality."""
     d = columns.shape[1]
@@ -107,8 +150,9 @@ class SubspaceDiagnostics:
     cos_sq_theta: float | None = None
 
 
-def _check_pair(u: Basis, ubar: Basis) -> None:
-    if (u.n, u.d) != (ubar.n, ubar.d):
+def _check_pair(u: Basis, ubar: Basis | None) -> None:
+    """The pair rule: two bases share n and d; ValueError otherwise.  A missing ``ubar`` passes."""
+    if ubar is not None and (u.n, u.d) != (ubar.n, ubar.d):
         raise ValueError("bases must share ambient and subspace dimensions")
 
 
@@ -147,8 +191,16 @@ def _residual_energy(cols: np.ndarray, target: np.ndarray) -> float:
     Drivers that own a writable basis buffer measure it through this, since
     wrapping the buffer in a :class:`Basis` would freeze it.
     """
-    g = cols - target @ (target.T @ cols)
+    g = _off_span(target, cols)
     return float(np.sum(g * g))
+
+
+def _off_span(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v - cols (cols^T v)``: the part of a vector ``v``, or of each column of ``v``, off span(cols).
+
+    The one spelling of this residual, so each caller gets the same bits.
+    """
+    return v - cols @ (cols.T @ v)
 
 
 def coherence_basis(u: Basis) -> float:
@@ -159,7 +211,7 @@ def coherence_basis(u: Basis) -> float:
 
 def coherence_vector(x) -> float:
     """n ||x||_inf^2 / ||x||_2^2; in [1, n]."""
-    x = _as_vector(x)
+    x = _as_vector("x", x)
     nrm_sq = float(x @ x)
     if nrm_sq == 0.0:
         raise ValueError("undefined coherence: zero vector")
@@ -168,7 +220,7 @@ def coherence_vector(x) -> float:
 
 def revealed_angle_sin_sq(u: Basis, v) -> float:
     """sin^2 of the angle between v and the span of u, in [0, 1]."""
-    return _sin_sq(u.columns, _as_vector(v, u.n))
+    return _sin_sq(u.columns, _as_vector("v", v, u.n))
 
 
 def _sin_sq(cols: np.ndarray, v: np.ndarray) -> float:
@@ -176,7 +228,7 @@ def _sin_sq(cols: np.ndarray, v: np.ndarray) -> float:
     nrm_sq = float(v @ v)
     if nrm_sq == 0.0:
         raise ValueError("undefined angle: zero vector")
-    resid = v - cols @ (cols.T @ v)
+    resid = _off_span(cols, v)
     return float(min(1.0, max(0.0, (resid @ resid) / nrm_sq)))
 
 

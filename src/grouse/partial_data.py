@@ -7,6 +7,12 @@ observation into the explained part p and the residual r (zero off the
 sample), and rotates the basis by a rank-one update that moves p/||p||
 toward r/||r|| while leaving the orthogonal complement of w untouched.
 
+The step kernels read a bare basis array and return the rotation's
+arguments; the stream driver hands them to the trajectory
+(``results._Trajectory``), which owns the buffer and rotates it with
+``metrics._rotate``.  :func:`_sample` draws the algorithm's index sample
+(distinct indices, without replacement) wherever one is needed.
+
 Indices are 0-based throughout the in-memory API; the observation CSV
 format uses 1-based indices on the wire.
 """
@@ -21,7 +27,7 @@ import numpy as np
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
 from .linalg import NumericalError, _as_vector, _count, _lstsq, _real, _sv, least_squares  # noqa: F401
-from .metrics import Basis, _adopt, _check_pair, _sin_sq, epsilon_residual
+from .metrics import Basis, _check_pair, _rotated, _sin_sq, epsilon_residual
 from .results import _FLOAT, _INT, TrialResult, _Trajectory, _write_cells
 
 # Residuals this small (relative to the observed entries) are treated as an
@@ -55,7 +61,7 @@ class Observation:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
         if self.latent_s is not None:
-            object.__setattr__(self, "latent_s", _as_vector(self.latent_s))
+            object.__setattr__(self, "latent_s", _as_vector("latent_s", self.latent_s))
 
 
 def _indices(omega, n: int, increasing: bool = False) -> np.ndarray:
@@ -80,6 +86,14 @@ def _indices(omega, n: int, increasing: bool = False) -> np.ndarray:
     return omega
 
 
+def _sample(rng: np.random.Generator, n: int, q: int) -> np.ndarray:
+    """The algorithm's index sample: q distinct indices of [0, n) drawn from ``rng``, sorted.
+
+    The form a checked :class:`Observation`'s ``omega`` holds.
+    """
+    return np.sort(rng.choice(n, size=q, replace=False))
+
+
 def _arrays(obs: Observation, u: Basis, ubar: Basis | None = None):
     """The arrays ``(omega, values, latent_s)`` of ``obs``; ValueError unless its n is ``u.n``.
 
@@ -88,8 +102,8 @@ def _arrays(obs: Observation, u: Basis, ubar: Basis | None = None):
     """
     if obs.n != u.n:
         raise ValueError("observation and basis ambient dimensions differ")
-    s = obs.latent_s
-    return obs.omega, obs.values, None if s is None or ubar is None else _as_vector(s, ubar.d)
+    s = None if ubar is None else obs.latent_s
+    return obs.omega, obs.values, s if s is None else _as_vector("latent_s", s, ubar.d)
 
 
 @dataclass(frozen=True)
@@ -168,7 +182,7 @@ def partial_residual(u: Basis, obs: Observation):
 def _fit(cols: np.ndarray, sub: np.ndarray, omega: np.ndarray, values: np.ndarray):
     """:func:`partial_residual` on a bare basis array, its rows ``cols[omega]`` and ``values``.
 
-    All are finite already (an owned buffer and a checked observation's
+    All are finite already (a basis array and a checked observation's
     arrays), so the fit runs the bare QR kernel.
     """
     w = _lstsq(sub, values, "gate bypassed on singular sample")
@@ -206,44 +220,6 @@ def _eta(sigma: float, norm_r: float, norm_p: float, alpha: float) -> float:
     return float(np.arcsin(min(1.0, alpha * norm_r / norm_p)) / sigma)
 
 
-# Elements per row block of the in-place rotation (256 KB of float64, sized
-# to L2): a block and its outer-product term stay in cache while they add.
-_BLOCK = 32768
-
-
-def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
-    """Apply the rank-one GROUSE rotation to ``cols`` in place; returns ``(y, gain)``.
-
-    ``cols`` must be a writable, C-contiguous n x d array owned by the
-    caller (never the columns of a :class:`Basis`).  It becomes
-    ``cols + outer(gain, y)`` with ``y = w / norm_w``, added in row blocks of
-    about ``_BLOCK`` elements; each entry is rounded exactly as in that
-    expression, so the result is bitwise the same.
-    """
-    gain = (np.cos(angle) - 1.0) * p / norm_p + np.sin(angle) * r / norm_r
-    y = w / norm_w
-    rows = max(1, _BLOCK // cols.shape[1])
-    # one block-sized temporary; multiply-then-add rounds as np.outer and + do
-    tmp = np.empty((min(rows, cols.shape[0]), cols.shape[1]))
-    for i in range(0, cols.shape[0], rows):
-        blk = cols[i : i + rows]
-        term = tmp[: len(blk)]
-        np.multiply(gain[i : i + rows, None], y, out=term)
-        blk += term
-    return y, gain
-
-
-def _rotated(u: Basis, *args) -> Basis:
-    """A new read-only Basis: a copy of ``u`` rotated in place by ``_rotate(copy, *args)``.
-
-    The Basis adopts the rotated copy itself, after the finiteness and
-    drift checks that guard chained single steps: one n x d copy per call.
-    """
-    cols = np.array(u.columns)
-    _rotate(cols, *args)
-    return _adopt(cols)
-
-
 def _revealed_theta(cols: np.ndarray, ubar: Basis | None, latent_s) -> float | None:
     """Angle between the observed vector and the span of ``cols``, when it is known."""
     if ubar is None or latent_s is None:
@@ -260,9 +236,9 @@ def _step(cols: np.ndarray, omega, values, alpha: float, bypass_gate: bool, reco
     ``omega`` and ``values`` are a checked observation's arrays.  Returns
     ``(verdict, fit, rotation)``.  ``fit`` is None for a skipped step, else
     ``(norm_r, norm_p, sigma, eta, clamped, w, p, r)``.  ``rotation`` holds
-    the arguments of :func:`_rotate` after the array, None for a skipped or
-    identity step.  A bypassed gate whose verdict no one records (``record``
-    False) is not evaluated, and the verdict is None.
+    the arguments of ``metrics._rotate`` after the array, None for a skipped
+    or identity step.  A bypassed gate whose verdict no one records
+    (``record`` False) is not evaluated, and the verdict is None.
     """
     sub = cols[omega]
     verdict = _gate(sub, cols.shape[0]) if record or not bypass_gate else None
@@ -297,10 +273,12 @@ def grouse_step(
     the basis unchanged with ``taken`` False.  A residual below the floor,
     or an observation orthogonal to the sampled basis rows, is an identity
     update with ``taken`` True and eta = 0.  ``epsilon_before/after`` are
-    filled when ``ubar`` is supplied.  ValueError if ``obs.n != u.n`` or
-    alpha lies outside (0, 2), whether or not the step is taken.
+    filled when ``ubar`` is supplied.  ValueError if ``obs.n != u.n``,
+    ``ubar`` has another n or d, or alpha lies outside (0, 2), whether or
+    not the step is taken.
     """
     _check_alpha(alpha)
+    _check_pair(u, ubar)
     omega, values, latent_s = _arrays(obs, u, ubar)
     verdict, fit, rotation = _step(u.columns, omega, values, alpha, bypass_gate)
     sigma, eta, clamped, w, p, r = (0.0, 0.0, False, None, None, None) if fit is None else fit[2:]
@@ -332,10 +310,11 @@ def run_stream(
 ) -> TrialResult:
     """Apply the steps of :func:`grouse_step` over a sequence of observations.
 
-    Steps rotate one owned buffer, a copy of ``u0.columns``, in place; a QR
-    replaces it at the fixed re-orthonormalization cadence and on excess
-    drift.  A skipped or identity step reuses the drift check and epsilon of
-    the unchanged buffer.  Epsilon is recorded when ``ubar`` is given.  A bad alpha or
+    Steps rotate the buffer of ``results._Trajectory``, a copy of
+    ``u0.columns``, in place; a QR replaces it at the fixed
+    re-orthonormalization cadence and on excess drift.  A skipped or
+    identity step reuses the drift check and epsilon of the unchanged
+    buffer.  Epsilon is recorded when ``ubar`` is given.  A bad alpha or
     ``ubar`` raises ValueError before any observation is read; an
     observation of another n raises ValueError at its step.
     """
@@ -348,27 +327,26 @@ def _run_stream(
 ):
     """:func:`run_stream` over checked observations' arrays ``(omega, values, latent_s)``.
 
-    Returns ``(result, cols)``, ``cols`` the final owned buffer.  Without
+    Returns ``(result, cols)``, ``cols`` the trajectory's final buffer.  Without
     ``ubar`` no per-step epsilon or revealed angle is measured, so a caller
     that needs epsilon only at the ends measures ``u0`` and ``cols``.  With
     ``record`` False no per-step row is kept and the result is None, so a
     bypassed gate is not evaluated: no row would hold its verdict.
     """
     _check_alpha(alpha)
-    if ubar is not None:
-        _check_pair(u0, ubar)
-    cols = np.array(u0.columns)
-    track = _Trajectory(cols, None if ubar is None else ubar.columns, maintained=False)
+    _check_pair(u0, ubar)
+    track = _Trajectory(u0, None if ubar is None else ubar.columns, maintained=False)
     for omega, values, latent_s in stream:
-        theta = _revealed_theta(cols, ubar, latent_s)  # against the basis the step starts from
-        verdict, fit, rotation = _step(cols, omega, values, alpha, bypass_gate, record)
+        # against the basis the step starts from
+        theta = _revealed_theta(track.cols, ubar, latent_s)
+        verdict, fit, rotation = _step(track.cols, omega, values, alpha, bypass_gate, record)
         row = None
         if record:
             norm_r, norm_p = (0.0, 0.0) if fit is None else fit[:2]
             theta = np.nan if theta is None else theta
             row = (verdict.passed, fit is not None, norm_r, norm_p, theta)
-        cols = track.step(cols, row, None if rotation is None else _rotate(cols, *rotation))
-    return (track.result() if record else None), cols
+        track.step(row, rotation)
+    return (track.result() if record else None), track.cols
 
 
 def write_observations(path, observations) -> None:

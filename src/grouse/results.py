@@ -1,4 +1,9 @@
-"""Trial results, trajectory bookkeeping, and the cell codec of every file the library writes."""
+"""Trial results, the drivers' basis buffer, and the cell codec of every file the library writes.
+
+:class:`_Trajectory` owns the one n x d buffer a driver steps: it makes the
+copy, rotates it in place, re-orthonormalizes it, measures epsilon and keeps
+the per-step rows; the drivers only read it.
+"""
 from __future__ import annotations
 
 import csv
@@ -9,10 +14,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .metrics import BASIS_DRIFT_TOL, REORTHO_EVERY, Basis, _residual_energy, _rotate
+
 # orthonormalize and orthonormality_drift are called through these module
 # bindings, so a tracer that rebinds public names sees them inside the step loops.
 from .linalg import orthonormalize
-from .metrics import BASIS_DRIFT_TOL, REORTHO_EVERY, _residual_energy, orthonormality_drift
+from .metrics import orthonormality_drift
 
 # d - ||U^T ubar||_F^2 loses accuracy to cancellation near convergence; below
 # this value a maintained trajectory measures epsilon from scratch instead.
@@ -53,9 +60,10 @@ class TrialResult:
 
 
 class _Trajectory:
-    """The rows, re-orthonormalizations and epsilons of a driver stepping its owned buffer.
+    """The basis buffer a driver steps, owned here, with the run's rows, QRs and epsilons.
 
-    ``cols`` copies a validated Basis; ``target`` is None to measure no
+    ``cols`` is the buffer, a copy of the validated Basis ``u0`` that only
+    :meth:`step` writes; drivers read it.  ``target`` is None to measure no
     epsilon.  ``maintained`` keeps U^T target by rank-one updates (epsilon
     from scratch only below ``_EPS_SWITCH``) and checks no drift, so no step
     costs O(n d^2).  A QR replaces the buffer every ``REORTHO_EVERY`` steps
@@ -64,49 +72,49 @@ class _Trajectory:
     row counts toward the cadence but keeps nothing for :meth:`result`.
     """
 
-    def __init__(self, cols: np.ndarray, target: np.ndarray | None, maintained: bool):
+    def __init__(self, u0: Basis, target: np.ndarray | None, maintained: bool):
+        self.cols = np.array(u0.columns)
         self._target = target
-        self._product = cols.T @ target if maintained else None
+        self._product = self.cols.T @ target if maintained else None
         self._rows = []
         self._steps = 0
         # the Basis the buffer copies passed the drift check
         self._checked = True
-        self._epsilons = None if target is None else [self._measure(cols)]
+        self._epsilons = None if target is None else [self._measure()]
 
-    def _measure(self, cols: np.ndarray) -> float:
+    def _measure(self) -> float:
         if self._product is not None:
-            rough = float(cols.shape[1] - np.sum(self._product * self._product))
+            rough = float(self.cols.shape[1] - np.sum(self._product * self._product))
             if rough >= _EPS_SWITCH:
                 return rough
-        return _residual_energy(cols, self._target)
+        return _residual_energy(self.cols, self._target)
 
-    def step(self, cols: np.ndarray, row: tuple | None, rank_one) -> np.ndarray:
-        """Record a step; ``rank_one`` is ``(y, gain)`` if it added outer(gain, y) to ``cols``.
+    def step(self, row: tuple | None, rotation: tuple | None) -> None:
+        """Record a step, rotating the buffer by ``_rotate(cols, *rotation)`` unless it is None.
 
-        ``row`` is None for a step whose row no one reads.  Returns the
-        buffer to step next, a fresh QR factor or ``cols``.
+        ``row`` is None for a step whose row no one reads.  After the step
+        ``cols`` may be a fresh QR factor.
         """
         self._steps += 1
         if row is not None:
             self._rows.append(row)
-        if rank_one is not None:
+        if rotation is not None:
+            y, gain = _rotate(self.cols, *rotation)
             self._checked = False
             if self._product is not None:
-                y, gain = rank_one
                 self._product = self._product + np.outer(y, self._target.T @ gain)
         qr = self._steps % REORTHO_EVERY == 0
         if not (qr or self._checked or self._product is not None):
-            qr = orthonormality_drift(cols) > BASIS_DRIFT_TOL
+            qr = orthonormality_drift(self.cols) > BASIS_DRIFT_TOL
             self._checked = not qr
         if qr:
-            cols = orthonormalize(cols)
+            self.cols = orthonormalize(self.cols)
             self._checked = False
             if self._product is not None:
-                self._product = cols.T @ self._target
+                self._product = self.cols.T @ self._target
         if self._epsilons is not None:
-            fresh = rank_one is not None or qr
-            self._epsilons.append(self._measure(cols) if fresh else self._epsilons[-1])
-        return cols
+            fresh = rotation is not None or qr
+            self._epsilons.append(self._measure() if fresh else self._epsilons[-1])
 
     def result(self) -> TrialResult:
         table = np.array(self._rows, dtype=_STEP_DTYPE)

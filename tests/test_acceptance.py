@@ -21,8 +21,8 @@ from grouse.harness import (
     sweep_phase,
 )
 from grouse.linalg import orthonormalize
-from grouse.metrics import Basis, alignment, coherence_basis, epsilon, epsilon_residual
-from grouse.partial_data import Observation, _rotate, gate_check, grouse_step
+from grouse.metrics import Basis, _rotate, alignment, coherence_basis, epsilon, epsilon_residual
+from grouse.partial_data import Observation, gate_check, grouse_step
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -1,14 +1,17 @@
 """Every public entry rejects a wrong kind of argument with the library's own ValueError.
 
 ``_CALLS`` holds one valid call for each name in ``grouse.__all__`` that
-takes a checked count, real setting, seed or vector, and the kind of each
-such argument.  The walk replaces one argument at a time with a wrong value
-of its kind and requires a ``ValueError`` (``NumericalError`` is one) whose
-message is the library's, not one that numpy or Python raise deep inside a
-computation.  The other public names take nothing of these kinds: records,
-files, bases, matrices, problem specs and an epsilon trajectory.
+takes a checked count, real setting, seed, vector or second basis, and the
+kind of each such argument.  The walk replaces one argument at a time with
+a wrong value of its kind and requires a ``ValueError`` (``NumericalError``
+is one) whose message is the library's, not one that numpy or Python raise
+deep inside a computation; a vector's message names the vector, and a
+second basis of another n or d gets the pair rule's message.  The other
+public names take nothing of these kinds: records, files, single bases,
+matrices, problem specs and an epsilon trajectory.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +22,11 @@ from grouse import (
     Basis,
     Observation,
     ProblemSpec,
+    alignment,
     coherence_vector,
     diagnostics,
+    epsilon,
+    epsilon_residual,
     estimate_skip_rate,
     fit_x,
     full_step,
@@ -32,6 +38,7 @@ from grouse import (
     mu_xt_diagnostics,
     pair_with_epsilon,
     predicted_decrease,
+    principal_angles,
     psi_diagnostic,
     random_basis,
     revealed_angle_sin_sq,
@@ -68,8 +75,11 @@ _CALLS = {
         dict(n="count", d="count", q="count", iters="count", seed="seed", alpha="real",
              init_noise_std="real"),
     ),
+    "alignment": (alignment, dict(u=U, ubar=UBAR), dict(ubar="pair")),
     "coherence_vector": (coherence_vector, dict(x=V), dict(x="free vector")),
-    "diagnostics": (diagnostics, dict(u=U, ubar=UBAR, v=V), dict(v="vector")),
+    "diagnostics": (diagnostics, dict(u=U, ubar=UBAR, v=V), dict(ubar="pair", v="vector")),
+    "epsilon": (epsilon, dict(u=U, ubar=UBAR), dict(ubar="pair")),
+    "epsilon_residual": (epsilon_residual, dict(u=U, ubar=UBAR), dict(ubar="pair")),
     "estimate_skip_rate": (
         estimate_skip_rate, dict(u=U, q=10, trials=3, seed=1),
         dict(q="count", trials="count", seed="seed"),
@@ -78,14 +88,15 @@ _CALLS = {
         fit_x, dict(epsilon0=0.5, epsilonN=0.1, n=20, d=2, q=10, iters=5),
         dict(epsilon0="real", epsilonN="real", n="count", d="count", q="count", iters="count"),
     ),
-    "full_step": (full_step, dict(u=U, v=V, ubar=UBAR), dict(v="vector")),
+    "full_step": (full_step, dict(u=U, v=V, ubar=UBAR), dict(v="vector", ubar="pair")),
     "gamma_bound": (
         gamma_bound, dict(d=2, mu=1.5, omega_size=10, delta=0.1),
         dict(d="count", mu="real", omega_size="count", delta="real"),
     ),
     "gate_check": (gate_check, dict(u=U, omega=OMEGA), dict(omega="free vector")),
     "grouse_step": (
-        grouse_step, dict(u=U, obs=OBS, alpha=1.0, ubar=UBAR), dict(obs="observation", alpha="real")
+        grouse_step, dict(u=U, obs=OBS, alpha=1.0, ubar=UBAR),
+        dict(obs="observation", alpha="real", ubar="pair"),
     ),
     "incoherent_basis": (
         incoherent_basis, dict(n=20, d=2, seed=1), dict(n="count", d="count", seed="seed")
@@ -93,26 +104,31 @@ _CALLS = {
     "least_squares": (least_squares, dict(c=U.columns, b=V), dict(b="vector")),
     "mu_xt_diagnostics": (
         mu_xt_diagnostics, dict(u=U, ubar=UBAR, trials=3, seed=1, c1=2.0),
-        dict(trials="count", seed="seed", c1="real"),
+        dict(ubar="pair", trials="count", seed="seed", c1="real"),
     ),
     "pair_with_epsilon": (
         pair_with_epsilon, dict(n=20, d=2, eps=0.1, seed=1),
         dict(n="count", d="count", eps="real", seed="seed"),
     ),
     "predicted_decrease": (
-        predicted_decrease, dict(u=U, ubar=UBAR, v=V, eta=0.5), dict(v="vector", eta="real")
+        predicted_decrease, dict(u=U, ubar=UBAR, v=V, eta=0.5),
+        dict(ubar="pair", v="vector", eta="real"),
     ),
-    "psi_diagnostic": (psi_diagnostic, dict(u=U, ubar=UBAR, s=[1.0, 2.0]), dict(s="vector")),
+    "principal_angles": (principal_angles, dict(u=U, ubar=UBAR), dict(ubar="pair")),
+    "psi_diagnostic": (
+        psi_diagnostic, dict(u=U, ubar=UBAR, s=[1.0, 2.0]), dict(ubar="pair", s="vector")
+    ),
     "random_basis": (
         random_basis, dict(n=20, d=2, seed=1), dict(n="count", d="count", seed="seed")
     ),
     "revealed_angle_sin_sq": (revealed_angle_sin_sq, dict(u=U, v=V), dict(v="vector")),
     "run_full": (
-        run_full, dict(u0=U, ubar=UBAR, iters=3, seed=1), dict(iters="count", seed="seed")
+        run_full, dict(u0=U, ubar=UBAR, iters=3, seed=1),
+        dict(ubar="pair", iters="count", seed="seed"),
     ),
     "run_stream": (
         run_stream, dict(u0=U, stream=[OBS], alpha=1.0, ubar=UBAR),
-        dict(stream="stream", alpha="real"),
+        dict(stream="stream", alpha="real", ubar="pair"),
     ),
     "sample_with_replacement": (
         sample_with_replacement, dict(n=20, m=5, seed=1), dict(n="count", m="count", seed="seed")
@@ -133,11 +149,11 @@ _CALLS = {
     ),
     "validate_residual_bound": (
         validate_residual_bound, dict(u=U, ubar=UBAR, omega_size=10, delta=0.1, trials=3, seed=1),
-        dict(omega_size="count", delta="real", trials="count", seed="seed"),
+        dict(ubar="pair", omega_size="count", delta="real", trials="count", seed="seed"),
     ),
     "validate_sin_sq_expectation": (
         validate_sin_sq_expectation, dict(u=U, ubar=UBAR, trials=3, seed=1),
-        dict(trials="count", seed="seed"),
+        dict(ubar="pair", trials="count", seed="seed"),
     ),
 }
 
@@ -147,11 +163,12 @@ _NOTHING_TO_REPLACE = {
     "ConcentrationReport", "FullStepRecord", "GateVerdict", "MuXtSummary",
     "NumericalError", "ResidualBoundReport", "StepRecord", "SubspaceDiagnostics", "SweepCell",
     "TrialResult",
-    # bases, matrices and problem specs
-    "Basis", "alignment", "coherence_basis", "epsilon", "epsilon_residual", "generate_problem",
-    "nearest_orthogonal", "orthonormalize", "partial_residual", "principal_angles",
-    "run_full_trial", "run_partial_trial", "singular_values", "sym_eigenvalues",
+    # single bases, matrices and problem specs
+    "Basis", "coherence_basis", "generate_problem", "nearest_orthogonal", "orthonormalize",
+    "partial_residual", "run_full_trial", "run_partial_trial", "singular_values",
+    "sym_eigenvalues",
     # an epsilon trajectory, which may be empty or hold NaN, so no vector rule applies
+    # (its own 1-d rule is tested in test_harness.py)
     "tail_slope",
     # files
     "read_observations", "read_problem_spec", "read_sweep_csv", "read_trajectory_csv",
@@ -160,6 +177,17 @@ _NOTHING_TO_REPLACE = {
 
 # Text of numpy's and Python's own errors: a message holding one escaped the rules.
 _FOREIGN = ("matmul", "gufunc", "SeedSequence", "math domain error", "truth value")
+
+
+# kind -> what the message of its rule holds, given the replaced argument's name:
+# a vector's own name (as a word), an observation's latent_s, or the pair rule.
+_MESSAGE = {
+    "vector": lambda arg: arg,
+    "free vector": lambda arg: arg,
+    "observation": lambda arg: "latent_s",
+    "stream": lambda arg: "latent_s",
+    "pair": lambda arg: "bases must share ambient and subspace dimensions",
+}
 
 
 def _longer_latent(obs: Observation, extra: int = 1) -> Observation:
@@ -204,6 +232,12 @@ _WRONG = {
         lambda good: [[_longer_latent(good[0])]],
         lambda good: st.integers(2, 4).map(lambda k: [good[0], _longer_latent(good[0], k)]),
     ),
+    # a second basis with another n, and one with another d
+    "pair": (
+        lambda good: [random_basis(good.n + 10, good.d, 1), random_basis(good.n, good.d + 1, 1)],
+        lambda good: st.integers(1, 8).map(lambda k: random_basis(good.n + k, good.d, k))
+        | st.integers(1, 3).map(lambda k: random_basis(good.n, good.d + k, k)),
+    ),
 }
 
 
@@ -219,11 +253,14 @@ def test_each_walk_starts_from_a_valid_call(name):
 
 
 def _assert_rejected(name: str, arg: str, bad) -> None:
-    call, kwargs, _ = _CALLS[name]
+    call, kwargs, kinds = _CALLS[name]
     with pytest.raises(ValueError) as exc:
         call(**{**kwargs, arg: bad})
     message = str(exc.value)
     assert message and not any(text in message for text in _FOREIGN), (name, arg, bad, message)
+    if kinds[arg] in _MESSAGE:
+        text = _MESSAGE[kinds[arg]](arg)
+        assert re.search(rf"\b{re.escape(text)}\b", message), (name, arg, bad, message)
 
 
 @settings(max_examples=5, deadline=None, derandomize=True)

@@ -46,7 +46,7 @@ def test_vector_arguments_must_be_finite():
         lambda: psi_diagnostic(u, ubar, [np.nan, 1.0]),
         lambda: psi_diagnostic(u, ubar, [[1.0, 1.0]]),
     ):
-        with pytest.raises(ValueError, match="^vector entries must be finite$|^shape"):
+        with pytest.raises(ValueError, match="^[vs] entries must be finite$|^s must be a 1-d vector"):
             call()
 
 

@@ -130,6 +130,19 @@ def test_tail_slope_on_exact_geometric_decay():
     assert tail_slope(np.full(10, 1e-30)) is None
 
 
+def test_tail_slope_takes_a_1d_trajectory():
+    for bad in (np.ones((4, 4)), np.ones((1, 6)), 0.5):
+        with pytest.raises(ValueError, match="^epsilons must be a 1-d trajectory$"):
+            tail_slope(bad)
+    # an empty trajectory has no slope, and NaN entries are dropped
+    assert tail_slope([]) is None
+    eps = 0.5 * np.exp(-0.07 * np.arange(20))
+    with_nan = eps.copy()
+    with_nan[[12, 17]] = np.nan
+    kept = np.r_[eps[:12], [0.0], eps[13:17], [0.0], eps[18:]]
+    assert tail_slope(with_nan) == tail_slope(kept)
+
+
 def test_run_partial_trial_determinism():
     spec = ProblemSpec(n=300, d=5, q=60, iters=100, seed=21)
     a = run_partial_trial(spec)

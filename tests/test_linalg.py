@@ -178,7 +178,8 @@ def _assert_kernels_are_numpys(a):
     q_ref, r_ref = np.linalg.qr(a)
     assert q.flags.c_contiguous and r.flags.c_contiguous
     assert q.tobytes() == q_ref.tobytes()
-    assert r.tobytes() == r_ref.tobytes()
+    # R's upper triangle is numpy's; below it lie the Householder vectors
+    assert np.triu(r).tobytes() == r_ref.tobytes()
     b = np.random.default_rng(a.shape[0]).standard_normal(a.shape[0])
     w_ref = solve_triangular(r_ref, q_ref.T @ b, check_finite=False)
     assert _lstsq(a, b).tobytes() == w_ref.tobytes()

@@ -118,7 +118,7 @@ def test_coherence_vector():
     with pytest.raises(ValueError, match="undefined coherence"):
         coherence_vector(np.zeros(3))
     # a NaN entry has no coherence
-    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+    with pytest.raises(ValueError, match="^x entries must be finite$"):
         coherence_vector([np.nan, 1.0])
 
 
@@ -136,7 +136,7 @@ def test_revealed_angle_sin_sq():
     with pytest.raises(ValueError):
         revealed_angle_sin_sq(u, np.zeros(3))
     # a NaN entry has no angle
-    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+    with pytest.raises(ValueError, match="^v entries must be finite$"):
         revealed_angle_sin_sq(u, np.array([np.nan, 1.0, 0.0]))
 
 

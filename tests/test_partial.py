@@ -4,10 +4,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grouse.full_data import _is_identity, _split, full_step, run_full
 from grouse.linalg import NumericalError, orthonormalize
-from grouse.metrics import BASIS_DRIFT_TOL, Basis, epsilon_residual, orthonormality_drift
+from grouse.metrics import BASIS_DRIFT_TOL, Basis, _rotate, epsilon_residual, orthonormality_drift
 from grouse.partial_data import (
     Observation,
-    _rotate,
     gate_check,
     grouse_step,
     partial_residual,
@@ -54,7 +53,7 @@ def test_observation_validation():
         Observation(n=5, omega=[0.5, 1.7], values=[0.0, 0.0])
     with pytest.raises(ValueError, match="^n must be an integer, not a float$"):
         Observation(n=5.0, omega=[0, 2], values=[0.0, 0.0])
-    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+    with pytest.raises(ValueError, match="^latent_s entries must be finite$"):
         Observation(n=5, omega=[0, 2], values=[0.0, 0.0], latent_s=[np.nan, 1.0])
     empty = Observation(n=5, omega=[], values=[])
     assert empty.omega.dtype == np.int_ and empty.values.dtype == np.float64
