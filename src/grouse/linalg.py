@@ -24,7 +24,6 @@ for finite arrays, and :func:`_lstsq` for fits with fewer rows than columns.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import glob
@@ -81,24 +80,30 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
+class _one_blas_thread:
     """Run the block with every bundled OpenBLAS library on one thread.
 
-    Yields the thread counts found on entry, one per library, and restores
-    them on exit.  A product splits its inner dimension by the thread count,
-    so pinning one thread makes results the same bits at any
+    ``with _one_blas_thread() as previous`` yields the thread counts found
+    on entry, one per library, and restores them on exit; a library already
+    on one thread is left alone, so a pin inside a pin only reads the
+    counts.  A product splits its inner dimension by the thread count, so
+    pinning one thread makes results the same bits at any
     ``OPENBLAS_NUM_THREADS``.  Where neither library is found this pins
     nothing and yields an empty tuple.
     """
-    controls = _openblas_thread_controls()
-    previous = tuple(getter() for _, getter in controls)
-    for setter, _ in controls:
-        setter(1)
-    try:
-        yield previous
-    finally:
-        for (setter, _), count in zip(controls, previous):
+
+    __slots__ = ("_changed",)
+
+    def __enter__(self) -> tuple:
+        controls = _openblas_thread_controls()
+        previous = tuple(getter() for _, getter in controls)
+        self._changed = [(setter, count) for (setter, _), count in zip(controls, previous) if count != 1]
+        for setter, _ in self._changed:
+            setter(1)
+        return previous
+
+    def __exit__(self, *exc) -> None:
+        for setter, count in self._changed:
             setter(count)
 
 
@@ -171,26 +176,44 @@ def _as_vector(name: str, b, length: int | None = None) -> np.ndarray:
     return b
 
 
+@functools.cache
+def _lwork(routine: str, m: int, d: int) -> int:
+    """LAPACK's optimal workspace size for ``routine`` on an m x d array, queried once per shape.
+
+    ``routine`` is ``"geqrf"``, ``"orgqr"`` (Q of an m x d QR) or ``"gesdd"``
+    (singular values only).  The size depends on the shape alone, so each
+    call after the first returns the integer a fresh query would.  ``dorgqr``
+    has no size helper, so its ``lwork=-1`` query runs on a zero array.
+    """
+    if routine == "geqrf":
+        size = dgeqrf_lwork(m, d)[0]
+    elif routine == "orgqr":
+        size = dorgqr(np.zeros((m, d), order="F"), np.zeros(d), lwork=-1, overwrite_a=True)[1][0]
+    else:
+        size = dgesdd_lwork(m, d, compute_uv=0, full_matrices=0)[0]
+    return int(size)
+
+
 def _qr(a: np.ndarray, message: str):
     """Householder QR of a finite m x d array with m >= d: (Q, R).
 
-    Runs LAPACK ``dgeqrf``/``dorgqr`` at their queried optimal workspace,
-    which is what ``np.linalg.qr`` does, so Q and R's upper triangle are
-    bitwise its own; Q and R are C-contiguous, as numpy returns them.  R's
-    entries below the diagonal are left as the Householder vectors, not
-    zeroed: the one solve that reads R (:func:`_lstsq`) reads one triangle.
+    Runs LAPACK ``dgeqrf``/``dorgqr`` at their optimal workspace
+    (:func:`_lwork`), which is what ``np.linalg.qr`` does, so Q and R's
+    upper triangle are bitwise its own; Q and R are C-contiguous, as numpy
+    returns them.  R's entries below the diagonal are left as the
+    Householder vectors, not zeroed: the one solve that reads R
+    (:func:`_lstsq`) reads one triangle.
     Raises ``NumericalError(message)`` when a diagonal entry of R is
     negligible against the largest.
     """
     m, d = a.shape
-    # a dgeqrf(a, lwork=-1) query would copy a C-ordered ``a`` to Fortran order
-    qr, tau, _, _ = dgeqrf(a, lwork=int(dgeqrf_lwork(m, d)[0]))
+    qr, tau, _, _ = dgeqrf(a, lwork=_lwork("geqrf", m, d))
     # a real copy: at d=1, qr[:d] is a view that dorgqr overwrites
     r = np.array(qr[:d], order="C")
     diag = np.abs(np.diag(r))
     if diag.min() <= RANK_RTOL * max(diag.max(), _TINY):
         raise NumericalError(message)
-    q, _, _ = dorgqr(qr, tau, lwork=int(dorgqr(qr, tau, lwork=-1)[1][0]), overwrite_a=True)
+    q, _, _ = dorgqr(qr, tau, lwork=_lwork("orgqr", m, d), overwrite_a=True)
     return np.ascontiguousarray(q), r
 
 
@@ -218,12 +241,10 @@ def _sv(a: np.ndarray) -> np.ndarray:
     """Singular values, descending, of a finite 2-d array of any shape.
 
     Runs LAPACK ``dgesdd`` without singular vectors at its optimal
-    workspace, as ``np.linalg.svd(a, compute_uv=False)`` does, so the values
-    are bitwise its own.
+    workspace (:func:`_lwork`), as ``np.linalg.svd(a, compute_uv=False)``
+    does, so the values are bitwise its own.
     """
-    m, d = a.shape
-    lwork = int(dgesdd_lwork(m, d, compute_uv=0, full_matrices=0)[0])
-    _, s, _, info = dgesdd(a, compute_uv=0, full_matrices=0, lwork=lwork)
+    _, s, _, info = dgesdd(a, compute_uv=0, full_matrices=0, lwork=_lwork("gesdd", *a.shape))
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     return s

@@ -15,8 +15,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
-from .linalg import NumericalError, _as_vector, _count, nearest_orthogonal, singular_values
+from .linalg import (
+    NumericalError,
+    _as_vector,
+    _count,
+    _one_blas_thread,
+    nearest_orthogonal,
+    singular_values,
+)
 
 # How far a Basis may drift from orthonormal, and the fixed number of steps
 # between the stream drivers' re-orthonormalizations.
@@ -104,17 +112,30 @@ def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
     ``cols + outer(gain, y)`` with ``y = w / norm_w``, added in row blocks of
     about ``_BLOCK`` elements; each entry is rounded exactly as in that
     expression, so the result is bitwise the same.
+
+    Each block's term is formed by BLAS ``dger`` on a temporary filled with
+    -0.0, then added to the block.  ``dger`` makes each entry
+    ``gain_i * y_j + (-0.0)``: the product rounded once, whether or not the
+    kernel fuses the multiply-add, and with its sign kept, since adding -0.0
+    leaves every value, signed zeros included, as it is.  The add then
+    rounds as ``+`` does.  A ``dger`` straight onto the block would round
+    the product and the sum together, and a +0.0 start would turn a -0.0
+    product into +0.0; either can change a bit.
     """
     gain = (np.cos(angle) - 1.0) * p / norm_p + np.sin(angle) * r / norm_r
     y = w / norm_w
     rows = max(1, _BLOCK // cols.shape[1])
-    # one block-sized temporary; multiply-then-add rounds as np.outer and + do
     tmp = np.empty((min(rows, cols.shape[0]), cols.shape[1]))
-    for i in range(0, cols.shape[0], rows):
-        blk = cols[i : i + rows]
-        term = tmp[: len(blk)]
-        np.multiply(gain[i : i + rows, None], y, out=term)
-        blk += term
+    # dger runs on scipy's OpenBLAS; on more than one thread its pool fights
+    # for the cores with numpy's, which the products around each step keep
+    # spinning (run_full at 10000 x 200 ran twice as slow on two cores)
+    with _one_blas_thread():
+        for i in range(0, cols.shape[0], rows):
+            blk = cols[i : i + rows]
+            term = tmp[: len(blk)]
+            term.fill(-0.0)
+            # term.T is F-contiguous, so dger writes the products into it in place
+            blk += dger(1.0, y, gain[i : i + rows], a=term.T, overwrite_a=1).T
     return y, gain
 
 

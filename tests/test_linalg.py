@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dgesdd_lwork, dorgqr
 
 from grouse.concentration import validate_residual_bound
 from grouse.linalg import (
     NumericalError,
     _lstsq,
+    _lwork,
     _one_blas_thread,
     _openblas_thread_controls,
     _qr,
@@ -212,6 +214,19 @@ def test_qr_kernel_is_bitwise_numpys_qr_blocked_and_tall(shape, order):
     # validator's sample, and every kernel is checked, not the QR alone
     a = np.random.default_rng(shape[1]).standard_normal(shape)
     _assert_kernels_are_numpys(np.asarray(a, order=order))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (40, 10), (5000, 5), (300, 64), (10000, 200)])
+def test_cached_workspace_sizes_equal_fresh_queries(shape):
+    m, d = shape
+    a = np.asfortranarray(np.random.default_rng(d).standard_normal(shape))
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        assert _lwork("geqrf", m, d) == int(dgeqrf(a, lwork=-1)[2][0])
+        qr, tau, _, _ = dgeqrf(a)
+        assert _lwork("orgqr", m, d) == int(dorgqr(qr, tau, lwork=-1)[1][0])
+        for rows, cols in (shape, shape[::-1]):
+            fresh = dgesdd_lwork(rows, cols, compute_uv=0, full_matrices=0)[0]
+            assert _lwork("gesdd", rows, cols) == int(fresh)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e150])

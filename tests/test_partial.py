@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg.blas import dger
 
+from grouse import metrics
 from grouse.full_data import _is_identity, _split, full_step, run_full
-from grouse.linalg import NumericalError, orthonormalize
+from grouse.linalg import NumericalError, _openblas_thread_controls, orthonormalize
 from grouse.metrics import BASIS_DRIFT_TOL, Basis, _rotate, epsilon_residual, orthonormality_drift
 from grouse.partial_data import (
     Observation,
@@ -625,6 +629,59 @@ def test_rotate_in_place_is_bitwise_the_outer_product_update(shape, seed, angle)
     expected = u.columns + np.outer(gain, w / norm_w)
     assert cols.tobytes() == expected.tobytes()
     assert orthonormality_drift(cols) <= BASIS_DRIFT_TOL
+
+
+@pytest.mark.parametrize("shape", [(40, 8), (5000, 20)])
+def test_rotate_keeps_signed_zeros_and_single_roundings(shape):
+    # (40, 8) fits one row block; (5000, 20) spans four, the last one short.
+    # Zero rows of p and r give gain entries of +0.0 (p_i = r_i = +0.0) and
+    # -0.0 (r_i = -0.0); w has a +0.0 and a -0.0 entry.  cols holds -0.0 in
+    # those rows and columns and in every third entry elsewhere, so a term
+    # started from +0.0 turns -0.0 + -0.0 into +0.0, and a term fused into
+    # the add rounds the random entries once instead of twice.
+    n, d = shape
+    rng = np.random.default_rng(n)
+    p, r, w = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(d)
+    zero_rows = np.arange(0, n, 7)
+    p[zero_rows] = 0.0
+    r[zero_rows[::2]] = 0.0
+    r[zero_rows[1::2]] = -0.0
+    w[0], w[-1] = 0.0, -0.0
+    cols = rng.standard_normal((n, d))
+    cols.flat[::3] = -0.0
+    cols[zero_rows] = -0.0
+    cols[:, [0, -1]] = -0.0
+    cols0 = cols.copy()
+    norms = [math.sqrt(x.dot(x)) for x in (w, p, r)]
+    y, gain = _rotate(cols, w, p, r, *norms, 0.7)
+    assert (gain < 0).any() and (gain > 0).any()
+    assert np.signbit(gain[gain == 0]).any() and not np.signbit(gain[gain == 0]).all()
+    assert np.signbit(y[y == 0]).tolist() == [False, True]
+    assert cols.tobytes() == (cols0 + np.outer(gain, y)).tobytes()
+
+
+def test_rotate_runs_dger_on_one_blas_thread_and_restores_counts(monkeypatch):
+    # scipy's OpenBLAS pool on two threads fights numpy's for the cores
+    controls = _openblas_thread_controls()
+    initial = [getter() for _, getter in controls]
+    seen = []
+
+    def recording_dger(*args, **kwargs):
+        seen.append(tuple(getter() for _, getter in controls))
+        return dger(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "dger", recording_dger)
+    u = random_basis(5000, 20, seed=3)
+    w, p, r, norm_w, norm_p, norm_r, _ = _split(u.columns, np.random.default_rng(3).standard_normal(5000))
+    try:
+        for setter, _ in controls:
+            setter(2)
+        _rotate(np.array(u.columns), w, p, r, norm_w, norm_p, norm_r, 0.3)
+        assert [getter() for _, getter in controls] == [2] * len(controls)
+    finally:
+        for (setter, _), count in zip(controls, initial):
+            setter(count)
+    assert len(seen) == 4 and set(seen) == {(1,) * len(controls)}
 
 
 def test_steps_return_read_only_bases_sharing_no_memory():
