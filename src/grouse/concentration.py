@@ -17,7 +17,7 @@ import numpy as np
 from .linalg import _count, _lstsq, _real, _rng
 from .metrics import Basis, _check_pair, _dims, _off_span, coherence_basis, coherence_vector
 from .metrics import epsilon_residual
-from .partial_data import _gate, _sample, gate_check
+from .partial_data import _gate, _passes, _sample
 from .results import _FLAG, _FLOAT, _INT, _read_table, _write_table
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -202,7 +202,7 @@ def estimate_skip_rate(u: Basis, q: int, trials: int, seed: int) -> float:
     rng = _rng(seed)
     fails = 0
     for _ in range(trials):
-        if not gate_check(u, _sample(rng, u.n, q)).passed:
+        if not _passes(u.columns[_sample(rng, u.n, q)], u.n):
             fails += 1
     return fails / trials
 

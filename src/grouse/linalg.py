@@ -12,6 +12,8 @@ array runs through one kernel each, :func:`_qr`, :func:`_lstsq` and
 :func:`_sv`, and each calls LAPACK directly, bitwise the numpy or scipy
 routine it replaces.  The public routines reach them after their boundary
 checks; callers that hold already-checked arrays call them directly.
+:func:`_eigvalsh` gives the eigenvalues of a small symmetric matrix for the
+gate's decision rule.
 
 :func:`_one_blas_thread` runs a block on one OpenBLAS thread, so that its
 products give the same bits whatever thread count the process started with.
@@ -31,7 +33,7 @@ import os
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork, dorgqr, dsyev, dtrtrs
 
 # Fixed tolerances, 100-1000x double eps, relative to the largest entry.
 SYM_TOL = 1e-12
@@ -248,6 +250,17 @@ def _sv(a: np.ndarray) -> np.ndarray:
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     return s
+
+
+def _eigvalsh(g: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues, ascending, of a finite symmetric square array; None if LAPACK does not converge.
+
+    Runs LAPACK ``dsyev`` without eigenvectors on the upper triangle, at its
+    minimal workspace.  The values are backward stable, not bitwise any
+    numpy routine's: ``sym_eigenvalues`` keeps ``np.linalg.eigvalsh``.
+    """
+    w, _, info = dsyev(g, compute_v=0)
+    return None if info else w
 
 
 def orthonormalize(a) -> np.ndarray:

@@ -37,7 +37,8 @@ class Basis:
 
     ``Basis(arr)`` copies ``arr``, checks that the copy is finite and
     orthonormal within ``BASIS_DRIFT_TOL``, and marks the copy read-only, so
-    the caller's array stays its own and stays writable.
+    the caller's array stays its own and stays writable.  ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild a basis the same way.
     """
 
     __slots__ = ("columns",)
@@ -47,6 +48,11 @@ class Basis:
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the checked constructor, so a
+        # pickle with non-orthonormal columns raises ValueError on load
+        return Basis, (self.columns,)
 
     @property
     def n(self) -> int:

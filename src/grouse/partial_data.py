@@ -7,8 +7,16 @@ observation into the explained part p and the residual r (zero off the
 sample), and rotates the basis by a rank-one update that moves p/||p||
 toward r/||r|| while leaving the orthogonal complement of w untouched.
 
-The step kernels read a bare basis array and return the rotation's
-arguments; the stream driver hands them to the trajectory
+The gate has one source of eigenvalues, :func:`_gate`, which squares the
+singular values of the sampled rows; :func:`gate_check`, ``grouse_step``'s
+record and the concentration validators report them.  Callers that keep
+only the pass/fail bit (the stream driver and ``estimate_skip_rate``) ask
+:func:`_passes`, which decides from the eigenvalues of the formed d x d
+Gram matrix and runs :func:`_gate` only when an extreme eigenvalue lies
+within rounding distance of the window, so its bit is always :func:`_gate`'s.
+
+The step kernel :func:`_step` reads a bare basis array and returns the
+rotation's arguments; the stream driver hands them to the trajectory
 (``results._Trajectory``), which owns the buffer and rotates it with
 ``metrics._rotate``.  :func:`_sample` draws the algorithm's index sample
 (distinct indices, without replacement) wherever one is needed.
@@ -26,13 +34,17 @@ import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
-from .linalg import NumericalError, _as_vector, _count, _lstsq, _real, _sv, least_squares  # noqa: F401
+from .linalg import NumericalError, _as_vector, _count, _eigvalsh, _lstsq, _real, _sv, least_squares  # noqa: F401
 from .metrics import Basis, _check_pair, _rotated, _sin_sq, epsilon_residual
 from .results import _FLOAT, _INT, TrialResult, _Trajectory, _write_cells
 
 # Residuals this small (relative to the observed entries) are treated as an
 # exact fit: the rotation is the identity.
 RESIDUAL_FLOOR = 1e-14
+
+# The decision rule's slack per unit of (m + d) * ||S||_F^2 for an m x d
+# sample S: 1e3 units of roundoff (2^-53).  See _passes.
+_GATE_SLACK = 1e3 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -168,6 +180,36 @@ def _gate(sub: np.ndarray, n: int) -> GateVerdict:
     return GateVerdict(passed, eigen_min, eigen_max, lower, upper)
 
 
+def _passes(sub: np.ndarray, n: int) -> bool:
+    """``_gate(sub, n).passed``, decided from the eigenvalues of the formed Gram matrix.
+
+    Forms G = S^T S of the m x d sample S and takes its eigenvalues with
+    ``linalg._eigvalsh``.  Each differs from the matching squared singular
+    value that :func:`_gate` compares by at most a few (m + d) roundoffs
+    times ||S||_F^2 = trace(G): forming G moves every eigenvalue by at most
+    m roundoffs times ||S||_F^2, and the symmetric eigensolver and the SVD
+    are backward stable.  A comparison with a window bound that clears it
+    by more than ``_GATE_SLACK * (m + d) * trace(G)`` therefore comes out
+    as in :func:`_gate`; when either extreme eigenvalue is closer than
+    that, or the eigensolver does not converge, the verdict is
+    :func:`_gate`'s own.  Fewer than d rows fail at once.
+    """
+    m, d = sub.shape
+    if m < d:
+        return False
+    lower = 0.5 * m / n
+    upper = 1.5 * m / n
+    gram = sub.T @ sub
+    eigen = _eigvalsh(gram)
+    if eigen is not None:
+        slack = _GATE_SLACK * (m + d) * gram.trace()
+        if eigen[0] < lower - slack or eigen[-1] > upper + slack:
+            return False
+        if eigen[0] > lower + slack and eigen[-1] < upper - slack:
+            return True
+    return _gate(sub, n).passed
+
+
 def partial_residual(u: Basis, obs: Observation):
     """Split an observation into fitted and residual parts.
 
@@ -230,20 +272,15 @@ def _revealed_theta(cols: np.ndarray, ubar: Basis | None, latent_s) -> float | N
     return float(np.arcsin(np.sqrt(_sin_sq(cols, v))))
 
 
-def _step(cols: np.ndarray, omega, values, alpha: float, bypass_gate: bool, record: bool = True):
-    """Gate, fit and step-size rule of one step on a bare basis array, which it only reads.
+def _step(cols: np.ndarray, sub: np.ndarray, omega, values, alpha: float):
+    """Fit and step-size rule of one taken step on a bare basis array, which it only reads.
 
-    ``omega`` and ``values`` are a checked observation's arrays.  Returns
-    ``(verdict, fit, rotation)``.  ``fit`` is None for a skipped step, else
-    ``(norm_r, norm_p, sigma, eta, clamped, w, p, r)``.  ``rotation`` holds
-    the arguments of ``metrics._rotate`` after the array, None for a skipped
-    or identity step.  A bypassed gate whose verdict no one records
-    (``record`` False) is not evaluated, and the verdict is None.
+    ``sub`` is ``cols[omega]``, and ``omega`` and ``values`` are a checked
+    observation's arrays.  Returns ``(fit, rotation)``: ``fit`` is
+    ``(norm_r, norm_p, sigma, eta, clamped, w, p, r)``, and ``rotation``
+    holds the arguments of ``metrics._rotate`` after the array, None for an
+    identity step.  The caller decides the gate.
     """
-    sub = cols[omega]
-    verdict = _gate(sub, cols.shape[0]) if record or not bypass_gate else None
-    if not bypass_gate and not verdict.passed:
-        return verdict, None, None
     w, p, r = _fit(cols, sub, omega, values)
     # sqrt(x.dot(x)) is np.linalg.norm's own formula for a 1-d vector
     norm_r = math.sqrt(r.dot(r))
@@ -256,7 +293,7 @@ def _step(cols: np.ndarray, omega, values, alpha: float, bypass_gate: bool, reco
         clamped = alpha * norm_r / norm_p > 1.0
         eta = _eta(sigma, norm_r, norm_p, alpha)
         rotation = (w, p, r, math.sqrt(w.dot(w)), norm_p, norm_r, sigma * eta)
-    return verdict, (norm_r, norm_p, sigma, eta, clamped, w, p, r), rotation
+    return (norm_r, norm_p, sigma, eta, clamped, w, p, r), rotation
 
 
 def grouse_step(
@@ -280,7 +317,11 @@ def grouse_step(
     _check_alpha(alpha)
     _check_pair(u, ubar)
     omega, values, latent_s = _arrays(obs, u, ubar)
-    verdict, fit, rotation = _step(u.columns, omega, values, alpha, bypass_gate)
+    sub = u.columns[omega]
+    verdict = _gate(sub, u.n)
+    fit = rotation = None
+    if bypass_gate or verdict.passed:
+        fit, rotation = _step(u.columns, sub, omega, values, alpha)
     sigma, eta, clamped, w, p, r = (0.0, 0.0, False, None, None, None) if fit is None else fit[2:]
     u_next = u if rotation is None else _rotated(u, *rotation)
     rec = StepRecord(
@@ -329,9 +370,10 @@ def _run_stream(
 
     Returns ``(result, cols)``, ``cols`` the trajectory's final buffer.  Without
     ``ubar`` no per-step epsilon or revealed angle is measured, so a caller
-    that needs epsilon only at the ends measures ``u0`` and ``cols``.  With
+    that needs epsilon only at the ends measures ``u0`` and ``cols``.  The
+    gate is decided by :func:`_passes`, since a row keeps only its bit.  With
     ``record`` False no per-step row is kept and the result is None, so a
-    bypassed gate is not evaluated: no row would hold its verdict.
+    bypassed gate is not evaluated: no row would hold its bit.
     """
     _check_alpha(alpha)
     _check_pair(u0, ubar)
@@ -339,12 +381,16 @@ def _run_stream(
     for omega, values, latent_s in stream:
         # against the basis the step starts from
         theta = _revealed_theta(track.cols, ubar, latent_s)
-        verdict, fit, rotation = _step(track.cols, omega, values, alpha, bypass_gate, record)
+        sub = track.cols[omega]
+        passed = _passes(sub, u0.n) if record or not bypass_gate else None
+        fit = rotation = None
+        if bypass_gate or passed:
+            fit, rotation = _step(track.cols, sub, omega, values, alpha)
         row = None
         if record:
             norm_r, norm_p = (0.0, 0.0) if fit is None else fit[:2]
             theta = np.nan if theta is None else theta
-            row = (verdict.passed, fit is not None, norm_r, norm_p, theta)
+            row = (passed, fit is not None, norm_r, norm_p, theta)
         track.step(row, rotation)
     return (track.result() if record else None), track.cols
 

@@ -60,3 +60,23 @@ def malform_table(request):
         path.write_text("\n".join(_MALFORMATIONS[request.param](lines)) + "\n")
 
     return malform
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` for the test and returns a list.
+
+    Each call of the wrapped function appends to that list.
+    """
+
+    def wrap(owner, name) -> list:
+        calls, real = [], getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return wrap

@@ -19,6 +19,7 @@ from grouse.concentration import (
     write_residual_csv,
 )
 from grouse.metrics import Basis, coherence_basis, epsilon
+from grouse.partial_data import _sample, gate_check
 from grouse.harness import incoherent_basis, pair_with_epsilon, random_basis
 
 
@@ -116,6 +117,15 @@ def test_skip_rate_extremes():
     assert estimate_skip_rate(spike, 8, 200, seed=19) >= 0.95
     with pytest.raises(ValueError):
         estimate_skip_rate(u, 2, 10, seed=20)
+
+
+def test_skip_rate_counts_the_gate_verdicts_of_its_draws():
+    u = incoherent_basis(300, 4, seed=23)
+    trials, seed = 400, 24
+    rng = np.random.default_rng(seed)
+    fails = sum(not gate_check(u, _sample(rng, u.n, 40)).passed for _ in range(trials))
+    assert 0 < fails < trials
+    assert estimate_skip_rate(u, 40, trials, seed) == fails / trials
 
 
 def test_skip_rate_incoherent_desk_scale():

@@ -213,18 +213,6 @@ def test_sweep_x_values_are_the_recorded_trials_x(q, bypass_gate):
     assert cell.x_values.tobytes() == np.array(expected).tobytes()
 
 
-def _count_calls(monkeypatch, owner, name) -> list:
-    """Wrap ``owner.name`` for this test so that each call appends to the returned list."""
-    calls, real = [], getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def _see_one_cpu(monkeypatch) -> None:
     """Make the harness see one CPU for this test, so sweep trials run in-process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -267,20 +255,22 @@ def test_sweep_trial_error_reaches_the_caller(monkeypatch, tmp_path, capsys, in_
 
 
 @pytest.mark.parametrize("bypass_gate, per_step", [(True, 0), (False, 1)])
-def test_sweep_trial_evaluates_the_gate_only_when_it_decides(monkeypatch, bypass_gate, per_step):
+def test_sweep_trial_evaluates_the_gate_only_when_it_decides(
+    monkeypatch, count_calls, bypass_gate, per_step
+):
     # a bypassed sweep trial keeps no verdict, so it evaluates no gate; the
     # calls are counted in this process, so the trials must run here
     _see_one_cpu(monkeypatch)
-    calls = _count_calls(monkeypatch, partial_data, "_gate")
+    calls = count_calls(partial_data, "_passes")
     trials, iters = 2, 30
     sweep_phase([100], [4], [12], trials, iters, seed=3, bypass_gate=bypass_gate)
     assert len(calls) == per_step * trials * iters
 
 
-def test_recorded_bypassed_stream_evaluates_every_gate(monkeypatch):
+def test_recorded_bypassed_stream_evaluates_every_gate(count_calls):
     spec = ProblemSpec(n=100, d=4, q=30, iters=40, seed=5)
     ubar, u0 = generate_problem(spec)
-    calls = _count_calls(monkeypatch, partial_data, "_gate")
+    calls = count_calls(partial_data, "_passes")
     stream = (Observation(spec.n, *draw) for draw in _observation_stream(spec, ubar))
     result = partial_data.run_stream(u0, stream, ubar=ubar, bypass_gate=True)
     assert len(calls) == 40
@@ -288,10 +278,10 @@ def test_recorded_bypassed_stream_evaluates_every_gate(monkeypatch):
     assert result.taken.all() and 0 < result.gate_passed.sum() < 40
 
 
-def test_harness_draws_are_in_the_checked_form(monkeypatch):
+def test_harness_draws_are_in_the_checked_form(monkeypatch, count_calls):
     spec = ProblemSpec(n=300, d=5, q=20, iters=25, seed=8)
     ubar, _ = generate_problem(spec)
-    calls = _count_calls(monkeypatch, Observation, "__post_init__")
+    calls = count_calls(Observation, "__post_init__")
     stream = list(_observation_stream(spec, ubar))
     # the harness streams bare arrays: drawing builds no Observation
     assert not calls

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,24 @@ def test_basis_copies_its_input():
     assert arr.flags.writeable and not np.shares_memory(arr, b.columns)
     arr[0, 0] += 1.0
     assert b.columns[0, 0] != arr[0, 0]
+
+
+def test_basis_copies_and_pickles_through_the_checked_constructor():
+    b = random_basis(20, 3, 1)
+    for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert type(twin) is Basis and twin.columns is not b.columns
+        assert twin.columns.tobytes() == b.columns.tobytes() and twin.columns.shape == (20, 3)
+        assert not twin.columns.flags.writeable
+        with pytest.raises(AttributeError, match="^Basis is immutable$"):
+            twin.columns = b.columns
+
+    class Forged:
+        # pickles as a Basis of columns that are not orthonormal
+        def __reduce__(self):
+            return Basis, (np.ones((6, 2)),)
+
+    with pytest.raises(ValueError, match="orthonormal"):
+        pickle.loads(pickle.dumps(Forged()))
 
 
 def test_adopted_basis_holds_its_array_after_the_basis_checks():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg.blas import dger
 
-from grouse import metrics
+from grouse import metrics, partial_data
 from grouse.full_data import _is_identity, _split, full_step, run_full
 from grouse.linalg import NumericalError, _openblas_thread_controls, orthonormalize
 from grouse.metrics import BASIS_DRIFT_TOL, Basis, _rotate, epsilon_residual, orthonormality_drift
@@ -19,7 +19,7 @@ from grouse.partial_data import (
     step_size,
     write_observations,
 )
-from grouse.harness import pair_with_epsilon, random_basis
+from grouse.harness import ProblemSpec, generate_problem, pair_with_epsilon, random_basis
 from grouse.results import read_trajectory_csv, write_trajectory_csv
 
 
@@ -125,6 +125,65 @@ def test_gate_pass_rate_incoherent():
         for _ in range(1000)
     )
     assert passed >= 950
+
+
+def _sample_rows(kind: str, m: int, d: int, seed: int) -> np.ndarray:
+    """m sampled rows of a random orthonormal 4m x d basis, of the given kind."""
+    rng = np.random.default_rng(seed)
+    cols = orthonormalize(rng.standard_normal((4 * max(m, d), d)))
+    rows = rng.choice(len(cols), m, replace=kind != "distinct")
+    if kind == "repeated":
+        rows = rows[rng.integers(0, max(1, m // 3), m)] if m else rows
+    sub = cols[rows]
+    if kind == "ill-conditioned":
+        sub = sub * np.logspace(0, -rng.uniform(1, 15), d)
+    return sub
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["distinct", "with replacement", "repeated", "ill-conditioned"]),
+    d=st.integers(1, 12),
+    extra=st.integers(-12, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_passes_is_the_gate_bit(kind, d, extra, seed):
+    # m < d, m = d and m > d, on samples that pass, fail low and fail high
+    m = max(0, d + extra)
+    sub = _sample_rows(kind, m, d, seed)
+    n = 4 * max(m, d)
+    for scale in (1.0, 0.8, 1.2):
+        assert partial_data._passes(sub * scale, n) == partial_data._gate(sub * scale, n).passed
+
+
+@pytest.mark.parametrize("end", ["lower", "upper"])
+@pytest.mark.parametrize("offset", [0.0, 1e-14, -1e-14])
+def test_passes_defers_to_the_gate_at_the_window_bounds(count_calls, end, offset):
+    # an extreme squared singular value on a window bound, or within 1e-14
+    # of it, is too close to call from the Gram matrix
+    n, m, d = 2000, 80, 10
+    lower, upper = 0.5 * m / n, 1.5 * m / n
+    sq = np.linspace(lower, upper, d + 2)[1:-1]
+    sq[0 if end == "lower" else -1] = (lower if end == "lower" else upper) + offset
+    q = orthonormalize(np.random.default_rng(31).standard_normal((m, d)))
+    sub = q * np.sqrt(sq)
+    exact = partial_data._gate(sub, n).passed
+    calls = count_calls(partial_data, "_gate")
+    assert partial_data._passes(sub, n) == exact
+    assert len(calls) == 1
+
+
+def test_passes_never_defers_on_the_stream_gated_shapes(count_calls):
+    # n=2000, d=10, q=80: the benchmark's gated stream, where most samples fail
+    spec = ProblemSpec(n=2000, d=10, q=80, iters=300, seed=32)
+    ubar, u0 = generate_problem(spec)
+    rng = np.random.default_rng(33)
+    samples = [(u, partial_data._sample(rng, spec.n, spec.q)) for _ in range(500) for u in (u0, ubar)]
+    calls = count_calls(partial_data, "_gate")
+    bits = [partial_data._passes(u.columns[omega], spec.n) for u, omega in samples]
+    assert not calls
+    assert 0 < sum(bits) < len(bits)
+    assert bits == [gate_check(u, omega).passed for u, omega in samples]
 
 
 def test_partial_residual_exact_fit():
