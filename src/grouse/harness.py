@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .full_data import run_full
-from .linalg import _count, _one_blas_thread, _real, _rng, orthonormalize
+from .linalg import _count, _fork_map, _real, _rng, orthonormalize
 from .metrics import Basis, _dims, _residual_energy
 from .partial_data import _check_alpha, _run_stream, _sample
 from .results import (
@@ -310,9 +309,11 @@ def sweep_phase(
     q < d or q > n) are emitted with zero trials and NaN statistics as the
     skip marker.  Trial seeds derive from (seed, n, d, q, trial), so any
     execution order gives identical output.  The trials of all cells run
-    as one task list, in forked worker processes (as many as the process
-    may use CPUs) or in-process (see ``_trial_xs``).  Every trial runs on one BLAS thread, and each cell's
-    ``x_values`` hold its trials' X in trial order, the same bits either way.
+    as one task list, one task per trial, in forked worker processes (as
+    many as the process may use CPUs) or in-process (see
+    ``linalg._fork_map``).  Every trial runs on one BLAS thread, and each
+    cell's ``x_values`` hold its trials' X in trial order, the same bits
+    either way.
     """
     _count("trials_per_cell", trials_per_cell, 1)
     _check_run(iters, seed, alpha, init_noise_std)
@@ -333,8 +334,7 @@ def sweep_phase(
         if feasible
         for trial in range(trials_per_cell)
     ]
-    with _one_blas_thread():
-        xs = iter(_trial_xs(specs, bypass_gate))
+    xs = iter(_fork_map(_sweep_trial_x, [(spec, bypass_gate) for spec in specs]))
     cells = []
     for n, d, q, feasible in grid:
         if not feasible:
@@ -353,33 +353,6 @@ def sweep_phase(
             )
         )
     return cells
-
-
-def _trial_xs(specs, bypass_gate: bool) -> list:
-    """``_sweep_trial_x`` of every spec, in spec order.
-
-    The tasks go one at a time to forked workers, so cells of mixed sizes
-    still balance; the workers inherit the caller's BLAS thread count.  With
-    one worker, or without ``fork`` or a CPU affinity to count, the loop runs
-    in-process.  A trial's exception reaches the caller with its type and
-    message.
-    """
-    # imported here, so that ``import grouse`` does not load the pool machinery
-    import multiprocessing
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(specs), cpus)
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_sweep_trial_x(spec, bypass_gate) for spec in specs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    # forked, not spawned: a spawned worker would import numpy and scipy
-    # afresh, about as long as a whole sweep cell takes
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        return list(pool.map(_sweep_trial_x, specs, itertools.repeat(bypass_gate)))
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 # The sweep table: one row per grid cell, in SweepCell field order.

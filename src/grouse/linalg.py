@@ -17,6 +17,8 @@ gate's decision rule.
 
 :func:`_one_blas_thread` runs a block on one OpenBLAS thread, so that its
 products give the same bits whatever thread count the process started with.
+:func:`_fork_map` runs independent tasks in forked worker processes, each
+on one BLAS thread, and returns their results in task order.
 
 The library's argument rules live here too, each in one helper that raises
 ``ValueError`` before the argument reaches numpy: :func:`_count` for counts,
@@ -107,6 +109,58 @@ class _one_blas_thread:
     def __exit__(self, *exc) -> None:
         for setter, count in self._changed:
             setter(count)
+
+
+def _workers(tasks: int) -> int:
+    """:func:`_fork_map`'s worker count: one per usable CPU, at most one per task.
+
+    The usable CPUs are those ``os.sched_getaffinity`` reports.  Without it
+    or without ``fork`` the count is 1, and it is never below 1.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(tasks, len(os.sched_getaffinity(0))))
+
+
+# The (function, task list) of the running _fork_map, which its forked
+# workers inherit; a worker receives a task's index, not its arguments.
+_FORKED = None
+
+
+def _forked_task(i: int):
+    fn, tasks = _FORKED
+    return fn(*tasks[i])
+
+
+def _fork_map(fn, tasks) -> list:
+    """``[fn(*task) for task in tasks]`` on one BLAS thread, in forked workers.
+
+    There are :func:`_workers` of them, and the tasks go one at a time to
+    the next idle worker, so tasks of mixed sizes balance.  The workers are
+    forked, not spawned, inside :func:`_one_blas_thread`: they inherit
+    ``fn``, the tasks and the one-thread pin, and start without re-importing
+    numpy and scipy; only a task's index goes to a worker and only its
+    result comes back.  With one worker the calls run in-process.  A task's
+    exception reaches the caller with its type and message, the first in
+    task order, and the workers are joined before this returns or raises.
+    """
+    global _FORKED
+    tasks = list(tasks)
+    workers = _workers(len(tasks))
+    with _one_blas_thread():
+        if workers == 1:
+            return [fn(*task) for task in tasks]
+        # imported here, so that ``import grouse`` does not load the pool machinery
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        outer, _FORKED = _FORKED, (fn, tasks)
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            return list(pool.map(_forked_task, range(len(tasks))))
+        finally:
+            pool.shutdown(cancel_futures=True)
+            _FORKED = outer
 
 
 def _count(name: str, value, floor: int | None = None, floor_text: str | None = None) -> None:

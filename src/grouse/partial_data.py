@@ -52,9 +52,9 @@ class Observation:
     """Observed entries of one subspace vector on an index sample.
 
     ``omega`` is strictly increasing, 0-based, inside [0, n) (the index
-    rule of :func:`_indices`), and ``n`` is an integer.  ``latent_s`` is the
-    finite coefficient vector that generated the full vector; it is present
-    only for synthetic data.
+    rule of :func:`_indices`), and ``n`` is a positive integer.
+    ``latent_s`` is the finite coefficient vector that generated the full
+    vector; it is present only for synthetic data.
     """
 
     n: int
@@ -79,11 +79,11 @@ class Observation:
 def _indices(omega, n: int, increasing: bool = False) -> np.ndarray:
     """The index rule: ``omega`` as a 1-d int array inside [0, n); ValueError otherwise.
 
-    ``n`` obeys the count rule.  An empty sample of any dtype becomes an empty int array.  With
-    ``increasing`` the indices must also strictly increase, and then only
-    the two ends are range-checked.
+    ``n`` obeys the count rule with floor 1.  An empty sample of any dtype
+    becomes an empty int array.  With ``increasing`` the indices must also
+    strictly increase, and then only the two ends are range-checked.
     """
-    _count("n", n)
+    _count("n", n, 1)
     omega = np.asarray(omega)
     if omega.ndim != 1 or (len(omega) and omega.dtype.kind not in "iu"):
         raise ValueError("omega must be a 1-d array of integers")

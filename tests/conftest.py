@@ -1,3 +1,4 @@
+import os
 import re
 
 import pytest
@@ -80,3 +81,13 @@ def count_calls(monkeypatch):
         return calls
 
     return wrap
+
+
+@pytest.fixture
+def see_one_cpu(monkeypatch):
+    """``see_one_cpu()`` makes the library see one CPU for the rest of the test.
+
+    ``linalg._fork_map`` then runs its tasks in-process, and a validator
+    runs its trials as one range.
+    """
+    return lambda: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

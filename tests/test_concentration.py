@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from grouse import concentration
 from grouse.concentration import (
+    _FORK_FLOOR,
+    _trial_ranges,
     estimate_skip_rate,
     gamma_bound,
     mu_xt_diagnostics,
@@ -18,6 +22,7 @@ from grouse.concentration import (
     write_concentration_csv,
     write_residual_csv,
 )
+from grouse.linalg import NumericalError, _workers
 from grouse.metrics import Basis, coherence_basis, epsilon
 from grouse.partial_data import _sample, gate_check
 from grouse.harness import incoherent_basis, pair_with_epsilon, random_basis
@@ -331,3 +336,66 @@ def test_residual_bound_rejects_omega_size_below_d(omega_size):
     with pytest.raises(ValueError, match="omega_size must be at least d"):
         validate_residual_bound(u, ubar, omega_size, 0.1, 5, 1)
     assert validate_residual_bound(u, ubar, 20, 0.1, 5, 1).trials == 5
+
+
+# the two validators whose trials run in forked workers, as calls on a trial count
+_FORKED_REPORTS = {
+    "gram_concentration": lambda trials: validate_gram_concentration(
+        incoherent_basis(100, 4, seed=35), 80, 0.1, trials, 36
+    ),
+    "residual_bound": lambda trials: validate_residual_bound(
+        *pair_with_epsilon(40, 4, 0.1, seed=1), 80, 0.1, trials, 38
+    ),
+}
+
+
+@pytest.mark.parametrize("validator", list(_FORKED_REPORTS))
+@pytest.mark.parametrize(
+    "trials, ranges",
+    [(2 * _FORK_FLOOR + 1, min(2, _workers(2))), (2 * _FORK_FLOOR - 1, 1)],
+    ids=["two-uneven-ranges", "below-the-fork-floor"],
+)
+def test_validator_workers_give_the_in_process_bits(see_one_cpu, validator, trials, ranges):
+    assert len(_trial_ranges(trials)) == ranges
+    in_workers = _FORKED_REPORTS[validator](trials)
+    assert not multiprocessing.active_children()
+    see_one_cpu()
+    assert _trial_ranges(trials) == [(0, trials)]
+    in_process = _FORKED_REPORTS[validator](trials)
+    for name in (f.name for f in dataclasses.fields(in_workers)):
+        a, b = np.asarray(getattr(in_workers, name)), np.asarray(getattr(in_process, name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("trials", [50, 2 * _FORK_FLOOR + 1], ids=["in-process", "in-workers"])
+def test_residual_bound_singular_sample_reaches_the_caller(trials):
+    # seed 2 draws a singular 5-row sample of this pair within its first 50 trials
+    u, ubar = pair_with_epsilon(8, 4, 0.1, seed=1)
+    with pytest.raises(NumericalError, match="^singular normal equations$") as exc:
+        validate_residual_bound(u, ubar, 5, 0.1, trials, 2)
+    assert type(exc.value) is NumericalError
+    assert not multiprocessing.active_children()
+
+
+def test_forked_validators_check_their_arguments_before_forking(monkeypatch):
+    def no_fork(fn, tasks):
+        raise AssertionError("forked before the arguments were checked")
+
+    monkeypatch.setattr(concentration, "_fork_map", no_fork)
+    u, ubar = pair_with_epsilon(40, 4, 0.1, seed=1)
+    many = 2 * _FORK_FLOOR
+    calls = [
+        lambda: validate_gram_concentration(u, 80, 0.1, many, -1),
+        lambda: validate_gram_concentration(u, 80, 0.1, many, 1.5),
+        lambda: validate_gram_concentration(u, 0, 0.1, many, 1),
+        lambda: validate_gram_concentration(u, 80, 1.0, many, 1),
+        lambda: validate_gram_concentration(u, 80, 0.1, 0, 1),
+        lambda: validate_residual_bound(u, ubar, 80, 0.1, many, -1),
+        lambda: validate_residual_bound(u, ubar, 80, 0.1, many, True),
+        lambda: validate_residual_bound(u, ubar, 4, 0.1, many, 1),
+        lambda: validate_residual_bound(u, ubar, 80, 0.0, many, 1),
+        lambda: validate_residual_bound(u, ubar, 80, 0.1, float(many), 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()

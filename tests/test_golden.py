@@ -1,8 +1,10 @@
 """Golden digests: seeded runs must reproduce these SHA-256 hashes bit for bit.
 
 The digests hash in-memory arrays (not trajectory CSVs, whose column set
-may grow) plus the bytes of two seeded sweep CSVs, one gated and one with
-the gate bypassed.  OpenBLAS partitions some
+may grow) plus the bytes of four seeded CLI CSVs: two sweeps, one gated
+and one with the gate bypassed, and the per-trial reports of
+``validate-residual`` and ``validate-concentration``, whose trials run in
+forked workers.  OpenBLAS partitions some
 products differently per thread count, so the runs happen in a child
 process with BLAS pinned to one thread.  Recorded with Python 3.11.7 on
 x86_64, numpy 2.4.6 (bundled OpenBLAS 0.3.31) and scipy 1.17.1 (bundled
@@ -15,7 +17,7 @@ scipy's), as ``scipy_openblas_get_corename64_`` and
 was recorded on a machine whose OpenBLAS picks that core; the Haswell and
 Sandybridge sets on the same machine, with ``OPENBLAS_CORETYPE`` set for
 the child process only.  On a pair with no recorded set (another core, or
-a BLAS build whose libraries are not found) the seven digest tests skip,
+a BLAS build whose libraries are not found) the nine digest tests skip,
 naming the pair, and no bitwise check of the seeded runs takes place; every
 other test still runs.  Any change to the algorithms that reorders
 floating-point operations shows up here.
@@ -53,6 +55,8 @@ GOLDEN = {
         "full_step_chain": "7f954a9e09092f35c67a4043bc16f339a28cb0a326347ff51dfab72bd2138089",
         "sweep_csv": "d3ccb91da146ffdd87ed67b77477ae3ff12a829350d329ae812b0f2323528401",
         "sweep_bypassed_csv": "3a78c525ccb640d180ba6f7dff09ba0745e40b62eb1dab6e98a6d31aadb45953",
+        "residual_csv": "d10e707b2867157caba8773f750cd32a3bdb3ae6e45e5125df96dfadb530d701",
+        "concentration_csv": "3be7bc8e4e94b1c7a3eb6220c58e2a223dc59c671e7aaa9180e0ab2049b83dce",
     },
     ("Haswell", "Haswell"): {
         "full_exact_epsilon": "f0f8606da01d10dca139eb8ba480f58f8cf61d6c8339d97e89d945f5b2570457",
@@ -62,6 +66,8 @@ GOLDEN = {
         "full_step_chain": "590c9de003822768dc20dc345a2654582b66a76bd78a408ee4a8a69b2789977a",
         "sweep_csv": "cf96a171b6d214da3acb0e3c8b9a37891ff307c4f6468894ff977effa304842d",
         "sweep_bypassed_csv": "72bc1d1a86ea7dc99e0f9ed863649d425114a7afe389a992b782b55f3011578f",
+        "residual_csv": "9eba841445dd1359a3228c4eec0defcf041bdf4c25fcfae7783cbfbb33a4b90e",
+        "concentration_csv": "0f981ad20b89533e98f8a23f0e238328fd74b29a73aafc15542db49662f38a9d",
     },
     ("Sandybridge", "Sandybridge"): {
         "full_exact_epsilon": "664f3feeb1b1c7518c73455abe8cafd6ed27e9318892c6a3cc2d76be55e4d62c",
@@ -71,6 +77,8 @@ GOLDEN = {
         "full_step_chain": "cd453a325c90eca3fe9c28bb6559d355a615d7ea8c5eb30b4214fcfc601e6f58",
         "sweep_csv": "1f88e89607d49b9352218b5f9fc8ac6bbf3fded99f07eb5e7dd0c2c4b29dce67",
         "sweep_bypassed_csv": "450d74447b0f82df72f97989191692df4f076d4a2fbe6b962856538ce629fb26",
+        "residual_csv": "2324a4538f6d61379cfaf2461465b8215ac9b2871eedc23e057743c62507e2fd",
+        "concentration_csv": "d710e6200f01cc321b24abc94a25dac1d8a433f0a919bdd1434e71ca8a046d98",
     },
 }
 _NAMES = sorted(GOLDEN[("SkylakeX", "SkylakeX")])
@@ -132,16 +140,17 @@ def _full_step_chain_sha() -> str:
     return _sha(u.columns, np.array(decreases), np.array(epsilons))
 
 
-def _sweep_csv_sha(*flags) -> str:
+def _cli_csv_sha(argv: str) -> str:
+    """SHA-256 of the CSV that ``grouse <argv> --out <file>`` writes."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "sweep.csv"
+        out = Path(tmp) / "out.csv"
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(
-                ["sweep", "--n", "80", "--d", "3", "--q", "3,12,40", "--trials", "3",
-                 "--iters", "60", "--seed", "18", "--out", str(out), *flags]
-            )
+            code = cli.main([*argv.split(), "--out", str(out)])
         assert code == 0
         return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+_SWEEP = "sweep --n 80 --d 3 --q 3,12,40 --trials 3 --iters 60 --seed 18"
 
 
 def compute_digests() -> dict:
@@ -162,8 +171,17 @@ def compute_digests() -> dict:
             )
         ),
         "full_step_chain": _full_step_chain_sha(),
-        "sweep_csv": _sweep_csv_sha(),
-        "sweep_bypassed_csv": _sweep_csv_sha("--bypass_gate"),
+        "sweep_csv": _cli_csv_sha(_SWEEP),
+        "sweep_bypassed_csv": _cli_csv_sha(_SWEEP + " --bypass_gate"),
+        # trial counts past two workers' fork floor, and odd: two uneven ranges
+        "residual_csv": _cli_csv_sha(
+            "validate-residual --n 200 --d 4 --epsilon 1e-4 --omega_size 300 --delta 0.1"
+            " --trials 1201 --seed 19"
+        ),
+        "concentration_csv": _cli_csv_sha(
+            "validate-concentration --n 200 --d 4 --omega_size 80 --delta 0.1"
+            " --trials 1201 --seed 20"
+        ),
     }
 
 

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -213,18 +212,13 @@ def test_sweep_x_values_are_the_recorded_trials_x(q, bypass_gate):
     assert cell.x_values.tobytes() == np.array(expected).tobytes()
 
 
-def _see_one_cpu(monkeypatch) -> None:
-    """Make the harness see one CPU for this test, so sweep trials run in-process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-
-
 @pytest.mark.parametrize("bypass_gate", [False, True])
-def test_sweep_workers_give_the_in_process_bits(monkeypatch, tmp_path, bypass_gate):
+def test_sweep_workers_give_the_in_process_bits(see_one_cpu, tmp_path, bypass_gate):
     # n=5 makes the q=20 and q=60 cells infeasible markers between feasible ones
     args = ([60, 5, 200], [4], [4, 20, 60], 3, 40, 26)
     in_workers = sweep_phase(*args, bypass_gate=bypass_gate)
     write_sweep_csv(tmp_path / "workers.csv", in_workers)
-    _see_one_cpu(monkeypatch)
+    see_one_cpu()
     in_process = sweep_phase(*args, bypass_gate=bypass_gate)
     write_sweep_csv(tmp_path / "in_process.csv", in_process)
     assert [c.trials for c in in_process] == [3, 3, 3, 3, 0, 0, 3, 3, 3]
@@ -235,14 +229,14 @@ def test_sweep_workers_give_the_in_process_bits(monkeypatch, tmp_path, bypass_ga
 
 
 @pytest.mark.parametrize("in_process", [False, True])
-def test_sweep_trial_error_reaches_the_caller(monkeypatch, tmp_path, capsys, in_process):
-    # the pool pickles _sweep_trial_x by name, so patch a function it calls
+def test_sweep_trial_error_reaches_the_caller(monkeypatch, see_one_cpu, tmp_path, capsys, in_process):
+    # the forked workers inherit the patched module
     def singular(spec):
         raise NumericalError("singular trial")
 
     monkeypatch.setattr(harness, "generate_problem", singular)
     if in_process:
-        _see_one_cpu(monkeypatch)
+        see_one_cpu()
     with pytest.raises(NumericalError, match="^singular trial$") as exc:
         sweep_phase([60], [3], [10, 30], trials_per_cell=2, iters=5, seed=1)
     assert type(exc.value) is NumericalError
@@ -256,11 +250,11 @@ def test_sweep_trial_error_reaches_the_caller(monkeypatch, tmp_path, capsys, in_
 
 @pytest.mark.parametrize("bypass_gate, per_step", [(True, 0), (False, 1)])
 def test_sweep_trial_evaluates_the_gate_only_when_it_decides(
-    monkeypatch, count_calls, bypass_gate, per_step
+    see_one_cpu, count_calls, bypass_gate, per_step
 ):
     # a bypassed sweep trial keeps no verdict, so it evaluates no gate; the
     # calls are counted in this process, so the trials must run here
-    _see_one_cpu(monkeypatch)
+    see_one_cpu()
     calls = count_calls(partial_data, "_passes")
     trials, iters = 2, 30
     sweep_phase([100], [4], [12], trials, iters, seed=3, bypass_gate=bypass_gate)

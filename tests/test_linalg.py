@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,15 +10,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgeqrf, dgesdd_lwork, dorgqr
 
+import grouse
 from grouse.concentration import validate_residual_bound
 from grouse.linalg import (
     NumericalError,
+    _fork_map,
     _lstsq,
     _lwork,
     _one_blas_thread,
     _openblas_thread_controls,
     _qr,
     _sv,
+    _workers,
     least_squares,
     nearest_orthogonal,
     orthonormalize,
@@ -280,3 +287,57 @@ def test_one_blas_thread_pins_both_bundled_openblas_libraries_and_restores():
     finally:
         for (setter, _), count in zip(controls, initial):
             setter(count)
+
+
+def _blas_threads():
+    return os.getpid(), tuple(getter() for _, getter in _openblas_thread_controls())
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["in-workers", "in-process"])
+def test_fork_map_runs_each_task_on_one_blas_thread_in_task_order(see_one_cpu, one_cpu):
+    if one_cpu:
+        see_one_cpu()
+    controls = _openblas_thread_controls()
+    initial = [getter() for _, getter in controls]
+    try:
+        for setter, _ in controls:
+            setter(2)
+        # workers inherit the task list, closures included
+        assert _fork_map(lambda k: 2**k, [(k,) for k in range(9)]) == [2**k for k in range(9)]
+        runs = _fork_map(_blas_threads, [()] * 4)
+        assert [getter() for _, getter in controls] == [2, 2]
+    finally:
+        for (setter, _), count in zip(controls, initial):
+            setter(count)
+    assert all(threads == (1, 1) for _, threads in runs)
+    in_parent = {pid == os.getpid() for pid, _ in runs}
+    assert in_parent == ({True} if one_cpu or _workers(2) == 1 else {False})
+    assert _fork_map(pow, []) == []
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["in-workers", "in-process"])
+def test_fork_map_raises_the_first_failing_task_in_task_order(see_one_cpu, one_cpu):
+    if one_cpu:
+        see_one_cpu()
+
+    def task(k):
+        if k == 1:
+            raise NumericalError("task 1")
+        if k == 3:
+            raise KeyError("task 3")
+        return k
+
+    with pytest.raises(NumericalError, match="^task 1$") as exc:
+        _fork_map(task, [(k,) for k in range(6)])
+    assert type(exc.value) is NumericalError
+    assert not multiprocessing.active_children()
+
+
+def test_import_loads_no_pool_machinery():
+    # the pool is imported on the first fork, so import grouse stays as fast as before
+    code = "import sys, grouse; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grouse.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

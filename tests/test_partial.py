@@ -57,6 +57,10 @@ def test_observation_validation():
         Observation(n=5, omega=[0.5, 1.7], values=[0.0, 0.0])
     with pytest.raises(ValueError, match="^n must be an integer, not a float$"):
         Observation(n=5.0, omega=[0, 2], values=[0.0, 0.0])
+    # no basis has n < 1, and the wire format cannot write a negative n
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            Observation(n=n, omega=[], values=[])
     with pytest.raises(ValueError, match="^latent_s entries must be finite$"):
         Observation(n=5, omega=[0, 2], values=[0.0, 0.0], latent_s=[np.nan, 1.0])
     empty = Observation(n=5, omega=[], values=[])
