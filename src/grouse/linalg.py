@@ -15,6 +15,17 @@ checks; callers that hold already-checked arrays call them directly.
 :func:`_eigvalsh` gives the eigenvalues of a small symmetric matrix for the
 gate's decision rule.
 
+LAPACK, and the BLAS ``dger`` that :mod:`grouse.metrics` rotates with, come
+from scipy's compiled modules ``_flapack`` and ``_fblas``, which
+:func:`_scipy_linalg_extension` loads from their files in scipy's ``linalg``
+directory.  The routines are the objects ``scipy.linalg.lapack`` and
+``scipy.linalg.blas`` export, so the bits are theirs; but the
+``scipy.linalg`` package's ``__init__``, about 60% of ``import grouse``
+through scipy's array-API layer and ``numpy.f2py``, never runs.  A fresh
+``import grouse, grouse.cli`` takes a median 0.18 s this way against 0.40 s
+through ``scipy.linalg.lapack`` (12 interleaved processes each, 2-core
+x86_64 VM).
+
 :func:`_one_blas_thread` runs a block on one OpenBLAS thread, so that its
 products give the same bits whatever thread count the process started with.
 :func:`_fork_map` runs independent tasks in forked worker processes, each
@@ -31,11 +42,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import importlib.machinery
+import importlib.util
 import os
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork, dorgqr, dsyev, dtrtrs
 
 # Fixed tolerances, 100-1000x double eps, relative to the largest entry.
 SYM_TOL = 1e-12
@@ -56,6 +68,32 @@ _OPENBLAS = (
     (scipy, "scipy.libs/libscipy_openblas-*.so",
      "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
 )
+
+
+def _scipy_linalg_extension(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file in scipy's ``linalg`` directory.
+
+    The ``scipy.linalg`` package is not imported: its ``__init__`` loads
+    scipy's array-API layer and ``numpy.f2py``, which grouse never uses.
+    The module keeps its full name, so CPython's cache of single-phase
+    extension modules hands a later ``import scipy.linalg`` the same
+    routine objects.  Raises ``ImportError`` naming the directory when
+    scipy has no such module.
+    """
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(f"scipy.linalg.{name}", [directory])
+    if spec is None:
+        raise ImportError(f"no compiled scipy module {name} in {directory}", name=f"scipy.linalg.{name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the objects scipy.linalg.lapack and scipy.linalg.blas export under these names
+_flapack = _scipy_linalg_extension("_flapack")
+dgeqrf, dgeqrf_lwork, dorgqr = _flapack.dgeqrf, _flapack.dgeqrf_lwork, _flapack.dorgqr
+dgesdd, dgesdd_lwork, dsyev, dtrtrs = _flapack.dgesdd, _flapack.dgesdd_lwork, _flapack.dsyev, _flapack.dtrtrs
+dger = _scipy_linalg_extension("_fblas").dger
 
 
 class NumericalError(ValueError):

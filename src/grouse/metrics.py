@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .linalg import (
     NumericalError,
     _as_vector,
     _count,
     _one_blas_thread,
+    dger,
     nearest_orthogonal,
     singular_values,
 )

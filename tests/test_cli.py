@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -352,6 +353,26 @@ def test_bad_value_exits_2(tmp_path, capsys, row):
     assert run_cli(_VALID_ARGV[verb] + bad + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("grouse: error:")
     assert not out.exists()
+
+
+def test_every_verb_runs_without_scipy_linalg(tmp_path):
+    # grouse loads scipy's compiled LAPACK and BLAS modules, not the
+    # scipy.linalg package, whose __init__ loads numpy.f2py
+    code = (
+        "import json, sys\n"
+        "from grouse import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules)))"
+    )
+    runs = [argv + ["--out", str(tmp_path / f"{verb}.csv")] for verb, argv in _VALID_ARGV.items()]
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} []"
 
 
 @pytest.mark.parametrize(

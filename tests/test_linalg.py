@@ -1,16 +1,18 @@
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import blas, lapack, solve_triangular
 from scipy.linalg.lapack import dgeqrf, dgesdd_lwork, dorgqr
 
 import grouse
+from grouse import linalg, metrics
 from grouse.concentration import validate_residual_bound
 from grouse.linalg import (
     NumericalError,
@@ -236,6 +238,58 @@ def test_cached_workspace_sizes_equal_fresh_queries(shape):
             assert _lwork("gesdd", rows, cols) == int(fresh)
 
 
+def _same_bits(ours, theirs):
+    """Two routine results, each an array or a tuple of arrays and scalars, hold the same bits."""
+    ours, theirs = (x if isinstance(x, tuple) else (x,) for x in (ours, theirs))
+    assert len(ours) == len(theirs)
+    for x, y in zip(ours, theirs):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(40, 10), (300, 64)])
+def test_bound_routines_are_bitwise_scipys(shape):
+    # each routine grouse loads from scipy's compiled modules gives the bits
+    # of the scipy.linalg.lapack or scipy.linalg.blas routine of its name
+    m, d = shape
+    rng = np.random.default_rng(m)
+    a = np.asfortranarray(rng.standard_normal(shape))
+    g = np.asfortranarray(a.T @ a)
+    r = np.asfortranarray(np.triu(rng.standard_normal((d, d))) + d * np.eye(d))
+    calls = [
+        ("dgeqrf", (a,), {"lwork": -1}),
+        ("dgeqrf", (a,), {"lwork": _lwork("geqrf", m, d)}),
+        ("dgeqrf_lwork", (m, d), {}),
+        ("dgesdd", (a,), {"compute_uv": 0, "full_matrices": 0, "lwork": _lwork("gesdd", m, d)}),
+        ("dgesdd", (a.T,), {"compute_uv": 1, "full_matrices": 0}),
+        ("dgesdd_lwork", (m, d), {"compute_uv": 0, "full_matrices": 0}),
+        ("dgesdd_lwork", (d, m), {"compute_uv": 1, "full_matrices": 1}),
+        ("dsyev", (g,), {"compute_v": 0}),
+        ("dsyev", (g,), {"compute_v": 1}),
+        ("dtrtrs", (r, rng.standard_normal(d)), {"lower": 0}),
+        ("dtrtrs", (r.T, rng.standard_normal(d)), {"lower": 1, "trans": 1}),
+    ]
+    for name, args, kwargs in calls:
+        _same_bits(getattr(linalg, name)(*args, **kwargs), getattr(lapack, name)(*args, **kwargs))
+    qr, tau, _, _ = lapack.dgeqrf(a)
+    for lwork in (-1, _lwork("orgqr", m, d)):
+        _same_bits(linalg.dorgqr(qr, tau, lwork=lwork), lapack.dorgqr(qr, tau, lwork=lwork))
+    x, y = rng.standard_normal(m), rng.standard_normal(d)
+    ours, theirs = a.copy(order="F"), a.copy(order="F")
+    _same_bits(metrics.dger(-0.5, x, y, a=ours, overwrite_a=1), blas.dger(-0.5, x, y, a=theirs, overwrite_a=1))
+    _same_bits(ours, theirs)
+
+
+def test_missing_scipy_extension_raises_import_error_naming_the_directory(tmp_path, monkeypatch):
+    # an installed scipy whose linalg directory lacks a compiled module
+    directory = tmp_path / "scipy" / "linalg"
+    directory.mkdir(parents=True)
+    monkeypatch.setattr(linalg.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    for name in ("_flapack", "_fblas"):
+        with pytest.raises(ImportError, match=re.escape(str(directory))):
+            linalg._scipy_linalg_extension(name)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e150])
 @pytest.mark.parametrize("length", [1, 2, 10, 40, 2000])
 def test_vector_norm_formula_is_bitwise_numpys(scale, length):
@@ -335,8 +389,11 @@ def test_fork_map_raises_the_first_failing_task_in_task_order(see_one_cpu, one_c
 
 
 def test_import_loads_no_pool_machinery():
-    # the pool is imported on the first fork, so import grouse stays as fast as before
-    code = "import sys, grouse; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    # the pool is imported on the first fork, and LAPACK and BLAS come from
+    # scipy's compiled modules without the scipy.linalg package, whose
+    # __init__ loads scipy's array-API layer and numpy.f2py
+    unused = ["multiprocessing", "concurrent.futures.process", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py"]
+    code = f"import sys, grouse, grouse.cli; print(sorted(set({unused!r}) & set(sys.modules)))"
     src = os.path.dirname(os.path.dirname(os.path.abspath(grouse.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
