@@ -26,7 +26,6 @@ format uses 1-based indices on the wire.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ import numpy as np
 # names the same public fit as linalg.least_squares.
 from .linalg import NumericalError, _as_vector, _count, _eigvalsh, _lstsq, _real, _sv, least_squares  # noqa: F401
 from .metrics import Basis, _check_pair, _rotated, _sin_sq, epsilon_residual
-from .results import _FLOAT, _INT, TrialResult, _Trajectory, _write_cells
+from .results import _FLOAT, _INT, TrialResult, _read_rows, _Trajectory, _write_cells, _write_rows
 
 # Residuals this small (relative to the observed entries) are treated as an
 # exact fit: the rotation is the identity.
@@ -399,18 +398,20 @@ def write_observations(path, observations) -> None:
     """Write observations as CSV rows ``t, n, indices, values``.
 
     Indices are 1-based and semicolon-separated on the wire; values are
-    semicolon-separated decimals (binary64 round-trip precision).
+    semicolon-separated decimals (binary64 round-trip precision).  Rows go
+    through the line codec ``results._write_rows``, one at a time.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for t, obs in enumerate(observations):
-            writer.writerow(
-                [
-                    *_write_cells(_INT, [t, obs.n]),
-                    ";".join(_write_cells(_INT, obs.omega + 1)),
-                    ";".join(_write_cells(_FLOAT, obs.values)),
-                ]
-            )
+    _write_rows(
+        path,
+        (
+            [
+                *_write_cells(_INT, [t, obs.n]),
+                ";".join(_write_cells(_INT, obs.omega + 1)),
+                ";".join(_write_cells(_FLOAT, obs.values)),
+            ]
+            for t, obs in enumerate(observations)
+        ),
+    )
 
 
 def _parse_field(field: str, dtype) -> np.ndarray:
@@ -440,22 +441,23 @@ def read_observations(path) -> list[Observation]:
     """Read an observation CSV written by :func:`write_observations`; t must not repeat.
 
     The t and n fields are plain ASCII decimal digits: a sign, padding or
-    an underscore, which ``int()`` would read, raises ValueError.
+    an underscore, which ``int()`` would read, raises ValueError.  Lines
+    come from the line codec ``results._read_rows``: a field has no length
+    limit, and a quoted field (a ``"`` anywhere) raises ValueError.
     """
     rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"observation row has {len(row)} fields, not 4")
-            t, n = row[0], row[1]
-            if not (t.isascii() and t.isdigit() and n.isascii() and n.isdigit()):
-                raise ValueError("observation t and n fields must be plain decimal digits")
-            t, n = int(t), int(n)
-            omega = _parse_field(row[2], int) - 1
-            values = _parse_field(row[3], float)
-            rows.append((t, Observation(n=n, omega=omega, values=values)))
+    for row in _read_rows(path):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValueError(f"observation row has {len(row)} fields, not 4")
+        t, n = row[0], row[1]
+        if not (t.isascii() and t.isdigit() and n.isascii() and n.isdigit()):
+            raise ValueError("observation t and n fields must be plain decimal digits")
+        t, n = int(t), int(n)
+        omega = _parse_field(row[2], int) - 1
+        values = _parse_field(row[3], float)
+        rows.append((t, Observation(n=n, omega=omega, values=values)))
     rows.sort(key=lambda pair: pair[0])
     if any(a[0] == b[0] for a, b in zip(rows, rows[1:])):
         raise ValueError("duplicate observation index t")

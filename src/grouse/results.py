@@ -1,12 +1,15 @@
-"""Trial results, the drivers' basis buffer, and the cell codec of every file the library writes.
+"""Trial results, the drivers' basis buffer, and the cell and line codec of every file the library writes.
 
 :class:`_Trajectory` owns the one n x d buffer a driver steps: it makes the
 copy, rotates it in place, re-orthonormalizes it, measures epsilon and keeps
-the per-step rows; the drivers only read it.
+the per-step rows; the drivers only read it.  :func:`_write_rows` and
+:func:`_read_rows` are the one line codec of every CSV file, the tables here
+and the observation file of ``partial_data``: comma-separated cells, no
+quoting, ``\r\n`` line ends written and any of ``\r\n``, ``\r``, ``\n``
+read.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -177,6 +180,35 @@ def _read_cells(kind: _Kind, cells: list[str]) -> list:
     return values
 
 
+def _write_rows(path, rows) -> None:
+    """Write each row, a sequence of cells, as one line: the cells joined by "," and ``\r\n``.
+
+    These are the bytes ``csv.writer`` writes for rows of two or more
+    cells that need no quoting: every file the library writes has at least
+    two columns, and no cell it writes holds a ``,``, ``"``, ``\r`` or
+    ``\n``.  Rows stream to the file one at a time.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
+def _read_rows(path):
+    """Yield the cells of each line of a file, ``[]`` for a blank line; ValueError on a ``"``.
+
+    ``\r\n``, ``\r`` and ``\n`` each end a line, and a line splits at
+    every ",": on text without ``"`` these are ``csv.reader``'s rows.  A
+    quoted cell is not a cell the library writes, so a ``"`` anywhere raises
+    ValueError.  Lines stream from the file one at a time, and a field has
+    no length limit.
+    """
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if '"' in line:
+                raise ValueError("quoted cells are not read: a line holds '\"'")
+            yield line.split(",") if line else []
+
+
 def _write_table(path, schema: dict, columns, lagged=()) -> None:
     """Write the header of ``schema``, then ``columns`` as rows.
 
@@ -189,10 +221,7 @@ def _write_table(path, schema: dict, columns, lagged=()) -> None:
     for (name, kind), values in zip(schema.items(), columns, strict=True):
         text = _write_cells(kind, values)
         cells.append(itertools.chain([""], text) if name in lagged else text)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema)
-        writer.writerows(zip(*cells, strict=True))
+    _write_rows(path, itertools.chain([list(schema)], zip(*cells, strict=True)))
 
 
 def _read_table(path, schema: dict, lagged=()) -> list[np.ndarray]:
@@ -203,8 +232,7 @@ def _read_table(path, schema: dict, lagged=()) -> list[np.ndarray]:
     kind's one cell rule (:class:`_Kind`) and fits the column's array dtype,
     and every ``lagged`` column's first cell is empty.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(_read_rows(path))
     if not rows or rows[0] != list(schema):
         raise ValueError(f"table header must be {','.join(schema)}")
     for line, row in enumerate(rows, 1):

@@ -33,8 +33,8 @@ def _float_cell(col, cell):
 # Each rewrites the lines of a table file (a header, then at least one row)
 # so that the file no longer matches its declared columns.  The cell-level
 # ones spell a cell other than as the writer writes it; each but "int past
-# int64" and "infinity" reads, by Python's int() and float(), as the value it
-# replaces.
+# int64" and "infinity" reads, by Python's int() and float() (or, for the
+# quoted cell, by ``csv.reader``), as the value it replaces.
 _MALFORMATIONS = {
     "missing column": _drop_last_column,
     "extra column": lambda lines: [line + ",0" for line in lines],
@@ -49,6 +49,7 @@ _MALFORMATIONS = {
     "infinity": _rewrite_cell(_float_cell, lambda c: "infinity"),
     "float with exponent": _rewrite_cell(_float_cell, lambda c: c + "e0"),
     "float with trailing zero": _rewrite_cell(_float_cell, lambda c: c + "0"),
+    "quoted cell": _rewrite_cell(_int_cell, lambda c: f'"{c}"'),
 }
 
 

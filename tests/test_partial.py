@@ -595,6 +595,20 @@ def test_observation_csv_round_trip(tmp_path):
         assert b.values.tobytes() == a.values.tobytes()
 
 
+def test_observation_csv_round_trips_a_wide_observation(tmp_path):
+    # its values field holds about 157k characters, past csv's 131072-character field limit
+    rng = np.random.default_rng(22)
+    omega = np.sort(rng.choice(20000, size=8000, replace=False))
+    obs = Observation(n=20000, omega=omega, values=rng.standard_normal(8000))
+    path = tmp_path / "observations.csv"
+    write_observations(path, [obs])
+    assert len(path.read_text().split(",")[3]) > 131072
+    (back,) = read_observations(path)
+    assert back.n == obs.n
+    assert back.omega.tobytes() == obs.omega.tobytes()
+    assert back.values.tobytes() == obs.values.tobytes()
+
+
 @pytest.mark.parametrize(
     "indices, values",
     [
@@ -614,6 +628,9 @@ def test_observation_csv_round_trip(tmp_path):
         ("1", "1.0;;2.0"),
         ("1", "1_0.5"),
         ("1", "0x10"),
+        # a quoted field is not one the writer writes, though csv.reader would unquote it
+        ('"1"', "1.0"),
+        ("1", '"1.0"'),
     ],
 )
 def test_observation_csv_rejects_malformed_fields(tmp_path, indices, values):
