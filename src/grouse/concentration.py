@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import _count, _fork_map, _lstsq, _real, _rng, _workers
 from .metrics import Basis, _check_pair, _dims, _off_span, coherence_basis, coherence_vector
 from .metrics import epsilon_residual
-from .partial_data import _gate, _passes, _sample
+from .partial_data import _BATCH, _bits, _gate, _sample
 from .results import _FLAG, _FLOAT, _INT, _read_table, _write_table
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -262,14 +262,19 @@ def validate_residual_bound(
 
 
 def estimate_skip_rate(u: Basis, q: int, trials: int, seed: int) -> float:
-    """Fraction of algorithm-mode samples (without replacement) failing the gate."""
+    """Fraction of algorithm-mode samples (without replacement) failing the gate.
+
+    The samples are drawn one after another, as a serial loop draws them,
+    and decided ``_BATCH`` at a time by the stream driver's batched rule
+    (``partial_data._bits``), so every bit is ``_gate``'s.
+    """
     _dims(u.n, u.d, q)
     _count("trials", trials, 1)
     rng = _rng(seed)
     fails = 0
-    for _ in range(trials):
-        if not _passes(u.columns[_sample(rng, u.n, q)], u.n):
-            fails += 1
+    for start in range(0, trials, _BATCH):
+        idx = np.array([_sample(rng, u.n, q) for _ in range(min(_BATCH, trials - start))])
+        fails += _bits(np.take(u.columns, idx, axis=0), u.n).count(False)
     return fails / trials
 
 

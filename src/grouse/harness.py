@@ -148,7 +148,9 @@ def pair_with_epsilon(
     to eps (a random split by default, an even one with angles="equal"),
     and the tilted frame is then mixed by a random rotation so the alignment
     matrix is not trivially diagonal.  ``frame="incoherent"`` tilts within a
-    flat cosine-harmonic frame instead, keeping both bases at low coherence.
+    flat cosine-harmonic frame instead, keeping both bases at low coherence;
+    its 2d distinct harmonics come from the n - 1 nonconstant ones, so it
+    requires n >= 2d + 1.
     """
     _count("n", n)
     _count("d", d)
@@ -159,6 +161,8 @@ def pair_with_epsilon(
     if frame == "gaussian":
         cols = orthonormalize(rng.standard_normal((n, 2 * d)))
     elif frame == "incoherent":
+        if n < 2 * d + 1:
+            raise ValueError("the incoherent frame needs n >= 2d + 1: 2d distinct nonconstant harmonics")
         cols = _cosine_frame(rng, n, 2 * d)
     else:
         raise ValueError('frame must be "gaussian" or "incoherent"')

@@ -11,9 +11,9 @@ Every QR, triangular solve and singular-value computation of a checked
 array runs through one kernel each, :func:`_qr`, :func:`_lstsq` and
 :func:`_sv`, and each calls LAPACK directly, bitwise the numpy or scipy
 routine it replaces.  The public routines reach them after their boundary
-checks; callers that hold already-checked arrays call them directly.
-:func:`_eigvalsh` gives the eigenvalues of a small symmetric matrix for the
-gate's decision rule.
+checks; callers that hold already-checked arrays call them directly.  The
+gate's decision rule (``partial_data._verdicts``) calls LAPACK ``dpotrf``
+itself: a Cholesky factorization that completes or stops is its certificate.
 
 LAPACK, and the BLAS ``dger`` that :mod:`grouse.metrics` rotates with, come
 from scipy's compiled modules ``_flapack`` and ``_fblas``, which
@@ -92,7 +92,7 @@ def _scipy_linalg_extension(name: str):
 # the objects scipy.linalg.lapack and scipy.linalg.blas export under these names
 _flapack = _scipy_linalg_extension("_flapack")
 dgeqrf, dgeqrf_lwork, dorgqr = _flapack.dgeqrf, _flapack.dgeqrf_lwork, _flapack.dorgqr
-dgesdd, dgesdd_lwork, dsyev, dtrtrs = _flapack.dgesdd, _flapack.dgesdd_lwork, _flapack.dsyev, _flapack.dtrtrs
+dgesdd, dgesdd_lwork, dpotrf, dtrtrs = _flapack.dgesdd, _flapack.dgesdd_lwork, _flapack.dpotrf, _flapack.dtrtrs
 dger = _scipy_linalg_extension("_fblas").dger
 
 
@@ -342,17 +342,6 @@ def _sv(a: np.ndarray) -> np.ndarray:
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     return s
-
-
-def _eigvalsh(g: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues, ascending, of a finite symmetric square array; None if LAPACK does not converge.
-
-    Runs LAPACK ``dsyev`` without eigenvectors on the upper triangle, at its
-    minimal workspace.  The values are backward stable, not bitwise any
-    numpy routine's: ``sym_eigenvalues`` keeps ``np.linalg.eigvalsh``.
-    """
-    w, _, info = dsyev(g, compute_v=0)
-    return None if info else w
 
 
 def orthonormalize(a) -> np.ndarray:

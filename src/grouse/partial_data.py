@@ -10,10 +10,15 @@ toward r/||r|| while leaving the orthogonal complement of w untouched.
 The gate has one source of eigenvalues, :func:`_gate`, which squares the
 singular values of the sampled rows; :func:`gate_check`, ``grouse_step``'s
 record and the concentration validators report them.  Callers that keep
-only the pass/fail bit (the stream driver and ``estimate_skip_rate``) ask
-:func:`_passes`, which decides from the eigenvalues of the formed d x d
-Gram matrix and runs :func:`_gate` only when an extreme eigenvalue lies
-within rounding distance of the window, so its bit is always :func:`_gate`'s.
+only the pass/fail bit (the stream driver and ``estimate_skip_rate``) use
+one decision rule, :func:`_verdicts`: Cholesky certificates on the formed
+d x d Gram matrices of a stack of samples, with :func:`_gate` run only for
+a sample whose extreme eigenvalue lies within rounding distance of the
+window, so every bit is :func:`_gate`'s.  :func:`_passes` applies it to
+one sample, :func:`_bits` to a stack.  A failed gate leaves the basis as
+it is, so the gated stream decides a run of coming observations against
+the unchanged buffer at once (:func:`_undecided`) and records the leading
+failures together.
 
 The step kernel :func:`_step` reads a bare basis array and returns the
 rotation's arguments; the stream driver hands them to the trajectory
@@ -26,6 +31,9 @@ format uses 1-based indices on the wire.
 """
 from __future__ import annotations
 
+import collections
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +41,7 @@ import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
-from .linalg import NumericalError, _as_vector, _count, _eigvalsh, _lstsq, _real, _sv, least_squares  # noqa: F401
+from .linalg import NumericalError, _as_vector, _count, _lstsq, _real, _sv, dpotrf, least_squares  # noqa: F401
 from .metrics import Basis, _check_pair, _rotated, _sin_sq, epsilon_residual
 from .results import _FLOAT, _INT, TrialResult, _read_rows, _Trajectory, _write_cells, _write_rows
 
@@ -41,9 +49,15 @@ from .results import _FLOAT, _INT, TrialResult, _read_rows, _Trajectory, _write_
 # exact fit: the rotation is the identity.
 RESIDUAL_FLOOR = 1e-14
 
-# The decision rule's slack per unit of (m + d) * ||S||_F^2 for an m x d
-# sample S: 1e3 units of roundoff (2^-53).  See _passes.
+# The decision rule's slack per unit of (m + d^2) * (||S||_F^2 + d * upper
+# bound) for an m x d sample S: 1e3 units of roundoff (2^-53).  See _verdicts.
 _GATE_SLACK = 1e3 * 2.0**-53
+
+# How many coming observations the stream driver decides at once against an
+# unchanged buffer; see _undecided.  On the benchmark's gated stream
+# (n=2000, d=10, q=80, about 95% skips) every length from 8 to 32 gave
+# run_stream the same speed within 3%, and 4 was 6-8% slower.
+_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -179,34 +193,80 @@ def _gate(sub: np.ndarray, n: int) -> GateVerdict:
     return GateVerdict(passed, eigen_min, eigen_max, lower, upper)
 
 
-def _passes(sub: np.ndarray, n: int) -> bool:
-    """``_gate(sub, n).passed``, decided from the eigenvalues of the formed Gram matrix.
+def _verdicts(subs: np.ndarray, n: int):
+    """Yield the gate verdict of each sample of the k x m x d stack ``subs``, in order, as they are read.
 
-    Forms G = S^T S of the m x d sample S and takes its eigenvalues with
-    ``linalg._eigvalsh``.  Each differs from the matching squared singular
-    value that :func:`_gate` compares by at most a few (m + d) roundoffs
-    times ||S||_F^2 = trace(G): forming G moves every eigenvalue by at most
-    m roundoffs times ||S||_F^2, and the symmetric eigensolver and the SVD
-    are backward stable.  A comparison with a window bound that clears it
-    by more than ``_GATE_SLACK * (m + d) * trace(G)`` therefore comes out
-    as in :func:`_gate`; when either extreme eigenvalue is closer than
-    that, or the eigensolver does not converge, the verdict is
-    :func:`_gate`'s own.  Fewer than d rows fail at once.
+    False when the sample certainly fails the window of :func:`_gate`,
+    True when it certainly passes, None when the formed Gram matrix
+    G = S^T S lies too close to a window bound [a, b] to tell, and
+    ``_gate(subs[i], n).passed`` decides.  Fewer than d rows fail at once.
+
+    The certificates are Cholesky factorizations (LAPACK ``dpotrf``) of
+    shifted Gram matrices, with a slack s per sample of
+    ``_GATE_SLACK * (m + d^2) * (trace(G) + d b)``.  If it stops on
+    (b + s)I - G or on G - (a - s)I, the sample fails; if it completes on
+    G - (a + s)I and on (b - s)I - G, it passes.  Each extreme eigenvalue
+    of the formed G lies within a few (m + d) roundoffs times
+    ||S||_F^2 = trace(G) of the squared singular value :func:`_gate`
+    compares, since forming G and the SVD are backward stable.  A
+    Cholesky factorization that completes on a shifted matrix A is exact
+    for A + E, with ||E|| <= (d + 1) roundoffs times trace(A), so A's
+    smallest eigenvalue is at least -||E||; and one completes whenever
+    that eigenvalue exceeds d (d + 1) roundoffs times A's largest diagonal
+    entry (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 10).  trace(A) is at most trace(G) + d (b + s) for every shift
+    used, so each certificate holds with s to spare and the verdict, when
+    given, is :func:`_gate`'s.  A generator, so a caller that stops
+    reading factors no further sample.
     """
-    m, d = sub.shape
+    k, m, d = subs.shape
     if m < d:
-        return False
+        yield from itertools.repeat(False, k)
+        return
     lower = 0.5 * m / n
     upper = 1.5 * m / n
-    gram = sub.T @ sub
-    eigen = _eigvalsh(gram)
-    if eigen is not None:
-        slack = _GATE_SLACK * (m + d) * gram.trace()
-        if eigen[0] < lower - slack or eigen[-1] > upper + slack:
-            return False
-        if eigen[0] > lower + slack and eigen[-1] < upper - slack:
-            return True
-    return _gate(sub, n).passed
+    grams = np.matmul(subs.transpose(0, 2, 1), subs)
+    slack = _GATE_SLACK * (m + d * d) * (grams.trace(axis1=1, axis2=2) + d * upper)
+    eye = _eye(d)
+    # most failing samples fail above the window, so that side is tried
+    # first, and shifted for the whole stack at once
+    above = (upper + slack)[:, None, None] * eye - grams
+    for gram, s, shifted in zip(grams, slack, above):
+        if not (_factors(shifted) and _factors(gram - (lower - s) * eye)):
+            yield False
+        elif _factors(gram - (lower + s) * eye) and _factors((upper - s) * eye - gram):
+            yield True
+        else:
+            yield None
+
+
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    """The d x d identity, made once per d and read-only, since every caller shares it."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
+def _factors(a: np.ndarray) -> bool:
+    """Whether LAPACK ``dpotrf`` completes the Cholesky factorization of the C-ordered symmetric ``a``.
+
+    It factors ``a`` in place: the transpose is the same matrix in Fortran
+    order, so no copy is made.
+    """
+    # positional lower=0, clean=0, overwrite_a=1: keywords cost a third of the call
+    return dpotrf(a.T, 0, 0, 1)[1] == 0
+
+
+def _bits(subs: np.ndarray, n: int) -> list:
+    """``[_gate(sub, n).passed for sub in subs]`` for a k x m x d stack, decided by :func:`_verdicts`."""
+    return [_gate(sub, n).passed if v is None else v for sub, v in zip(subs, _verdicts(subs, n))]
+
+
+def _passes(sub: np.ndarray, n: int) -> bool:
+    """``_gate(sub, n).passed`` for one m x d sample, decided by :func:`_verdicts`."""
+    verdict = next(_verdicts(sub[None], n))
+    return _gate(sub, n).passed if verdict is None else verdict
 
 
 def partial_residual(u: Basis, obs: Observation):
@@ -355,8 +415,10 @@ def run_stream(
     re-orthonormalization cadence and on excess drift.  A skipped or
     identity step reuses the drift check and epsilon of the unchanged
     buffer.  Epsilon is recorded when ``ubar`` is given.  A bad alpha or
-    ``ubar`` raises ValueError before any observation is read; an
-    observation of another n raises ValueError at its step.
+    ``ubar`` raises ValueError before any observation is read.  A gated
+    stream reads up to ``_BATCH`` observations ahead of the step it takes
+    (never past the next QR), so an observation of another n raises
+    ValueError when it is read, up to one batch ahead of its step.
     """
     arrays = (_arrays(obs, u0, ubar) for obs in stream)
     return _run_stream(u0, arrays, alpha, ubar, bypass_gate)[0]
@@ -369,29 +431,82 @@ def _run_stream(
 
     Returns ``(result, cols)``, ``cols`` the trajectory's final buffer.  Without
     ``ubar`` no per-step epsilon or revealed angle is measured, so a caller
-    that needs epsilon only at the ends measures ``u0`` and ``cols``.  The
-    gate is decided by :func:`_passes`, since a row keeps only its bit.  With
-    ``record`` False no per-step row is kept and the result is None, so a
-    bypassed gate is not evaluated: no row would hold its bit.
+    that needs epsilon only at the ends measures ``u0`` and ``cols``.  A
+    gated stream decides runs of observations at once (:func:`_undecided`),
+    and every bit is :func:`_gate`'s.  With ``record`` False no per-step
+    row is kept and the result is None, so a bypassed gate is not
+    evaluated: no row would hold its bit.  A bypassed gate is decided, when
+    it is, one step at a time, since every step moves the buffer.
     """
     _check_alpha(alpha)
     _check_pair(u0, ubar)
     track = _Trajectory(u0, None if ubar is None else ubar.columns, maintained=False)
-    for omega, values, latent_s in stream:
+    decide = record or not bypass_gate
+    if bypass_gate:
+        steps = zip(stream, itertools.repeat(None))
+    else:
+        steps = _undecided(track, stream, u0.n, ubar, record)
+    for (omega, values, latent_s), verdict in steps:
         # against the basis the step starts from
         theta = _revealed_theta(track.cols, ubar, latent_s)
         sub = track.cols[omega]
-        passed = _passes(sub, u0.n) if record or not bypass_gate else None
+        passed = None
+        if decide:
+            passed = _passes(sub, u0.n) if verdict is None else verdict
         fit = rotation = None
         if bypass_gate or passed:
             fit, rotation = _step(track.cols, sub, omega, values, alpha)
-        row = None
-        if record:
-            norm_r, norm_p = (0.0, 0.0) if fit is None else fit[:2]
-            theta = np.nan if theta is None else theta
-            row = (passed, fit is not None, norm_r, norm_p, theta)
-        track.step(row, rotation)
+        track.step(_row(passed, fit, theta) if record else None, rotation)
     return (track.result() if record else None), track.cols
+
+
+def _row(passed: bool | None, fit: tuple | None, theta: float | None) -> tuple:
+    """A trajectory row: the gate bit, taken, ``norm_r``, ``norm_p`` and the revealed angle (NaN if unknown)."""
+    norm_r, norm_p = (0.0, 0.0) if fit is None else fit[:2]
+    return (passed, fit is not None, norm_r, norm_p, np.nan if theta is None else theta)
+
+
+def _undecided(track: _Trajectory, stream, n: int, ubar: Basis | None, record: bool):
+    """The observations of a gated stream that need a step of their own, each with its verdict.
+
+    Yields ``(observation, verdict)``, the verdict True (a certain pass) or
+    None (not yet decided).  Before each it reads ahead the observations
+    whose gates are decided against the buffer as it stands
+    (``track.quiet()``, at most ``_BATCH``), keeps the leading ones of the
+    same sample size, gathers their rows and forms their Gram matrices at
+    once, and records the leading certain failures (:func:`_verdicts`)
+    through ``track.skip``; the first observation not certain to fail is
+    yielded.  So a batch never crosses a QR, a pending drift check or a
+    change of sample size, and the buffer changes only where it would
+    have one step at a time.  The verdicts behind the first yielded
+    observation are dropped: its step may move the buffer.
+    """
+    stream = iter(stream)
+    ahead = collections.deque()
+    while True:
+        want = min(_BATCH, track.quiet())
+        ahead.extend(itertools.islice(stream, max(0, want - len(ahead))))
+        if not ahead:
+            return
+        omegas = [omega for omega, _, _ in itertools.islice(ahead, want)]
+        sizes = list(map(len, omegas))
+        # the leading observations of the first one's sample size
+        omegas = omegas[: len(list(itertools.takewhile(sizes[0].__eq__, sizes)))]
+        verdict = None
+        if len(omegas) > 1:
+            rows = []
+            subs = np.take(track.cols, np.array(omegas), axis=0)
+            for (_, _, latent_s), verdict in zip(ahead, _verdicts(subs, n)):
+                if verdict is not False:
+                    break
+                rows.append(_row(False, None, _revealed_theta(track.cols, ubar, latent_s)) if record else None)
+            if rows:
+                track.skip(rows)
+                for _ in rows:
+                    ahead.popleft()
+            if len(rows) == len(omegas):
+                continue
+        yield ahead.popleft(), verdict
 
 
 def write_observations(path, observations) -> None:

@@ -250,26 +250,45 @@ def test_sweep_trial_error_reaches_the_caller(monkeypatch, see_one_cpu, tmp_path
 
 @pytest.mark.parametrize("bypass_gate, per_step", [(True, 0), (False, 1)])
 def test_sweep_trial_evaluates_the_gate_only_when_it_decides(
-    see_one_cpu, count_calls, bypass_gate, per_step
+    see_one_cpu, monkeypatch, count_calls, bypass_gate, per_step
 ):
-    # a bypassed sweep trial keeps no verdict, so it evaluates no gate; the
-    # calls are counted in this process, so the trials must run here
+    # a bypassed sweep trial keeps no verdict, so it evaluates no gate; a
+    # gated one decides each step once: by a verdict of a batch or of
+    # _passes, or by the gate itself where a verdict is None.  The calls
+    # are counted in this process, so the trials must run here
     see_one_cpu()
-    calls = count_calls(partial_data, "_passes")
+    verdicts, real = [], partial_data._verdicts
+
+    def counted(subs, n):
+        for verdict in real(subs, n):
+            verdicts.append(verdict)
+            yield verdict
+
+    monkeypatch.setattr(partial_data, "_verdicts", counted)
+    gates = count_calls(partial_data, "_gate")
     trials, iters = 2, 30
     sweep_phase([100], [4], [12], trials, iters, seed=3, bypass_gate=bypass_gate)
-    assert len(calls) == per_step * trials * iters
+    # a None verdict is decided again, by _passes or the gate
+    decided = len(verdicts) - verdicts.count(None) + len(gates)
+    assert decided == per_step * trials * iters
+    assert bool(verdicts) == bool(per_step)
 
 
-def test_recorded_bypassed_stream_evaluates_every_gate(count_calls):
+def test_recorded_bypassed_stream_evaluates_every_gate():
+    # each recorded verdict is the gate's own, bypassed or not: a bypassed
+    # stream takes every step and still records the bit
     spec = ProblemSpec(n=100, d=4, q=30, iters=40, seed=5)
     ubar, u0 = generate_problem(spec)
-    calls = count_calls(partial_data, "_passes")
-    stream = (Observation(spec.n, *draw) for draw in _observation_stream(spec, ubar))
-    result = partial_data.run_stream(u0, stream, ubar=ubar, bypass_gate=True)
-    assert len(calls) == 40
-    # each recorded verdict is the gate's own: some steps fail it, all are taken
-    assert result.taken.all() and 0 < result.gate_passed.sum() < 40
+    stream = [Observation(spec.n, *draw) for draw in _observation_stream(spec, ubar)]
+    for bypass_gate in (True, False):
+        result = partial_data.run_stream(u0, stream, ubar=ubar, bypass_gate=bypass_gate)
+        u, bits = u0, []
+        for obs in stream:
+            u, rec = partial_data.grouse_step(u, obs, ubar=ubar, bypass_gate=bypass_gate)
+            bits.append(rec.gate.passed)
+        assert result.gate_passed.tolist() == bits
+        assert 0 < sum(bits) < len(bits)
+        assert result.taken.all() if bypass_gate else result.taken.tolist() == bits
 
 
 def test_harness_draws_are_in_the_checked_form(monkeypatch, count_calls):
@@ -392,6 +411,16 @@ def test_random_basis_requires_d_between_zero_and_n(d):
 def test_pair_with_epsilon_requires_positive_d():
     with pytest.raises(ValueError, match="d >= 1"):
         pair_with_epsilon(40, 0, 0.0, seed=0)
+
+
+def test_incoherent_pair_needs_one_harmonic_more_than_2d():
+    # 2d distinct harmonics from the n - 1 nonconstant ones: n = 2d is one short
+    with pytest.raises(ValueError, match=r"incoherent frame needs n >= 2d \+ 1"):
+        pair_with_epsilon(4, 2, 0.1, 0, frame="incoherent")
+    u, ubar = pair_with_epsilon(5, 2, 0.1, 0, frame="incoherent")
+    assert np.isclose(epsilon(u, ubar), 0.1, atol=1e-12)
+    # the gaussian frame still takes n = 2d
+    pair_with_epsilon(4, 2, 0.1, 0)
 
 
 @pytest.mark.parametrize("make", [random_basis, incoherent_basis, pair_with_epsilon])

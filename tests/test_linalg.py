@@ -255,6 +255,8 @@ def test_bound_routines_are_bitwise_scipys(shape):
     rng = np.random.default_rng(m)
     a = np.asfortranarray(rng.standard_normal(shape))
     g = np.asfortranarray(a.T @ a)
+    # indefinite: the Cholesky factorization stops part way, info > 0
+    indefinite = np.asfortranarray(g - np.median(np.diag(g)) * np.eye(d))
     r = np.asfortranarray(np.triu(rng.standard_normal((d, d))) + d * np.eye(d))
     calls = [
         ("dgeqrf", (a,), {"lwork": -1}),
@@ -264,13 +266,14 @@ def test_bound_routines_are_bitwise_scipys(shape):
         ("dgesdd", (a.T,), {"compute_uv": 1, "full_matrices": 0}),
         ("dgesdd_lwork", (m, d), {"compute_uv": 0, "full_matrices": 0}),
         ("dgesdd_lwork", (d, m), {"compute_uv": 1, "full_matrices": 1}),
-        ("dsyev", (g,), {"compute_v": 0}),
-        ("dsyev", (g,), {"compute_v": 1}),
+        ("dpotrf", (g,), {}),
+        ("dpotrf", (indefinite,), {"lower": 1, "clean": 0}),
         ("dtrtrs", (r, rng.standard_normal(d)), {"lower": 0}),
         ("dtrtrs", (r.T, rng.standard_normal(d)), {"lower": 1, "trans": 1}),
     ]
     for name, args, kwargs in calls:
         _same_bits(getattr(linalg, name)(*args, **kwargs), getattr(lapack, name)(*args, **kwargs))
+    assert linalg.dpotrf(g)[1] == 0 and linalg.dpotrf(indefinite)[1] > 0
     qr, tau, _, _ = lapack.dgeqrf(a)
     for lwork in (-1, _lwork("orgqr", m, d)):
         _same_bits(linalg.dorgqr(qr, tau, lwork=lwork), lapack.dorgqr(qr, tau, lwork=lwork))

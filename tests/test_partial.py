@@ -160,21 +160,82 @@ def test_passes_is_the_gate_bit(kind, d, extra, seed):
         assert partial_data._passes(sub * scale, n) == partial_data._gate(sub * scale, n).passed
 
 
+def _on_window_bound(m: int, d: int, n: int, end: str, offset: float, seed: int) -> np.ndarray:
+    """An m x d sample (m >= d) whose squared singular values spread over the window of n, one extreme on a bound.
+
+    The extreme at ``end`` ("lower" or "upper") is that bound plus ``offset``.
+    """
+    lower, upper = 0.5 * m / n, 1.5 * m / n
+    sq = np.linspace(lower, upper, d + 2)[1:-1]
+    sq[0 if end == "lower" else -1] = (lower if end == "lower" else upper) + offset
+    q = orthonormalize(np.random.default_rng(seed).standard_normal((m, d)))
+    return q * np.sqrt(sq)
+
+
+_WINDOW_BOUNDS = [(end, offset) for end in ("lower", "upper") for offset in (0.0, 1e-14, -1e-14)]
+
+
 @pytest.mark.parametrize("end", ["lower", "upper"])
 @pytest.mark.parametrize("offset", [0.0, 1e-14, -1e-14])
 def test_passes_defers_to_the_gate_at_the_window_bounds(count_calls, end, offset):
     # an extreme squared singular value on a window bound, or within 1e-14
     # of it, is too close to call from the Gram matrix
-    n, m, d = 2000, 80, 10
-    lower, upper = 0.5 * m / n, 1.5 * m / n
-    sq = np.linspace(lower, upper, d + 2)[1:-1]
-    sq[0 if end == "lower" else -1] = (lower if end == "lower" else upper) + offset
-    q = orthonormalize(np.random.default_rng(31).standard_normal((m, d)))
-    sub = q * np.sqrt(sq)
+    n = 2000
+    sub = _on_window_bound(80, 10, n, end, offset, seed=31)
     exact = partial_data._gate(sub, n).passed
     calls = count_calls(partial_data, "_gate")
     assert partial_data._passes(sub, n) == exact
     assert len(calls) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kinds=st.lists(
+        st.sampled_from(["distinct", "with replacement", "repeated", "ill-conditioned", *_WINDOW_BOUNDS]),
+        min_size=1,
+        max_size=6,
+    ),
+    d=st.integers(1, 12),
+    extra=st.integers(-12, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_verdicts_are_the_gate_bits(kinds, d, extra, seed):
+    # a stack mixes the sample kinds; a window-bound sample (m >= d only) is
+    # never called by a certificate, and every verdict given is the gate's bit
+    m = max(0, d + extra)
+    n = 4 * max(m, d)
+    stack = np.zeros((len(kinds), m, d))
+    for i, kind in enumerate(kinds):
+        if isinstance(kind, tuple) and m >= d:
+            stack[i] = _on_window_bound(m, d, n, *kind, seed=seed + i)
+        else:
+            stack[i] = _sample_rows("distinct" if isinstance(kind, tuple) else kind, m, d, seed + i)
+    for scale in (1.0, 0.8, 1.2):
+        subs = stack * scale
+        exact = [partial_data._gate(sub, n).passed for sub in subs]
+        verdicts = list(partial_data._verdicts(subs, n))
+        assert all(v is None or v == bit for v, bit in zip(verdicts, exact))
+        assert partial_data._bits(subs, n) == exact
+        if scale == 1.0 and m >= d:
+            assert all(v is None for v, kind in zip(verdicts, kinds) if isinstance(kind, tuple))
+
+
+def test_batched_verdicts_never_defer_on_the_stream_gated_shapes(count_calls):
+    # 40 000 samples of the benchmark's gated stream, in stacks of the
+    # driver's batch length: no verdict is left to the gate
+    spec = ProblemSpec(n=2000, d=10, q=80, iters=300, seed=34)
+    ubar, u0 = generate_problem(spec)
+    rng = np.random.default_rng(35)
+    samples = [(u, np.array([partial_data._sample(rng, spec.n, spec.q) for _ in range(20_000)])) for u in (u0, ubar)]
+    calls = count_calls(partial_data, "_gate")
+    bits = []
+    for u, idx in samples:
+        stacks = np.split(idx, len(idx) // partial_data._BATCH)
+        bits.append([v for stack in stacks for v in partial_data._verdicts(u.columns[stack], spec.n)])
+    assert not calls
+    for (u, idx), verdicts in zip(samples, bits):
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert verdicts == [partial_data._gate(u.columns[omega], spec.n).passed for omega in idx]
 
 
 def test_passes_never_defers_on_the_stream_gated_shapes(count_calls):
@@ -456,6 +517,45 @@ def test_empty_runs_build_typed_zero_length_step_arrays(tmp_path):
         assert res.iterations == 0 and res.gate_skips == 0
 
 
+def _assert_chain_of_grouse_steps(u, stream, alpha, ubar):
+    """``run_stream(u, stream, alpha, ubar)`` holds the bits of single ``grouse_step`` calls.
+
+    The chain applies the trajectory's QR rule between steps: a QR every
+    ``REORTHO_EVERY`` steps, and one whenever the drift check, run on a
+    rotated basis or on the step after a QR, finds excess drift.  The
+    check and the QR are called through ``grouse.results``, so a test that
+    patches them there patches both sides.  Returns the step records.
+    """
+    import grouse.results
+    from grouse.metrics import REORTHO_EVERY
+
+    res = run_stream(u, stream, alpha, ubar)
+    records, epsilons, checked = [], [epsilon_residual(u, ubar)], True
+    for t, obs in enumerate(stream, 1):
+        u_next, rec = grouse_step(u, obs, alpha, ubar)
+        records.append(rec)
+        checked = checked and u_next is u
+        qr = t % REORTHO_EVERY == 0
+        if not (qr or checked):
+            qr = grouse.results.orthonormality_drift(u_next.columns) > BASIS_DRIFT_TOL
+            checked = not qr
+        if qr:
+            u_next = Basis(grouse.results.orthonormalize(u_next.columns))
+            checked = False
+        epsilons.append(epsilon_residual(u_next, ubar))
+        u = u_next
+    assert res.epsilons.tolist() == epsilons
+    for field, vector in (("norm_r", "r"), ("norm_p", "p")):
+        vectors = [getattr(rec, vector) for rec in records]
+        expected = [0.0 if x is None else np.linalg.norm(x) for x in vectors]
+        assert getattr(res, field).tolist() == expected
+    assert res.taken.tolist() == [rec.taken for rec in records]
+    assert res.gate_passed.tolist() == [rec.gate.passed for rec in records]
+    theta = [np.nan if rec.theta is None else rec.theta for rec in records]
+    assert np.array_equal(res.theta, theta, equal_nan=True)
+    return records
+
+
 def test_run_stream_is_a_chain_of_grouse_steps():
     from grouse.metrics import REORTHO_EVERY
 
@@ -468,23 +568,73 @@ def test_run_stream_is_a_chain_of_grouse_steps():
         omega = np.sort(rng.choice(60, size=q, replace=False))
         stream.append(make_obs(ubar, omega, scale * rng.standard_normal(4)))
     assert len(stream) < REORTHO_EVERY
-    res = run_stream(u, stream, 1.5, ubar)
-    records = []
-    for obs in stream:
-        u, rec = grouse_step(u, obs, 1.5, ubar)
-        records.append(rec)
-    assert res.epsilons[0] == records[0].epsilon_before
-    assert res.epsilons[1:].tolist() == [rec.epsilon_after for rec in records]
-    for field, vector in (("norm_r", "r"), ("norm_p", "p")):
-        vectors = [getattr(rec, vector) for rec in records]
-        expected = [0.0 if x is None else np.linalg.norm(x) for x in vectors]
-        assert getattr(res, field).tolist() == expected
-    assert res.taken.tolist() == [rec.taken for rec in records]
-    assert res.gate_passed.tolist() == [rec.gate.passed for rec in records]
-    theta = [np.nan if rec.theta is None else rec.theta for rec in records]
-    assert np.array_equal(res.theta, theta, equal_nan=True)
-    assert not res.taken.all() and res.taken.any()
+    records = _assert_chain_of_grouse_steps(u, stream, 1.5, ubar)
+    assert not all(rec.taken for rec in records) and any(rec.taken for rec in records)
     assert any(rec.taken and rec.eta == 0.0 for rec in records)
+
+
+def _gated_stream(spec: ProblemSpec):
+    """The seeded problem of ``spec`` and its observations, as checked Observations."""
+    from grouse.harness import _observation_stream
+
+    ubar, u0 = generate_problem(spec)
+    return u0, ubar, [Observation(spec.n, *draw) for draw in _observation_stream(spec, ubar)]
+
+
+def test_skip_runs_through_the_qr_cadence_are_a_chain_of_grouse_steps():
+    # the benchmark's gated shape, where about 95% of steps fail the gate;
+    # at this seed steps 85-108 and 190-210 are all skipped, so a batch of
+    # skips reaches each cadence QR and the next batch starts from its factor
+    from grouse.metrics import REORTHO_EVERY
+
+    u0, ubar, stream = _gated_stream(ProblemSpec(n=2000, d=10, q=80, iters=250, seed=48))
+    records = _assert_chain_of_grouse_steps(u0, stream, 1.0, ubar)
+    taken = [rec.taken for rec in records]
+    for cadence in (REORTHO_EVERY, 2 * REORTHO_EVERY):
+        assert not any(taken[cadence - 10 : cadence + 5])
+    assert sum(taken) >= 5
+
+
+def test_steps_after_drift_triggered_qrs_are_a_chain_of_grouse_steps(monkeypatch):
+    # the drift check reports excess drift on every rotated basis and on
+    # every QR factor of one, so each taken step ends in a QR, the step
+    # after it checks that factor and QRs again, and only the step after
+    # that finds the second factor orthonormal: a batch may start there,
+    # never on a factor that awaits its check
+    import grouse.results
+
+    second, excess = {}, []
+    real_qr, real_drift = grouse.results.orthonormalize, grouse.results.orthonormality_drift
+
+    def qr(a):
+        q = real_qr(a)
+        second[q.tobytes()] = a.tobytes() in second
+        return q
+
+    def drift(cols):
+        excess.append(not second.get(cols.tobytes(), False))
+        return 1.0 if excess[-1] else real_drift(cols)
+
+    monkeypatch.setattr(grouse.results, "orthonormalize", qr)
+    monkeypatch.setattr(grouse.results, "orthonormality_drift", drift)
+    u0, ubar, stream = _gated_stream(ProblemSpec(n=2000, d=10, q=80, iters=150, seed=40))
+    records = _assert_chain_of_grouse_steps(u0, stream, 1.0, ubar)
+    # both sides ran the checks: two with excess drift per taken step (its
+    # rotated basis and the first factor), and one that passes
+    taken = sum(rec.taken for rec in records)
+    assert taken >= 5
+    assert excess.count(True) >= 4 * taken and excess.count(False) >= 2 * taken
+
+
+def test_streams_whose_sample_size_changes_are_a_chain_of_grouse_steps():
+    # runs of one sample size of several lengths, and sizes below d, which
+    # fail at once; a batch never mixes two sizes
+    u, ubar = pair_with_epsilon(300, 4, 0.5, seed=36)
+    rng = np.random.default_rng(36)
+    sizes = [24] * 7 + [20] * 3 + [2] + [24, 20] * 4 + [3] * 5 + [16] * 20 + [24] * 30
+    stream = [make_obs(ubar, partial_data._sample(rng, 300, q), rng.standard_normal(4)) for q in sizes]
+    records = _assert_chain_of_grouse_steps(u, stream, 1.0, ubar)
+    assert any(rec.taken for rec in records) and not all(rec.taken for rec in records)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, 2.0, 5.0, np.nan])
