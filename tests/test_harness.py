@@ -253,9 +253,9 @@ def test_sweep_trial_evaluates_the_gate_only_when_it_decides(
     see_one_cpu, monkeypatch, count_calls, bypass_gate, per_step
 ):
     # a bypassed sweep trial keeps no verdict, so it evaluates no gate; a
-    # gated one decides each step once: by a verdict of a batch or of
-    # _passes, or by the gate itself where a verdict is None.  The calls
-    # are counted in this process, so the trials must run here
+    # gated one decides each step once: alone by _passes, or by a verdict
+    # of a batch, where a None verdict is left to _passes.  The calls are
+    # counted in this process, so the trials must run here
     see_one_cpu()
     verdicts, real = [], partial_data._verdicts
 
@@ -265,13 +265,14 @@ def test_sweep_trial_evaluates_the_gate_only_when_it_decides(
             yield verdict
 
     monkeypatch.setattr(partial_data, "_verdicts", counted)
+    passes = count_calls(partial_data, "_passes")
     gates = count_calls(partial_data, "_gate")
     trials, iters = 2, 30
     sweep_phase([100], [4], [12], trials, iters, seed=3, bypass_gate=bypass_gate)
-    # a None verdict is decided again, by _passes or the gate
-    decided = len(verdicts) - verdicts.count(None) + len(gates)
+    decided = len(passes) + len(verdicts) - verdicts.count(None)
     assert decided == per_step * trials * iters
-    assert bool(verdicts) == bool(per_step)
+    assert bool(verdicts) == bool(passes) == bool(per_step)
+    assert per_step or not gates
 
 
 def test_recorded_bypassed_stream_evaluates_every_gate():

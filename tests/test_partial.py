@@ -626,6 +626,30 @@ def test_steps_after_drift_triggered_qrs_are_a_chain_of_grouse_steps(monkeypatch
     assert excess.count(True) >= 4 * taken and excess.count(False) >= 2 * taken
 
 
+def test_gated_stream_reads_ahead_only_in_runs_of_skips(monkeypatch):
+    # a step is decided alone until two skips in a row; the run that follows
+    # goes in batches of 2, 4, 8 and 16 while every observation fails, so a
+    # stream whose steps all pass forms no stacked Gram matrix at all
+    stacks, real = [], partial_data._verdicts
+
+    def counted(subs, n):
+        stacks.append(len(subs))
+        return real(subs, n)
+
+    monkeypatch.setattr(partial_data, "_verdicts", counted)
+    u = random_basis(30, 3, seed=37)
+    rng = np.random.default_rng(37)
+    passing = [Observation(30, np.arange(30), rng.standard_normal(30)) for _ in range(60)]
+    assert run_stream(u, passing).taken.all()
+    assert stacks == []
+    # the sampled rows of a spike basis are zero: a singular Gram matrix
+    spike = Basis(np.eye(30)[:, :3])
+    failing = [Observation(30, np.arange(5, 12), np.ones(7))] * 60
+    result = run_stream(spike, failing)
+    assert not result.taken.any() and not result.gate_passed.any()
+    assert stacks == [2, 4, 8, 16, 16, 12]
+
+
 def test_streams_whose_sample_size_changes_are_a_chain_of_grouse_steps():
     # runs of one sample size of several lengths, and sizes below d, which
     # fail at once; a batch never mixes two sizes
