@@ -125,10 +125,13 @@ def _split_epsilon(rng, d: int, eps: float, angles: str) -> np.ndarray:
         raise ValueError('angles must be "spread" or "equal"')
     sin_sq = eps * rng.dirichlet(np.full(d, 2.0))
     # redistribute any mass that would need sin^2 > 1 (only when eps > 1)
+    # while some room is left; at eps = d every sine ends at 1
     while np.any(sin_sq > 1.0):
         excess = np.sum(sin_sq[sin_sq > 1.0] - 1.0)
         sin_sq = np.minimum(sin_sq, 1.0)
         room = sin_sq < 1.0
+        if not room.any():
+            break
         sin_sq[room] += excess / room.sum()
     return sin_sq
 

@@ -12,7 +12,7 @@ array runs through one kernel each, :func:`_qr`, :func:`_lstsq` and
 :func:`_sv`, and each calls LAPACK directly, bitwise the numpy or scipy
 routine it replaces.  The public routines reach them after their boundary
 checks; callers that hold already-checked arrays call them directly.  The
-gate's decision rule (``partial_data._verdicts``) calls LAPACK ``dpotrf``
+gate's decision rule (``partial_data._passes``) calls LAPACK ``dpotrf``
 itself: a Cholesky factorization that completes or stops is its certificate.
 
 LAPACK, and the BLAS ``dger`` that :mod:`grouse.metrics` rotates with, come

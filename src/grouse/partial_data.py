@@ -11,15 +11,12 @@ The gate has one source of eigenvalues, :func:`_gate`, which squares the
 singular values of the sampled rows; :func:`gate_check`, ``grouse_step``'s
 record and the concentration validators report them.  Callers that keep
 only the pass/fail bit (the stream driver and ``estimate_skip_rate``) use
-one decision rule, the certificates of :func:`_verdicts`: Cholesky
-factorizations of the shifted d x d Gram matrix of a sample, with
-:func:`_gate` run only for a sample whose extreme eigenvalue lies within
-rounding distance of the window, so every bit is :func:`_gate`'s.
-:func:`_verdicts` and :func:`_bits` apply it to a stack, fail certificate
-first, and :func:`_passes` to one sample, pass certificate first.  A
-failed gate leaves the basis as it is, so after two skips in a row the
-gated stream decides the coming observations against the unchanged buffer
-in batches (:func:`_skip_run`) and records the leading failures together.
+one decision rule, :func:`_passes`: Cholesky factorizations of the shifted
+d x d Gram matrix of one sample certify a pass or a failure, and
+:func:`_gate` runs only for a sample whose extreme eigenvalue lies within
+rounding distance of the window, so every bit is :func:`_gate`'s.  They
+decide one sample at a time, as it is drawn or read, and try the fail
+certificate first after a failed decision.
 
 The step kernel :func:`_step` reads a bare basis array and returns the
 rotation's arguments; the stream driver hands them to the trajectory
@@ -32,9 +29,7 @@ format uses 1-based indices on the wire.
 """
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,15 +46,8 @@ from .results import _FLOAT, _INT, TrialResult, _read_rows, _Trajectory, _write_
 RESIDUAL_FLOOR = 1e-14
 
 # The decision rule's slack per unit of (m + d^2) * (||S||_F^2 + d * upper
-# bound) for an m x d sample S: 1e3 units of roundoff (2^-53).  See _verdicts.
+# bound) for an m x d sample S: 1e3 units of roundoff (2^-53).  See _passes.
 _GATE_SLACK = 1e3 * 2.0**-53
-
-# The largest batch of a run of skips (see _skip_run), which doubles from 2
-# while every observation in it fails.  On the benchmark's gated stream
-# (n=2000, d=10, q=80, about 95% skips) caps of 8, 16 and 32 gave run_stream
-# the same speed within 3%.  estimate_skip_rate decides its draws in chunks
-# of this length too.
-_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -195,78 +183,18 @@ def _gate(sub: np.ndarray, n: int) -> GateVerdict:
     return GateVerdict(passed, eigen_min, eigen_max, lower, upper)
 
 
-def _verdicts(subs: np.ndarray, n: int):
-    """Yield the gate verdict of each sample of the k x m x d stack ``subs``, in order, as they are read.
-
-    False when the sample certainly fails the window [a, b] of
-    :func:`_gate`, True when it certainly passes, None when its formed
-    Gram matrix G = S^T S lies too close to a window bound to tell, and
-    ``_gate(subs[i], n).passed`` decides.  Fewer than d rows fail at once.
-
-    The certificates are Cholesky factorizations (LAPACK ``dpotrf``) of
-    shifted Gram matrices, with a slack s per sample of
-    ``_GATE_SLACK * (m + d^2) * (trace(G) + d b)``.  If it stops on
-    (b + s)I - G or on G - (a - s)I, the sample fails; if it completes on
-    G - (a + s)I and on (b - s)I - G, it passes.  Each extreme eigenvalue
-    of the formed G lies within a few (m + d) roundoffs times
-    ||S||_F^2 = trace(G) of the squared singular value :func:`_gate`
-    compares, since forming G and the SVD are backward stable.  A
-    Cholesky factorization that completes on a shifted matrix A is exact
-    for A + E, with ||E|| <= (d + 1) roundoffs times trace(A), so A's
-    smallest eigenvalue is at least -||E||; and one completes whenever
-    that eigenvalue exceeds d (d + 1) roundoffs times A's largest diagonal
-    entry (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 10).  trace(A) is at most trace(G) + d (b + s) for every shift
-    used, so each certificate holds with s to spare and the verdict, when
-    given, is :func:`_gate`'s.
-
-    A stack is decided where most samples fail, mostly above the window,
-    so the fail certificate goes first, and its first shift is made for
-    the whole stack at once.  A generator, so a caller that stops reading
-    factors no further sample.
-    """
-    k, m, d = subs.shape
-    if m < d:
-        yield from itertools.repeat(False, k)
-        return
-    lower, upper = 0.5 * m / n, 1.5 * m / n
-    grams = np.matmul(subs.transpose(0, 2, 1), subs)
-    slack = _slack(grams.trace(axis1=1, axis2=2), m, d, upper)
-    eye = _eye(d)
-    above = (upper + slack)[:, None, None] * eye - grams
-    for gram, s, shifted in zip(grams, slack.tolist(), above):
-        if not (_factors(shifted) and _factors(gram - (lower - s) * eye)):
-            yield False
-        else:
-            yield True if _within(gram, lower + s, upper - s, eye) else None
-
-
-def _slack(trace, m: int, d: int, upper: float):
-    """The certificates' slack for m x d samples whose Gram matrices have trace ``trace``; see :func:`_verdicts`."""
-    return _GATE_SLACK * (m + d * d) * (trace + d * upper)
-
-
 @functools.cache
 def _eye(d: int) -> np.ndarray:
     """The d x d identity, made once per d and read-only, since every caller shares it.
 
     ``np.eye`` costs about as much as one of the factorizations (1-2 us at
-    d = 5 or 10), and the stream driver decides every step outside a run
-    of skips on its own: on a gated stream at n=500, d=5, q=80 (11%
-    skipped) an identity made per decision added 4-5% to the time per
-    step.
+    d = 5 or 10), and the gated stream decides every step this way: on a
+    gated stream at n=500, d=5, q=80 (11% skipped) an identity made per
+    decision added 4-5% to the time per step.
     """
     eye = np.eye(d)
     eye.flags.writeable = False
     return eye
-
-
-def _within(gram: np.ndarray, low: float, high: float, eye: np.ndarray) -> bool:
-    """Whether ``dpotrf`` factors both high I - ``gram`` and ``gram`` - low I.
-
-    The upper side goes first: most failing samples fail above the window.
-    """
-    return _factors(high * eye - gram) and _factors(gram - low * eye)
 
 
 def _factors(a: np.ndarray) -> bool:
@@ -279,31 +207,45 @@ def _factors(a: np.ndarray) -> bool:
     return dpotrf(a.T, 0, 0, 1)[1] == 0
 
 
-def _bits(subs: np.ndarray, n: int) -> list:
-    """``[_gate(sub, n).passed for sub in subs]`` for a k x m x d stack, decided by :func:`_verdicts`."""
-    return [_gate(sub, n).passed if v is None else v for sub, v in zip(subs, _verdicts(subs, n))]
+def _passes(sub: np.ndarray, n: int, fail_first: bool) -> bool:
+    """``_gate(sub, n).passed`` for one m x d sample, decided by Cholesky certificates.
 
+    The gate's one decision rule.  Fewer than d rows fail at once.  It
+    forms G = S^T S and takes a slack s = ``_GATE_SLACK * (m + d^2) *
+    (trace(G) + d b)`` for the window [a, b] of :func:`_gate`.  If LAPACK
+    ``dpotrf`` stops on (b + s)I - G or on G - (a - s)I, the sample fails;
+    if it completes on G - (a + s)I and on (b - s)I - G, it passes;
+    otherwise G lies too close to a window bound to tell, and
+    ``_gate(sub, n).passed`` decides.  Each extreme eigenvalue of the
+    formed G lies within a few (m + d) roundoffs times ||S||_F^2 =
+    trace(G) of the squared singular value :func:`_gate` compares, since
+    forming G and the SVD are backward stable.  A Cholesky factorization
+    that completes on a shifted matrix A is exact for A + E, with ||E|| <=
+    (d + 1) roundoffs times trace(A), so A's smallest eigenvalue is at
+    least -||E||; and one completes whenever that eigenvalue exceeds
+    d (d + 1) roundoffs times A's largest diagonal entry (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10).  trace(A)
+    is at most trace(G) + d (b + s) for every shift used, so each
+    certificate holds with s to spare, and the verdict is :func:`_gate`'s
+    in either order.
 
-def _passes(sub: np.ndarray, n: int) -> bool:
-    """``_gate(sub, n).passed`` for one m x d sample, by the certificates of :func:`_verdicts`, pass certificate first.
-
-    The stream driver decides every step outside a run of skips this way,
-    and such a step is about as likely to pass as not.  Through
-    ``_bits(sub[None], n)`` the stacked product and the generator would
-    add about 2.5 us to each decision (n=500, d=5, q=80), and the
-    fail-first order two more factorizations to each passing one.
+    The pass certificate goes first unless ``fail_first``, which the
+    callers set after a failed decision: samples come in runs, and a
+    failing one, mostly above the window, is then decided by one
+    factorization.
     """
     m, d = sub.shape
     if m < d:
         return False
     lower, upper = 0.5 * m / n, 1.5 * m / n
     gram = sub.T @ sub
-    s = _slack(gram.trace(), m, d, upper)
+    s = _GATE_SLACK * (m + d * d) * (float(gram.trace()) + d * upper)
     eye = _eye(d)
-    if _within(gram, lower + s, upper - s, eye):
-        return True
-    if not _within(gram, lower - s, upper + s, eye):
-        return False
+    for certain in (not fail_first, fail_first):
+        # failing takes one stop on the wider window, passing two completions on the narrower
+        low, high = (lower + s, upper - s) if certain else (lower - s, upper + s)
+        if (_factors(high * eye - gram) and _factors(gram - low * eye)) == certain:
+            return certain
     return _gate(sub, n).passed
 
 
@@ -453,10 +395,8 @@ def run_stream(
     re-orthonormalization cadence and on excess drift.  A skipped or
     identity step reuses the drift check and epsilon of the unchanged
     buffer.  Epsilon is recorded when ``ubar`` is given.  A bad alpha or
-    ``ubar`` raises ValueError before any observation is read.  In a run
-    of skipped steps a gated stream reads up to ``_BATCH`` observations
-    ahead (never past the next QR), so an observation of another n raises
-    ValueError when it is read, up to one batch ahead of its step.
+    ``ubar`` raises ValueError before any observation is read, and an
+    observation of another n when its step reads it.
     """
     arrays = (_arrays(obs, u0, ubar) for obs in stream)
     return _run_stream(u0, arrays, alpha, ubar, bypass_gate)[0]
@@ -469,10 +409,9 @@ def _run_stream(
 
     Returns ``(result, cols)``, ``cols`` the trajectory's final buffer.  Without
     ``ubar`` no per-step epsilon or revealed angle is measured, so a caller
-    that needs epsilon only at the ends measures ``u0`` and ``cols``.  A
-    gated step is decided on its own (:func:`_passes`); after two skips in
-    a row, the run of skips that may follow is decided in batches
-    (:func:`_skip_run`), and every bit is :func:`_gate`'s.  With ``record``
+    that needs epsilon only at the ends measures ``u0`` and ``cols``.  The
+    gate is decided by :func:`_passes`, fail certificate first after a
+    failed decision, since a row keeps only its bit.  With ``record``
     False no per-step row is kept and the result is None, so a bypassed
     gate is not evaluated: no row would hold its bit.
     """
@@ -480,26 +419,18 @@ def _run_stream(
     _check_pair(u0, ubar)
     track = _Trajectory(u0, None if ubar is None else ubar.columns, maintained=False)
     decide = record or not bypass_gate
-    stream = iter(stream)
-    ahead = collections.deque()
-    verdict, skipped = None, False
-    for omega, values, latent_s in stream if bypass_gate else _queued(ahead, stream):
+    passed = None
+    for omega, values, latent_s in stream:
         # against the basis the step starts from
         theta = _revealed_theta(track.cols, ubar, latent_s)
-        sub = track.cols[omega]
-        passed = None
+        # the bits of cols[omega], without the fancy-indexing dispatch
+        sub = np.take(track.cols, omega, axis=0)
         if decide:
-            passed = _passes(sub, u0.n) if verdict is None else verdict
+            passed = _passes(sub, u0.n, passed is False)
         fit = rotation = None
         if bypass_gate or passed:
             fit, rotation = _step(track.cols, sub, omega, values, alpha)
         track.step(_row(passed, fit, theta) if record else None, rotation)
-        # a skipped step leaves the buffer as it was (a bypassed one never
-        # skips): after two in a row, the run that may follow goes in batches
-        verdict = None
-        if fit is None and skipped:
-            verdict = _skip_run(track, stream, ahead, u0.n, ubar, record)
-        skipped = fit is None
     return (track.result() if record else None), track.cols
 
 
@@ -507,55 +438,6 @@ def _row(passed: bool | None, fit: tuple | None, theta: float | None) -> tuple:
     """A trajectory row: the gate bit, taken, ``norm_r``, ``norm_p`` and the revealed angle (NaN if unknown)."""
     norm_r, norm_p = (0.0, 0.0) if fit is None else fit[:2]
     return (passed, fit is not None, norm_r, norm_p, np.nan if theta is None else theta)
-
-
-def _queued(ahead: collections.deque, stream):
-    """The observations of ``stream`` in order, each read-ahead one (``ahead``) before the next unread one."""
-    for obs in stream:
-        yield obs
-        while ahead:
-            yield ahead.popleft()
-
-
-def _skip_run(track: _Trajectory, stream, ahead: collections.deque, n: int, ubar: Basis | None, record: bool):
-    """Record the certain gate failures that follow a skipped step; return the verdict of the next observation.
-
-    Reads the coming observations into ``ahead`` and decides them against
-    the buffer as it stands, in batches: it keeps the leading ones of one
-    sample size, gathers their rows and forms their Gram matrices at once,
-    and records the leading certain failures (:func:`_verdicts`) through
-    ``track.skip``.  The first batch holds two observations, and each
-    batch that fails whole doubles the next, up to ``_BATCH``, so the
-    read-ahead grows only while the run lasts.  No batch reaches past
-    ``track.quiet()``, so none crosses a QR or a pending drift check.
-    Returns at the first observation not certain to fail, left at
-    ``ahead[0]``, with its verdict: True (a certain pass) or None (not
-    decided, and None too when the stream has ended).  The verdicts of the
-    batch behind it are dropped: its step may move the buffer.
-    """
-    size = 2
-    while True:
-        want = min(size, track.quiet())
-        if len(ahead) < want:
-            ahead.extend(itertools.islice(stream, want - len(ahead)))
-        if not ahead:
-            return None
-        # the leading observations of the first one's sample size
-        m = len(ahead[0][0])
-        leading = itertools.takewhile(lambda obs: len(obs[0]) == m, itertools.islice(ahead, want))
-        subs = np.take(track.cols, np.array([omega for omega, _, _ in leading]), axis=0)
-        rows = []
-        for (_, _, latent_s), verdict in zip(ahead, _verdicts(subs, n)):
-            if verdict is not False:
-                break
-            rows.append(_row(False, None, _revealed_theta(track.cols, ubar, latent_s)) if record else None)
-        if rows:
-            track.skip(rows)
-            for _ in rows:
-                ahead.popleft()
-        if len(rows) < len(subs):
-            return verdict
-        size = min(2 * size, _BATCH)
 
 
 def write_observations(path, observations) -> None:

@@ -119,30 +119,6 @@ class _Trajectory:
             fresh = rotation is not None or qr
             self._epsilons.append(self._measure() if fresh else self._epsilons[-1])
 
-    def quiet(self) -> int:
-        """How many coming steps, each skipped but the last, are decided against ``cols`` as it stands.
-
-        A skipped step leaves the buffer alone unless it reaches the QR
-        cadence or a pending drift check, which may QR: the run ends at the
-        next cadence step, or is the one step that checks a fresh QR
-        factor's drift (a rotating step checks its own).
-        """
-        if not (self._checked or self._product is not None):
-            return 1
-        return REORTHO_EVERY - self._steps % REORTHO_EVERY
-
-    def skip(self, rows: list) -> None:
-        """Record ``len(rows)`` skipped steps, as ``step(row, None)`` does for each row in turn.
-
-        At most :meth:`quiet` of them, so only the last can reach a QR.
-        """
-        *head, last = rows
-        self._steps += len(head)
-        self._rows.extend(row for row in head if row is not None)
-        if self._epsilons is not None:
-            self._epsilons.extend(itertools.repeat(self._epsilons[-1], len(head)))
-        self.step(last, None)
-
     def result(self) -> TrialResult:
         table = np.array(self._rows, dtype=_STEP_DTYPE)
         return TrialResult(

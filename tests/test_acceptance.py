@@ -22,7 +22,7 @@ from grouse.harness import (
 )
 from grouse.linalg import orthonormalize
 from grouse.metrics import Basis, _rotate, alignment, coherence_basis, epsilon, epsilon_residual
-from grouse.partial_data import Observation, gate_check, grouse_step
+from grouse.partial_data import Observation, gate_check, grouse_step, partial_residual
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -371,4 +371,52 @@ def test_criterion_12_incremental_svd_relation():
     ok = worst <= 1e-18
     detail = f"max epsilon {worst:.3e} over {cases} cases (tol 1e-18)"
     _report(12, "incremental-svd-relation", ok, detail)
+    assert ok
+
+
+# --------------------------------------------------------------- criterion 13
+
+
+def test_criterion_13_gradient_step_relation():
+    # F(U) = min_w ||P_omega(v - U w)||^2 has gradient -2 r w^T, r the sampled
+    # residual padded with zeros, and U^T r = 0, so -grad F = H is a tangent
+    # vector of the Grassmannian.  (a) The rotation by sigma*eta is the
+    # geodesic of Edelman, Arias and Smith along H at t = sigma*eta / (2|r||w|):
+    # with the thin SVD H = Y S Z^T, U(t) = U Z cos(S t) Z^T + Y sin(S t) Z^T.
+    # (b) The projected-gradient step orth(U + 2 tau r w^T), with
+    # tau = tan(sigma*eta) / (2|r||w|), spans the same subspace.  Like
+    # criterion 12 the check needs no recorded bits.
+    rng = np.random.default_rng(1313)
+    worst_entry = worst_eps = 0.0
+    cases = 0
+    for n, d, q in ((50, 1, 10), (200, 5, 40), (1000, 10, 80), (30, 29, 30)):
+        # a partial sample of q rows, then full data
+        for size in (q, n):
+            for _ in range(15):
+                u = Basis(orthonormalize(rng.standard_normal((n, d))))
+                omega = np.sort(rng.choice(n, size, replace=False))
+                # a span part and a complement part of independent log-uniform sizes
+                v = u.columns @ rng.standard_normal(d) + 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(n)
+                v *= 10.0 ** rng.uniform(-3, 2) / np.linalg.norm(v)
+                w, p, r = partial_residual(u, Observation(n, omega, v[omega]))
+                norm_w, norm_p, norm_r = (float(np.linalg.norm(x)) for x in (w, p, r))
+                angle = rng.uniform(0.01, 1.4)
+                rotated = np.array(u.columns)
+                _rotate(rotated, w, p, r, norm_w, norm_p, norm_r, angle)
+                y, s, zt = np.linalg.svd(2.0 * np.outer(r, w), full_matrices=False)
+                t = angle / (2.0 * norm_r * norm_w)
+                geodesic = (u.columns @ zt.T * np.cos(s * t)) @ zt + (y * np.sin(s * t)) @ zt
+                worst_entry = max(worst_entry, float(np.abs(rotated - geodesic).max()))
+                tau = math.tan(angle) / (2.0 * norm_r * norm_w)
+                projected = orthonormalize(u.columns + 2.0 * tau * np.outer(r, w))
+                # the rotated columns measured off the span of the QR factor, whose
+                # orthonormality does not carry the residual's rounding
+                worst_eps = max(worst_eps, epsilon_residual(Basis(rotated), Basis(projected)))
+                cases += 1
+    ok = worst_entry <= 1e-13 and worst_eps <= 1e-24
+    detail = (
+        f"max geodesic entry difference {worst_entry:.3e} (tol 1e-13), "
+        f"max projected-gradient epsilon {worst_eps:.3e} (tol 1e-24) over {cases} cases"
+    )
+    _report(13, "gradient-step-relation", ok, detail)
     assert ok

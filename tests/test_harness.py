@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from grouse.harness import (
     write_sweep_csv,
 )
 from grouse.linalg import NumericalError
-from grouse.metrics import coherence_basis, epsilon
+from grouse.metrics import coherence_basis, epsilon, epsilon_residual
 from grouse.partial_data import Observation
 
 
@@ -249,29 +250,16 @@ def test_sweep_trial_error_reaches_the_caller(monkeypatch, see_one_cpu, tmp_path
 
 
 @pytest.mark.parametrize("bypass_gate, per_step", [(True, 0), (False, 1)])
-def test_sweep_trial_evaluates_the_gate_only_when_it_decides(
-    see_one_cpu, monkeypatch, count_calls, bypass_gate, per_step
-):
+def test_sweep_trial_evaluates_the_gate_only_when_it_decides(see_one_cpu, count_calls, bypass_gate, per_step):
     # a bypassed sweep trial keeps no verdict, so it evaluates no gate; a
-    # gated one decides each step once: alone by _passes, or by a verdict
-    # of a batch, where a None verdict is left to _passes.  The calls are
-    # counted in this process, so the trials must run here
+    # gated one decides each step once, by _passes.  The calls are counted
+    # in this process, so the trials must run here
     see_one_cpu()
-    verdicts, real = [], partial_data._verdicts
-
-    def counted(subs, n):
-        for verdict in real(subs, n):
-            verdicts.append(verdict)
-            yield verdict
-
-    monkeypatch.setattr(partial_data, "_verdicts", counted)
     passes = count_calls(partial_data, "_passes")
     gates = count_calls(partial_data, "_gate")
     trials, iters = 2, 30
     sweep_phase([100], [4], [12], trials, iters, seed=3, bypass_gate=bypass_gate)
-    decided = len(passes) + len(verdicts) - verdicts.count(None)
-    assert decided == per_step * trials * iters
-    assert bool(verdicts) == bool(passes) == bool(per_step)
+    assert len(passes) == per_step * trials * iters
     assert per_step or not gates
 
 
@@ -422,6 +410,19 @@ def test_incoherent_pair_needs_one_harmonic_more_than_2d():
     assert np.isclose(epsilon(u, ubar), 0.1, atol=1e-12)
     # the gaussian frame still takes n = 2d
     pair_with_epsilon(4, 2, 0.1, 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_pair_with_epsilon_reaches_eps_d(d):
+    # at eps = d every sine is 1, so the split has no room left to
+    # redistribute into; n = 4d + 2 at seeds 0-3 takes that path for each d
+    for seed in range(4):
+        for frame in ("gaussian", "incoherent"):
+            for angles in ("spread", "equal"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    u, ubar = pair_with_epsilon(4 * d + 2, d, d, seed, frame=frame, angles=angles)
+                assert abs(epsilon_residual(u, ubar) - d) <= 1e-12
 
 
 @pytest.mark.parametrize("make", [random_basis, incoherent_basis, pair_with_epsilon])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,22 +145,6 @@ def _sample_rows(kind: str, m: int, d: int, seed: int) -> np.ndarray:
     return sub
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    kind=st.sampled_from(["distinct", "with replacement", "repeated", "ill-conditioned"]),
-    d=st.integers(1, 12),
-    extra=st.integers(-12, 40),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_passes_is_the_gate_bit(kind, d, extra, seed):
-    # m < d, m = d and m > d, on samples that pass, fail low and fail high
-    m = max(0, d + extra)
-    sub = _sample_rows(kind, m, d, seed)
-    n = 4 * max(m, d)
-    for scale in (1.0, 0.8, 1.2):
-        assert partial_data._passes(sub * scale, n) == partial_data._gate(sub * scale, n).passed
-
-
 def _on_window_bound(m: int, d: int, n: int, end: str, offset: float, seed: int) -> np.ndarray:
     """An m x d sample (m >= d) whose squared singular values spread over the window of n, one extreme on a bound.
 
@@ -175,80 +160,63 @@ def _on_window_bound(m: int, d: int, n: int, end: str, offset: float, seed: int)
 _WINDOW_BOUNDS = [(end, offset) for end in ("lower", "upper") for offset in (0.0, 1e-14, -1e-14)]
 
 
-@pytest.mark.parametrize("end", ["lower", "upper"])
-@pytest.mark.parametrize("offset", [0.0, 1e-14, -1e-14])
-def test_passes_defers_to_the_gate_at_the_window_bounds(count_calls, end, offset):
-    # an extreme squared singular value on a window bound, or within 1e-14
-    # of it, is too close to call from the Gram matrix
-    n = 2000
-    sub = _on_window_bound(80, 10, n, end, offset, seed=31)
-    exact = partial_data._gate(sub, n).passed
-    calls = count_calls(partial_data, "_gate")
-    assert partial_data._passes(sub, n) == exact
-    assert len(calls) == 1
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    kinds=st.lists(
-        st.sampled_from(["distinct", "with replacement", "repeated", "ill-conditioned", *_WINDOW_BOUNDS]),
-        min_size=1,
-        max_size=6,
-    ),
+    kind=st.sampled_from(["distinct", "with replacement", "repeated", "ill-conditioned", *_WINDOW_BOUNDS]),
     d=st.integers(1, 12),
     extra=st.integers(-12, 40),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_verdicts_are_the_gate_bits(kinds, d, extra, seed):
-    # a stack mixes the sample kinds; a window-bound sample (m >= d only) is
-    # never called by a certificate, and every verdict given is the gate's bit
+def test_passes_is_the_gate_bit(kind, d, extra, seed):
+    # m < d, m = d and m > d, on samples that pass, fail low and fail high,
+    # and (m >= d) with an extreme on or next to a window bound; each check
+    # order gives the gate's bit
     m = max(0, d + extra)
     n = 4 * max(m, d)
-    stack = np.zeros((len(kinds), m, d))
-    for i, kind in enumerate(kinds):
-        if isinstance(kind, tuple) and m >= d:
-            stack[i] = _on_window_bound(m, d, n, *kind, seed=seed + i)
-        else:
-            stack[i] = _sample_rows("distinct" if isinstance(kind, tuple) else kind, m, d, seed + i)
+    if isinstance(kind, tuple) and m >= d:
+        sub = _on_window_bound(m, d, n, *kind, seed=seed)
+    else:
+        sub = _sample_rows("distinct" if isinstance(kind, tuple) else kind, m, d, seed)
     for scale in (1.0, 0.8, 1.2):
-        subs = stack * scale
-        exact = [partial_data._gate(sub, n).passed for sub in subs]
-        verdicts = list(partial_data._verdicts(subs, n))
-        assert all(v is None or v == bit for v, bit in zip(verdicts, exact))
-        assert partial_data._bits(subs, n) == exact
-        if scale == 1.0 and m >= d:
-            assert all(v is None for v, kind in zip(verdicts, kinds) if isinstance(kind, tuple))
+        exact = partial_data._gate(sub * scale, n).passed
+        for fail_first in (False, True):
+            assert partial_data._passes(sub * scale, n, fail_first) == exact
+    if isinstance(kind, tuple) and m >= d:
+        # too close to call from the Gram matrix: the gate decides
+        with mock.patch.object(partial_data, "_gate", wraps=partial_data._gate) as gate:
+            partial_data._passes(sub, n, False)
+        assert gate.called
 
 
-def test_batched_verdicts_never_defer_on_the_stream_gated_shapes(count_calls):
-    # 40 000 samples of the benchmark's gated stream, in stacks of the
-    # driver's batch length: no verdict is left to the gate
-    spec = ProblemSpec(n=2000, d=10, q=80, iters=300, seed=34)
-    ubar, u0 = generate_problem(spec)
-    rng = np.random.default_rng(35)
-    samples = [(u, np.array([partial_data._sample(rng, spec.n, spec.q) for _ in range(20_000)])) for u in (u0, ubar)]
+@pytest.mark.parametrize("end", ["lower", "upper"])
+@pytest.mark.parametrize("offset", [0.0, 1e-14, -1e-14])
+def test_passes_defers_to_the_gate_at_the_window_bounds(count_calls, end, offset):
+    # an extreme squared singular value on a window bound, or within 1e-14
+    # of it, is too close to call from the Gram matrix in either order
+    n = 2000
+    sub = _on_window_bound(80, 10, n, end, offset, seed=31)
+    exact = partial_data._gate(sub, n).passed
     calls = count_calls(partial_data, "_gate")
-    bits = []
-    for u, idx in samples:
-        stacks = np.split(idx, len(idx) // partial_data._BATCH)
-        bits.append([v for stack in stacks for v in partial_data._verdicts(u.columns[stack], spec.n)])
-    assert not calls
-    for (u, idx), verdicts in zip(samples, bits):
-        assert 0 < sum(verdicts) < len(verdicts)
-        assert verdicts == [partial_data._gate(u.columns[omega], spec.n).passed for omega in idx]
+    assert [partial_data._passes(sub, n, fail_first) for fail_first in (False, True)] == [exact, exact]
+    assert len(calls) == 2
 
 
 def test_passes_never_defers_on_the_stream_gated_shapes(count_calls):
-    # n=2000, d=10, q=80: the benchmark's gated stream, where most samples fail
-    spec = ProblemSpec(n=2000, d=10, q=80, iters=300, seed=32)
+    # 40 000 samples of the benchmark's gated stream (n=2000, d=10, q=80),
+    # where most samples fail: in neither order is a bit left to the gate
+    spec = ProblemSpec(n=2000, d=10, q=80, iters=300, seed=34)
     ubar, u0 = generate_problem(spec)
-    rng = np.random.default_rng(33)
-    samples = [(u, partial_data._sample(rng, spec.n, spec.q)) for _ in range(500) for u in (u0, ubar)]
+    rng = np.random.default_rng(35)
+    samples = [(u, partial_data._sample(rng, spec.n, spec.q)) for u in (u0, ubar) for _ in range(20_000)]
     calls = count_calls(partial_data, "_gate")
-    bits = [partial_data._passes(u.columns[omega], spec.n) for u, omega in samples]
+    bits = [
+        [partial_data._passes(u.columns[omega], spec.n, fail_first) for u, omega in samples]
+        for fail_first in (False, True)
+    ]
     assert not calls
-    assert 0 < sum(bits) < len(bits)
-    assert bits == [gate_check(u, omega).passed for u, omega in samples]
+    exact = [gate_check(u, omega).passed for u, omega in samples]
+    assert 0 < sum(exact) < len(exact)
+    assert bits == [exact, exact]
 
 
 def test_partial_residual_exact_fit():
@@ -583,8 +551,9 @@ def _gated_stream(spec: ProblemSpec):
 
 def test_skip_runs_through_the_qr_cadence_are_a_chain_of_grouse_steps():
     # the benchmark's gated shape, where about 95% of steps fail the gate;
-    # at this seed steps 85-108 and 190-210 are all skipped, so a batch of
-    # skips reaches each cadence QR and the next batch starts from its factor
+    # at this seed steps 85-108 and 190-210 are all skipped, so a run of
+    # skips, decided fail certificate first, reaches each cadence QR and the
+    # next step is decided on its factor
     from grouse.metrics import REORTHO_EVERY
 
     u0, ubar, stream = _gated_stream(ProblemSpec(n=2000, d=10, q=80, iters=250, seed=48))
@@ -599,8 +568,8 @@ def test_steps_after_drift_triggered_qrs_are_a_chain_of_grouse_steps(monkeypatch
     # the drift check reports excess drift on every rotated basis and on
     # every QR factor of one, so each taken step ends in a QR, the step
     # after it checks that factor and QRs again, and only the step after
-    # that finds the second factor orthonormal: a batch may start there,
-    # never on a factor that awaits its check
+    # that finds the second factor orthonormal; the skips between are
+    # decided on whichever factor the buffer holds
     import grouse.results
 
     second, excess = {}, []
@@ -626,33 +595,27 @@ def test_steps_after_drift_triggered_qrs_are_a_chain_of_grouse_steps(monkeypatch
     assert excess.count(True) >= 4 * taken and excess.count(False) >= 2 * taken
 
 
-def test_gated_stream_reads_ahead_only_in_runs_of_skips(monkeypatch):
-    # a step is decided alone until two skips in a row; the run that follows
-    # goes in batches of 2, 4, 8 and 16 while every observation fails, so a
-    # stream whose steps all pass forms no stacked Gram matrix at all
-    stacks, real = [], partial_data._verdicts
+def test_gated_stream_reads_each_observation_when_its_step_starts(count_calls):
+    # observation t is pulled once t steps are decided, also through a run
+    # of gate failures, so one of another n raises when its own step reads
+    # it and no observation past it is pulled
+    decided = count_calls(partial_data, "_passes")
+    pulled = []
 
-    def counted(subs, n):
-        stacks.append(len(subs))
-        return real(subs, n)
+    def stream():
+        # the sampled rows of a spike basis are zero: a singular Gram matrix
+        for n in [30] * 40 + [31, 30]:
+            pulled.append(len(decided))
+            yield Observation(n, np.arange(5, 12), np.ones(7))
 
-    monkeypatch.setattr(partial_data, "_verdicts", counted)
-    u = random_basis(30, 3, seed=37)
-    rng = np.random.default_rng(37)
-    passing = [Observation(30, np.arange(30), rng.standard_normal(30)) for _ in range(60)]
-    assert run_stream(u, passing).taken.all()
-    assert stacks == []
-    # the sampled rows of a spike basis are zero: a singular Gram matrix
-    spike = Basis(np.eye(30)[:, :3])
-    failing = [Observation(30, np.arange(5, 12), np.ones(7))] * 60
-    result = run_stream(spike, failing)
-    assert not result.taken.any() and not result.gate_passed.any()
-    assert stacks == [2, 4, 8, 16, 16, 12]
+    with pytest.raises(ValueError, match="^observation and basis ambient dimensions differ$"):
+        run_stream(Basis(np.eye(30)[:, :3]), stream())
+    assert pulled == list(range(41))
 
 
 def test_streams_whose_sample_size_changes_are_a_chain_of_grouse_steps():
     # runs of one sample size of several lengths, and sizes below d, which
-    # fail at once; a batch never mixes two sizes
+    # fail at once, between runs of either check order
     u, ubar = pair_with_epsilon(300, 4, 0.5, seed=36)
     rng = np.random.default_rng(36)
     sizes = [24] * 7 + [20] * 3 + [2] + [24, 20] * 4 + [3] * 5 + [16] * 20 + [24] * 30
