@@ -5,6 +5,8 @@ through a stream of (partially revealed) vectors, together with the
 geometry it is measured by and a Monte-Carlo lab validating its
 convergence behavior.
 """
+from types import ModuleType as _ModuleType
+
 from .linalg import (
     NumericalError,
     least_squares,
@@ -77,64 +79,7 @@ from .results import TrialResult, read_trajectory_csv, write_trajectory_csv
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "ConcentrationReport",
-    "FullStepRecord",
-    "GateVerdict",
-    "MuXtSummary",
-    "NumericalError",
-    "Observation",
-    "ProblemSpec",
-    "ResidualBoundReport",
-    "StepRecord",
-    "SubspaceDiagnostics",
-    "SweepCell",
-    "TrialResult",
-    "alignment",
-    "coherence_basis",
-    "coherence_vector",
-    "diagnostics",
-    "epsilon",
-    "epsilon_residual",
-    "estimate_skip_rate",
-    "fit_x",
-    "full_step",
-    "gamma_bound",
-    "gate_check",
-    "generate_problem",
-    "grouse_step",
-    "incoherent_basis",
-    "least_squares",
-    "mu_xt_diagnostics",
-    "nearest_orthogonal",
-    "orthonormalize",
-    "pair_with_epsilon",
-    "partial_residual",
-    "predicted_decrease",
-    "principal_angles",
-    "psi_diagnostic",
-    "random_basis",
-    "read_observations",
-    "read_problem_spec",
-    "read_sweep_csv",
-    "read_trajectory_csv",
-    "revealed_angle_sin_sq",
-    "run_full",
-    "run_full_trial",
-    "run_partial_trial",
-    "run_stream",
-    "sample_with_replacement",
-    "singular_values",
-    "step_size",
-    "sweep_phase",
-    "sym_eigenvalues",
-    "tail_slope",
-    "validate_gram_concentration",
-    "validate_residual_bound",
-    "validate_sin_sq_expectation",
-    "write_observations",
-    "write_problem_spec",
-    "write_sweep_csv",
-    "write_trajectory_csv",
-]
+# The imports above are the only list of public names: every bound name
+# that is not private and not a submodule.
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))

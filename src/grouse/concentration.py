@@ -152,6 +152,7 @@ def _residual_trials(cols, target, omega_size, log_inv_delta, mu_u, gamma, seed,
     violated = np.zeros(trials, dtype=bool)
     xi_all = np.zeros(trials)
     beta_all = np.zeros(trials)
+    # keep this allocation order: the ~200 KB per-trial temporaries sit at glibc's mmap threshold
     for t in range(trials):
         s = rng.standard_normal(d)
         v = target @ s

@@ -230,6 +230,27 @@ def _off_span(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - cols @ (cols.T @ v)
 
 
+# A vector whose largest |entry| lies in this range keeps its squares and
+# their sum inside the normal double range, for any length below 2**60.
+_SCALE_RANGE = (2.0**-480, 2.0**480)
+
+
+def _rescaled(x: np.ndarray, what: str):
+    """``(x, max|x|)``, with ``x`` first divided by ``max|x|`` where that lies outside ``_SCALE_RANGE``.
+
+    The callers' ratios do not change when ``x`` is scaled, so this only
+    keeps ``x @ x`` from overflowing or underflowing; inside the range ``x``
+    is returned as it is, and its arithmetic keeps every bit.  ValueError
+    ("undefined <what>: zero vector") when ``x`` is zero.
+    """
+    big = np.abs(x).max()
+    if _SCALE_RANGE[0] <= big <= _SCALE_RANGE[1]:
+        return x, big
+    if big == 0.0:
+        raise ValueError(f"undefined {what}: zero vector")
+    return x / big, 1.0
+
+
 def coherence_basis(u: Basis) -> float:
     """(n/d) times the largest squared row norm; in [1, n/d]."""
     row_sq = np.sum(u.columns * u.columns, axis=1)
@@ -238,11 +259,8 @@ def coherence_basis(u: Basis) -> float:
 
 def coherence_vector(x) -> float:
     """n ||x||_inf^2 / ||x||_2^2; in [1, n]."""
-    x = _as_vector("x", x)
-    nrm_sq = float(x @ x)
-    if nrm_sq == 0.0:
-        raise ValueError("undefined coherence: zero vector")
-    return float(x.shape[0] * np.abs(x).max() ** 2 / nrm_sq)
+    x, big = _rescaled(_as_vector("x", x), "coherence")
+    return float(x.shape[0] * big**2 / float(x @ x))
 
 
 def revealed_angle_sin_sq(u: Basis, v) -> float:
@@ -252,9 +270,8 @@ def revealed_angle_sin_sq(u: Basis, v) -> float:
 
 def _sin_sq(cols: np.ndarray, v: np.ndarray) -> float:
     """:func:`revealed_angle_sin_sq` against the span of a bare array."""
+    v, _ = _rescaled(v, "angle")
     nrm_sq = float(v @ v)
-    if nrm_sq == 0.0:
-        raise ValueError("undefined angle: zero vector")
     resid = _off_span(cols, v)
     return float(min(1.0, max(0.0, (resid @ resid) / nrm_sq)))
 

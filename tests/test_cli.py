@@ -15,6 +15,7 @@ from grouse.harness import (
     ProblemSpec,
     _observation_stream,
     generate_problem,
+    random_basis,
     run_full_trial,
     run_partial_trial,
 )
@@ -270,6 +271,20 @@ def test_validate_concentration_command(tmp_path, capsys):
 
     eig_min, eig_max, in_window = read_concentration_csv(out)
     assert len(eig_min) == 100 and np.all(eig_min <= eig_max)
+
+
+def test_validate_concentration_gaussian_basis_is_random_basis(tmp_path):
+    from grouse.concentration import read_concentration_csv, validate_gram_concentration
+
+    out = tmp_path / "conc.csv"
+    code = run_cli(
+        ["validate-concentration", "--n", "60", "--d", "3", "--omega_size", "30", "--delta", "0.1",
+         "--trials", "40", "--seed", "24", "--basis", "gaussian", "--out", str(out)]
+    )
+    assert code == 0
+    report = validate_gram_concentration(random_basis(60, 3, 24), 30, 0.1, 40, 24)
+    for got, want in zip(read_concentration_csv(out), (report.eig_min, report.eig_max, report.in_window)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_validate_residual_command(tmp_path, capsys):

@@ -45,6 +45,9 @@ from grouse import cli, linalg
 from grouse.full_data import _EXACT_EPS_LIMIT, full_step, predicted_decrease
 from grouse.harness import ProblemSpec, random_basis, run_full_trial, run_partial_trial
 
+# every test here runs again under each forced OpenBLAS core in CI
+pytestmark = pytest.mark.per_core
+
 # (numpy's OpenBLAS core, scipy's OpenBLAS core) -> digests
 GOLDEN = {
     ("SkylakeX", "SkylakeX"): {

@@ -247,6 +247,7 @@ def _same_bits(ours, theirs):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+@pytest.mark.per_core
 @pytest.mark.parametrize("shape", [(40, 10), (300, 64)])
 def test_bound_routines_are_bitwise_scipys(shape):
     # each routine grouse loads from scipy's compiled modules gives the bits

@@ -136,7 +136,7 @@ def test_coherence_vector():
     assert np.isclose(coherence_vector(np.array([1.0, 0, 0, 0, 0])), 5.0)
     assert np.isclose(coherence_vector(np.ones(7)), 1.0)
     assert np.isclose(coherence_vector(np.array([3.0, 4.0, 0.0, 0.0])), 2.56)
-    with pytest.raises(ValueError, match="undefined coherence"):
+    with pytest.raises(ValueError, match="^undefined coherence: zero vector$"):
         coherence_vector(np.zeros(3))
     # a NaN entry has no coherence
     with pytest.raises(ValueError, match="^x entries must be finite$"):
@@ -154,11 +154,26 @@ def test_revealed_angle_sin_sq():
         np.sin(a) ** 2,
         atol=1e-14,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^undefined angle: zero vector$"):
         revealed_angle_sin_sq(u, np.zeros(3))
     # a NaN entry has no angle
     with pytest.raises(ValueError, match="^v entries must be finite$"):
         revealed_angle_sin_sq(u, np.array([np.nan, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("scale", [1e170, 1e-170, 1e200, 1e-200, 5e-324])
+def test_coherence_and_revealed_angle_are_scale_invariant(scale):
+    # at these scales x @ x overflows or leaves the normal range; the vector
+    # has integer entries below 2**21, so even 5e-324 * v is exact
+    u, ubar = pair_with_epsilon(20, 2, 0.1, 1)
+    v = np.round(ubar.columns @ [1.0, 2.0] * 2**20)
+    assert revealed_angle_sin_sq(u, scale * v) == pytest.approx(revealed_angle_sin_sq(u, v), rel=1e-14)
+    assert diagnostics(u, ubar, scale * v).cos_sq_theta == pytest.approx(
+        diagnostics(u, ubar, v).cos_sq_theta, rel=1e-14
+    )
+    assert coherence_vector(scale * v) == pytest.approx(coherence_vector(v), rel=1e-14)
+    assert coherence_vector([scale, 0.0]) == 2.0
+    assert coherence_vector([scale, scale]) == 1.0
 
 
 def test_alignment_identity_and_rotated_frame():

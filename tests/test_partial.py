@@ -160,6 +160,7 @@ def _on_window_bound(m: int, d: int, n: int, end: str, offset: float, seed: int)
 _WINDOW_BOUNDS = [(end, offset) for end in ("lower", "upper") for offset in (0.0, 1e-14, -1e-14)]
 
 
+@pytest.mark.per_core
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["distinct", "with replacement", "repeated", "ill-conditioned", *_WINDOW_BOUNDS]),
@@ -188,6 +189,7 @@ def test_passes_is_the_gate_bit(kind, d, extra, seed):
         assert gate.called
 
 
+@pytest.mark.per_core
 @pytest.mark.parametrize("end", ["lower", "upper"])
 @pytest.mark.parametrize("offset", [0.0, 1e-14, -1e-14])
 def test_passes_defers_to_the_gate_at_the_window_bounds(count_calls, end, offset):
@@ -201,6 +203,7 @@ def test_passes_defers_to_the_gate_at_the_window_bounds(count_calls, end, offset
     assert len(calls) == 2
 
 
+@pytest.mark.per_core
 def test_passes_never_defers_on_the_stream_gated_shapes(count_calls):
     # 40 000 samples of the benchmark's gated stream (n=2000, d=10, q=80),
     # where most samples fail: in neither order is a bit left to the gate
@@ -828,6 +831,7 @@ def test_grouse_step_rejects_dimension_mismatch():
 _KERNEL_SHAPES = [(2, 1), (300, 1), (6, 5), (40, 8), (5000, 20)]
 
 
+@pytest.mark.per_core
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     shape=st.sampled_from(_KERNEL_SHAPES),
@@ -848,6 +852,7 @@ def test_rotate_in_place_is_bitwise_the_outer_product_update(shape, seed, angle)
     assert orthonormality_drift(cols) <= BASIS_DRIFT_TOL
 
 
+@pytest.mark.per_core
 @pytest.mark.parametrize("shape", [(40, 8), (5000, 20)])
 def test_rotate_keeps_signed_zeros_and_single_roundings(shape):
     # (40, 8) fits one row block; (5000, 20) spans four, the last one short.
