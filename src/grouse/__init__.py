@@ -13,7 +13,6 @@ from .linalg import (
     nearest_orthogonal,
     orthonormalize,
     singular_values,
-    sym_eigenvalues,
 )
 from .metrics import (
     Basis,
@@ -53,7 +52,6 @@ from .concentration import (
     estimate_skip_rate,
     gamma_bound,
     mu_xt_diagnostics,
-    sample_with_replacement,
     validate_gram_concentration,
     validate_residual_bound,
     validate_sin_sq_expectation,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .harness import EPSILON_FLOOR
 from .linalg import _count, _fork_map, _lstsq, _real, _rng, _workers
 from .metrics import Basis, _check_pair, _dims, _off_span, coherence_basis, coherence_vector
 from .metrics import epsilon_residual
@@ -87,13 +88,6 @@ class MuXtSummary:
     threshold_narrow: float
     threshold_wide: float
     satisfied_rate: float
-
-
-def sample_with_replacement(n: int, m: int, seed: int) -> np.ndarray:
-    """m iid uniform draws from {0..n-1}; deterministic under seed."""
-    _count("n", n, 1)
-    _count("m", m, 1)
-    return _rng(seed).integers(0, n, size=m)
 
 
 def gamma_bound(d: int, mu: float, omega_size: int, delta: float) -> float:
@@ -313,7 +307,7 @@ def mu_xt_diagnostics(
     """
     _count("trials", trials, 1)
     _real("c1", c1)
-    if epsilon_residual(u, ubar) <= 1e-24:
+    if epsilon_residual(u, ubar) <= EPSILON_FLOOR:
         raise ValueError("bases coincide: residual direction undefined")
     rng = _rng(seed)
     n, d = u.n, u.d

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .full_data import run_full
-from .linalg import _count, _fork_map, _real, _rng, orthonormalize
+from .linalg import _count, _fork_map, _real, _real_array, _rng, orthonormalize
 from .metrics import Basis, _dims, _residual_energy
 from .partial_data import _check_alpha, _run_stream, _sample
 from .results import (
@@ -209,11 +209,13 @@ def tail_slope(epsilons) -> float | None:
     and are discarded; the asymptotic rate only emerges on later
     iterations, hence the half-window.  Returns None when fewer than two
     usable points remain, an empty trajectory included; ValueError unless
-    ``epsilons`` is 1-d.
+    ``epsilons`` is a 1-d trajectory of real numbers with no infinite entry.
     """
-    eps = np.asarray(epsilons, dtype=float)
+    eps = _real_array("epsilons", epsilons)
     if eps.ndim != 1:
         raise ValueError("epsilons must be a 1-d trajectory")
+    if np.isinf(eps).any():
+        raise ValueError("epsilons must not be infinite")
     t = np.arange(len(eps))
     half = len(eps) // 2
     keep = eps[half:] > EPSILON_FLOOR

@@ -34,8 +34,9 @@ on one BLAS thread, and returns their results in task order.
 The library's argument rules live here too, each in one helper that raises
 ``ValueError`` before the argument reaches numpy: :func:`_count` for counts,
 :func:`_real` for real settings, :func:`_rng` for seeds (it makes every
-generator the library draws from), :func:`_as_matrix` and :func:`_as_vector`
-for finite arrays, and :func:`_lstsq` for fits with fewer rows than columns.
+generator the library draws from), :func:`_real_array` for the dtype of an
+array of reals, :func:`_as_matrix` and :func:`_as_vector` for finite arrays,
+and :func:`_lstsq` for fits with fewer rows than columns.
 """
 from __future__ import annotations
 
@@ -49,8 +50,7 @@ import os
 import numpy as np
 import scipy
 
-# Fixed tolerances, 100-1000x double eps, relative to the largest entry.
-SYM_TOL = 1e-12
+# A fixed tolerance, about 450x double eps, relative to the largest entry.
 RANK_RTOL = 1e-13
 
 # The smallest normal double: the floor of a rank check's scale.
@@ -245,9 +245,22 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _real_array(what: str, a) -> np.ndarray:
+    """The real-array rule: ``a`` as a float array, if its dtype is bool, integer or float.
+
+    Any other dtype, complex, string or object (a list holding a string,
+    say), raises ``ValueError`` naming ``what``, where numpy would drop an
+    imaginary part with a warning, parse a string or raise ``TypeError``.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real numbers, not {a.dtype.name}")
+    return np.asarray(a, dtype=float)
+
+
 def _as_matrix(a, square: bool = False) -> np.ndarray:
     """The matrix rule: ``a`` as a finite 2-d float array, nonempty, and square if ``square``."""
-    a = np.asarray(a, dtype=float)
+    a = _real_array("matrix entries", a)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError("shape: expected a 2-d matrix with positive dimensions")
     if not np.all(np.isfinite(a)):
@@ -262,7 +275,7 @@ def _as_vector(name: str, b, length: int | None = None) -> np.ndarray:
 
     Raises ``ValueError`` naming ``name`` otherwise.
     """
-    b = np.asarray(b, dtype=float)
+    b = _real_array(f"{name} entries", b)
     if b.ndim != 1 or len(b) < 1 or len(b) != (length or len(b)):
         raise ValueError(f"{name} must be a 1-d vector of length {length or 'at least 1'}")
     if not np.all(np.isfinite(b)):
@@ -379,12 +392,3 @@ def nearest_orthogonal(a) -> np.ndarray:
     if s.min() <= RANK_RTOL * max(s.max(), _TINY):
         raise NumericalError("singular alignment")
     return u @ vt
-
-
-def sym_eigenvalues(g) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending."""
-    g = _as_matrix(g, square=True)
-    scale = max(1.0, float(np.abs(g).max()))
-    if np.abs(g - g.T).max() > SYM_TOL * scale:
-        raise ValueError("not symmetric")
-    return np.linalg.eigvalsh(g)[::-1]

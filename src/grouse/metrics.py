@@ -21,6 +21,7 @@ from .linalg import (
     _as_vector,
     _count,
     _one_blas_thread,
+    _real_array,
     dger,
     nearest_orthogonal,
     singular_values,
@@ -35,16 +36,17 @@ REORTHO_EVERY = 100
 class Basis:
     """An n x d matrix with orthonormal columns (a point on the Grassmannian).
 
-    ``Basis(arr)`` copies ``arr``, checks that the copy is finite and
-    orthonormal within ``BASIS_DRIFT_TOL``, and marks the copy read-only, so
-    the caller's array stays its own and stays writable.  ``copy``,
-    ``deepcopy`` and ``pickle`` rebuild a basis the same way.
+    ``Basis(arr)`` copies ``arr``, which must be real (``linalg._real_array``),
+    checks that the copy is finite and orthonormal within ``BASIS_DRIFT_TOL``,
+    and marks the copy read-only, so the caller's array stays its own and
+    stays writable.  ``copy``, ``deepcopy`` and ``pickle`` rebuild a basis
+    the same way.
     """
 
     __slots__ = ("columns",)
 
     def __init__(self, columns):
-        _hold(self, np.array(columns, dtype=float))
+        _hold(self, np.array(_real_array("basis entries", columns)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")

@@ -37,7 +37,8 @@ import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
-from .linalg import NumericalError, _as_vector, _count, _lstsq, _real, _sv, dpotrf, least_squares  # noqa: F401
+from .linalg import NumericalError, _as_vector, _count, _lstsq, _real, _real_array, _sv, dpotrf
+from .linalg import least_squares  # noqa: F401
 from .metrics import Basis, _check_pair, _rotated, _sin_sq, epsilon_residual
 from .results import _FLOAT, _INT, TrialResult, _read_rows, _Trajectory, _write_cells, _write_rows
 
@@ -67,7 +68,7 @@ class Observation:
 
     def __post_init__(self):
         omega = np.asarray(self.omega)
-        values = np.asarray(self.values, dtype=float)
+        values = _real_array("observed values", self.values)
         if omega.ndim != 1 or values.shape != omega.shape:
             raise ValueError("omega and values must be 1-d and equally long")
         omega = _indices(omega, self.n, increasing=True)

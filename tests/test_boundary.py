@@ -36,6 +36,7 @@ from grouse import (
     incoherent_basis,
     least_squares,
     mu_xt_diagnostics,
+    orthonormalize,
     pair_with_epsilon,
     predicted_decrease,
     principal_angles,
@@ -44,9 +45,10 @@ from grouse import (
     revealed_angle_sin_sq,
     run_full,
     run_stream,
-    sample_with_replacement,
+    singular_values,
     step_size,
     sweep_phase,
+    tail_slope,
     validate_gram_concentration,
     validate_residual_bound,
     validate_sin_sq_expectation,
@@ -130,9 +132,6 @@ _CALLS = {
         run_stream, dict(u0=U, stream=[OBS], alpha=1.0, ubar=UBAR),
         dict(stream="stream", alpha="real", ubar="pair"),
     ),
-    "sample_with_replacement": (
-        sample_with_replacement, dict(n=20, m=5, seed=1), dict(n="count", m="count", seed="seed")
-    ),
     "step_size": (
         step_size, dict(sigma=1.0, norm_r=0.5, norm_p=1.0, alpha=1.0),
         dict(sigma="real", norm_r="real", norm_p="real", alpha="real"),
@@ -166,7 +165,6 @@ _NOTHING_TO_REPLACE = {
     # single bases, matrices and problem specs
     "Basis", "coherence_basis", "generate_problem", "nearest_orthogonal", "orthonormalize",
     "partial_residual", "run_full_trial", "run_partial_trial", "singular_values",
-    "sym_eigenvalues",
     # an epsilon trajectory, which may be empty or hold NaN, so no vector rule applies
     # (its own 1-d rule is tested in test_harness.py)
     "tail_slope",
@@ -214,12 +212,12 @@ _WRONG = {
         lambda good: st.none() | st.floats() | st.booleans() | st.integers(max_value=-1),
     ),
     "vector": (
-        lambda good: [np.append(good, 1.0), np.atleast_2d(good)],
+        lambda good: [np.append(good, 1.0), np.atleast_2d(good), (1 + 1j) * np.asarray(good)],
         lambda good: st.integers(1, 4).map(lambda k: np.ones(len(good) + k))
         | st.integers(2, 3).map(lambda k: np.ones((k, len(good)))),
     ),
     "free vector": (
-        lambda good: [np.atleast_2d(good)],
+        lambda good: [np.atleast_2d(good), (1 + 1j) * np.asarray(good)],
         lambda good: st.integers(1, 3).map(
             lambda k: np.ones((k, k + 1), dtype=np.asarray(good).dtype)
         ),
@@ -273,3 +271,24 @@ def test_every_public_entry_rejects_a_wrong_kind_at_its_boundary(data):
             extra = data.draw(further(good), label=f"{name}.{arg}")
             for bad in fixed(good) + [extra]:
                 _assert_rejected(name, arg, bad)
+
+
+# A non-real array passed where a public entry expects reals, and the name
+# its ValueError must hold: arguments outside the walk's kinds, and lists
+# of Python complex numbers and strings, which the walk does not try.
+_NOT_REAL = [
+    (Basis, (np.eye(3, 2) * (1 + 1j),), "basis"),
+    (Observation, (3, [0, 1], [1.0, 1j]), "values"),
+    (Observation, (3, [0], ["1"]), "values"),
+    (least_squares, (U.columns, [1j] * len(V)), "b"),
+    (coherence_vector, ([1.0, 1j],), "x"),
+    (singular_values, (np.eye(2) * 1j,), "matrix"),
+    (orthonormalize, (np.eye(3, 2) * 1j,), "matrix"),
+    (tail_slope, ([0.5, 0.25j],), "epsilons"),
+]
+
+
+@pytest.mark.parametrize("call, args, name", _NOT_REAL, ids=lambda x: getattr(x, "__name__", None))
+def test_non_real_arrays_fail_at_the_boundary(call, args, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b.* must be real numbers, not "):
+        call(*args)

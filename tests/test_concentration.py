@@ -15,7 +15,6 @@ from grouse.concentration import (
     mu_xt_diagnostics,
     read_concentration_csv,
     read_residual_csv,
-    sample_with_replacement,
     validate_gram_concentration,
     validate_residual_bound,
     validate_sin_sq_expectation,
@@ -26,27 +25,6 @@ from grouse.linalg import NumericalError, _workers
 from grouse.metrics import Basis, coherence_basis, epsilon
 from grouse.partial_data import _sample, gate_check
 from grouse.harness import incoherent_basis, pair_with_epsilon, random_basis
-
-
-def test_sample_with_replacement_basics():
-    assert np.all(sample_with_replacement(1, 50, seed=0) == 0)
-    a = sample_with_replacement(10, 100, seed=3)
-    b = sample_with_replacement(10, 100, seed=3)
-    assert np.array_equal(a, b)
-    assert np.array_equal(sample_with_replacement(np.int64(10), np.int32(100), seed=np.uint8(3)), a)
-    for name, bad in [("n", 10.0), ("m", 2.5), ("seed", 1.5), ("seed", -1), ("n", 0), ("m", True)]:
-        args = {"n": 10, "m": 100, "seed": 3, name: bad}
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            sample_with_replacement(**args)
-
-
-def test_sample_with_replacement_frequencies():
-    n, m = 1000, 1_000_000
-    draws = sample_with_replacement(n, m, seed=4)
-    counts = np.bincount(draws, minlength=n)
-    # binomial oracle: each count ~ Bin(m, 1/n)
-    sd = math.sqrt(m * (1 / n) * (1 - 1 / n))
-    assert np.abs(counts - m / n).max() <= 5 * sd
 
 
 def test_gamma_bound_values():

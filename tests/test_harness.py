@@ -143,6 +143,12 @@ def test_tail_slope_takes_a_1d_trajectory():
     assert tail_slope(with_nan) == tail_slope(kept)
 
 
+def test_tail_slope_rejects_infinite_entries():
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^epsilons must not be infinite$"):
+            tail_slope([1.0, 0.5, bad, 0.1, 0.05])
+
+
 def test_run_partial_trial_determinism():
     spec = ProblemSpec(n=300, d=5, q=60, iters=100, seed=21)
     a = run_partial_trial(spec)

@@ -28,7 +28,6 @@ from grouse.linalg import (
     nearest_orthogonal,
     orthonormalize,
     singular_values,
-    sym_eigenvalues,
 )
 from grouse.metrics import Basis, orthonormality_drift
 from grouse.partial_data import Observation, partial_residual
@@ -110,7 +109,7 @@ def test_singular_values_match_gram_eigenvalues():
     a = rng.standard_normal((6, 3))
     sv = singular_values(a)
     assert np.all(np.diff(sv) <= 0) and np.all(sv >= 0)
-    gram_eigs = sym_eigenvalues(a.T @ a)
+    gram_eigs = np.linalg.eigvalsh(a.T @ a)[::-1]
     assert np.allclose(sv**2, gram_eigs, rtol=1e-9, atol=1e-12)
     # squares sum to the squared Frobenius norm
     assert np.isclose(np.sum(sv**2), np.sum(a * a), rtol=1e-10)
@@ -146,18 +145,6 @@ def test_nearest_orthogonal_errors():
         nearest_orthogonal(np.ones((3, 2)))
 
 
-def test_sym_eigenvalues_basics():
-    assert np.allclose(sym_eigenvalues(np.diag([5.0, 2.0, 2.0])), [5.0, 2.0, 2.0])
-    assert np.allclose(sym_eigenvalues(np.eye(4)), 1.0)
-    g = np.diag([1.0, 2.0, 3.0])
-    assert np.isclose(np.sum(sym_eigenvalues(g)), np.trace(g), rtol=1e-10)
-
-
-def test_sym_eigenvalues_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        sym_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 10_000),
@@ -169,7 +156,7 @@ def test_property_singular_values_square_to_gram_spectrum(seed, m, k):
     a = np.random.default_rng(seed).standard_normal((m, k))
     sv = singular_values(a)
     gram = a.T @ a
-    eigs = sym_eigenvalues(gram) if k > 1 else gram.ravel()
+    eigs = np.linalg.eigvalsh(gram)[::-1] if k > 1 else gram.ravel()
     scale = max(1.0, eigs[0])
     assert np.all(np.abs(sv**2 - eigs) <= 1e-9 * scale)
 
