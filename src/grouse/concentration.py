@@ -151,7 +151,7 @@ def _residual_trials(cols, target, omega_size, log_inv_delta, mu_u, gamma, seed,
         s = rng.standard_normal(d)
         v = target @ s
         idx = rng.integers(0, n, size=omega_size)
-        sub = np.take(cols, idx, axis=0)
+        sub = cols.take(idx, axis=0)
         v_sub = v[idx]
         res = v_sub - sub @ _lstsq(sub, v_sub)
         lhs[t] = res @ res
@@ -268,7 +268,7 @@ def estimate_skip_rate(u: Basis, q: int, trials: int, seed: int) -> float:
     rng = _rng(seed)
     fails, passed = 0, True
     for _ in range(trials):
-        passed = _passes(np.take(u.columns, _sample(rng, u.n, q), axis=0), u.n, not passed)
+        passed = _passes(u.columns.take(_sample(rng, u.n, q), axis=0), u.n, not passed)
         fails += not passed
     return fails / trials
 

@@ -12,19 +12,20 @@ array runs through one kernel each, :func:`_qr`, :func:`_lstsq` and
 :func:`_sv`, and each calls LAPACK directly, bitwise the numpy or scipy
 routine it replaces.  The public routines reach them after their boundary
 checks; callers that hold already-checked arrays call them directly.  The
-gate's decision rule (``partial_data._passes``) calls LAPACK ``dpotrf``
-itself: a Cholesky factorization that completes or stops is its certificate.
+gate's decision rule (``partial_data._passes``) calls BLAS ``dsyrk`` and
+LAPACK ``dpotrf`` itself: a Cholesky factorization of a shifted Gram matrix
+that completes or stops is its certificate.
 
-LAPACK, and the BLAS ``dger`` that :mod:`grouse.metrics` rotates with, come
-from scipy's compiled modules ``_flapack`` and ``_fblas``, which
-:func:`_scipy_linalg_extension` loads from their files in scipy's ``linalg``
-directory.  The routines are the objects ``scipy.linalg.lapack`` and
-``scipy.linalg.blas`` export, so the bits are theirs; but the
-``scipy.linalg`` package's ``__init__``, about 60% of ``import grouse``
-through scipy's array-API layer and ``numpy.f2py``, never runs.  A fresh
-``import grouse, grouse.cli`` takes a median 0.18 s this way against 0.40 s
-through ``scipy.linalg.lapack`` (12 interleaved processes each, 2-core
-x86_64 VM).
+LAPACK, the BLAS ``dger`` that :mod:`grouse.metrics` rotates with and the
+gate's BLAS ``dsyrk`` come from scipy's compiled modules ``_flapack`` and
+``_fblas``, which :func:`_scipy_linalg_extension` loads from their files in
+scipy's ``linalg`` directory.  The routines are the objects
+``scipy.linalg.lapack`` and ``scipy.linalg.blas`` export, so the bits are
+theirs; but the ``scipy.linalg`` package's ``__init__``, about 60% of
+``import grouse`` through scipy's array-API layer and ``numpy.f2py``, never
+runs.  A fresh ``import grouse, grouse.cli`` takes a median 0.18 s this way
+against 0.40 s through ``scipy.linalg.lapack`` (12 interleaved processes
+each, 2-core x86_64 VM).
 
 :func:`_one_blas_thread` runs a block on one OpenBLAS thread, so that its
 products give the same bits whatever thread count the process started with.
@@ -93,7 +94,8 @@ def _scipy_linalg_extension(name: str):
 _flapack = _scipy_linalg_extension("_flapack")
 dgeqrf, dgeqrf_lwork, dorgqr = _flapack.dgeqrf, _flapack.dgeqrf_lwork, _flapack.dorgqr
 dgesdd, dgesdd_lwork, dpotrf, dtrtrs = _flapack.dgesdd, _flapack.dgesdd_lwork, _flapack.dpotrf, _flapack.dtrtrs
-dger = _scipy_linalg_extension("_fblas").dger
+_fblas = _scipy_linalg_extension("_fblas")
+dger, dsyrk = _fblas.dger, _fblas.dsyrk
 
 
 class NumericalError(ValueError):

@@ -161,10 +161,11 @@ def _rotated(u: Basis, *args) -> Basis:
 def orthonormality_drift(columns: np.ndarray) -> float:
     """||B^T B - I||_F, the distance from exact orthonormality."""
     d = columns.shape[1]
-    g = columns.T @ columns
-    g.flat[:: d + 1] -= 1.0
+    # the product is a fresh C-ordered array, so its raveled form is a view and
+    # its strided slice the diagonal, without the ``flat`` iterator's dispatch
+    x = (columns.T @ columns).ravel()
+    x[:: d + 1] -= 1.0
     # sqrt(x.dot(x)) of the raveled matrix is np.linalg.norm's own Frobenius formula
-    x = g.ravel()
     return math.sqrt(x.dot(x))
 
 

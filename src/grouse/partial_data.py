@@ -11,10 +11,11 @@ The gate has one source of eigenvalues, :func:`_gate`, which squares the
 singular values of the sampled rows; :func:`gate_check`, ``grouse_step``'s
 record and the concentration validators report them.  Callers that keep
 only the pass/fail bit (the stream driver and ``estimate_skip_rate``) use
-one decision rule, :func:`_passes`: Cholesky factorizations of the shifted
-d x d Gram matrix of one sample certify a pass or a failure, and
-:func:`_gate` runs only for a sample whose extreme eigenvalue lies within
-rounding distance of the window, so every bit is :func:`_gate`'s.  They
+one decision rule, :func:`_passes`: per certificate, one BLAS ``dsyrk``
+forms the d x d Gram matrix of one sample with a shift on its diagonal, and
+one LAPACK ``dpotrf`` completes or stops on it, certifying a pass or a
+failure; :func:`_gate` runs only for a sample whose extreme eigenvalue lies
+within rounding distance of the window, so every bit is :func:`_gate`'s.  They
 decide one sample at a time, as it is drawn or read, and try the fail
 certificate first after a failed decision.
 
@@ -37,7 +38,7 @@ import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
-from .linalg import NumericalError, _as_vector, _count, _lstsq, _real, _real_array, _sv, dpotrf
+from .linalg import NumericalError, _as_vector, _count, _lstsq, _real, _real_array, _sv, dpotrf, dsyrk
 from .linalg import least_squares  # noqa: F401
 from .metrics import Basis, _check_pair, _rotated, _sin_sq, epsilon_residual
 from .results import _FLOAT, _INT, TrialResult, _read_rows, _Trajectory, _write_cells, _write_rows
@@ -47,7 +48,10 @@ from .results import _FLOAT, _INT, TrialResult, _read_rows, _Trajectory, _write_
 RESIDUAL_FLOOR = 1e-14
 
 # The decision rule's slack per unit of (m + d^2) * (||S||_F^2 + d * upper
-# bound) for an m x d sample S: 1e3 units of roundoff (2^-53).  See _passes.
+# bound) for an m x d sample S, ||S||_F^2 read as the dot product of the
+# raveled sample: 1e3 units of roundoff (2^-53), covering the Gram product,
+# the shift that the same dsyrk call adds to each diagonal entry, and the
+# Cholesky factorization.  See _passes.
 _GATE_SLACK = 1e3 * 2.0**-53
 
 
@@ -198,37 +202,36 @@ def _eye(d: int) -> np.ndarray:
     return eye
 
 
-def _factors(a: np.ndarray) -> bool:
-    """Whether LAPACK ``dpotrf`` completes the Cholesky factorization of the C-ordered symmetric ``a``.
-
-    It factors ``a`` in place: the transpose is the same matrix in Fortran
-    order, so no copy is made.
-    """
-    # positional lower=0, clean=0, overwrite_a=1: keywords cost a third of the call
-    return dpotrf(a.T, 0, 0, 1)[1] == 0
-
-
 def _passes(sub: np.ndarray, n: int, fail_first: bool) -> bool:
     """``_gate(sub, n).passed`` for one m x d sample, decided by Cholesky certificates.
 
     The gate's one decision rule.  Fewer than d rows fail at once.  It
-    forms G = S^T S and takes a slack s = ``_GATE_SLACK * (m + d^2) *
-    (trace(G) + d b)`` for the window [a, b] of :func:`_gate`.  If LAPACK
-    ``dpotrf`` stops on (b + s)I - G or on G - (a - s)I, the sample fails;
-    if it completes on G - (a + s)I and on (b - s)I - G, it passes;
-    otherwise G lies too close to a window bound to tell, and
-    ``_gate(sub, n).passed`` decides.  Each extreme eigenvalue of the
-    formed G lies within a few (m + d) roundoffs times ||S||_F^2 =
-    trace(G) of the squared singular value :func:`_gate` compares, since
-    forming G and the SVD are backward stable.  A Cholesky factorization
-    that completes on a shifted matrix A is exact for A + E, with ||E|| <=
-    (d + 1) roundoffs times trace(A), so A's smallest eigenvalue is at
-    least -||E||; and one completes whenever that eigenvalue exceeds
-    d (d + 1) roundoffs times A's largest diagonal entry (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 10).  trace(A)
-    is at most trace(G) + d (b + s) for every shift used, so each
-    certificate holds with s to spare, and the verdict is :func:`_gate`'s
-    in either order.
+    takes a slack s = ``_GATE_SLACK * (m + d^2) * (||S||_F^2 + d b)`` for
+    the window [a, b] of :func:`_gate`, reading ||S||_F^2 as the dot
+    product of the raveled sample.  Each certificate is one BLAS ``dsyrk``,
+    which forms the shifted Gram matrix cI - G or G - cI, G = S^T S, in one
+    pass (each diagonal entry takes the shift with one more rounding), and
+    one LAPACK ``dpotrf`` on it.  If ``dpotrf`` stops on (b + s)I - G or on
+    G - (a - s)I, the sample fails; if it completes on G - (a + s)I and on
+    (b - s)I - G, it passes; otherwise G lies too close to a window bound
+    to tell, and ``_gate(sub, n).passed`` decides.
+
+    The slack covers three roundings (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, chs. 3 and 10) besides the SVD's, which puts the
+    squared singular value :func:`_gate` compares within a few (m + d)
+    roundoffs times ||S||_F^2 of the exact eigenvalue.  First, forming G is
+    backward stable, so each extreme eigenvalue of the formed G lies within
+    m roundoffs times ||S||_F^2 of the exact one.  Second, the shift moves
+    each diagonal entry of the formed A = cI - G or G - cI by at most one
+    roundoff of |c| + ||S||_F^2.  Third, a ``dpotrf`` that completes on A
+    is exact for A + E with ||E|| <= (d + 1) roundoffs times trace(|A|), so
+    A's smallest eigenvalue is then at least -||E||; and one completes
+    whenever that eigenvalue exceeds d (d + 1) roundoffs times A's largest
+    diagonal entry.  trace(|A|) is at most ||S||_F^2 + d (b + s) for every
+    shift used, and the dot product is within m d roundoffs of ||S||_F^2,
+    so all of these together stay within a few (m + d^2) roundoffs times
+    ||S||_F^2 + d b, far inside s: each certificate holds, and the verdict
+    is :func:`_gate`'s in either order.
 
     The pass certificate goes first unless ``fail_first``, which the
     callers set after a failed decision: samples come in runs, and a
@@ -239,13 +242,20 @@ def _passes(sub: np.ndarray, n: int, fail_first: bool) -> bool:
     if m < d:
         return False
     lower, upper = 0.5 * m / n, 1.5 * m / n
-    gram = sub.T @ sub
-    s = _GATE_SLACK * (m + d * d) * (float(gram.trace()) + d * upper)
-    eye = _eye(d)
+    f = sub.ravel()
+    s = _GATE_SLACK * (m + d * d) * (float(f.dot(f)) + d * upper)
+    # dsyrk(alpha, a, beta, c) returns beta c + alpha a a^T in a fresh Fortran array,
+    # the upper triangle set (its defaults trans=0, lower=0, overwrite_c=0), so the
+    # shared identity is only read; dpotrf(lower=0, clean=0, overwrite_a=1) factors
+    # that triangle in place.  Positional: keywords cost a third of a call.
+    a, eye = sub.T, _eye(d)
     for certain in (not fail_first, fail_first):
         # failing takes one stop on the wider window, passing two completions on the narrower
         low, high = (lower + s, upper - s) if certain else (lower - s, upper + s)
-        if (_factors(high * eye - gram) and _factors(gram - low * eye)) == certain:
+        if (
+            dpotrf(dsyrk(-1.0, a, high, eye), 0, 0, 1)[1] == 0
+            and dpotrf(dsyrk(1.0, a, -low, eye), 0, 0, 1)[1] == 0
+        ) == certain:
             return certain
     return _gate(sub, n).passed
 
@@ -425,7 +435,7 @@ def _run_stream(
         # against the basis the step starts from
         theta = _revealed_theta(track.cols, ubar, latent_s)
         # the bits of cols[omega], without the fancy-indexing dispatch
-        sub = np.take(track.cols, omega, axis=0)
+        sub = track.cols.take(omega, axis=0)
         if decide:
             passed = _passes(sub, u0.n, passed is False)
         fit = rotation = None

@@ -269,6 +269,14 @@ def test_bound_routines_are_bitwise_scipys(shape):
     ours, theirs = a.copy(order="F"), a.copy(order="F")
     _same_bits(metrics.dger(-0.5, x, y, a=ours, overwrite_a=1), blas.dger(-0.5, x, y, a=theirs, overwrite_a=1))
     _same_bits(ours, theirs)
+    # the gate's call: a non-zero beta on a given c, the Gram product of a's
+    # columns, defaults trans=0, lower=0 and overwrite_c=0
+    c = np.asfortranarray(rng.standard_normal((d, d)))
+    for alpha, beta in ((-1.0, 0.75), (1.0, -0.25)):
+        ours = linalg.dsyrk(alpha, a.T, beta, c)
+        _same_bits(ours, blas.dsyrk(alpha, a.T, beta=beta, c=c, trans=0, lower=0, overwrite_c=0))
+        assert not np.shares_memory(ours, c)
+        np.testing.assert_allclose(np.triu(ours), np.triu(beta * c + alpha * (a.T @ a)), atol=1e-12 * m)
 
 
 def test_missing_scipy_extension_raises_import_error_naming_the_directory(tmp_path, monkeypatch):

@@ -222,6 +222,30 @@ def test_passes_never_defers_on_the_stream_gated_shapes(count_calls):
     assert bits == [exact, exact]
 
 
+@pytest.mark.per_core
+@pytest.mark.parametrize("d", [1, 5, 10])
+def test_passes_mutates_neither_the_sample_nor_the_shared_identity(d):
+    # the shared identity goes to a BLAS routine that could overwrite it: on
+    # samples that pass, fail and fall back to the gate, in both orders, the
+    # sample and the identity keep their bits and the identity stays read-only
+    m, n = 8 * d, 32 * d
+    eye = partial_data._eye(d)
+    before = eye.tobytes()
+    subs = [_sample_rows("distinct", m, d, seed) for seed in range(4)]
+    subs += [_on_window_bound(m, d, n, end, 0.0, seed=d) for end in ("lower", "upper")]
+    bits = set()
+    for sub in subs:
+        for scale in (0.5, 1.0, 2.0):
+            sample = sub * scale
+            copy = sample.copy()
+            for fail_first in (False, True):
+                bits.add(partial_data._passes(sample, n, fail_first))
+                assert sample.tobytes() == copy.tobytes()
+    assert bits == {False, True}
+    assert partial_data._eye(d) is eye and eye.tobytes() == before
+    assert not eye.flags.writeable
+
+
 def test_partial_residual_exact_fit():
     u = random_basis(40, 3, seed=6)
     omega = np.arange(0, 40, 2)
