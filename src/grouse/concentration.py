@@ -288,8 +288,13 @@ def validate_sin_sq_expectation(u: Basis, ubar: Basis, trials: int, seed: int):
         s = rng.standard_normal((take, ubar.d))
         v = s @ ubar.columns.T
         # not metrics._off_span: its product order would change the bytes of validate-expectation
-        resid = v - (v @ u.columns) @ u.columns.T
-        vals[done : done + take] = np.sum(resid * resid, axis=1) / np.sum(v * v, axis=1)
+        resid = (v @ u.columns) @ u.columns.T
+        # the subtraction and both squares overwrite an operand, bitwise the
+        # out-of-place forms: a chunk makes two take x n arrays, not five
+        np.subtract(v, resid, out=resid)
+        np.multiply(resid, resid, out=resid)
+        np.multiply(v, v, out=v)
+        vals[done : done + take] = np.sum(resid, axis=1) / np.sum(v, axis=1)
         done += take
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials))

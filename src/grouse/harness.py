@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .full_data import run_full
-from .linalg import _count, _fork_map, _real, _real_array, _rng, orthonormalize
+from .linalg import _count, _fork_map, _orthonormalize_in_place, _real, _real_array, _rng, orthonormalize
 from .metrics import Basis, _dims, _residual_energy
 from .partial_data import _check_alpha, _run_stream, _sample
 from .results import (
@@ -96,7 +96,7 @@ def random_basis(n: int, d: int, seed: int) -> Basis:
     """Orthonormalized iid standard normal n x d matrix."""
     _dims(n, d)
     rng = _rng(seed)
-    return Basis(orthonormalize(rng.standard_normal((n, d))))
+    return Basis(_orthonormalize_in_place(np.asfortranarray(rng.standard_normal((n, d)))))
 
 
 def _cosine_frame(rng, n: int, k: int) -> np.ndarray:
@@ -181,10 +181,17 @@ def generate_problem(spec: ProblemSpec) -> tuple[Basis, Basis]:
     """(target, start) bases per the synthetic protocol; seeded, bitwise stable."""
     rng = _child_rng(spec.seed, _PROBLEM_STREAM)
     target = rng.standard_normal((spec.n, spec.d))
-    noise = rng.standard_normal((spec.n, spec.d)) * spec.init_noise_std
-    ubar = Basis(orthonormalize(target))
-    u0 = Basis(orthonormalize(target + noise))
-    return ubar, u0
+    # the start target + noise * init_noise_std, bit for bit, formed in the noise's array
+    start = rng.standard_normal((spec.n, spec.d))
+    start *= spec.init_noise_std
+    start += target
+    # each matrix is factored in a Fortran-ordered copy that replaces it, and
+    # Basis makes the one C-ordered copy: at most three n x d arrays are alive
+    target = np.asfortranarray(target)
+    ubar = Basis(_orthonormalize_in_place(target))
+    del target
+    start = np.asfortranarray(start)
+    return ubar, Basis(_orthonormalize_in_place(start))
 
 
 def fit_x(

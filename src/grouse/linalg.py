@@ -8,13 +8,16 @@ boundary can be poorly conditioned, which is why QR/SVD routes are used
 throughout.
 
 Every QR, triangular solve and singular-value computation of a checked
-array runs through one kernel each, :func:`_qr`, :func:`_lstsq` and
-:func:`_sv`, and each calls LAPACK directly, bitwise the numpy or scipy
+array runs through one kernel each, :func:`_householder`, :func:`_lstsq`
+and :func:`_sv`, and each calls LAPACK directly, bitwise the numpy or scipy
 routine it replaces.  The public routines reach them after their boundary
 checks; callers that hold already-checked arrays call them directly.  The
-gate's decision rule (``partial_data._passes``) calls BLAS ``dsyrk`` and
-LAPACK ``dpotrf`` itself: a Cholesky factorization of a shifted Gram matrix
-that completes or stops is its certificate.
+QR factors its own copy, as numpy's does, so no argument is written, or,
+for a caller that owns a Fortran-ordered n x d array
+(:func:`_orthonormalize_in_place`), that array in place.  The gate's
+decision rule (``partial_data._passes``) calls BLAS ``dsyrk`` and LAPACK
+``dpotrf`` itself: a Cholesky factorization of a shifted Gram matrix that
+completes or stops is its certificate.
 
 LAPACK, the BLAS ``dger`` that :mod:`grouse.metrics` rotates with and the
 gate's BLAS ``dsyrk`` come from scipy's compiled modules ``_flapack`` and
@@ -46,6 +49,7 @@ import functools
 import glob
 import importlib.machinery
 import importlib.util
+import math
 import os
 
 import numpy as np
@@ -292,37 +296,47 @@ def _lwork(routine: str, m: int, d: int) -> int:
     ``routine`` is ``"geqrf"``, ``"orgqr"`` (Q of an m x d QR) or ``"gesdd"``
     (singular values only).  The size depends on the shape alone, so each
     call after the first returns the integer a fresh query would.  ``dorgqr``
-    has no size helper, so its ``lwork=-1`` query runs on a zero array.
+    has no size helper, so its ``lwork=-1`` query runs on a d x d zero
+    array: LAPACK sizes that workspace as d times a block size that does not
+    depend on m, and an m x d one would be as large as the array factored.
     """
     if routine == "geqrf":
         size = dgeqrf_lwork(m, d)[0]
     elif routine == "orgqr":
-        size = dorgqr(np.zeros((m, d), order="F"), np.zeros(d), lwork=-1, overwrite_a=True)[1][0]
+        size = dorgqr(np.zeros((d, d), order="F"), np.zeros(d), lwork=-1, overwrite_a=True)[1][0]
     else:
         size = dgesdd_lwork(m, d, compute_uv=0, full_matrices=0)[0]
     return int(size)
 
 
-def _qr(a: np.ndarray, message: str):
-    """Householder QR of a finite m x d array with m >= d: (Q, R).
+def _householder(a: np.ndarray, message: str, overwrite_a: int = 0):
+    """Householder QR of a finite m x d array with m >= d: (Q, R), Q Fortran-ordered.
 
     Runs LAPACK ``dgeqrf``/``dorgqr`` at their optimal workspace
-    (:func:`_lwork`), which is what ``np.linalg.qr`` does, so Q and R's
-    upper triangle are bitwise its own; Q and R are C-contiguous, as numpy
-    returns them.  R's entries below the diagonal are left as the
-    Householder vectors, not zeroed: the one solve that reads R
-    (:func:`_lstsq`) reads one triangle.
+    (:func:`_lwork`), which is what ``np.linalg.qr`` does on its own
+    Fortran-ordered copy, so Q and R's upper triangle are bitwise its own.
+    f2py factors a Fortran-ordered copy of ``a``, unless ``overwrite_a`` is
+    1 and ``a`` is a Fortran-ordered float64 array: then ``a`` itself
+    becomes Q, whatever its read-only flag says.  R is a C-ordered copy;
+    its entries below the diagonal are left as the Householder vectors, not
+    zeroed: the one solve that reads R (:func:`_lstsq`) reads one triangle.
     Raises ``NumericalError(message)`` when a diagonal entry of R is
     negligible against the largest.
     """
     m, d = a.shape
-    qr, tau, _, _ = dgeqrf(a, lwork=_lwork("geqrf", m, d))
-    # a real copy: at d=1, qr[:d] is a view that dorgqr overwrites
-    r = np.array(qr[:d], order="C")
+    q, tau, _, _ = dgeqrf(a, lwork=_lwork("geqrf", m, d), overwrite_a=overwrite_a)
+    # a real copy: at d=1, q[:d] is a view that dorgqr overwrites
+    r = np.array(q[:d], order="C")
     diag = np.abs(np.diag(r))
     if diag.min() <= RANK_RTOL * max(diag.max(), _TINY):
         raise NumericalError(message)
-    q, _, _ = dorgqr(qr, tau, lwork=_lwork("orgqr", m, d), overwrite_a=True)
+    q, _, _ = dorgqr(q, tau, lwork=_lwork("orgqr", m, d), overwrite_a=True)
+    return q, r
+
+
+def _qr(a: np.ndarray, message: str):
+    """:func:`_householder` of a copy of ``a``: (Q, R), both C-ordered, as numpy returns them."""
+    q, r = _householder(a, message)
     return np.ascontiguousarray(q), r
 
 
@@ -357,6 +371,28 @@ def _sv(a: np.ndarray) -> np.ndarray:
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     return s
+
+
+def _orthonormalize_in_place(f: np.ndarray) -> np.ndarray:
+    """:func:`orthonormalize` of a Fortran-ordered m x d array the caller owns, with m >= d, in place.
+
+    Returns ``f``, which now holds Q, bitwise the C-ordered Q that
+    ``orthonormalize(f)`` would return.  No n x d copy is made, so a caller
+    that drops its input once ``f`` exists holds one array fewer.  Raises
+    ``ValueError`` for a non-finite entry and ``NumericalError("rank
+    deficient")``, as ``orthonormalize`` does.  It raises ``ValueError``
+    too for a read-only array, which f2py would write through, and for one
+    of another layout or dtype, of which f2py would factor a copy and leave
+    ``f`` as it was.
+    """
+    if not (f.flags.f_contiguous and f.flags.writeable and f.dtype == np.float64):
+        raise ValueError("the in-place QR needs a writable Fortran-ordered float64 array")
+    # the least and largest entries are finite exactly when every entry is
+    # (NaN propagates through both), and reading them allocates no n x d mask
+    if not (math.isfinite(f.min()) and math.isfinite(f.max())):
+        raise ValueError("matrix entries must be finite")
+    _householder(f, "rank deficient", overwrite_a=1)
+    return f
 
 
 def orthonormalize(a) -> np.ndarray:

@@ -37,16 +37,18 @@ class Basis:
     """An n x d matrix with orthonormal columns (a point on the Grassmannian).
 
     ``Basis(arr)`` copies ``arr``, which must be real (``linalg._real_array``),
-    checks that the copy is finite and orthonormal within ``BASIS_DRIFT_TOL``,
-    and marks the copy read-only, so the caller's array stays its own and
-    stays writable.  ``copy``, ``deepcopy`` and ``pickle`` rebuild a basis
-    the same way.
+    into C order, checks that the copy is finite and orthonormal within
+    ``BASIS_DRIFT_TOL``, and marks the copy read-only, so the caller's array
+    stays its own and stays writable.  The copy is C-ordered whatever the
+    order of ``arr``, so the same values step through the same BLAS kernels
+    and give the same bits.  ``copy``, ``deepcopy`` and ``pickle`` rebuild
+    a basis the same way.
     """
 
     __slots__ = ("columns",)
 
     def __init__(self, columns):
-        _hold(self, np.array(_real_array("basis entries", columns)))
+        _hold(self, np.array(_real_array("basis entries", columns), order="C"))
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")

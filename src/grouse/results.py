@@ -17,11 +17,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .linalg import _orthonormalize_in_place
 from .metrics import BASIS_DRIFT_TOL, REORTHO_EVERY, Basis, _residual_energy, _rotate
 
-# orthonormalize and orthonormality_drift are called through these module
-# bindings, so a tracer that rebinds public names sees them inside the step loops.
-from .linalg import orthonormalize
+# orthonormality_drift is called through this module binding, so a tracer
+# that rebinds public names sees it inside the step loops; the QR runs
+# through the private _orthonormalize_in_place, which such a tracer does not see.
 from .metrics import orthonormality_drift
 
 # d - ||U^T ubar||_F^2 loses accuracy to cancellation near convergence; below
@@ -111,7 +112,9 @@ class _Trajectory:
             qr = orthonormality_drift(self.cols) > BASIS_DRIFT_TOL
             self._checked = not qr
         if qr:
-            self.cols = orthonormalize(self.cols)
+            # one Fortran-ordered workspace, factored in place and copied back,
+            # so two n x d arrays are alive, not orthonormalize's three
+            np.copyto(self.cols, _orthonormalize_in_place(np.array(self.cols, order="F")))
             self._checked = False
             if self._product is not None:
                 self._product = self.cols.T @ self._target

@@ -92,3 +92,23 @@ def see_one_cpu(monkeypatch):
     runs its trials as one range.
     """
     return lambda: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)`` runs ``call()`` and returns the peak of the bytes it held at once.
+
+    ``tracemalloc`` sees numpy's data buffers, so the peak counts every
+    array the call allocates while it runs.
+    """
+    import tracemalloc
+
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -4,7 +4,10 @@ import pytest
 from grouse.full_data import full_step, predicted_decrease, psi_diagnostic, run_full
 from grouse.metrics import Basis, epsilon, epsilon_residual
 from grouse.partial_data import Observation, run_stream
-from grouse.harness import pair_with_epsilon, random_basis
+from grouse.harness import ProblemSpec, generate_problem, pair_with_epsilon, random_basis
+from grouse.linalg import NumericalError
+from grouse.metrics import REORTHO_EVERY
+from grouse.results import _Trajectory
 
 
 def test_full_step_in_span_no_change():
@@ -275,3 +278,31 @@ def test_driver_allocates_no_basis_sized_array_per_step(driver):
     # the one owned buffer plus row blocks and vectors; a fresh n x d array
     # per step would add at least one more n*d*8 bytes
     assert peak < 2 * n * d * 8
+
+
+def test_run_full_through_a_cadence_qr_holds_at_most_two_basis_sized_arrays(traced_peak):
+    # the stepped buffer and the QR's one Fortran workspace; the QR copied
+    # out of a fresh factor held three (n*d^2 above _EXACT_EPS_LIMIT, so
+    # epsilon comes from the maintained product, not an n x d residual)
+    n, d = 20000, 20
+    ubar, u0 = generate_problem(ProblemSpec(n=n, d=d, q="full", iters=1, seed=6))
+    peak = traced_peak(lambda: run_full(u0, ubar, REORTHO_EVERY, seed=7))
+    assert peak <= 2.25 * n * d * 8
+
+
+@pytest.mark.parametrize(
+    "spoil, error, message",
+    [
+        (lambda cols: cols.__setitem__((3, 1), np.nan), ValueError, "^matrix entries must be finite$"),
+        (lambda cols: cols.__setitem__((slice(None), 1), cols[:, 0]), NumericalError, "^rank deficient$"),
+    ],
+    ids=["non-finite", "rank-deficient"],
+)
+def test_trajectory_qr_raises_what_orthonormalize_raises(spoil, error, message):
+    u0, ubar = pair_with_epsilon(40, 3, 0.3, seed=20)
+    track = _Trajectory(u0, ubar.columns, maintained=False)
+    for _ in range(REORTHO_EVERY - 1):
+        track.step(None, None)
+    spoil(track.cols)
+    with pytest.raises(error, match=message):
+        track.step(None, None)

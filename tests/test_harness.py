@@ -71,6 +71,16 @@ def test_generate_problem_determinism_and_spread():
     assert 0.0 < eps0 < 6.0
 
 
+def test_generate_problem_holds_at_most_three_basis_sized_arrays(traced_peak):
+    # the target, the start formed in the noise's array, and one Fortran
+    # workspace or Basis copy; the one-pass form held six at this shape
+    n, d = 20000, 20
+    # the first draw of a process imports numpy.random, about 0.7 MB of module objects
+    generate_problem(ProblemSpec(n=4, d=2, q="full", iters=1, seed=5))
+    peak = traced_peak(lambda: generate_problem(ProblemSpec(n=n, d=d, q="full", iters=1, seed=5)))
+    assert peak <= 3.25 * n * d * 8
+
+
 def test_pair_with_epsilon_exact_and_variants():
     for eps in (0.0, 1e-6, 0.3, 2.0):
         u, ubar = pair_with_epsilon(40, 4, eps, seed=9)

@@ -21,6 +21,7 @@ from grouse.linalg import (
     _lwork,
     _one_blas_thread,
     _openblas_thread_controls,
+    _orthonormalize_in_place,
     _qr,
     _sv,
     _workers,
@@ -29,6 +30,8 @@ from grouse.linalg import (
     orthonormalize,
     singular_values,
 )
+from grouse.full_data import run_full
+from grouse.harness import pair_with_epsilon
 from grouse.metrics import Basis, orthonormality_drift
 from grouse.partial_data import Observation, partial_residual
 
@@ -62,6 +65,49 @@ def test_orthonormalize_errors():
         orthonormalize(np.ones((2, 3)))
     with pytest.raises(ValueError):
         orthonormalize(np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "read-only C", "read-only F"])
+def test_qr_routines_never_write_their_argument(layout):
+    # f2py writes through the read-only flag, so only a copy keeps these intact
+    rng = np.random.default_rng(51)
+    a = np.array(rng.standard_normal((30, 4)), order=layout[-1])
+    b = rng.standard_normal(30)
+    if layout.startswith("read-only"):
+        a.flags.writeable = b.flags.writeable = False
+    before = a.tobytes(order="A"), b.tobytes()
+    orthonormalize(a)
+    least_squares(a, b)
+    _qr(a, "unused")
+    assert (a.tobytes(order="A"), b.tobytes()) == before
+
+
+@pytest.mark.per_core
+@pytest.mark.parametrize("shape", [(30, 4), (30, 1), (6, 6)])
+def test_orthonormalize_in_place_gives_orthonormalizes_q_in_its_own_array(shape):
+    a = np.random.default_rng(52).standard_normal(shape)
+    f = np.array(a, order="F")
+    assert _orthonormalize_in_place(f) is f
+    assert f.flags.f_contiguous and f.tobytes() == orthonormalize(a).tobytes()
+
+
+def test_orthonormalize_in_place_refuses_an_array_it_would_not_overwrite():
+    # f2py would write through the read-only flag, and would factor a copy
+    # of the C-ordered or float32 array and leave that array as it was
+    a = np.random.default_rng(53).standard_normal((30, 4))
+    read_only = np.array(a, order="F")
+    read_only.flags.writeable = False
+    for bad in (a, read_only, np.asfortranarray(a, dtype=np.float32)):
+        with pytest.raises(ValueError, match="^the in-place QR needs a writable Fortran-ordered float64 array$"):
+            _orthonormalize_in_place(bad)
+    assert read_only.tobytes() == np.array(a, order="F").tobytes()
+
+
+def test_orthonormalize_in_place_raises_what_orthonormalize_raises():
+    with pytest.raises(NumericalError, match="^rank deficient$"):
+        _orthonormalize_in_place(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], order="F"))
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        _orthonormalize_in_place(np.array([[np.inf, 0.0], [0.0, 1.0], [1.0, 0.0]], order="F"))
 
 
 def test_least_squares_identity_design():
@@ -337,6 +383,26 @@ def test_one_blas_thread_pins_both_bundled_openblas_libraries_and_restores():
             assert previous == entry
             assert [getter() for _, getter in controls] == [1, 1]
         assert tuple(getter() for _, getter in controls) == entry
+    finally:
+        for (setter, _), count in zip(controls, initial):
+            setter(count)
+
+
+def test_without_bundled_openblas_nothing_is_pinned_and_runs_still_run(monkeypatch):
+    # a numpy or scipy built against another BLAS: no thread control is found
+    controls = _openblas_thread_controls()
+    initial = [getter() for _, getter in controls]
+    monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: ())
+    try:
+        for setter, _ in controls:
+            setter(2)
+        with _one_blas_thread() as previous:
+            assert previous == ()
+            assert [getter() for _, getter in controls] == [2] * len(controls)
+        assert [getter() for _, getter in controls] == [2] * len(controls)
+        u0, ubar = pair_with_epsilon(60, 3, 0.3, seed=8)
+        res = run_full(u0, ubar, 120, seed=9)
+        assert len(res.epsilons) == 121 and res.epsilons[-1] < res.epsilons[0]
     finally:
         for (setter, _), count in zip(controls, initial):
             setter(count)

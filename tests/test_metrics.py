@@ -17,7 +17,10 @@ from grouse.metrics import (
     principal_angles,
     revealed_angle_sin_sq,
 )
-from grouse.harness import pair_with_epsilon, random_basis
+from grouse.full_data import run_full
+from grouse.harness import ProblemSpec, _observation_stream, generate_problem, pair_with_epsilon, random_basis
+from grouse.partial_data import Observation, run_stream
+from grouse.results import _STEP_DTYPE
 
 
 def basis_from(cols) -> Basis:
@@ -67,6 +70,25 @@ def test_basis_copies_and_pickles_through_the_checked_constructor():
 
     with pytest.raises(ValueError, match="orthonormal"):
         pickle.loads(pickle.dumps(Forged()))
+
+
+@pytest.mark.per_core
+def test_basis_of_either_memory_order_steps_to_the_same_bits():
+    # a Fortran-ordered basis kept its order and stepped through other BLAS
+    # kernels, which moved run_full's epsilons by up to 2.6e-11 relative here
+    spec = ProblemSpec(n=500, d=8, q=60, iters=200, seed=41)
+    ubar, u0 = generate_problem(spec)
+    observations = [Observation(spec.n, *draw) for draw in _observation_stream(spec, ubar)]
+    runs = {}
+    for order in "CF":
+        u = Basis(np.array(u0.columns, order=order))
+        assert u.columns.flags.c_contiguous and not u.columns.flags.writeable
+        assert u.columns.tobytes() == u0.columns.tobytes()
+        runs[order] = [
+            [getattr(res, name).tobytes() for name in _STEP_DTYPE.names + ("epsilons",)]
+            for res in (run_full(u, ubar, spec.iters, seed=42), run_stream(u, observations, 1.0, ubar))
+        ]
+    assert runs["C"] == runs["F"]
 
 
 def test_adopted_basis_holds_its_array_after_the_basis_checks():

@@ -535,7 +535,7 @@ def _assert_chain_of_grouse_steps(u, stream, alpha, ubar):
             qr = grouse.results.orthonormality_drift(u_next.columns) > BASIS_DRIFT_TOL
             checked = not qr
         if qr:
-            u_next = Basis(grouse.results.orthonormalize(u_next.columns))
+            u_next = Basis(grouse.results._orthonormalize_in_place(np.array(u_next.columns, order="F")))
             checked = False
         epsilons.append(epsilon_residual(u_next, ubar))
         u = u_next
@@ -600,18 +600,20 @@ def test_steps_after_drift_triggered_qrs_are_a_chain_of_grouse_steps(monkeypatch
     import grouse.results
 
     second, excess = {}, []
-    real_qr, real_drift = grouse.results.orthonormalize, grouse.results.orthonormality_drift
+    real_qr, real_drift = grouse.results._orthonormalize_in_place, grouse.results.orthonormality_drift
 
-    def qr(a):
-        q = real_qr(a)
-        second[q.tobytes()] = a.tobytes() in second
+    def qr(f):
+        # the QR overwrites its input, so its bytes are read first
+        factor_of_factor = f.tobytes() in second
+        q = real_qr(f)
+        second[q.tobytes()] = factor_of_factor
         return q
 
     def drift(cols):
         excess.append(not second.get(cols.tobytes(), False))
         return 1.0 if excess[-1] else real_drift(cols)
 
-    monkeypatch.setattr(grouse.results, "orthonormalize", qr)
+    monkeypatch.setattr(grouse.results, "_orthonormalize_in_place", qr)
     monkeypatch.setattr(grouse.results, "orthonormality_drift", drift)
     u0, ubar, stream = _gated_stream(ProblemSpec(n=2000, d=10, q=80, iters=150, seed=40))
     records = _assert_chain_of_grouse_steps(u0, stream, 1.0, ubar)
@@ -1005,11 +1007,13 @@ def test_reorthonormalization_cadence(driver, monkeypatch):
     u0, ubar = pair_with_epsilon(40, 3, 0.3, seed=22)
     seen, at = [0], []
 
-    def counting_orthonormalize(a):
-        at.append(seen[0])
-        return orthonormalize(a)
+    real_qr = grouse.results._orthonormalize_in_place
 
-    monkeypatch.setattr(grouse.results, "orthonormalize", counting_orthonormalize)
+    def counting_qr(f):
+        at.append(seen[0])
+        return real_qr(f)
+
+    monkeypatch.setattr(grouse.results, "_orthonormalize_in_place", counting_qr)
     if driver == "run_full":
         split = grouse.full_data._split
 
