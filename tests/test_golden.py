@@ -1,12 +1,12 @@
 """Golden digests: seeded runs must reproduce these SHA-256 hashes bit for bit.
 
 The digests hash in-memory arrays (not trajectory CSVs, whose column set
-may grow) plus the bytes of four seeded CLI CSVs: two sweeps, one gated
-and one with the gate bypassed, and the per-trial reports of
+may grow) plus the bytes of five seeded CLI CSVs: two sweeps, one gated
+and one with the gate bypassed, the per-trial reports of
 ``validate-residual`` and ``validate-concentration``, whose trials run in
-forked workers.  OpenBLAS partitions some
-products differently per thread count, so the runs happen in a child
-process with BLAS pinned to one thread.  Recorded with Python 3.11.7 on
+forked workers, and the summary of ``validate-expectation``.  OpenBLAS
+partitions some products differently per thread count, so the runs happen
+in a child process with BLAS pinned to one thread.  Recorded with Python 3.11.7 on
 x86_64, numpy 2.4.6 (bundled OpenBLAS 0.3.31) and scipy 1.17.1 (bundled
 OpenBLAS 0.3.30), both DYNAMIC_ARCH builds.
 
@@ -17,7 +17,7 @@ scipy's), as ``scipy_openblas_get_corename64_`` and
 was recorded on a machine whose OpenBLAS picks that core; the Haswell and
 Sandybridge sets on the same machine, with ``OPENBLAS_CORETYPE`` set for
 the child process only.  On a pair with no recorded set (another core, or
-a BLAS build whose libraries are not found) the nine digest tests skip,
+a BLAS build whose libraries are not found) the digest tests skip,
 naming the pair, and no bitwise check of the seeded runs takes place; every
 other test still runs.  Any change to the algorithms that reorders
 floating-point operations shows up here.
@@ -60,6 +60,7 @@ GOLDEN = {
         "sweep_bypassed_csv": "3a78c525ccb640d180ba6f7dff09ba0745e40b62eb1dab6e98a6d31aadb45953",
         "residual_csv": "d10e707b2867157caba8773f750cd32a3bdb3ae6e45e5125df96dfadb530d701",
         "concentration_csv": "3be7bc8e4e94b1c7a3eb6220c58e2a223dc59c671e7aaa9180e0ab2049b83dce",
+        "expectation_csv": "e8088036e3bb5804260db23f727f9215e13d8c8d056f0a3f5fe5b543d37ddd83",
     },
     ("Haswell", "Haswell"): {
         "full_exact_epsilon": "f0f8606da01d10dca139eb8ba480f58f8cf61d6c8339d97e89d945f5b2570457",
@@ -71,6 +72,7 @@ GOLDEN = {
         "sweep_bypassed_csv": "72bc1d1a86ea7dc99e0f9ed863649d425114a7afe389a992b782b55f3011578f",
         "residual_csv": "9eba841445dd1359a3228c4eec0defcf041bdf4c25fcfae7783cbfbb33a4b90e",
         "concentration_csv": "0f981ad20b89533e98f8a23f0e238328fd74b29a73aafc15542db49662f38a9d",
+        "expectation_csv": "e8088036e3bb5804260db23f727f9215e13d8c8d056f0a3f5fe5b543d37ddd83",
     },
     ("Sandybridge", "Sandybridge"): {
         "full_exact_epsilon": "664f3feeb1b1c7518c73455abe8cafd6ed27e9318892c6a3cc2d76be55e4d62c",
@@ -82,6 +84,7 @@ GOLDEN = {
         "sweep_bypassed_csv": "450d74447b0f82df72f97989191692df4f076d4a2fbe6b962856538ce629fb26",
         "residual_csv": "2324a4538f6d61379cfaf2461465b8215ac9b2871eedc23e057743c62507e2fd",
         "concentration_csv": "d710e6200f01cc321b24abc94a25dac1d8a433f0a919bdd1434e71ca8a046d98",
+        "expectation_csv": "152aebee2e826a03aba8153a8925bdf9cd3e2b963acbb51420e25e3d7546a901",
     },
 }
 _NAMES = sorted(GOLDEN[("SkylakeX", "SkylakeX")])
@@ -184,6 +187,10 @@ def compute_digests() -> dict:
         "concentration_csv": _cli_csv_sha(
             "validate-concentration --n 200 --d 4 --omega_size 80 --delta 0.1"
             " --trials 1201 --seed 20"
+        ),
+        # several chunks of validate_sin_sq_expectation and a short last one
+        "expectation_csv": _cli_csv_sha(
+            "validate-expectation --n 100 --d 5 --epsilon 0.05 --trials 20001 --seed 21"
         ),
     }
 
