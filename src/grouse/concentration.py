@@ -27,8 +27,13 @@ from .results import _FLAG, _FLOAT, _INT, _read_table, _write_table
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-# Trials drawn per batch by validate_sin_sq_expectation; bounds its memory.
-_CHUNK = 8192
+# Doubles in each of validate_sin_sq_expectation's two chunk buffers, so its
+# memory does not grow with n or trials: a chunk is about _CHUNK_DOUBLES // n
+# trials.  Both buffers (1 MB together) fit in one core's 2 MB L2.  Median of
+# 7 runs (2-core Xeon, one BLAS thread) for 2**13 ... 2**18 doubles: 33, 25,
+# 23, 22, 25, 36 ms at n=100, d=5, 50000 trials (8192-trial chunks: 62 ms);
+# 116, 99, 71, 65, 82, 118 ms at n=1000, d=5, 20000 trials (282 ms).
+_CHUNK_DOUBLES = 2**16
 
 # The fewest trials a forked validator worker runs (see _trial_ranges).  The
 # pool costs 16-30 ms on two cores.  Median of 7 runs at n=200, d=4,
@@ -282,15 +287,26 @@ def validate_sin_sq_expectation(u: Basis, ubar: Basis, trials: int, seed: int):
     _count("trials", trials, 2)
     rng = _rng(seed)
     vals = np.empty(trials)
+    # an even number of trials per chunk, at least two, as in 8192-trial
+    # chunks: numpy runs a one-row product through the vector kernel, and
+    # OpenBLAS's Haswell dgemm an odd last row through another kernel, each
+    # with other bits.  A last chunk of one trial joins the chunk before it.
+    # (SkylakeX's dgemm also picks a kernel by product size, so at some
+    # shapes a trial's last bits differ from those of 8192-trial chunks.)
+    rows = max(2, _CHUNK_DOUBLES // u.n // 2 * 2)
+    v_buf = np.empty((min(trials, rows + 1), u.n))
+    resid_buf = np.empty_like(v_buf)
     done = 0
     while done < trials:
-        take = min(_CHUNK, trials - done)
+        take = min(rows, trials - done)
+        if trials - done - take == 1:
+            take += 1
         s = rng.standard_normal((take, ubar.d))
-        v = s @ ubar.columns.T
+        v = np.matmul(s, ubar.columns.T, out=v_buf[:take])
         # not metrics._off_span: its product order would change the bytes of validate-expectation
-        resid = (v @ u.columns) @ u.columns.T
+        resid = np.matmul(v @ u.columns, u.columns.T, out=resid_buf[:take])
         # the subtraction and both squares overwrite an operand, bitwise the
-        # out-of-place forms: a chunk makes two take x n arrays, not five
+        # out-of-place forms
         np.subtract(v, resid, out=resid)
         np.multiply(resid, resid, out=resid)
         np.multiply(v, v, out=v)

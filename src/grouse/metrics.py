@@ -132,7 +132,14 @@ def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
     the product and the sum together, and a +0.0 start would turn a -0.0
     product into +0.0; either can change a bit.
     """
-    gain = (np.cos(angle) - 1.0) * p / norm_p + np.sin(angle) * r / norm_r
+    # (cos(angle) - 1) p / norm_p + sin(angle) r / norm_r, each operation in
+    # place where it can be, so the bits are the same: two n-vectors, not three
+    gain = (np.cos(angle) - 1.0) * p
+    gain /= norm_p
+    term = np.sin(angle) * r
+    term /= norm_r
+    gain += term
+    del term
     y = w / norm_w
     rows = max(1, _BLOCK // cols.shape[1])
     tmp = np.empty((min(rows, cols.shape[0]), cols.shape[1]))
@@ -217,22 +224,28 @@ def epsilon_residual(u: Basis, ubar: Basis) -> float:
     return _residual_energy(u.columns, ubar.columns)
 
 
-def _residual_energy(cols: np.ndarray, target: np.ndarray) -> float:
+def _residual_energy(cols: np.ndarray, target: np.ndarray, work: np.ndarray | None = None) -> float:
     """||cols - target target^T cols||_F^2 on bare arrays; see :func:`epsilon_residual`.
 
     Drivers that own a writable basis buffer measure it through this, since
-    wrapping the buffer in a :class:`Basis` would freeze it.
+    wrapping the buffer in a :class:`Basis` would freeze it.  ``work``, a
+    C-ordered array of the shape of ``cols``, holds the residual and its
+    squares if given; else one such array is made.  The bits are the same.
     """
-    g = _off_span(target, cols)
-    return float(np.sum(g * g))
+    g = _off_span(target, cols, work)
+    np.multiply(g, g, out=g)
+    return float(np.sum(g))
 
 
-def _off_span(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _off_span(cols: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``v - cols (cols^T v)``: the part of a vector ``v``, or of each column of ``v``, off span(cols).
 
     The one spelling of this residual, so each caller gets the same bits.
+    The product and then the residual are written to ``out`` (made if None,
+    C-ordered if given), which is returned.
     """
-    return v - cols @ (cols.T @ v)
+    out = np.matmul(cols, cols.T @ v, out=out)
+    return np.subtract(v, out, out=out)
 
 
 # A vector whose largest |entry| lies in this range keeps its squares and

@@ -84,6 +84,8 @@ class _Trajectory:
         self._steps = 0
         # the Basis the buffer copies passed the drift check
         self._checked = True
+        # holds the residual of each epsilon measured from scratch; made by the first
+        self._work = None
         self._epsilons = None if target is None else [self._measure()]
 
     def _measure(self) -> float:
@@ -91,7 +93,9 @@ class _Trajectory:
             rough = float(self.cols.shape[1] - np.sum(self._product * self._product))
             if rough >= _EPS_SWITCH:
                 return rough
-        return _residual_energy(self.cols, self._target)
+        if self._work is None:
+            self._work = np.empty_like(self.cols)
+        return _residual_energy(self.cols, self._target, self._work)
 
     def step(self, row: tuple | None, rotation: tuple | None) -> None:
         """Record a step, rotating the buffer by ``_rotate(cols, *rotation)`` unless it is None.

@@ -132,6 +132,53 @@ def test_sin_sq_expectation_seeded():
     assert abs(mean - 0.05 / 5) <= 4 * stderr
 
 
+def _draw_rows(monkeypatch) -> list:
+    """The trials of each chunk that validate_sin_sq_expectation draws, in order, for the rest of the test."""
+    rows, real = [], concentration._rng
+
+    class Drawn:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def standard_normal(self, size):
+            rows.append(size[0])
+            return self._rng.standard_normal(size)
+
+    monkeypatch.setattr(concentration, "_rng", Drawn)
+    return rows
+
+
+# n=100: the default budget makes chunks of 654 trials
+@pytest.mark.per_core
+@pytest.mark.parametrize("trials", [2, 3, 1001, 2 * 654, 3 * 654 + 1, 20001])
+def test_sin_sq_expectation_bits_do_not_depend_on_the_chunk_size(monkeypatch, trials):
+    # budgets of 2, 3 and 7 trials make chunks of 2, 2 and 6 (even, so
+    # OpenBLAS's Haswell dgemm runs no odd last row through another kernel),
+    # and one below n makes chunks of two; an odd trial count or one past a
+    # multiple of the chunk would leave a last chunk of one trial, which
+    # joins the chunk before it
+    u, ubar = pair_with_epsilon(100, 5, 0.05, seed=31)
+    drawn = _draw_rows(monkeypatch)
+    default = validate_sin_sq_expectation(u, ubar, trials, seed=32)
+    budget_rows = {concentration._CHUNK_DOUBLES: 654, 200: 2, 300: 2, 700: 6, 99: 2}
+    for budget, rows in budget_rows.items():
+        monkeypatch.setattr(concentration, "_CHUNK_DOUBLES", budget)
+        drawn.clear()
+        assert validate_sin_sq_expectation(u, ubar, trials, seed=32) == default
+        assert sum(drawn) == trials
+        assert drawn[:-1] == [rows] * (len(drawn) - 1)
+        assert 2 <= drawn[-1] <= rows + 1
+
+
+@pytest.mark.parametrize("n, trials", [(100, 50_000), (1000, 20_000)])
+def test_sin_sq_expectation_memory_does_not_grow_with_n_or_trials(traced_peak, n, trials):
+    # two reused chunk buffers of _CHUNK_DOUBLES doubles and the trials'
+    # values; 8192-trial chunks peaked at 20.7 MB and 197.4 MB
+    u, ubar = pair_with_epsilon(n, 5, 0.05, seed=26)
+    peak = traced_peak(lambda: validate_sin_sq_expectation(u, ubar, trials, seed=27))
+    assert peak <= 4 * 2**20
+
+
 def test_mu_xt_constant_in_dimension_two():
     u = Basis(np.array([[1.0], [0.0]]))
     ubar = Basis(np.array([[np.cos(0.4)], [np.sin(0.4)]]))

@@ -290,6 +290,16 @@ def test_run_full_through_a_cadence_qr_holds_at_most_two_basis_sized_arrays(trac
     assert peak <= 2.25 * n * d * 8
 
 
+def test_recorded_run_stream_holds_at_most_two_basis_sized_arrays(traced_peak):
+    # the stepped buffer and the one workspace epsilon is measured in from
+    # scratch, plus the step's vectors; the residual's two temporaries held three
+    n, d = 20000, 20
+    ubar, u0 = generate_problem(ProblemSpec(n=n, d=d, q="full", iters=1, seed=6))
+    stream = _stream(ubar, 10, 200, seed=8)
+    peak = traced_peak(lambda: run_stream(u0, stream, ubar=ubar, bypass_gate=True))
+    assert peak <= 2.25 * n * d * 8
+
+
 @pytest.mark.parametrize(
     "spoil, error, message",
     [
