@@ -291,7 +291,7 @@ def validate_sin_sq_expectation(u: Basis, ubar: Basis, trials: int, seed: int):
     # chunks: numpy runs a one-row product through the vector kernel, and
     # OpenBLAS's Haswell dgemm an odd last row through another kernel, each
     # with other bits.  A last chunk of one trial joins the chunk before it.
-    # (SkylakeX's dgemm also picks a kernel by product size, so at some
+    # (SkylakeX's dgemm also picks a kernel by product size, so at many
     # shapes a trial's last bits differ from those of 8192-trial chunks.)
     rows = max(2, _CHUNK_DOUBLES // u.n // 2 * 2)
     v_buf = np.empty((min(trials, rows + 1), u.n))
