@@ -16,11 +16,9 @@ from .linalg import (
 )
 from .metrics import (
     Basis,
-    SubspaceDiagnostics,
     alignment,
     coherence_basis,
     coherence_vector,
-    diagnostics,
     epsilon,
     epsilon_residual,
     principal_angles,

@@ -64,11 +64,14 @@ def _add_problem_flags(sub, with_q: bool):
     sub.add_argument("--d", type=int, required=True, help="subspace dimension")
     if with_q:
         sub.add_argument("--q", type=int, required=True, help="observed entries per step")
-    sub.add_argument("--alpha", type=float, default=1.0, help="step fudge factor in (0,2)")
+    sub.add_argument(
+        "--alpha", type=float, default=ProblemSpec.alpha, help="step fudge factor in (0,2)"
+    )
     sub.add_argument("--iters", type=int, required=True, help="number of iterations")
     sub.add_argument("--seed", type=int, required=True, help="base seed (mandatory)")
     sub.add_argument(
-        "--init_noise_std", type=float, default=0.5, help="starting-basis noise std"
+        "--init_noise_std", type=float, default=ProblemSpec.init_noise_std,
+        help="starting-basis noise std",
     )
     sub.add_argument("--spec_out", default=None, help="also write the run-spec file here")
 
@@ -99,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=10, help="trials per cell")
     sweep.add_argument("--iters", type=int, default=500)
     sweep.add_argument("--seed", type=int, required=True)
-    sweep.add_argument("--alpha", type=float, default=1.0)
-    sweep.add_argument("--init_noise_std", type=float, default=0.5)
+    sweep.add_argument("--alpha", type=float, default=ProblemSpec.alpha)
+    sweep.add_argument("--init_noise_std", type=float, default=ProblemSpec.init_noise_std)
     sweep.add_argument("--bypass_gate", action="store_true", help="take every step")
     sweep.add_argument("--out", required=True, help="sweep CSV path")
 

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import EPSILON_FLOOR
 from .linalg import _count, _fork_map, _lstsq, _real, _rng, _workers
-from .metrics import Basis, _check_pair, _dims, _off_span, coherence_basis, coherence_vector
-from .metrics import epsilon_residual
+from .metrics import EPSILON_FLOOR, Basis, _check_pair, _dims, _off_span, coherence_basis
+from .metrics import coherence_vector, epsilon_residual
 from .partial_data import _gate, _passes, _sample
 from .results import _FLAG, _FLOAT, _INT, _read_table, _write_table
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .full_data import run_full
 from .linalg import _count, _fork_map, _orthonormalize_in_place, _real, _real_array, _rng, orthonormalize
-from .metrics import Basis, _dims, _residual_energy
+from .metrics import EPSILON_FLOOR, Basis, _dims, _residual_energy
 from .partial_data import _check_alpha, _run_stream, _sample
 from .results import (
     _FLOAT,
@@ -36,11 +36,6 @@ from .results import (
 
 _PROBLEM_STREAM = 1
 _OBSERVATION_STREAM = 2
-
-# epsilon values below this are double-precision measurement noise and are
-# excluded from tail-slope fits.
-EPSILON_FLOOR = 1e-24
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -316,8 +311,8 @@ def sweep_phase(
     seed: int = 0,
     *,
     bypass_gate: bool = False,
-    alpha: float = 1.0,
-    init_noise_std: float = 0.5,
+    alpha: float = ProblemSpec.alpha,
+    init_noise_std: float = ProblemSpec.init_noise_std,
 ) -> list[SweepCell]:
     """Mean fitted X over seeded trials for every (n, d, q) grid cell.
 
@@ -387,16 +382,10 @@ def read_sweep_csv(path) -> list[SweepCell]:
     return [SweepCell(*stats) for stats in zip(*(c.tolist() for c in _read_table(path, _SWEEP)))]
 
 
-# The run-spec file's keys, in file order, each with the kind of its value.
-_SPEC_KEYS = {
-    "n": _INT,
-    "d": _INT,
-    "q": _INT_OR_FULL,
-    "iters": _INT,
-    "seed": _INT,
-    "alpha": _FLOAT,
-    "init_noise_std": _FLOAT,
-}
+# The run-spec file's keys, in file order: ProblemSpec's fields, each with
+# the kind its annotation names (a KeyError at import for any other).
+_KINDS = {"int": _INT, "int | str": _INT_OR_FULL, "float": _FLOAT}
+_SPEC_KEYS = {f.name: _KINDS[f.type] for f in fields(ProblemSpec)}
 
 
 def write_problem_spec(path, spec: ProblemSpec) -> None:
@@ -417,22 +406,22 @@ def read_problem_spec(path) -> ProblemSpec:
     ``init_noise_std=.5`` are rejected.  ValueError on a missing, unknown or
     repeated key or such a value.
     """
-    fields: dict[str, str] = {}
+    text: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
             if not line.strip():
                 continue
             key, _, value = line.removesuffix("\n").partition("=")
-            if key not in _SPEC_KEYS or key in fields:
+            if key not in _SPEC_KEYS or key in text:
                 raise ValueError(f"problem spec file has an unknown or repeated key {key!r}")
-            fields[key] = value
-    missing = [key for key in _SPEC_KEYS if key not in fields]
+            text[key] = value
+    missing = [key for key in _SPEC_KEYS if key not in text]
     if missing:
         raise ValueError(f"problem spec file lacks the {missing[0]} field")
     values = {}
     for key, kind in _SPEC_KEYS.items():
         try:
-            (values[key],) = _read_cells(kind, [fields[key]])
+            (values[key],) = _read_cells(kind, [text[key]])
         except ValueError as exc:
             raise ValueError(f"malformed {key} value: {exc}") from None
     return ProblemSpec(**values)

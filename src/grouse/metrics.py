@@ -12,7 +12,6 @@ new :class:`Basis`) and the off-span residual ``v - U (U^T v)``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,17 +177,6 @@ def orthonormality_drift(columns: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-@dataclass(frozen=True)
-class SubspaceDiagnostics:
-    """Progress and regularity measures for a (u, ubar[, v]) configuration."""
-
-    principal_angles: np.ndarray
-    epsilon: float
-    coherence_current: float
-    coherence_target: float
-    cos_sq_theta: float | None = None
-
-
 def _check_pair(u: Basis, ubar: Basis | None) -> None:
     """The pair rule: two bases share n and d; ValueError otherwise.  A missing ``ubar`` passes."""
     if ubar is not None and (u.n, u.d) != (ubar.n, ubar.d):
@@ -213,12 +201,17 @@ def epsilon(u: Basis, ubar: Basis) -> float:
     return float(u.d - np.sum(g * g))
 
 
+# epsilon values below this are double-precision measurement noise and are
+# excluded from tail-slope fits.
+EPSILON_FLOOR = 1e-24
+
+
 def epsilon_residual(u: Basis, ubar: Basis) -> float:
     """Same quantity as :func:`epsilon`, computed as ||u - ubar(ubar^T u)||_F^2.
 
-    Avoids the d - x cancellation, so it stays accurate down to ~1e-24 near
-    convergence; preferred for recorded trajectories.  Agrees with
-    :func:`epsilon` to ~1e-14 absolute.
+    Avoids the d - x cancellation, so it stays accurate down to about
+    ``EPSILON_FLOOR`` near convergence; preferred for recorded
+    trajectories.  Agrees with :func:`epsilon` to ~1e-14 absolute.
     """
     _check_pair(u, ubar)
     return _residual_energy(u.columns, ubar.columns)
@@ -306,15 +299,3 @@ def alignment(u: Basis, ubar: Basis) -> np.ndarray:
     except NumericalError:
         raise NumericalError("subspaces share no aligned frame") from None
 
-
-def diagnostics(u: Basis, ubar: Basis, v=None) -> SubspaceDiagnostics:
-    """Bundle angles, epsilon, coherences and (optionally) the revealed angle."""
-    angles = principal_angles(u, ubar)
-    cos_sq = None if v is None else 1.0 - revealed_angle_sin_sq(u, v)
-    return SubspaceDiagnostics(
-        principal_angles=angles,
-        epsilon=epsilon(u, ubar),
-        coherence_current=coherence_basis(u),
-        coherence_target=coherence_basis(ubar),
-        cos_sq_theta=cos_sq,
-    )

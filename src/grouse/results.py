@@ -84,7 +84,8 @@ class _Trajectory:
         self._steps = 0
         # the Basis the buffer copies passed the drift check
         self._checked = True
-        # holds the residual of each epsilon measured from scratch; made by the first
+        # n*d doubles, made at first need: a from-scratch epsilon's residual
+        # (a C-ordered view) or a QR's factor (a Fortran-ordered view)
         self._work = None
         self._epsilons = None if target is None else [self._measure()]
 
@@ -93,9 +94,13 @@ class _Trajectory:
             rough = float(self.cols.shape[1] - np.sum(self._product * self._product))
             if rough >= _EPS_SWITCH:
                 return rough
+        return _residual_energy(self.cols, self._target, self._workspace("C"))
+
+    def _workspace(self, order: str) -> np.ndarray:
+        """The trajectory's one n x d workspace, viewed in ``order`` ("C" or "F")."""
         if self._work is None:
-            self._work = np.empty_like(self.cols)
-        return _residual_energy(self.cols, self._target, self._work)
+            self._work = np.empty(self.cols.size)
+        return self._work.reshape(self.cols.shape, order=order)
 
     def step(self, row: tuple | None, rotation: tuple | None) -> None:
         """Record a step, rotating the buffer by ``_rotate(cols, *rotation)`` unless it is None.
@@ -116,9 +121,11 @@ class _Trajectory:
             qr = orthonormality_drift(self.cols) > BASIS_DRIFT_TOL
             self._checked = not qr
         if qr:
-            # one Fortran-ordered workspace, factored in place and copied back,
-            # so two n x d arrays are alive, not orthonormalize's three
-            np.copyto(self.cols, _orthonormalize_in_place(np.array(self.cols, order="F")))
+            # factored in place in the workspace and copied back, so the buffer
+            # and the workspace are the only n x d arrays alive
+            work = self._workspace("F")
+            np.copyto(work, self.cols)
+            np.copyto(self.cols, _orthonormalize_in_place(work))
             self._checked = False
             if self._product is not None:
                 self._product = self.cols.T @ self._target

@@ -24,7 +24,6 @@ from grouse import (
     ProblemSpec,
     alignment,
     coherence_vector,
-    diagnostics,
     epsilon,
     epsilon_residual,
     estimate_skip_rate,
@@ -79,7 +78,6 @@ _CALLS = {
     ),
     "alignment": (alignment, dict(u=U, ubar=UBAR), dict(ubar="pair")),
     "coherence_vector": (coherence_vector, dict(x=V), dict(x="free vector")),
-    "diagnostics": (diagnostics, dict(u=U, ubar=UBAR, v=V), dict(ubar="pair", v="vector")),
     "epsilon": (epsilon, dict(u=U, ubar=UBAR), dict(ubar="pair")),
     "epsilon_residual": (epsilon_residual, dict(u=U, ubar=UBAR), dict(ubar="pair")),
     "estimate_skip_rate": (
@@ -160,8 +158,7 @@ _CALLS = {
 _NOTHING_TO_REPLACE = {
     # records and the error type
     "ConcentrationReport", "FullStepRecord", "GateVerdict", "MuXtSummary",
-    "NumericalError", "ResidualBoundReport", "StepRecord", "SubspaceDiagnostics", "SweepCell",
-    "TrialResult",
+    "NumericalError", "ResidualBoundReport", "StepRecord", "SweepCell", "TrialResult",
     # single bases, matrices and problem specs
     "Basis", "coherence_basis", "generate_problem", "nearest_orthogonal", "orthonormalize",
     "partial_residual", "run_full_trial", "run_partial_trial", "singular_values",

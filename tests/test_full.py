@@ -146,6 +146,12 @@ def test_psi_diagnostic_bounds():
         assert -1e-12 <= psi <= e + 1e-12
 
 
+def test_psi_diagnostic_rejects_zero_coefficients():
+    u, ubar = pair_with_epsilon(20, 2, 0.1, seed=10)
+    with pytest.raises(ValueError, match="^zero coefficient vector$"):
+        psi_diagnostic(u, ubar, [0.0, 0.0])
+
+
 def test_psi_expectation_matches_eps_over_d():
     rng = np.random.default_rng(11)
     u, ubar = pair_with_epsilon(60, 5, 0.25, seed=11)
@@ -298,6 +304,16 @@ def test_recorded_run_stream_holds_at_most_two_basis_sized_arrays(traced_peak):
     stream = _stream(ubar, 10, 200, seed=8)
     peak = traced_peak(lambda: run_stream(u0, stream, ubar=ubar, bypass_gate=True))
     assert peak <= 2.25 * n * d * 8
+
+
+def test_recorded_run_stream_through_a_cadence_qr_holds_at_most_two_basis_sized_arrays(traced_peak):
+    # the QR factors in the epsilon workspace's memory, viewed in Fortran
+    # order; a QR workspace of its own beside it held three
+    n, d = 20000, 20
+    ubar, u0 = generate_problem(ProblemSpec(n=n, d=d, q="full", iters=1, seed=6))
+    stream = _stream(ubar, REORTHO_EVERY + 1, 200, seed=8)
+    peak = traced_peak(lambda: run_stream(u0, stream, ubar=ubar, bypass_gate=True))
+    assert peak <= 2.3 * n * d * 8
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 """Golden digests: seeded runs must reproduce these SHA-256 hashes bit for bit.
 
 The digests hash in-memory arrays (not trajectory CSVs, whose column set
-may grow) plus the bytes of five seeded CLI CSVs: two sweeps, one gated
+may grow) plus the bytes of six seeded CLI CSVs: two sweeps, one gated
 and one with the gate bypassed, the per-trial reports of
 ``validate-residual`` and ``validate-concentration``, whose trials run in
-forked workers, and the summary of ``validate-expectation``.  OpenBLAS
+forked workers, and two summaries of ``validate-expectation``.  OpenBLAS
 partitions some products differently per thread count, so the runs happen
 in a child process with BLAS pinned to one thread.  Recorded with Python 3.11.7 on
 x86_64, numpy 2.4.6 (bundled OpenBLAS 0.3.31) and scipy 1.17.1 (bundled
@@ -61,6 +61,7 @@ GOLDEN = {
         "residual_csv": "d10e707b2867157caba8773f750cd32a3bdb3ae6e45e5125df96dfadb530d701",
         "concentration_csv": "3be7bc8e4e94b1c7a3eb6220c58e2a223dc59c671e7aaa9180e0ab2049b83dce",
         "expectation_csv": "e8088036e3bb5804260db23f727f9215e13d8c8d056f0a3f5fe5b543d37ddd83",
+        "expectation_kernel_csv": "f62dd133719cda3607f13ad472f5e6b6ca9a1721602ade05baac6d292f572d89",
     },
     ("Haswell", "Haswell"): {
         "full_exact_epsilon": "f0f8606da01d10dca139eb8ba480f58f8cf61d6c8339d97e89d945f5b2570457",
@@ -73,6 +74,7 @@ GOLDEN = {
         "residual_csv": "9eba841445dd1359a3228c4eec0defcf041bdf4c25fcfae7783cbfbb33a4b90e",
         "concentration_csv": "0f981ad20b89533e98f8a23f0e238328fd74b29a73aafc15542db49662f38a9d",
         "expectation_csv": "e8088036e3bb5804260db23f727f9215e13d8c8d056f0a3f5fe5b543d37ddd83",
+        "expectation_kernel_csv": "6427722a41cd0de325652ab61d8c993d07369168a28c4bf7a29f8edad74b1654",
     },
     ("Sandybridge", "Sandybridge"): {
         "full_exact_epsilon": "664f3feeb1b1c7518c73455abe8cafd6ed27e9318892c6a3cc2d76be55e4d62c",
@@ -85,6 +87,7 @@ GOLDEN = {
         "residual_csv": "2324a4538f6d61379cfaf2461465b8215ac9b2871eedc23e057743c62507e2fd",
         "concentration_csv": "d710e6200f01cc321b24abc94a25dac1d8a433f0a919bdd1434e71ca8a046d98",
         "expectation_csv": "152aebee2e826a03aba8153a8925bdf9cd3e2b963acbb51420e25e3d7546a901",
+        "expectation_kernel_csv": "3297ca425ae82128a41cbe006b3f26a289c2161f058606e3e1c8ed4036071029",
     },
 }
 _NAMES = sorted(GOLDEN[("SkylakeX", "SkylakeX")])
@@ -191,6 +194,11 @@ def compute_digests() -> dict:
         # several chunks of validate_sin_sq_expectation and a short last one
         "expectation_csv": _cli_csv_sha(
             "validate-expectation --n 100 --d 5 --epsilon 0.05 --trials 20001 --seed 21"
+        ),
+        # a shape whose chunk products fall on either side of OpenBLAS's
+        # size-based dgemm kernel switch as the chunk size changes
+        "expectation_kernel_csv": _cli_csv_sha(
+            "validate-expectation --n 50 --d 4 --epsilon 0.05 --trials 8192 --seed 5"
         ),
     }
 

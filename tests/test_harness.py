@@ -418,6 +418,13 @@ def test_pair_with_epsilon_requires_positive_d():
         pair_with_epsilon(40, 0, 0.0, seed=0)
 
 
+def test_pair_with_epsilon_rejects_an_unknown_frame_or_split():
+    with pytest.raises(ValueError, match='^frame must be "gaussian" or "incoherent"$'):
+        pair_with_epsilon(10, 2, 0.1, 0, frame="x")
+    with pytest.raises(ValueError, match='^angles must be "spread" or "equal"$'):
+        pair_with_epsilon(10, 2, 0.1, 0, angles="x")
+
+
 def test_incoherent_pair_needs_one_harmonic_more_than_2d():
     # 2d distinct harmonics from the n - 1 nonconstant ones: n = 2d is one short
     with pytest.raises(ValueError, match=r"incoherent frame needs n >= 2d \+ 1"):

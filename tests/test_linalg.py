@@ -63,6 +63,8 @@ def test_orthonormalize_errors():
         orthonormalize(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
     with pytest.raises(ValueError, match="shape"):
         orthonormalize(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^shape: expected a 2-d matrix with positive dimensions$"):
+        orthonormalize(np.ones(3))
     with pytest.raises(ValueError):
         orthonormalize(np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 0.0]]))
 
@@ -143,11 +145,19 @@ def test_least_squares_singular():
     c = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(NumericalError, match="singular normal equations"):
         least_squares(c, np.array([1.0, 2.0, 3.0]))
+    # fewer rows than columns
+    with pytest.raises(NumericalError, match="^singular normal equations$"):
+        least_squares(np.ones((2, 3)), np.ones(2))
 
 
 def test_singular_values_diag_and_zero():
     assert np.allclose(singular_values(np.diag([3.0, 1.0])), [3.0, 1.0])
     assert np.allclose(singular_values(np.zeros((4, 2))), 0.0)
+
+
+def test_singular_values_reject_an_empty_matrix():
+    with pytest.raises(ValueError, match="^shape: expected a 2-d matrix with positive dimensions$"):
+        singular_values(np.ones((0, 2)))
 
 
 def test_singular_values_match_gram_eigenvalues():

@@ -761,6 +761,17 @@ def test_observation_csv_round_trip(tmp_path):
         assert b.values.tobytes() == a.values.tobytes()
 
 
+def test_observation_csv_skips_a_blank_line_between_rows(tmp_path):
+    obs_list = [Observation(n=10, omega=[t, t + 2], values=[1.0, t + 0.5]) for t in range(2)]
+    path = tmp_path / "observations.csv"
+    write_observations(path, obs_list)
+    first, second = path.read_text().splitlines()
+    path.write_text(f"{first}\n\n{second}\n")
+    back = read_observations(path)
+    assert [b.omega.tolist() for b in back] == [[0, 2], [1, 3]]
+    assert [b.values.tolist() for b in back] == [[1.0, 0.5], [1.0, 1.5]]
+
+
 def test_observation_csv_round_trips_a_wide_observation(tmp_path):
     # its values field holds about 157k characters, past csv's 131072-character field limit
     rng = np.random.default_rng(22)
