@@ -40,7 +40,6 @@ from .full_data import (
     FullStepRecord,
     full_step,
     predicted_decrease,
-    psi_diagnostic,
     run_full,
 )
 from .concentration import (

@@ -26,7 +26,6 @@ from .harness import (
     ProblemSpec,
     incoherent_basis,
     pair_with_epsilon,
-    random_basis,
     run_full_trial,
     run_partial_trial,
     sweep_phase,
@@ -111,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ints(conc, "n", "d", "omega_size")
     conc.add_argument("--delta", type=float, required=True)
     _add_ints(conc, "trials", "seed")
-    conc.add_argument(
-        "--basis", choices=("incoherent", "gaussian"), default="incoherent",
-        help="test-basis construction",
-    )
     conc.add_argument("--out", required=True, help="per-trial report CSV path")
 
     resid = add_verb("validate-residual", help="sampled-residual lower bound check")
@@ -177,8 +172,7 @@ def execute(cmd: argparse.Namespace) -> int:
             lo, hi = min(feasible, default=None), max(feasible, default=None)
             print(f"cells={len(cells)} mean_X_range=[{_fmt(lo)},{_fmt(hi)}]")
         elif cmd.verb == "validate-concentration":
-            maker = incoherent_basis if cmd.basis == "incoherent" else random_basis
-            u = maker(cmd.n, cmd.d, cmd.seed)
+            u = incoherent_basis(cmd.n, cmd.d, cmd.seed)
             report = validate_gram_concentration(
                 u, cmd.omega_size, cmd.delta, cmd.trials, cmd.seed
             )

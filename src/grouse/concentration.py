@@ -26,6 +26,10 @@ from .results import _FLAG, _FLOAT, _INT, _read_table, _write_table
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+# The analysis's sampling constant c1, against which mu_xt_diagnostics
+# reports its two thresholds.
+_C1 = 64.0 / 3.0
+
 # Doubles in each of validate_sin_sq_expectation's two chunk buffers, so its
 # memory does not grow with n or trials: a chunk is about _CHUNK_DOUBLES // n
 # trials.  Both buffers (1 MB together) fit in one core's 2 MB L2.  Median of
@@ -316,17 +320,14 @@ def validate_sin_sq_expectation(u: Basis, ubar: Basis, trials: int, seed: int):
     return mean, stderr
 
 
-def mu_xt_diagnostics(
-    u: Basis, ubar: Basis, trials: int, seed: int, c1: float = 64.0 / 3.0
-) -> MuXtSummary:
+def mu_xt_diagnostics(u: Basis, ubar: Basis, trials: int, seed: int) -> MuXtSummary:
     """Empirical quantiles of the unexplained-direction coherence mu(x_t).
 
     x_t is the part of v_t the current basis cannot explain; its coherence
     is observed to grow like log(n).  Reported against the two analysis
-    thresholds for the supplied sampling constant c1; no assertion is made.
+    thresholds for the sampling constant c1 = 64/3; no assertion is made.
     """
     _count("trials", trials, 1)
-    _real("c1", c1)
     if epsilon_residual(u, ubar) <= EPSILON_FLOOR:
         raise ValueError("bases coincide: residual direction undefined")
     rng = _rng(seed)
@@ -338,12 +339,12 @@ def mu_xt_diagnostics(
         mus[t] = coherence_vector(_off_span(u.columns, ubar.columns @ s))
     log_n = math.log(n)
     log20d = math.log(20.0 * d)
-    narrow = log_n * math.sqrt(0.045 / math.log(10.0) * c1 * d * mu_ubar * log20d)
-    wide = log_n**2 * (0.05 / (8.0 * math.log(10.0)) * c1 * log20d)
+    narrow = log_n * math.sqrt(0.045 / math.log(10.0) * _C1 * d * mu_ubar * log20d)
+    wide = log_n**2 * (0.05 / (8.0 * math.log(10.0)) * _C1 * log20d)
     satisfied = float(np.mean((mus <= narrow) & (mus <= wide)))
     return MuXtSummary(
         trials=trials,
-        c1=c1,
+        c1=_C1,
         quantiles=np.quantile(mus, _QUANTILES),
         mean=float(mus.mean()),
         threshold_narrow=narrow,

@@ -121,24 +121,6 @@ def full_step(u: Basis, v, ubar: Basis):
     return u_next, rec
 
 
-def psi_diagnostic(u: Basis, ubar: Basis, s) -> float:
-    """The coefficient-weighted squared-sine average; always in [0, epsilon].
-
-    Computed from the SVD frame of ubar^T u: with coefficients rotated into
-    that frame, psi = sum(s~_i^2 sin^2 phi_i) / sum(s~_i^2).  Test-side
-    diagnostic; not part of the step records.
-    """
-    _check_pair(u, ubar)
-    s = _as_vector("s", s, ubar.d)
-    left, sigma, _ = np.linalg.svd(ubar.columns.T @ u.columns)
-    s_rot = left.T @ s
-    sin_sq = 1.0 - np.clip(sigma, 0.0, 1.0) ** 2
-    total = float(s_rot @ s_rot)
-    if total == 0.0:
-        raise ValueError("zero coefficient vector")
-    return float((s_rot * s_rot) @ sin_sq / total)
-
-
 def run_full(
     u0: Basis,
     ubar: Basis,

@@ -113,11 +113,7 @@ def incoherent_basis(n: int, d: int, seed: int) -> Basis:
     return Basis(_cosine_frame(rng, n, d) * rng.choice([-1.0, 1.0], size=d))
 
 
-def _split_epsilon(rng, d: int, eps: float, angles: str) -> np.ndarray:
-    if angles == "equal":
-        return np.full(d, eps / d)
-    if angles != "spread":
-        raise ValueError('angles must be "spread" or "equal"')
+def _split_epsilon(rng, d: int, eps: float) -> np.ndarray:
     sin_sq = eps * rng.dirichlet(np.full(d, 2.0))
     # redistribute any mass that would need sin^2 > 1 (only when eps > 1)
     # while some room is left; at eps = d every sine ends at 1
@@ -137,18 +133,16 @@ def pair_with_epsilon(
     eps: float,
     seed: int,
     frame: str = "gaussian",
-    angles: str = "spread",
 ) -> tuple[Basis, Basis]:
     """A seeded (u, ubar) pair whose error metric equals ``eps`` exactly.
 
     Requires n >= 2d: each target direction is tilted out of the span into
-    the orthogonal complement, the squared sines of the tilt angles summing
-    to eps (a random split by default, an even one with angles="equal"),
-    and the tilted frame is then mixed by a random rotation so the alignment
-    matrix is not trivially diagonal.  ``frame="incoherent"`` tilts within a
-    flat cosine-harmonic frame instead, keeping both bases at low coherence;
-    its 2d distinct harmonics come from the n - 1 nonconstant ones, so it
-    requires n >= 2d + 1.
+    the orthogonal complement, the squared sines of the tilt angles being a
+    random split of eps, and the tilted frame is then mixed by a random
+    rotation so the alignment matrix is not trivially diagonal.
+    ``frame="incoherent"`` tilts within a flat cosine-harmonic frame
+    instead, keeping both bases at low coherence; its 2d distinct harmonics
+    come from the n - 1 nonconstant ones, so it requires n >= 2d + 1.
     """
     _count("n", n)
     _count("d", d)
@@ -165,7 +159,7 @@ def pair_with_epsilon(
     else:
         raise ValueError('frame must be "gaussian" or "incoherent"')
     ubar_cols, comp = cols[:, :d], cols[:, d:]
-    sin_phi = np.sqrt(_split_epsilon(rng, d, eps, angles))
+    sin_phi = np.sqrt(_split_epsilon(rng, d, eps))
     cos_phi = np.sqrt(1.0 - sin_phi**2)
     tilted = ubar_cols * cos_phi + comp * sin_phi
     rot = orthonormalize(rng.standard_normal((d, d)))
@@ -306,9 +300,9 @@ def sweep_phase(
     ns,
     ds,
     qs,
-    trials_per_cell: int = 10,
-    iters: int = 500,
-    seed: int = 0,
+    trials_per_cell: int,
+    iters: int,
+    seed: int,
     *,
     bypass_gate: bool = False,
     alpha: float = ProblemSpec.alpha,

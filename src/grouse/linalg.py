@@ -10,14 +10,16 @@ throughout.
 Every QR, triangular solve and singular-value computation of a checked
 array runs through one kernel each, :func:`_householder`, :func:`_lstsq`
 and :func:`_sv`, and each calls LAPACK directly, bitwise the numpy or scipy
-routine it replaces.  The public routines reach them after their boundary
-checks; callers that hold already-checked arrays call them directly.  The
-QR factors its own copy, as numpy's does, so no argument is written, or,
-for a caller that owns a Fortran-ordered n x d array
-(:func:`_orthonormalize_in_place`), that array in place.  The gate's
-decision rule (``partial_data._passes``) calls BLAS ``dsyrk`` and LAPACK
-``dpotrf`` itself: a Cholesky factorization of a shifted Gram matrix that
-completes or stops is its certificate.
+routine it replaces.  The one exception is :func:`nearest_orthogonal`: it
+needs the singular vectors, which :func:`_sv` does not compute, so it calls
+``np.linalg.svd``, the library's only SVD with vectors.  The public
+routines reach the kernels after their boundary checks; callers that hold
+already-checked arrays call them directly.  The QR factors its own copy,
+as numpy's does, so no argument is written, or, for a caller that owns a
+Fortran-ordered n x d array (:func:`_orthonormalize_in_place`), that array
+in place.  The gate's decision rule (``partial_data._passes``) calls BLAS
+``dsyrk`` and LAPACK ``dpotrf`` itself: a Cholesky factorization of a
+shifted Gram matrix that completes or stops is its certificate.
 
 LAPACK, the BLAS ``dger`` that :mod:`grouse.metrics` rotates with and the
 gate's BLAS ``dsyrk`` come from scipy's compiled modules ``_flapack`` and

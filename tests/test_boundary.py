@@ -39,7 +39,6 @@ from grouse import (
     pair_with_epsilon,
     predicted_decrease,
     principal_angles,
-    psi_diagnostic,
     random_basis,
     revealed_angle_sin_sq,
     run_full,
@@ -103,8 +102,8 @@ _CALLS = {
     ),
     "least_squares": (least_squares, dict(c=U.columns, b=V), dict(b="vector")),
     "mu_xt_diagnostics": (
-        mu_xt_diagnostics, dict(u=U, ubar=UBAR, trials=3, seed=1, c1=2.0),
-        dict(ubar="pair", trials="count", seed="seed", c1="real"),
+        mu_xt_diagnostics, dict(u=U, ubar=UBAR, trials=3, seed=1),
+        dict(ubar="pair", trials="count", seed="seed"),
     ),
     "pair_with_epsilon": (
         pair_with_epsilon, dict(n=20, d=2, eps=0.1, seed=1),
@@ -115,9 +114,6 @@ _CALLS = {
         dict(ubar="pair", v="vector", eta="real"),
     ),
     "principal_angles": (principal_angles, dict(u=U, ubar=UBAR), dict(ubar="pair")),
-    "psi_diagnostic": (
-        psi_diagnostic, dict(u=U, ubar=UBAR, s=[1.0, 2.0]), dict(ubar="pair", s="vector")
-    ),
     "random_basis": (
         random_basis, dict(n=20, d=2, seed=1), dict(n="count", d="count", seed="seed")
     ),

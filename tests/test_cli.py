@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -15,7 +16,6 @@ from grouse.harness import (
     ProblemSpec,
     _observation_stream,
     generate_problem,
-    random_basis,
     run_full_trial,
     run_partial_trial,
 )
@@ -273,20 +273,6 @@ def test_validate_concentration_command(tmp_path, capsys):
     assert len(eig_min) == 100 and np.all(eig_min <= eig_max)
 
 
-def test_validate_concentration_gaussian_basis_is_random_basis(tmp_path):
-    from grouse.concentration import read_concentration_csv, validate_gram_concentration
-
-    out = tmp_path / "conc.csv"
-    code = run_cli(
-        ["validate-concentration", "--n", "60", "--d", "3", "--omega_size", "30", "--delta", "0.1",
-         "--trials", "40", "--seed", "24", "--basis", "gaussian", "--out", str(out)]
-    )
-    assert code == 0
-    report = validate_gram_concentration(random_basis(60, 3, 24), 30, 0.1, 40, 24)
-    for got, want in zip(read_concentration_csv(out), (report.eig_min, report.eig_max, report.in_window)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
 def test_validate_residual_command(tmp_path, capsys):
     out = tmp_path / "resid.csv"
     code = run_cli(
@@ -425,11 +411,34 @@ def test_sweep_cell_with_d_not_below_n_is_marker_row(tmp_path):
     assert np.isnan(cell.mean_x) and np.isnan(cell.std_x)
 
 
+_RUN_FLAGS = {"n", "d", "alpha", "iters", "seed", "init_noise_std", "spec_out", "out"}
+
+# The flags each verb's --help lists, --help itself aside.
+_VERB_FLAGS = {
+    "full": _RUN_FLAGS,
+    "partial": _RUN_FLAGS | {"q", "bypass_gate"},
+    "sweep": {"n", "d", "q", "trials", "iters", "seed", "alpha", "init_noise_std",
+              "bypass_gate", "out"},
+    "validate-concentration": {"n", "d", "omega_size", "delta", "trials", "seed", "out"},
+    "validate-residual": {"n", "d", "epsilon", "omega_size", "delta", "trials", "seed", "out"},
+    "validate-expectation": {"n", "d", "epsilon", "trials", "seed", "out"},
+    "skip-rate": {"n", "d", "q", "trials", "seed", "epsilon", "out"},
+}
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.parse_args(["--help"])
     assert exc.value.code == 0
-    assert "grouse" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "grouse" in text
+    assert all(verb in text for verb in _VERB_FLAGS)
+    for verb, flags in _VERB_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args([verb, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--(\w+)", capsys.readouterr().out))
+        assert listed == flags | {"help"}, verb
 
 
 def _cli_at_blas_threads(argv, threads, out) -> str:

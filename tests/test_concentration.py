@@ -206,7 +206,8 @@ def test_mu_xt_grows_slowly_with_n():
 
 def test_mu_xt_thresholds_reported():
     u, ubar = pair_with_epsilon(200, 4, 1e-3, seed=33)
-    summary = mu_xt_diagnostics(u, ubar, 100, seed=34, c1=64.0 / 3.0)
+    summary = mu_xt_diagnostics(u, ubar, 100, seed=34)
+    assert summary.c1 == 64.0 / 3.0
     assert summary.threshold_narrow > 0 and summary.threshold_wide > 0
     assert 0.0 <= summary.satisfied_rate <= 1.0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grouse.full_data import full_step, predicted_decrease, psi_diagnostic, run_full
+from grouse.full_data import full_step, predicted_decrease, run_full
 from grouse.metrics import Basis, epsilon, epsilon_residual
 from grouse.partial_data import Observation, run_stream
 from grouse.harness import ProblemSpec, generate_problem, pair_with_epsilon, random_basis
@@ -46,10 +46,8 @@ def test_vector_arguments_must_be_finite():
     for call in (
         lambda: full_step(u, v, ubar),
         lambda: predicted_decrease(u, ubar, v, 0.1),
-        lambda: psi_diagnostic(u, ubar, [np.nan, 1.0]),
-        lambda: psi_diagnostic(u, ubar, [[1.0, 1.0]]),
     ):
-        with pytest.raises(ValueError, match="^[vs] entries must be finite$|^s must be a 1-d vector"):
+        with pytest.raises(ValueError, match="^v entries must be finite$"):
             call()
 
 
@@ -135,29 +133,6 @@ def test_predicted_decrease_nonnegative_over_step_range():
     for frac in np.linspace(0.02, 0.98, 25):
         eta = 2 * theta * frac / sigma
         assert predicted_decrease(u, ubar, v, eta) >= -1e-12
-
-
-def test_psi_diagnostic_bounds():
-    rng = np.random.default_rng(10)
-    u, ubar = pair_with_epsilon(60, 5, 0.25, seed=10)
-    e = epsilon(u, ubar)
-    for _ in range(50):
-        psi = psi_diagnostic(u, ubar, rng.standard_normal(5))
-        assert -1e-12 <= psi <= e + 1e-12
-
-
-def test_psi_diagnostic_rejects_zero_coefficients():
-    u, ubar = pair_with_epsilon(20, 2, 0.1, seed=10)
-    with pytest.raises(ValueError, match="^zero coefficient vector$"):
-        psi_diagnostic(u, ubar, [0.0, 0.0])
-
-
-def test_psi_expectation_matches_eps_over_d():
-    rng = np.random.default_rng(11)
-    u, ubar = pair_with_epsilon(60, 5, 0.25, seed=11)
-    vals = np.array([psi_diagnostic(u, ubar, rng.standard_normal(5)) for _ in range(4000)])
-    se = vals.std(ddof=1) / np.sqrt(len(vals))
-    assert abs(vals.mean() - epsilon(u, ubar) / 5) <= 4 * se
 
 
 def test_component_share_expectation():

@@ -85,8 +85,6 @@ def test_pair_with_epsilon_exact_and_variants():
     for eps in (0.0, 1e-6, 0.3, 2.0):
         u, ubar = pair_with_epsilon(40, 4, eps, seed=9)
         assert np.isclose(epsilon(u, ubar), eps, atol=1e-10)
-    u, ubar = pair_with_epsilon(40, 4, 0.1, seed=10, angles="equal")
-    assert np.isclose(epsilon(u, ubar), 0.1, atol=1e-12)
     ui, ubari = pair_with_epsilon(400, 5, 1e-3, seed=11, frame="incoherent")
     assert coherence_basis(ui) <= 2.5
     with pytest.raises(ValueError):
@@ -421,8 +419,6 @@ def test_pair_with_epsilon_requires_positive_d():
 def test_pair_with_epsilon_rejects_an_unknown_frame_or_split():
     with pytest.raises(ValueError, match='^frame must be "gaussian" or "incoherent"$'):
         pair_with_epsilon(10, 2, 0.1, 0, frame="x")
-    with pytest.raises(ValueError, match='^angles must be "spread" or "equal"$'):
-        pair_with_epsilon(10, 2, 0.1, 0, angles="x")
 
 
 def test_incoherent_pair_needs_one_harmonic_more_than_2d():
@@ -441,11 +437,10 @@ def test_pair_with_epsilon_reaches_eps_d(d):
     # redistribute into; n = 4d + 2 at seeds 0-3 takes that path for each d
     for seed in range(4):
         for frame in ("gaussian", "incoherent"):
-            for angles in ("spread", "equal"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    u, ubar = pair_with_epsilon(4 * d + 2, d, d, seed, frame=frame, angles=angles)
-                assert abs(epsilon_residual(u, ubar) - d) <= 1e-12
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                u, ubar = pair_with_epsilon(4 * d + 2, d, d, seed, frame=frame)
+            assert abs(epsilon_residual(u, ubar) - d) <= 1e-12
 
 
 @pytest.mark.parametrize("make", [random_basis, incoherent_basis, pair_with_epsilon])

@@ -181,6 +181,14 @@ def test_revealed_angle_sin_sq():
         np.sin(a) ** 2,
         atol=1e-14,
     )
+    # v = ubar s reveals a squared sine between 0 and epsilon (its mean is
+    # epsilon/d, see test_expected_sin_sq_is_eps_over_d)
+    rng = np.random.default_rng(10)
+    for eps in (0.25, 1e-6):
+        pair, target = pair_with_epsilon(60, 5, eps, seed=10)
+        for _ in range(50):
+            sin_sq = revealed_angle_sin_sq(pair, target.columns @ rng.standard_normal(5))
+            assert 0.0 <= sin_sq <= eps * (1 + 1e-12)
     with pytest.raises(ValueError, match="^undefined angle: zero vector$"):
         revealed_angle_sin_sq(u, np.zeros(3))
     # a NaN entry has no angle
