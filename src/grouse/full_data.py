@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_vector, _count, _real, _rng
+from .linalg import _as_vector, _count, _one_blas_thread, _real, _rng
 from .metrics import Basis, _check_pair, _off_span, _rotated, epsilon_residual
 from .results import TrialResult, _Trajectory
 
@@ -137,18 +137,22 @@ def run_full(
 
     Steps rotate the buffer of ``results._Trajectory``, a copy of
     ``u0.columns``, in place; a QR replaces it at the fixed
-    re-orthonormalization cadence and on excess drift.  An identity step
-    reuses the last drift check and epsilon.
+    re-orthonormalization cadence and, below ``_EXACT_EPS_LIMIT``, on
+    excess drift, which the exact check decides wherever the trajectory's
+    drift bound cannot.  An identity step reuses the last drift check and
+    epsilon.  The run is pinned to one BLAS thread, so its bits do not
+    depend on the caller's thread count.
     """
     _count("iters", iters, 0)
     _check_pair(u0, ubar)
     rng = _rng(seed)
     target = ubar.columns
     d = u0.d
-    track = _Trajectory(u0, target, maintained=u0.n * d * d > _EXACT_EPS_LIMIT)
-    for _ in range(iters):
-        split = _split(track.cols, target @ rng.standard_normal(d))
-        *_, norm_p, norm_r, theta = split
-        taken = not _is_identity(theta)
-        track.step((True, taken, norm_r, norm_p, theta), split if taken else None)
+    with _one_blas_thread():
+        track = _Trajectory(u0, target, maintained=u0.n * d * d > _EXACT_EPS_LIMIT)
+        for _ in range(iters):
+            split = _split(track.cols, target @ rng.standard_normal(d))
+            *_, norm_p, norm_r, theta = split
+            taken = not _is_identity(theta)
+            track.step((True, taken, norm_r, norm_p, theta), split if taken else None)
     return track.result()

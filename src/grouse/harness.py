@@ -20,7 +20,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .full_data import run_full
-from .linalg import _count, _fork_map, _orthonormalize_in_place, _real, _real_array, _rng, orthonormalize
+from .linalg import (
+    _count,
+    _fork_map,
+    _one_blas_thread,
+    _orthonormalize_in_place,
+    _real,
+    _real_array,
+    _rng,
+    orthonormalize,
+)
 from .metrics import EPSILON_FLOOR, Basis, _dims, _residual_energy
 from .partial_data import _check_alpha, _run_stream, _sample
 from .results import (
@@ -88,10 +97,11 @@ def _child_seed(*keys) -> int:
 
 
 def random_basis(n: int, d: int, seed: int) -> Basis:
-    """Orthonormalized iid standard normal n x d matrix."""
+    """Orthonormalized iid standard normal n x d matrix, factored on one BLAS thread."""
     _dims(n, d)
     rng = _rng(seed)
-    return Basis(_orthonormalize_in_place(np.asfortranarray(rng.standard_normal((n, d)))))
+    with _one_blas_thread():
+        return Basis(_orthonormalize_in_place(np.asfortranarray(rng.standard_normal((n, d)))))
 
 
 def _cosine_frame(rng, n: int, k: int) -> np.ndarray:
@@ -167,7 +177,10 @@ def pair_with_epsilon(
 
 
 def generate_problem(spec: ProblemSpec) -> tuple[Basis, Basis]:
-    """(target, start) bases per the synthetic protocol; seeded, bitwise stable."""
+    """(target, start) bases per the synthetic protocol; seeded, bitwise stable at any BLAS thread count.
+
+    The factorizations run pinned to one BLAS thread.
+    """
     rng = _child_rng(spec.seed, _PROBLEM_STREAM)
     target = rng.standard_normal((spec.n, spec.d))
     # the start target + noise * init_noise_std, bit for bit, formed in the noise's array
@@ -176,11 +189,12 @@ def generate_problem(spec: ProblemSpec) -> tuple[Basis, Basis]:
     start += target
     # each matrix is factored in a Fortran-ordered copy that replaces it, and
     # Basis makes the one C-ordered copy: at most three n x d arrays are alive
-    target = np.asfortranarray(target)
-    ubar = Basis(_orthonormalize_in_place(target))
-    del target
-    start = np.asfortranarray(start)
-    return ubar, Basis(_orthonormalize_in_place(start))
+    with _one_blas_thread():
+        target = np.asfortranarray(target)
+        ubar = Basis(_orthonormalize_in_place(target))
+        del target
+        start = np.asfortranarray(start)
+        return ubar, Basis(_orthonormalize_in_place(start))
 
 
 def fit_x(

@@ -21,8 +21,9 @@ in place.  The gate's decision rule (``partial_data._passes``) calls BLAS
 ``dsyrk`` and LAPACK ``dpotrf`` itself: a Cholesky factorization of a
 shifted Gram matrix that completes or stops is its certificate.
 
-LAPACK, the BLAS ``dger`` that :mod:`grouse.metrics` rotates with and the
-gate's BLAS ``dsyrk`` come from scipy's compiled modules ``_flapack`` and
+LAPACK, the BLAS ``dger`` that :mod:`grouse.metrics` rotates with, the
+gate's BLAS ``dsyrk`` and the drift certificate's BLAS ``dgemv``
+(``results._drift_bound``) come from scipy's compiled modules ``_flapack`` and
 ``_fblas``, which :func:`_scipy_linalg_extension` loads from their files in
 scipy's ``linalg`` directory.  The routines are the objects
 ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` export, so the bits are
@@ -101,7 +102,7 @@ _flapack = _scipy_linalg_extension("_flapack")
 dgeqrf, dgeqrf_lwork, dorgqr = _flapack.dgeqrf, _flapack.dgeqrf_lwork, _flapack.dorgqr
 dgesdd, dgesdd_lwork, dpotrf, dtrtrs = _flapack.dgesdd, _flapack.dgesdd_lwork, _flapack.dpotrf, _flapack.dtrtrs
 _fblas = _scipy_linalg_extension("_fblas")
-dger, dsyrk = _fblas.dger, _fblas.dsyrk
+dgemv, dger, dsyrk = _fblas.dgemv, _fblas.dger, _fblas.dsyrk
 
 
 class NumericalError(ValueError):

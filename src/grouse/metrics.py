@@ -130,6 +130,13 @@ def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
     rounds as ``+`` does.  A ``dger`` straight onto the block would round
     the product and the sum together, and a +0.0 start would turn a -0.0
     product into +0.0; either can change a bit.
+
+    The caller pins one BLAS thread (``linalg._one_blas_thread``), once per
+    run, not per rotation: ``dger`` runs on scipy's OpenBLAS, and on more
+    than one thread its pool fights for the cores with numpy's, which the
+    products around each step keep spinning (``run_full`` at 10000 x 200
+    ran twice as slow on two cores).  The drivers pin around their whole
+    loop, and :func:`_rotated` around its one rotation.
     """
     # (cos(angle) - 1) p / norm_p + sin(angle) r / norm_r, each operation in
     # place where it can be, so the bits are the same: two n-vectors, not three
@@ -142,16 +149,12 @@ def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
     y = w / norm_w
     rows = max(1, _BLOCK // cols.shape[1])
     tmp = np.empty((min(rows, cols.shape[0]), cols.shape[1]))
-    # dger runs on scipy's OpenBLAS; on more than one thread its pool fights
-    # for the cores with numpy's, which the products around each step keep
-    # spinning (run_full at 10000 x 200 ran twice as slow on two cores)
-    with _one_blas_thread():
-        for i in range(0, cols.shape[0], rows):
-            blk = cols[i : i + rows]
-            term = tmp[: len(blk)]
-            term.fill(-0.0)
-            # term.T is F-contiguous, so dger writes the products into it in place
-            blk += dger(1.0, y, gain[i : i + rows], a=term.T, overwrite_a=1).T
+    for i in range(0, cols.shape[0], rows):
+        blk = cols[i : i + rows]
+        term = tmp[: len(blk)]
+        term.fill(-0.0)
+        # term.T is F-contiguous, so dger writes the products into it in place
+        blk += dger(1.0, y, gain[i : i + rows], a=term.T, overwrite_a=1).T
     return y, gain
 
 
@@ -162,7 +165,8 @@ def _rotated(u: Basis, *args) -> Basis:
     drift checks that guard chained single steps: one n x d copy per call.
     """
     cols = np.array(u.columns)
-    _rotate(cols, *args)
+    with _one_blas_thread():
+        _rotate(cols, *args)
     return _adopt(cols)
 
 

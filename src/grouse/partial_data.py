@@ -38,7 +38,18 @@ import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
 # names the same public fit as linalg.least_squares.
-from .linalg import NumericalError, _as_vector, _count, _lstsq, _real, _real_array, _sv, dpotrf, dsyrk
+from .linalg import (
+    NumericalError,
+    _as_vector,
+    _count,
+    _lstsq,
+    _one_blas_thread,
+    _real,
+    _real_array,
+    _sv,
+    dpotrf,
+    dsyrk,
+)
 from .linalg import least_squares  # noqa: F401
 from .metrics import Basis, _check_pair, _rotated, _sin_sq, epsilon_residual
 from .results import _FLOAT, _INT, TrialResult, _read_rows, _Trajectory, _write_cells, _write_rows
@@ -403,11 +414,14 @@ def run_stream(
 
     Steps rotate the buffer of ``results._Trajectory``, a copy of
     ``u0.columns``, in place; a QR replaces it at the fixed
-    re-orthonormalization cadence and on excess drift.  A skipped or
-    identity step reuses the drift check and epsilon of the unchanged
-    buffer.  Epsilon is recorded when ``ubar`` is given.  A bad alpha or
-    ``ubar`` raises ValueError before any observation is read, and an
-    observation of another n when its step reads it.
+    re-orthonormalization cadence and on excess drift, which the exact
+    check decides wherever the trajectory's drift bound cannot.  A skipped
+    or identity step reuses the drift check and epsilon of the unchanged
+    buffer.  The run is pinned to one BLAS thread, so its bits do not
+    depend on the caller's thread count.  Epsilon is recorded when ``ubar``
+    is given.  A bad alpha or ``ubar`` raises ValueError before any
+    observation is read, and an observation of another n when its step
+    reads it.
     """
     arrays = (_arrays(obs, u0, ubar) for obs in stream)
     return _run_stream(u0, arrays, alpha, ubar, bypass_gate)[0]
@@ -428,20 +442,21 @@ def _run_stream(
     """
     _check_alpha(alpha)
     _check_pair(u0, ubar)
-    track = _Trajectory(u0, None if ubar is None else ubar.columns, maintained=False)
     decide = record or not bypass_gate
     passed = None
-    for omega, values, latent_s in stream:
-        # against the basis the step starts from
-        theta = _revealed_theta(track.cols, ubar, latent_s)
-        # the bits of cols[omega], without the fancy-indexing dispatch
-        sub = track.cols.take(omega, axis=0)
-        if decide:
-            passed = _passes(sub, u0.n, passed is False)
-        fit = rotation = None
-        if bypass_gate or passed:
-            fit, rotation = _step(track.cols, sub, omega, values, alpha)
-        track.step(_row(passed, fit, theta) if record else None, rotation)
+    with _one_blas_thread():
+        track = _Trajectory(u0, None if ubar is None else ubar.columns, maintained=False)
+        for omega, values, latent_s in stream:
+            # against the basis the step starts from
+            theta = _revealed_theta(track.cols, ubar, latent_s)
+            # the bits of cols[omega], without the fancy-indexing dispatch
+            sub = track.cols.take(omega, axis=0)
+            if decide:
+                passed = _passes(sub, u0.n, passed is False)
+            fit = rotation = None
+            if bypass_gate or passed:
+                fit, rotation = _step(track.cols, sub, omega, values, alpha)
+            track.step(_row(passed, fit, theta) if record else None, rotation)
     return (track.result() if record else None), track.cols
 
 

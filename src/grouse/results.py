@@ -2,11 +2,14 @@
 
 :class:`_Trajectory` owns the one n x d buffer a driver steps: it makes the
 copy, rotates it in place, re-orthonormalizes it, measures epsilon and keeps
-the per-step rows; the drivers only read it.  :func:`_write_rows` and
-:func:`_read_rows` are the one line codec of every CSV file, the tables here
-and the observation file of ``partial_data``: comma-separated cells, no
-quoting, ``\r\n`` line ends written and any of ``\r\n``, ``\r``, ``\n``
-read.
+the per-step rows; the drivers only read it.  Its drift check runs exactly
+only where the bound of :func:`_drift_bound`, one O(n d) product per
+rotation, cannot certify that the check would find no excess drift.
+
+:func:`_write_rows` and :func:`_read_rows` are the one line codec of every
+CSV file, the tables here and the observation file of ``partial_data``:
+comma-separated cells, no quoting, ``\r\n`` line ends written and any of
+``\r\n``, ``\r``, ``\n`` read.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import _orthonormalize_in_place
+from .linalg import _orthonormalize_in_place, dgemv
 from .metrics import BASIS_DRIFT_TOL, REORTHO_EVERY, Basis, _residual_energy, _rotate
 
 # orthonormality_drift is called through this module binding, so a tracer
@@ -28,6 +31,11 @@ from .metrics import orthonormality_drift
 # d - ||U^T ubar||_F^2 loses accuracy to cancellation near convergence; below
 # this value a maintained trajectory measures epsilon from scratch instead.
 _EPS_SWITCH = 1e-8
+
+# The unit roundoff of binary64, and a factor that exceeds the roundings of a
+# drift bound's own formula (at most 40, each within _UNIT) by far.
+_UNIT = 2.0**-53
+_UP = 1.0 + 2.0**-40
 
 # The per-step columns of a trajectory, in row order, with their dtypes.
 _STEP_DTYPE = np.dtype(
@@ -63,6 +71,62 @@ class TrialResult:
         return int(np.sum(~self.gate_passed & ~self.taken))
 
 
+def _drift_bound(cols: np.ndarray, y: np.ndarray, gain: np.ndarray, bound: float) -> float:
+    """A bound on drift(U') = ||U'^T U' - I||_F for the buffer U' = ``cols`` just rotated.
+
+    ``(y, gain)`` is what ``metrics._rotate`` returned, so U' = fl(U + g y^T)
+    with g = ``gain``, entry by entry; ``bound`` is at least drift(U) of the
+    buffer U before the step.  The cost is one O(n d) BLAS ``dgemv`` and
+    O(d) work: with c = g.g, the vector e = U'^T g - (c/2) y.  In exact
+    arithmetic the GROUSE step is a rotation and e is zero; here it holds
+    the rounding.
+
+    Why it holds (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    chs. 2 and 3; u = 2^-53, and n d <= 2^40, as for any array in memory,
+    so n u and d^2 u are below 2^-13).  Write U' = U + g y^T + E, E the
+    update's rounding, and e' for e in exact arithmetic on the computed U',
+    g, y and c.  Then U^T g = e' + (c/2) y - c' y - E^T g with c' = g^T g
+    exactly, and in U'^T U' the terms in E^T g cancel:
+
+        U'^T U' - I = (U^T U - I) + e' y^T + y e'^T + (c - c') y y^T + U^T E + E^T U + E^T E,
+
+    so drift(U') <= drift(U) + 2 ||e'|| ||y|| + |c - c'| ||y||^2
+    + 2 ||U||_2 ||E||_F + ||E||_F^2.  Each term is bounded from above:
+
+    - ||U||_2 <= s = 1 + bound/2, since the eigenvalues of U^T U lie within
+      drift(U) of 1, and ||U||_F <= sqrt(d) s;
+    - a norm computed as the square root of an m-term dot product is the
+      true norm within a factor 1 + m u, its square root's rounding aside,
+      and |c - c'| <= gamma_n c <= 2 n u c;
+    - each entry of U' is fl(U_ij + fl(g_i y_j)), so |E_ij| <= u |g_i y_j| +
+      u |U'_ij|, whence ||E||_F <= 2u (2 ||g|| ||y|| + sqrt(d) s) and
+      ||U'||_F <= sqrt(d) s + ||g|| ||y|| + ||E||_F;
+    - e is one BLAS ``dgemv``, U'^T g + (-c/2) y, each entry an inner
+      product of n + 1 terms (the scaling of y by -c/2 is exact), so it lies
+      within gamma_{n+2} (||U'||_F ||g|| + (c/2) ||y||) of e' in norm, and
+      gamma_{n+2} <= 2 (n + 2) u.
+
+    The formula below evaluates these nonnegative terms with at most 40
+    roundings, which the factor ``_UP`` more than restores; an underflow
+    anywhere moves a term by under 2^-1000, far below the u sqrt(d) of the
+    ||E||_F term.  A bound of +inf or NaN stays so, and the caller then
+    runs the exact check.
+    """
+    n, d = cols.shape
+    u = _UNIT
+    c = float(gain.dot(gain))
+    # cols.T is F-contiguous, so dgemv reads the buffer in place: e = cols^T gain - (c/2) y
+    e = dgemv(1.0, cols.T, gain, -0.5 * c, y)
+    norm_e = math.sqrt(e.dot(e)) * (1.0 + (d + 2) * u)
+    norm_y = math.sqrt(y.dot(y)) * (1.0 + (d + 2) * u)
+    norm_g = math.sqrt(c) * (1.0 + (n + 2) * u)
+    gy = norm_g * norm_y
+    s = 1.0 + 0.5 * bound
+    err = 2.0 * u * (2.0 * gy + math.sqrt(d) * s)
+    norm_e += 2.0 * (n + 2) * u * ((math.sqrt(d) * s + gy + err) * norm_g + 0.5 * c * norm_y)
+    return (bound + 2.0 * norm_e * norm_y + 2.0 * n * u * c * norm_y**2 + 2.0 * s * err + err * err) * _UP
+
+
 class _Trajectory:
     """The basis buffer a driver steps, owned here, with the run's rows, QRs and epsilons.
 
@@ -74,6 +138,25 @@ class _Trajectory:
     and on excess drift; a step that leaves the buffer as the last drift
     check or epsilon found it reuses that result.  A step recorded with no
     row counts toward the cadence but keeps nothing for :meth:`result`.
+
+    The drift check is decided by a certificate where one holds, and every
+    QR decision is the exact check's.  The trajectory carries a bound beta
+    on the buffer's true drift D = ||U^T U - I||_F: +inf at the start (the
+    Basis passed the check, but its value is not kept) and after each QR,
+    grown by :func:`_drift_bound` at each rotation.  The exact check,
+    ``orthonormality_drift``, computes fl(||fl(U^T U) - I||_F): the product
+    is within gamma_n ||U||_F^2 <= 2 n u d (1 + D) of U^T U, the diagonal
+    subtraction within u of each entry and the norm within (d^2/2 + 1) u
+    relative, so it reads within r(D) = 2u ((n + 1) d (1 + D) + (d^2 + 4) D)
+    of D (an underflow moves it by far less).  Hence:
+
+    - after an exact check reading D', D <= (D' + o) / (1 - k) <= (D' +
+      o)(1 + 2k), with o = 2u (n + 1) d and k = 2u ((n + 1) d + d^2 + 4)
+      <= 1/2, and beta is reset to that (times ``_UP``);
+    - a check would read at most D + r(D) <= beta + r(beta), so where
+      beta <= (tol - o) / (1 + k) it would read at most tol and find no
+      excess drift: the check is skipped, and the buffer counts as checked.
+      Otherwise it runs exactly as without the certificate.
     """
 
     def __init__(self, u0: Basis, target: np.ndarray | None, maintained: bool):
@@ -84,6 +167,12 @@ class _Trajectory:
         self._steps = 0
         # the Basis the buffer copies passed the drift check
         self._checked = True
+        self._bound = math.inf
+        n, d = self.cols.shape
+        self._offset = 2.0 * _UNIT * (n + 1) * d
+        self._k = 2.0 * _UNIT * ((n + 1) * d + d * d + 4)
+        # rounded down, so that a bound at most this is at most the exact limit
+        self._limit = (BASIS_DRIFT_TOL - self._offset) / (1.0 + self._k) * (1.0 - 2.0**-40)
         # n*d doubles, made at first need: a from-scratch epsilon's residual
         # (a C-ordered view) or a QR's factor (a Fortran-ordered view)
         self._work = None
@@ -106,20 +195,28 @@ class _Trajectory:
         """Record a step, rotating the buffer by ``_rotate(cols, *rotation)`` unless it is None.
 
         ``row`` is None for a step whose row no one reads.  After the step
-        ``cols`` may be a fresh QR factor.
+        ``cols`` may be a fresh QR factor.  The caller pins one BLAS thread
+        (``linalg._one_blas_thread``) around the run.
         """
         self._steps += 1
         if row is not None:
             self._rows.append(row)
+        qr = self._steps % REORTHO_EVERY == 0
         if rotation is not None:
             y, gain = _rotate(self.cols, *rotation)
             self._checked = False
             if self._product is not None:
                 self._product = self._product + np.outer(y, self._target.T @ gain)
-        qr = self._steps % REORTHO_EVERY == 0
+            elif not qr and self._bound < math.inf:
+                self._bound = _drift_bound(self.cols, y, gain, self._bound)
         if not (qr or self._checked or self._product is not None):
-            qr = orthonormality_drift(self.cols) > BASIS_DRIFT_TOL
-            self._checked = not qr
+            if self._bound <= self._limit:
+                self._checked = True
+            else:
+                drift = orthonormality_drift(self.cols)
+                qr = drift > BASIS_DRIFT_TOL
+                self._checked = not qr
+                self._bound = (drift + self._offset) * (1.0 + 2.0 * self._k) * _UP
         if qr:
             # factored in place in the workspace and copied back, so the buffer
             # and the workspace are the only n x d arrays alive
@@ -127,6 +224,7 @@ class _Trajectory:
             np.copyto(work, self.cols)
             np.copyto(self.cols, _orthonormalize_in_place(work))
             self._checked = False
+            self._bound = math.inf
             if self._product is not None:
                 self._product = self.cols.T @ self._target
         if self._epsilons is not None:

@@ -23,7 +23,8 @@ from grouse.harness import (
     write_problem_spec,
     write_sweep_csv,
 )
-from grouse.linalg import NumericalError
+from grouse.full_data import run_full
+from grouse.linalg import NumericalError, _one_blas_thread, _openblas_thread_controls
 from grouse.metrics import coherence_basis, epsilon, epsilon_residual
 from grouse.partial_data import Observation
 
@@ -69,6 +70,36 @@ def test_generate_problem_determinism_and_spread():
     assert np.array_equal(u01.columns, u02.columns)
     eps0 = epsilon(u01, ubar1)
     assert 0.0 < eps0 < 6.0
+
+
+@pytest.mark.per_core
+def test_library_runs_keep_their_bits_at_two_blas_threads():
+    # OpenBLAS splits a product by its thread count, so generate_problem and
+    # run_full pin one thread for the whole call, and a caller at two threads
+    # gets the bits of a pinned run (at these sizes an unpinned call does not)
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread controls found")
+    spec = ProblemSpec(n=5000, d=100, q="full", iters=1, seed=3)
+    ubar, u0 = generate_problem(ProblemSpec(n=2000, d=50, q="full", iters=1, seed=4))
+
+    def runs():
+        problem = generate_problem(spec)
+        full = run_full(u0, ubar, 20, seed=4)
+        return [b.columns.tobytes() for b in problem] + [full.epsilons.tobytes(), full.theta.tobytes()]
+
+    with _one_blas_thread():
+        pinned = runs()
+    initial = [getter() for _, getter in controls]
+    try:
+        for setter, _ in controls:
+            setter(2)
+        threaded = runs()
+        assert [getter() for _, getter in controls] == [2] * len(controls)
+    finally:
+        for (setter, _), count in zip(controls, initial):
+            setter(count)
+    assert threaded == pinned
 
 
 def test_generate_problem_holds_at_most_three_basis_sized_arrays(traced_peak):

@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -615,6 +616,8 @@ def test_steps_after_drift_triggered_qrs_are_a_chain_of_grouse_steps(monkeypatch
 
     monkeypatch.setattr(grouse.results, "_orthonormalize_in_place", qr)
     monkeypatch.setattr(grouse.results, "orthonormality_drift", drift)
+    # the faked drift is no rotation's rounding, so the certificate must defer
+    monkeypatch.setattr(grouse.results, "_drift_bound", lambda *args: math.inf)
     u0, ubar, stream = _gated_stream(ProblemSpec(n=2000, d=10, q=80, iters=150, seed=40))
     records = _assert_chain_of_grouse_steps(u0, stream, 1.0, ubar)
     # both sides ran the checks: two with excess drift per taken step (its
@@ -622,6 +625,160 @@ def test_steps_after_drift_triggered_qrs_are_a_chain_of_grouse_steps(monkeypatch
     taken = sum(rec.taken for rec in records)
     assert taken >= 5
     assert excess.count(True) >= 4 * taken and excess.count(False) >= 2 * taken
+
+
+def _trajectory_events(monkeypatch) -> list:
+    """Record, in call order, the trajectory's drift bounds, exact drift checks and QRs.
+
+    Each is an entry ``("bound", value)``, ``("check", reading)`` or
+    ``("qr",)`` of the returned list; the calls themselves are unchanged.
+    """
+    import grouse.results
+
+    events = []
+
+    def recording(kind, real):
+        def call(*args):
+            value = real(*args)
+            events.append((kind,) if kind == "qr" else (kind, value))
+            return value
+
+        return call
+
+    names = {"bound": "_drift_bound", "check": "orthonormality_drift", "qr": "_orthonormalize_in_place"}
+    for kind, name in names.items():
+        monkeypatch.setattr(grouse.results, name, recording(kind, getattr(grouse.results, name)))
+    return events
+
+
+def _result_bytes(res) -> bytes:
+    names = ("epsilons", "gate_passed", "taken", "norm_r", "norm_p", "theta")
+    return b"".join(np.asarray(getattr(res, name)).tobytes() for name in names)
+
+
+def _sweep_x_bytes(seed: int) -> bytes:
+    from grouse.harness import _sweep_trial_x
+
+    return np.float64(_sweep_trial_x(ProblemSpec(n=1000, d=10, q=40, iters=250, seed=seed), True)).tobytes()
+
+
+def _trial_bytes(bypass_gate=False, **spec) -> bytes:
+    from grouse.harness import run_full_trial, run_partial_trial
+
+    spec = ProblemSpec(iters=250, seed=7, **spec)
+    if spec.q == "full":
+        return _result_bytes(run_full_trial(spec))
+    return _result_bytes(run_partial_trial(spec, bypass_gate=bypass_gate))
+
+
+# Runs that step a drift-checked trajectory through two cadence QRs: the
+# montecarlo sweep's bypassed cell, the recorded gated stream, run_full
+# below _EXACT_EPS_LIMIT (epsilon from scratch, drift checked), and the
+# extreme shapes d = 1 and n = d + 1
+_CERTIFIED_RUNS = {
+    **{f"sweep-{seed}": functools.partial(_sweep_x_bytes, seed) for seed in (1, 2, 3)},
+    "gated": functools.partial(_trial_bytes, n=500, d=5, q=80),
+    "full": functools.partial(_trial_bytes, n=300, d=8, q="full"),
+    "d=1": functools.partial(_trial_bytes, True, n=50, d=1, q=10),
+    "n=d+1 partial": functools.partial(_trial_bytes, True, n=6, d=5, q=6),
+    "n=d+1 full": functools.partial(_trial_bytes, n=6, d=5, q="full"),
+}
+
+
+@pytest.mark.per_core
+@pytest.mark.parametrize("case", list(_CERTIFIED_RUNS))
+def test_drift_certificate_keeps_the_bits_of_the_exact_checks(case, monkeypatch):
+    import grouse.results
+    from grouse.metrics import REORTHO_EVERY
+
+    run = _CERTIFIED_RUNS[case]
+    events = _trajectory_events(monkeypatch)
+    certified = run()
+    checks, qrs = (sum(e[0] == kind for e in events) for kind in ("check", "qr"))
+    assert qrs == 250 // REORTHO_EVERY
+    # the start and each QR factor take one exact check; the certificate decides every other step
+    assert 1 <= checks <= qrs + 1
+    # forced to defer, every check runs exactly, with the same bits
+    events.clear()
+    monkeypatch.setattr(grouse.results, "_drift_bound", lambda *args: math.inf)
+    assert run() == certified
+    assert sum(e[0] == "check" for e in events) > 10 * checks
+
+
+def _near_tolerance_start(n: int, d: int, seed: int) -> Basis:
+    """A random basis with its first column scaled until its drift reads just under ``BASIS_DRIFT_TOL``."""
+    cols = random_basis(n, d, seed).columns
+
+    def scaled(t):
+        out = cols.copy()
+        out[:, 0] *= 1.0 + t
+        return out
+
+    low, high = 0.0, BASIS_DRIFT_TOL
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if orthonormality_drift(scaled(mid)) <= BASIS_DRIFT_TOL else (low, mid)
+    return Basis(scaled(low))
+
+
+def _bypassed_stream(ubar: Basis, steps: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    n, d = ubar.n, ubar.d
+    draws = ((np.sort(rng.choice(n, size=n // 2, replace=False)), rng.standard_normal(d)) for _ in range(steps))
+    return [make_obs(ubar, omega, s) for omega, s in draws]
+
+
+def _assert_qrs_are_the_checks(exact: list, tol: float, steps: int) -> None:
+    """Each QR in ``exact``, checks and QRs in call order, is the cadence's or follows a check above ``tol``."""
+    from grouse.metrics import REORTHO_EVERY
+
+    excess = [i for i, event in enumerate(exact) if event[0] == "check" and event[1] > tol]
+    assert all(exact[i + 1] == ("qr",) for i in excess)
+    assert sum(event == ("qr",) for event in exact) == len(excess) + steps // REORTHO_EVERY
+
+
+def test_drift_certificate_defers_to_the_exact_check_near_the_tolerance(monkeypatch):
+    import grouse.results
+
+    u0 = _near_tolerance_start(60, 4, seed=5)
+    assert BASIS_DRIFT_TOL - 1e-15 < orthonormality_drift(u0.columns) <= BASIS_DRIFT_TOL
+    _, ubar = pair_with_epsilon(60, 4, 0.3, seed=5)
+    stream = _bypassed_stream(ubar, 150, seed=5)
+    events = _trajectory_events(monkeypatch)
+    certified = _result_bytes(run_stream(u0, stream, ubar=ubar, bypass_gate=True))
+    # the start's check reads near the tolerance, so the bound after the next
+    # rotation leaves no room: that step is checked exactly too
+    assert [e[0] for e in events[:3]] == ["check", "bound", "check"]
+    assert events[0][1] > 0.5 * BASIS_DRIFT_TOL
+    exact = [e for e in events if e[0] != "bound"]
+    _assert_qrs_are_the_checks(exact, BASIS_DRIFT_TOL, 150)
+    monkeypatch.setattr(grouse.results, "_drift_bound", lambda *args: math.inf)
+    events.clear()
+    assert _result_bytes(run_stream(u0, stream, ubar=ubar, bypass_gate=True)) == certified
+    assert sum(e[0] == "check" for e in events) > sum(e[0] == "check" for e in exact)
+
+
+def test_drift_qrs_at_a_tolerance_inside_the_rounding_are_the_exact_checks(monkeypatch):
+    # at a tolerance of a few roundings the certificate never holds, the
+    # exact check reads excess drift on some rotated bases and not on others,
+    # and each QR it decides is the same as with the certificate forced to defer
+    import grouse.results
+    from grouse.metrics import REORTHO_EVERY
+
+    monkeypatch.setattr(grouse.results, "BASIS_DRIFT_TOL", 1e-15)
+    u0, ubar = pair_with_epsilon(60, 4, 0.3, seed=6)
+    stream = _bypassed_stream(ubar, 150, seed=6)
+    events = _trajectory_events(monkeypatch)
+    certified = _result_bytes(run_stream(u0, stream, ubar=ubar, bypass_gate=True))
+    exact = [e for e in events if e[0] != "bound"]
+    readings = [e[1] for e in exact if e[0] == "check"]
+    assert any(x > 1e-15 for x in readings) and any(x <= 1e-15 for x in readings)
+    _assert_qrs_are_the_checks(exact, 1e-15, 150)
+    assert sum(e[0] == "qr" for e in exact) > 150 // REORTHO_EVERY
+    monkeypatch.setattr(grouse.results, "_drift_bound", lambda *args: math.inf)
+    events.clear()
+    assert _result_bytes(run_stream(u0, stream, ubar=ubar, bypass_gate=True)) == certified
+    assert [e for e in events if e[0] != "bound"] == exact
 
 
 def test_gated_stream_reads_each_observation_when_its_step_starts(count_calls):
@@ -919,8 +1076,9 @@ def test_rotate_keeps_signed_zeros_and_single_roundings(shape):
     assert cols.tobytes() == (cols0 + np.outer(gain, y)).tobytes()
 
 
-def test_rotate_runs_dger_on_one_blas_thread_and_restores_counts(monkeypatch):
-    # scipy's OpenBLAS pool on two threads fights numpy's for the cores
+def test_rotating_entries_pin_dger_to_one_blas_thread_and_restore_counts(monkeypatch):
+    # scipy's OpenBLAS pool on two threads fights numpy's for the cores, so
+    # each entry that rotates pins once around its loop or its one rotation
     controls = _openblas_thread_controls()
     initial = [getter() for _, getter in controls]
     seen = []
@@ -930,17 +1088,28 @@ def test_rotate_runs_dger_on_one_blas_thread_and_restores_counts(monkeypatch):
         return dger(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "dger", recording_dger)
-    u = random_basis(5000, 20, seed=3)
-    w, p, r, norm_w, norm_p, norm_r, _ = _split(u.columns, np.random.default_rng(3).standard_normal(5000))
+    u, ubar = pair_with_epsilon(5000, 20, 0.3, seed=3)
+    rng = np.random.default_rng(3)
+    obs = make_obs(ubar, np.arange(5000), rng.standard_normal(20))
+    entries = [
+        lambda: run_full(u, ubar, 2, seed=3),
+        lambda: run_stream(u, [obs, obs]),
+        lambda: grouse_step(u, obs, 1.0, bypass_gate=True),
+        lambda: full_step(u, ubar.columns @ rng.standard_normal(20), ubar),
+    ]
     try:
         for setter, _ in controls:
             setter(2)
-        _rotate(np.array(u.columns), w, p, r, norm_w, norm_p, norm_r, 0.3)
-        assert [getter() for _, getter in controls] == [2] * len(controls)
+        for entry in entries:
+            before = len(seen)
+            entry()
+            # 5000 rows at d = 20 are four row blocks, one dger call each
+            assert len(seen) - before in (4, 8)
+            assert [getter() for _, getter in controls] == [2] * len(controls)
     finally:
         for (setter, _), count in zip(controls, initial):
             setter(count)
-    assert len(seen) == 4 and set(seen) == {(1,) * len(controls)}
+    assert set(seen) == {(1,) * len(controls)}
 
 
 def test_steps_return_read_only_bases_sharing_no_memory():
