@@ -74,11 +74,13 @@ def predicted_decrease(u: Basis, ubar: Basis, v, eta: float) -> float:
     Evaluates sin(sigma*eta) * sin(2*theta - sigma*eta) / sin^2(theta)
     times (1 - ||ubar^T p||^2 / ||w||^2); nonnegative whenever sigma*eta
     lies in (0, 2*theta).  Returns 0 at theta = 0 or pi/2 (limit cases, no
-    decrease possible).
+    decrease possible).  Runs on one BLAS thread, so its bits do not depend
+    on the caller's thread count.
     """
     _check_pair(u, ubar)
     _real("eta", eta, -np.inf, message="eta must be finite")
-    return _decrease(_split(u.columns, _as_vector("v", v, u.n)), ubar.columns, eta)
+    with _one_blas_thread():
+        return _decrease(_split(u.columns, _as_vector("v", v, u.n)), ubar.columns, eta)
 
 
 def _decrease(split, target: np.ndarray, eta: float) -> float:
@@ -101,23 +103,26 @@ def full_step(u: Basis, v, ubar: Basis):
 
     Returns (new basis, FullStepRecord).  When v lies in the current span
     (theta = 0) or is orthogonal to it (theta = pi/2) the basis is returned
-    unchanged; the decrease is exactly zero at those endpoints.
+    unchanged; the decrease is exactly zero at those endpoints.  The step
+    runs on one BLAS thread, so its bits do not depend on the caller's
+    thread count.
     """
     v = _as_vector("v", v, u.n)
-    if v.dot(v) == 0.0:
-        raise ValueError("observation vector is zero")
-    split = _split(u.columns, v)
-    w, p, r, _, norm_p, norm_r, theta = split
-    sigma = norm_r * norm_p
-    taken = not _is_identity(theta)
-    eta = theta / sigma if taken else 0.0
-    # sigma*eta == theta for this step length
-    u_next = _rotated(u, *split) if taken else u
-    rec = FullStepRecord(
-        w=w, p=p, r=r, sigma=sigma, theta=theta, eta=eta,
-        epsilon_before=epsilon_residual(u, ubar), epsilon_after=epsilon_residual(u_next, ubar),
-        predicted_decrease=_decrease(split, ubar.columns, eta), taken=taken,
-    )
+    with _one_blas_thread():
+        if v.dot(v) == 0.0:
+            raise ValueError("observation vector is zero")
+        split = _split(u.columns, v)
+        w, p, r, _, norm_p, norm_r, theta = split
+        sigma = norm_r * norm_p
+        taken = not _is_identity(theta)
+        eta = theta / sigma if taken else 0.0
+        # sigma*eta == theta for this step length
+        u_next = _rotated(u, *split) if taken else u
+        rec = FullStepRecord(
+            w=w, p=p, r=r, sigma=sigma, theta=theta, eta=eta,
+            epsilon_before=epsilon_residual(u, ubar), epsilon_after=epsilon_residual(u_next, ubar),
+            predicted_decrease=_decrease(split, ubar.columns, eta), taken=taken,
+        )
     return u_next, rec
 
 

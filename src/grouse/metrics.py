@@ -19,7 +19,6 @@ from .linalg import (
     NumericalError,
     _as_vector,
     _count,
-    _one_blas_thread,
     _real_array,
     dger,
     nearest_orthogonal,
@@ -136,7 +135,8 @@ def _rotate(cols: np.ndarray, w, p, r, norm_w, norm_p, norm_r, angle):
     than one thread its pool fights for the cores with numpy's, which the
     products around each step keep spinning (``run_full`` at 10000 x 200
     ran twice as slow on two cores).  The drivers pin around their whole
-    loop, and :func:`_rotated` around its one rotation.
+    loop, and the single steps (``full_step``, ``grouse_step``) around
+    their whole body, which calls :func:`_rotated`.
     """
     # (cos(angle) - 1) p / norm_p + sin(angle) r / norm_r, each operation in
     # place where it can be, so the bits are the same: two n-vectors, not three
@@ -163,10 +163,10 @@ def _rotated(u: Basis, *args) -> Basis:
 
     The Basis adopts the rotated copy itself, after the finiteness and
     drift checks that guard chained single steps: one n x d copy per call.
+    The caller pins one BLAS thread, as for :func:`_rotate`.
     """
     cols = np.array(u.columns)
-    with _one_blas_thread():
-        _rotate(cols, *args)
+    _rotate(cols, *args)
     return _adopt(cols)
 
 

@@ -26,11 +26,14 @@ rotation's arguments; the stream driver hands them to the trajectory
 (distinct indices, without replacement) wherever one is needed.
 
 Indices are 0-based throughout the in-memory API; the observation CSV
-format uses 1-based indices on the wire.
+format uses 1-based indices on the wire.  :func:`read_observations` takes
+the file's rows from the line codec in batches and reads each batch's
+index and value fields with one ``np.fromstring`` per column.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -373,32 +376,34 @@ def grouse_step(
     update with ``taken`` True and eta = 0.  ``epsilon_before/after`` are
     filled when ``ubar`` is supplied.  ValueError if ``obs.n != u.n``,
     ``ubar`` has another n or d, or alpha lies outside (0, 2), whether or
-    not the step is taken.
+    not the step is taken.  The step runs on one BLAS thread, so its bits
+    do not depend on the caller's thread count.
     """
     _check_alpha(alpha)
     _check_pair(u, ubar)
     omega, values, latent_s = _arrays(obs, u, ubar)
-    sub = u.columns[omega]
-    verdict = _gate(sub, u.n)
-    fit = rotation = None
-    if bypass_gate or verdict.passed:
-        fit, rotation = _step(u.columns, sub, omega, values, alpha)
-    sigma, eta, clamped, w, p, r = (0.0, 0.0, False, None, None, None) if fit is None else fit[2:]
-    u_next = u if rotation is None else _rotated(u, *rotation)
-    rec = StepRecord(
-        gate=verdict,
-        taken=fit is not None,
-        alpha=alpha,
-        w=w,
-        p=p,
-        r=r,
-        sigma=sigma,
-        eta=eta,
-        clamped=clamped,
-        theta=_revealed_theta(u.columns, ubar, latent_s),
-        epsilon_before=None if ubar is None else epsilon_residual(u, ubar),
-        epsilon_after=None if ubar is None else epsilon_residual(u_next, ubar),
-    )
+    with _one_blas_thread():
+        sub = u.columns[omega]
+        verdict = _gate(sub, u.n)
+        fit = rotation = None
+        if bypass_gate or verdict.passed:
+            fit, rotation = _step(u.columns, sub, omega, values, alpha)
+        sigma, eta, clamped, w, p, r = (0.0, 0.0, False, None, None, None) if fit is None else fit[2:]
+        u_next = u if rotation is None else _rotated(u, *rotation)
+        rec = StepRecord(
+            gate=verdict,
+            taken=fit is not None,
+            alpha=alpha,
+            w=w,
+            p=p,
+            r=r,
+            sigma=sigma,
+            eta=eta,
+            clamped=clamped,
+            theta=_revealed_theta(u.columns, ubar, latent_s),
+            epsilon_before=None if ubar is None else epsilon_residual(u, ubar),
+            epsilon_after=None if ubar is None else epsilon_residual(u_next, ubar),
+        )
     return u_next, rec
 
 
@@ -486,27 +491,11 @@ def write_observations(path, observations) -> None:
     )
 
 
-def _parse_field(field: str, dtype) -> np.ndarray:
-    """A semicolon-separated wire field as a 1-d array; ValueError on malformed text.
+# read_observations parses this many rows at once: one np.fromstring per column.
+_BATCH = 128
 
-    The one reader outside the cell rule of ``results._Kind``: observation
-    files also come from other programs, so an element need not be spelled
-    as the writer spells it (``.5`` reads as 0.5), and a canonical re-write
-    check would cost about three times the parse.  The field holds no
-    whitespace (the writer emits none).  ``np.fromstring``
-    raises on most malformed text, but it reads a blank element, a bare sign
-    or a sign followed by whitespace as a number, and it stops short at a
-    trailing ";"; those are rejected here.
-    """
-    if not field:
-        return np.zeros(0, dtype=dtype)
-    padded = f";{field};"
-    if field.split() != [field] or ";-;" in padded or ";+;" in padded:
-        raise ValueError("malformed observation field")
-    values = np.fromstring(field, dtype=dtype, sep=";")
-    if len(values) != field.count(";") + 1:
-        raise ValueError("malformed observation field")
-    return values
+# The bytes of a bare sign, an element np.fromstring would read as a number.
+_SIGNS = np.frombuffer(b"+-", dtype=np.uint8)
 
 
 def read_observations(path) -> list[Observation]:
@@ -515,22 +504,78 @@ def read_observations(path) -> list[Observation]:
     The t and n fields are plain ASCII decimal digits: a sign, padding or
     an underscore, which ``int()`` would read, raises ValueError.  Lines
     come from the line codec ``results._read_rows``: a field has no length
-    limit, and a quoted field (a ``"`` anywhere) raises ValueError.
+    limit, and a quoted field (a ``"`` anywhere) raises ValueError.  Rows
+    are parsed ``_BATCH`` at a time by :func:`_parse_rows`.
     """
-    rows = []
-    for row in _read_rows(path):
-        if not row:
-            continue
+    rows = filter(None, _read_rows(path))  # a blank line reads as []
+    pairs = []
+    for batch in iter(lambda: list(itertools.islice(rows, _BATCH)), []):
+        pairs += _parse_rows(batch)
+    pairs.sort(key=lambda pair: pair[0])
+    if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
+        raise ValueError("duplicate observation index t")
+    return [obs for _, obs in pairs]
+
+
+def _parse_rows(rows) -> list[tuple[int, Observation]]:
+    """The ``(t, Observation)`` of each row ``[t, n, indices, values]``; ValueError on malformed text.
+
+    Each Observation's arrays are slices of the two arrays that
+    :func:`_parse_fields` reads from all the rows' index and value fields,
+    and ``Observation`` checks each one.
+    """
+    for row in rows:
         if len(row) != 4:
             raise ValueError(f"observation row has {len(row)} fields, not 4")
-        t, n = row[0], row[1]
-        if not (t.isascii() and t.isdigit() and n.isascii() and n.isdigit()):
-            raise ValueError("observation t and n fields must be plain decimal digits")
-        t, n = int(t), int(n)
-        omega = _parse_field(row[2], int) - 1
-        values = _parse_field(row[3], float)
-        rows.append((t, Observation(n=n, omega=omega, values=values)))
-    rows.sort(key=lambda pair: pair[0])
-    if any(a[0] == b[0] for a, b in zip(rows, rows[1:])):
-        raise ValueError("duplicate observation index t")
-    return [obs for _, obs in rows]
+    ts, ns, index_fields, value_fields = zip(*rows)
+    # the codec passes only ASCII, where isdigit holds for 0-9 alone
+    if not all(map(str.isdigit, ts + ns)):
+        raise ValueError("observation t and n fields must be plain decimal digits")
+    omega, omega_bounds = _parse_fields(index_fields, int)
+    omega -= 1
+    values, value_bounds = _parse_fields(value_fields, float)
+    return [
+        (int(t), Observation(n=int(n), omega=omega[a:b], values=values[c:e]))
+        for t, n, (a, b), (c, e) in zip(ts, ns, _pairs(omega_bounds), _pairs(value_bounds))
+    ]
+
+
+def _pairs(bounds: np.ndarray):
+    """The consecutive ``(start, end)`` pairs of ``bounds``, as Python ints."""
+    bounds = bounds.tolist()
+    return zip(bounds, bounds[1:])
+
+
+def _parse_fields(fields, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of semicolon-separated wire fields as one array, and the fields' bounds in it.
+
+    Field i's elements are ``array[bounds[i]:bounds[i + 1]]``; ValueError
+    on malformed text.  The one reader outside the cell rule of
+    ``results._Kind``: observation files also come from other programs, so
+    an element need not be spelled as the writer spells it (``.5`` reads as
+    0.5), and a canonical re-write check would cost about three times the
+    parse.  The non-empty fields, joined by ";", are read by one
+    ``np.fromstring``, which raises on text it cannot read to its end, but
+    reads an element of whitespace, a bare integer sign or a sign followed
+    by whitespace as a number and ends quietly at a trailing ";".  So the
+    joined text must hold no byte at or below the space (no whitespace,
+    which the writer never emits; ``np.fromstring`` raises on the other
+    control bytes), and no element, as the separators bound it, may be
+    blank or a bare sign.  Past one pass for the smallest byte, these
+    checks and the bounds read the separator positions, not the text.
+    """
+    lengths = np.fromiter(map(len, fields), int, len(fields))
+    text = ";".join(filter(None, fields)).encode()
+    if not text:
+        return np.zeros(0, dtype=dtype), np.zeros(len(fields) + 1, dtype=int)
+    codes = np.frombuffer(text, dtype=np.uint8)
+    # each element's end (a separator or the end of the text) and start
+    ends = np.append(np.flatnonzero(codes == ord(";")), len(text))
+    starts = np.append(0, ends[:-1] + 1)
+    short = starts[ends - starts == 1]
+    if codes.min() <= ord(" ") or (ends == starts).any() or np.isin(codes[short], _SIGNS).any():
+        raise ValueError("malformed observation field")
+    # a field starts after the ones before it and their joining ";"; the
+    # elements before that point are the ends before it
+    offsets = np.append(0, np.cumsum(lengths + (lengths > 0)))
+    return np.fromstring(text, dtype=dtype, sep=";"), np.searchsorted(ends, offsets)

@@ -8,11 +8,13 @@ rotation, cannot certify that the check would find no excess drift.
 
 :func:`_write_rows` and :func:`_read_rows` are the one line codec of every
 CSV file, the tables here and the observation file of ``partial_data``:
-comma-separated cells, no quoting, ``\r\n`` line ends written and any of
-``\r\n``, ``\r``, ``\n`` read.
+comma-separated ASCII cells, no quoting, ``\r\n`` line ends written and any
+of ``\r\n``, ``\r``, ``\n`` read.  The reader reads fixed-size blocks, so it
+never holds a file's text.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -248,7 +250,7 @@ class _Kind(NamedTuple):
     writes (no sign, padding, leading zero, underscore, exponent or other
     spelling of the written text).  :func:`_write_cells` and
     :func:`_read_cells` apply it, for every file the library writes; only
-    the observation reader (``partial_data._parse_field``) keeps a looser
+    the observation reader (``partial_data._parse_fields``) keeps a looser
     rule of its own.
     """
 
@@ -304,21 +306,44 @@ def _write_rows(path, rows) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
+# The line codec reads a file in blocks of this many bytes, so a reader holds
+# one block and the line that straddles its end, never the file's text.
+_BLOCK = 1 << 16
+
+
 def _read_rows(path):
-    """Yield the cells of each line of a file, ``[]`` for a blank line; ValueError on a ``"``.
+    """Yield the cells of each line of a file, ``[]`` for a blank line; ValueError on a ``"`` or a non-ASCII byte.
 
     ``\r\n``, ``\r`` and ``\n`` each end a line, and a line splits at
     every ",": on text without ``"`` these are ``csv.reader``'s rows.  A
     quoted cell is not a cell the library writes, so a ``"`` anywhere raises
-    ValueError.  Lines stream from the file one at a time, and a field has
-    no length limit.
+    ValueError; so does a byte past ASCII, which no cell the library writes
+    holds.  The file is read in blocks of ``_BLOCK``
+    bytes, each checked once for both and cut after its last line end that
+    cannot be the ``\r`` of a ``\r\n``; ``bytes.splitlines`` then ends a
+    line at those three ends only (``str.splitlines`` would also end one at
+    ``\v``, ``\f`` and ``\x1c``-``\x1e``).  A field has no length limit.
     """
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if '"' in line:
+    with open(path, "rb") as fh:
+        head = []
+        for block in iter(functools.partial(fh.read, _BLOCK), b""):
+            if b'"' in block:
                 raise ValueError("quoted cells are not read: a line holds '\"'")
-            yield line.split(",") if line else []
+            if not block.isascii():
+                raise ValueError("a line holds a byte that is not ASCII")
+            cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
+            if not cut:
+                head.append(block)
+                continue
+            # a memoryview slice, so that the join is the one copy of the block
+            yield from _split_lines(b"".join([*head, memoryview(block)[:cut]]))
+            head = [block[cut:]]
+        yield from _split_lines(b"".join(head))
+
+
+def _split_lines(text: bytes):
+    for line in map(bytes.decode, text.splitlines()):
+        yield line.split(",") if line else []
 
 
 def _write_table(path, schema: dict, columns, lagged=()) -> None:

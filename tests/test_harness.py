@@ -23,10 +23,10 @@ from grouse.harness import (
     write_problem_spec,
     write_sweep_csv,
 )
-from grouse.full_data import run_full
+from grouse.full_data import full_step, predicted_decrease, run_full
 from grouse.linalg import NumericalError, _one_blas_thread, _openblas_thread_controls
 from grouse.metrics import coherence_basis, epsilon, epsilon_residual
-from grouse.partial_data import Observation
+from grouse.partial_data import Observation, grouse_step
 
 
 def test_problem_spec_validation():
@@ -72,21 +72,42 @@ def test_generate_problem_determinism_and_spread():
     assert 0.0 < eps0 < 6.0
 
 
+def _record_bits(record) -> list:
+    """Every bit of a step record: its arrays' bytes and its other fields' reprs."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in vars(record).values()]
+
+
 @pytest.mark.per_core
 def test_library_runs_keep_their_bits_at_two_blas_threads():
-    # OpenBLAS splits a product by its thread count, so generate_problem and
-    # run_full pin one thread for the whole call, and a caller at two threads
-    # gets the bits of a pinned run (at these sizes an unpinned call does not)
+    # OpenBLAS splits a product by its thread count, so generate_problem,
+    # run_full and the single steps pin one thread for the whole call, and a
+    # caller at two threads gets the bits of a pinned run (at these sizes an
+    # unpinned call does not)
     controls = _openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS thread controls found")
     spec = ProblemSpec(n=5000, d=100, q="full", iters=1, seed=3)
     ubar, u0 = generate_problem(ProblemSpec(n=2000, d=50, q="full", iters=1, seed=4))
+    target, start = generate_problem(spec)
+    with _one_blas_thread():
+        v = target.columns @ np.random.default_rng(4).standard_normal(spec.d)
+    omega = np.sort(np.random.default_rng(5).choice(spec.n, size=spec.n // 2, replace=False))
+    obs = Observation(n=spec.n, omega=omega, values=v[omega])
 
     def runs():
         problem = generate_problem(spec)
         full = run_full(u0, ubar, 20, seed=4)
-        return [b.columns.tobytes() for b in problem] + [full.epsilons.tobytes(), full.theta.tobytes()]
+        stepped, record = full_step(start, v, target)
+        moved, step = grouse_step(start, obs, ubar=target)
+        return [b.columns.tobytes() for b in problem] + [
+            full.epsilons.tobytes(),
+            full.theta.tobytes(),
+            stepped.columns.tobytes(),
+            moved.columns.tobytes(),
+            *_record_bits(record),
+            *_record_bits(step),
+            repr(predicted_decrease(start, target, v, record.eta)),
+        ]
 
     with _one_blas_thread():
         pinned = runs()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg.blas import dger
 
-from grouse import metrics, partial_data
+from grouse import metrics, partial_data, results
 from grouse.full_data import _is_identity, _split, full_step, run_full
 from grouse.linalg import NumericalError, _openblas_thread_controls, orthonormalize
 from grouse.metrics import BASIS_DRIFT_TOL, Basis, _rotate, epsilon_residual, orthonormality_drift
@@ -943,35 +943,90 @@ def test_observation_csv_round_trips_a_wide_observation(tmp_path):
     assert back.values.tobytes() == obs.values.tobytes()
 
 
-@pytest.mark.parametrize(
-    "indices, values",
-    [
-        ("1.5", "1.0"),
-        ("x", "1.0"),
-        ("1;;2", "1.0;2.0"),
-        ("1e3", "1.0"),
-        ("1;2;", "1.0;2.0"),  # a trailing separator would parse short
-        ("1;2", "1.0;2.0;"),
-        (";1", "1.0"),
-        ("1;-", "1.0;2.0"),  # a bare sign would parse as 0
-        ("1; ", "1.0;2.0"),  # a blank element would parse as 0
-        ("1;2", "1.0; "),  # ... or as -1.0
-        ("- 1", "1.0"),
-        ("1_0", "1.0"),
-        ("1", "x"),
-        ("1", "1.0;;2.0"),
-        ("1", "1_0.5"),
-        ("1", "0x10"),
-        # a quoted field is not one the writer writes, though csv.reader would unquote it
-        ('"1"', "1.0"),
-        ("1", '"1.0"'),
-    ],
-)
+# Malformed index and value fields, each rejected with ValueError.
+_MALFORMED_FIELDS = [
+    ("1.5", "1.0"),
+    ("x", "1.0"),
+    ("1;;2", "1.0;2.0"),
+    ("1e3", "1.0"),
+    ("1;2;", "1.0;2.0"),  # a trailing separator would parse short
+    ("1;2", "1.0;2.0;"),
+    (";1", "1.0"),
+    ("1;-", "1.0;2.0"),  # a bare sign would parse as 0
+    ("1; ", "1.0;2.0"),  # a blank element would parse as 0
+    ("1;2", "1.0; "),  # ... or as -1.0
+    ("- 1", "1.0"),
+    ("1_0", "1.0"),
+    ("1", "x"),
+    ("1", "1.0;;2.0"),
+    ("1", "1_0.5"),
+    ("1", "0x10"),
+    # a quoted field is not one the writer writes, though csv.reader would unquote it
+    ('"1"', "1.0"),
+    ("1", '"1.0"'),
+]
+
+
+@pytest.mark.parametrize("indices, values", _MALFORMED_FIELDS)
 def test_observation_csv_rejects_malformed_fields(tmp_path, indices, values):
     path = tmp_path / "observations.csv"
     path.write_text(f"0,20,{indices},{values}\n")
     with pytest.raises(ValueError):
         read_observations(path)
+
+
+@pytest.mark.parametrize("batch", [partial_data._BATCH, 2])
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize("indices, values", _MALFORMED_FIELDS)
+def test_observation_csv_rejects_malformed_fields_in_any_row(tmp_path, monkeypatch, indices, values, row, batch):
+    # the first, middle or last of five rows; 2-row batches put the middle
+    # row first in the second batch and the last row alone in the third
+    monkeypatch.setattr(partial_data, "_BATCH", batch)
+    lines = [f"{t},20,{t + 1};{t + 3},0.5;-1.25" for t in range(5)]
+    lines[row] = f"{row},20,{indices},{values}"
+    path = tmp_path / "observations.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_observations(path)
+
+
+@pytest.mark.parametrize("indices", ["-;3", "1;+", "+"])
+def test_observation_csv_names_a_bare_sign_in_an_index_field(tmp_path, indices):
+    # np.fromstring reads a bare sign as index 0; the field rule rejects it
+    # before the index rule sees that index
+    path = tmp_path / "observations.csv"
+    path.write_text(f"0,20,1;3,0.5;-1.25\n1,20,{indices},0.5;1.0\n")
+    with pytest.raises(ValueError, match="malformed observation field"):
+        read_observations(path)
+
+
+@pytest.mark.parametrize("text", ["\u00e9", "\u00a0", "\uff11", "\u0661"])
+def test_observation_csv_rejects_a_byte_past_ascii(tmp_path, text):
+    # a non-breaking space, a fullwidth 1 and an Arabic-Indic 1 (int() reads both digits)
+    path = tmp_path / "observations.csv"
+    path.write_text(f"0,20,1;3,0.5;-1.25\n1,20,2;{text},0.5;1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="ASCII"):
+        read_observations(path)
+
+
+def test_read_observations_never_holds_the_files_text(tmp_path, traced_peak):
+    # about 5 MB of text against 3.3 MB of arrays: the peak may exceed what
+    # the result holds (its arrays, and under 512 bytes of objects a row) by
+    # a few blocks and batches, not by the text
+    rows, n, q = 2600, 2000, 80
+    rng = np.random.default_rng(33)
+    path = tmp_path / "observations.csv"
+    write_observations(
+        path,
+        (Observation(n=n, omega=np.sort(rng.choice(n, size=q, replace=False)), values=rng.standard_normal(q))
+         for _ in range(rows)),
+    )
+    size = path.stat().st_size
+    assert size >= 4 << 20
+    arrays = rows * q * 16
+    read_observations(path)
+    peak = traced_peak(lambda: read_observations(path))
+    assert peak <= arrays + rows * 512 + 16 * results._BLOCK < arrays + size
 
 
 @pytest.mark.parametrize(
