@@ -7,9 +7,11 @@ replacement.  Validators here use the model their guarantee is stated in;
 :func:`estimate_skip_rate` uses algorithm-mode sampling so the difference
 between the two models stays measurable.
 
-The residual-bound and Gram-window validators run their trials in forked
-workers (``linalg._fork_map``), one contiguous range each, and give the
-bits of a serial loop; the other validators run in-process.
+The residual-bound validator runs its trials in forked workers
+(``linalg._fork_map``), one contiguous range each, and gives the bits of a
+serial loop; the other validators run in-process.  The four validators
+run their trials on one BLAS thread, so their bits do not depend on the
+caller's thread count.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _count, _fork_map, _lstsq, _real, _rng, _workers
+from .linalg import _count, _fork_map, _lstsq, _one_blas_thread, _real, _rng, _workers
 from .metrics import EPSILON_FLOOR, Basis, _check_pair, _dims, _off_span, coherence_basis
 from .metrics import coherence_vector, epsilon_residual
 from .partial_data import _gate, _passes, _sample
@@ -38,11 +40,10 @@ _C1 = 64.0 / 3.0
 # 116, 99, 71, 65, 82, 118 ms at n=1000, d=5, 20000 trials (282 ms).
 _CHUNK_DOUBLES = 2**16
 
-# The fewest trials a forked validator worker runs (see _trial_ranges).  The
-# pool costs 16-30 ms on two cores.  Median of 7 runs at n=200, d=4,
-# omega_size=80: 800 trials take 57 ms forked against 55 ms serial for the
-# residual bound and 44 against 29 ms for the Gram window; 3200 trials take
-# 165 against 238 ms and 108 against 124 ms.
+# The fewest trials a forked residual-bound worker runs (see _trial_ranges).
+# The pool costs 16-30 ms on two cores.  Median of 7 runs at n=200, d=4,
+# omega_size=80: 800 trials take 57 ms forked against 55 ms serial; 3200
+# trials take 165 against 238 ms.
 _FORK_FLOOR = 500
 
 
@@ -117,25 +118,6 @@ def _trial_ranges(trials: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _gram_trials(cols: np.ndarray, omega_size: int, seed: int, start: int, stop: int):
-    """Trials ``start`` to ``stop`` of :func:`validate_gram_concentration`: (eig_min, eig_max).
-
-    The generator is rebuilt from ``seed`` and the earlier trials' draws
-    are replayed, so each trial draws the sample the serial loop draws.
-    """
-    n = len(cols)
-    rng = _rng(seed)
-    for _ in range(start):
-        rng.integers(0, n, size=omega_size)
-    eig_min = np.empty(stop - start)
-    eig_max = np.empty(stop - start)
-    for t in range(stop - start):
-        idx = rng.integers(0, n, size=omega_size)
-        verdict = _gate(cols[idx], n)
-        eig_min[t], eig_max[t] = verdict.eigen_min, verdict.eigen_max
-    return eig_min, eig_max
-
-
 def _residual_trials(cols, target, omega_size, log_inv_delta, mu_u, gamma, seed, start, stop):
     """Trials ``start`` to ``stop`` of :func:`validate_residual_bound`: (lhs, rhs, violated, xi, beta).
 
@@ -191,10 +173,9 @@ def validate_gram_concentration(
     rate is guaranteed at most delta; the report flags hypothesis_met=False
     (and is still produced) when omega_size is below the hypothesis.
 
-    The trials run in forked workers, one contiguous range each, once every
-    worker gets at least ``_FORK_FLOOR`` (500) trials; each range replays
-    the earlier draws, so the report is the same bits as a serial loop's.
-    There is no setting for the worker count (see ``_trial_ranges``).
+    The trials run in-process, one sample drawn and decided at a time on
+    one generator made from ``seed``, on one BLAS thread, so the report
+    does not depend on the caller's thread count.
     """
     _count("trials", trials, 1)
     mu = coherence_basis(u)
@@ -202,9 +183,13 @@ def validate_gram_concentration(
     hypothesis_met = omega_size > 8.0 / 3.0 * u.d * mu * math.log(2.0 * u.d / delta)
     low = (1.0 - gamma) * omega_size / u.n
     high = (1.0 + gamma) * omega_size / u.n
-    _rng(seed)  # the seed rule, before any worker forks
-    tasks = [(u.columns, omega_size, seed, start, stop) for start, stop in _trial_ranges(trials)]
-    eig_min, eig_max = map(np.concatenate, zip(*_fork_map(_gram_trials, tasks)))
+    rng = _rng(seed)
+    eig_min = np.empty(trials)
+    eig_max = np.empty(trials)
+    with _one_blas_thread():
+        for t in range(trials):
+            verdict = _gate(u.columns[rng.integers(0, u.n, size=omega_size)], u.n)
+            eig_min[t], eig_max[t] = verdict.eigen_min, verdict.eigen_max
     in_window = (eig_min >= low) & (eig_max <= high)
     return ConcentrationReport(
         trials=trials,
@@ -233,9 +218,11 @@ def validate_residual_bound(
     omega_size > d: fewer sampled rows can never determine the fit, and d
     rows fit exactly, leaving a zero residual and a vacuous bound.
 
-    The trials run in forked workers as in
-    :func:`validate_gram_concentration`, the same bits as a serial loop's;
-    a singular sample raises ``NumericalError`` from the first such trial.
+    The trials run in forked workers, one contiguous range each, once every
+    worker gets at least ``_FORK_FLOOR`` (500) trials; each range replays
+    the earlier draws, so the report is the same bits as a serial loop's.
+    There is no setting for the worker count (see ``_trial_ranges``).  A
+    singular sample raises ``NumericalError`` from the first such trial.
     """
     _check_pair(u, ubar)
     _count("omega_size", omega_size, u.d + 1, "d + 1")
@@ -284,7 +271,9 @@ def estimate_skip_rate(u: Basis, q: int, trials: int, seed: int) -> float:
 def validate_sin_sq_expectation(u: Basis, ubar: Basis, trials: int, seed: int):
     """Sample mean and standard error of sin^2(theta) over v = ubar @ s.
 
-    The mean should sit within a few standard errors of epsilon/d.
+    The mean should sit within a few standard errors of epsilon/d.  The
+    products run on one BLAS thread, so the bits do not depend on the
+    caller's thread count.
     """
     _check_pair(u, ubar)
     _count("trials", trials, 2)
@@ -300,21 +289,22 @@ def validate_sin_sq_expectation(u: Basis, ubar: Basis, trials: int, seed: int):
     v_buf = np.empty((min(trials, rows + 1), u.n))
     resid_buf = np.empty_like(v_buf)
     done = 0
-    while done < trials:
-        take = min(rows, trials - done)
-        if trials - done - take == 1:
-            take += 1
-        s = rng.standard_normal((take, ubar.d))
-        v = np.matmul(s, ubar.columns.T, out=v_buf[:take])
-        # not metrics._off_span: its product order would change the bytes of validate-expectation
-        resid = np.matmul(v @ u.columns, u.columns.T, out=resid_buf[:take])
-        # the subtraction and both squares overwrite an operand, bitwise the
-        # out-of-place forms
-        np.subtract(v, resid, out=resid)
-        np.multiply(resid, resid, out=resid)
-        np.multiply(v, v, out=v)
-        vals[done : done + take] = np.sum(resid, axis=1) / np.sum(v, axis=1)
-        done += take
+    with _one_blas_thread():
+        while done < trials:
+            take = min(rows, trials - done)
+            if trials - done - take == 1:
+                take += 1
+            s = rng.standard_normal((take, ubar.d))
+            v = np.matmul(s, ubar.columns.T, out=v_buf[:take])
+            # not metrics._off_span: its product order would change the bytes of validate-expectation
+            resid = np.matmul(v @ u.columns, u.columns.T, out=resid_buf[:take])
+            # the subtraction and both squares overwrite an operand, bitwise the
+            # out-of-place forms
+            np.subtract(v, resid, out=resid)
+            np.multiply(resid, resid, out=resid)
+            np.multiply(v, v, out=v)
+            vals[done : done + take] = np.sum(resid, axis=1) / np.sum(v, axis=1)
+            done += take
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials))
     return mean, stderr
@@ -326,6 +316,8 @@ def mu_xt_diagnostics(u: Basis, ubar: Basis, trials: int, seed: int) -> MuXtSumm
     x_t is the part of v_t the current basis cannot explain; its coherence
     is observed to grow like log(n).  Reported against the two analysis
     thresholds for the sampling constant c1 = 64/3; no assertion is made.
+    The trials run on one BLAS thread, so the bits do not depend on the
+    caller's thread count.
     """
     _count("trials", trials, 1)
     if epsilon_residual(u, ubar) <= EPSILON_FLOOR:
@@ -334,9 +326,10 @@ def mu_xt_diagnostics(u: Basis, ubar: Basis, trials: int, seed: int) -> MuXtSumm
     n, d = u.n, u.d
     mu_ubar = coherence_basis(ubar)
     mus = np.empty(trials)
-    for t in range(trials):
-        s = rng.standard_normal(d)
-        mus[t] = coherence_vector(_off_span(u.columns, ubar.columns @ s))
+    with _one_blas_thread():
+        for t in range(trials):
+            s = rng.standard_normal(d)
+            mus[t] = coherence_vector(_off_span(u.columns, ubar.columns @ s))
     log_n = math.log(n)
     log20d = math.log(20.0 * d)
     narrow = log_n * math.sqrt(0.045 / math.log(10.0) * _C1 * d * mu_ubar * log20d)

@@ -153,6 +153,8 @@ def pair_with_epsilon(
     ``frame="incoherent"`` tilts within a flat cosine-harmonic frame
     instead, keeping both bases at low coherence; its 2d distinct harmonics
     come from the n - 1 nonconstant ones, so it requires n >= 2d + 1.
+    The frame is factored, and the pair formed, on one BLAS thread, so the
+    bits do not depend on the caller's thread count.
     """
     _count("n", n)
     _count("d", d)
@@ -160,20 +162,23 @@ def pair_with_epsilon(
         raise ValueError("need d >= 1 and n >= 2d to tilt into the complement")
     _real("eps", eps, 0.0, d, closed=True, message="eps must lie in [0, d]")
     rng = _rng(seed)
-    if frame == "gaussian":
-        cols = orthonormalize(rng.standard_normal((n, 2 * d)))
-    elif frame == "incoherent":
-        if n < 2 * d + 1:
-            raise ValueError("the incoherent frame needs n >= 2d + 1: 2d distinct nonconstant harmonics")
-        cols = _cosine_frame(rng, n, 2 * d)
-    else:
-        raise ValueError('frame must be "gaussian" or "incoherent"')
-    ubar_cols, comp = cols[:, :d], cols[:, d:]
-    sin_phi = np.sqrt(_split_epsilon(rng, d, eps))
-    cos_phi = np.sqrt(1.0 - sin_phi**2)
-    tilted = ubar_cols * cos_phi + comp * sin_phi
-    rot = orthonormalize(rng.standard_normal((d, d)))
-    return Basis(tilted @ rot), Basis(ubar_cols)
+    with _one_blas_thread():
+        if frame == "gaussian":
+            cols = _orthonormalize_in_place(np.asfortranarray(rng.standard_normal((n, 2 * d))))
+        elif frame == "incoherent":
+            if n < 2 * d + 1:
+                raise ValueError("the incoherent frame needs n >= 2d + 1: 2d distinct nonconstant harmonics")
+            cols = _cosine_frame(rng, n, 2 * d)
+        else:
+            raise ValueError('frame must be "gaussian" or "incoherent"')
+        ubar_cols, comp = cols[:, :d], cols[:, d:]
+        sin_phi = np.sqrt(_split_epsilon(rng, d, eps))
+        cos_phi = np.sqrt(1.0 - sin_phi**2)
+        # C-ordered whatever the frame's order, so the product below runs
+        # through the kernel, and gives the bits, of a C-ordered frame
+        tilted = np.add(ubar_cols * cos_phi, comp * sin_phi, order="C")
+        rot = orthonormalize(rng.standard_normal((d, d)))
+        return Basis(tilted @ rot), Basis(ubar_cols)
 
 
 def generate_problem(spec: ProblemSpec) -> tuple[Basis, Basis]:

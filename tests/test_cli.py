@@ -461,7 +461,8 @@ def _cli_at_blas_threads(argv, threads, out) -> str:
         "full --n 2000 --d 10 --iters 300 --seed 7",
         # q=40 > n=30 is an infeasible marker cell
         "sweep --n 30,200 --d 3 --q 3,12,40 --trials 3 --iters 60 --seed 18",
-        # trials past two workers' fork floor: the reports come from forked workers
+        # trials past two workers' fork floor: the residual report comes from
+        # forked workers, the Gram-window report from one in-process loop
         "validate-residual --n 200 --d 4 --epsilon 1e-4 --omega_size 300 --delta 0.1"
         " --trials 1201 --seed 19",
         "validate-concentration --n 200 --d 4 --omega_size 80 --delta 0.1 --trials 1201 --seed 20",

@@ -21,9 +21,9 @@ from grouse.concentration import (
     write_concentration_csv,
     write_residual_csv,
 )
-from grouse.linalg import NumericalError, _workers
+from grouse.linalg import NumericalError, _one_blas_thread, _workers
 from grouse.metrics import Basis, coherence_basis, epsilon
-from grouse.partial_data import _sample, gate_check
+from grouse.partial_data import _gate, _sample, gate_check
 from grouse.harness import incoherent_basis, pair_with_epsilon, random_basis
 
 
@@ -364,11 +364,8 @@ def test_residual_bound_rejects_omega_size_below_d(omega_size):
     assert validate_residual_bound(u, ubar, 20, 0.1, 5, 1).trials == 5
 
 
-# the two validators whose trials run in forked workers, as calls on a trial count
+# the validator whose trials run in forked workers, as a call on a trial count
 _FORKED_REPORTS = {
-    "gram_concentration": lambda trials: validate_gram_concentration(
-        incoherent_basis(100, 4, seed=35), 80, 0.1, trials, 36
-    ),
     "residual_bound": lambda trials: validate_residual_bound(
         *pair_with_epsilon(40, 4, 0.1, seed=1), 80, 0.1, trials, 38
     ),
@@ -391,6 +388,29 @@ def test_validator_workers_give_the_in_process_bits(see_one_cpu, validator, tria
     for name in (f.name for f in dataclasses.fields(in_workers)):
         a, b = np.asarray(getattr(in_workers, name)), np.asarray(getattr(in_process, name))
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_gram_concentration_runs_in_process_with_the_serial_bits(monkeypatch):
+    # past two workers' fork floor, where the validator once forked: it
+    # forks no worker and gives the bits of one serial loop on one generator
+    def no_fork(fn, tasks):
+        raise AssertionError("the Gram-window validator forked")
+
+    monkeypatch.setattr(concentration, "_fork_map", no_fork)
+    u, trials = incoherent_basis(100, 4, seed=35), 2 * _FORK_FLOOR + 1
+    report = validate_gram_concentration(u, 80, 0.1, trials, 36)
+    assert not multiprocessing.active_children()
+    rng = np.random.default_rng(36)
+    with _one_blas_thread():
+        verdicts = [_gate(u.columns[rng.integers(0, u.n, size=80)], u.n) for _ in range(trials)]
+    eig_min = np.array([v.eigen_min for v in verdicts])
+    eig_max = np.array([v.eigen_max for v in verdicts])
+    assert report.eig_min.tobytes() == eig_min.tobytes()
+    assert report.eig_max.tobytes() == eig_max.tobytes()
+    low, high = (1.0 - report.gamma) * 80 / u.n, (1.0 + report.gamma) * 80 / u.n
+    in_window = (eig_min >= low) & (eig_max <= high)
+    assert np.array_equal(report.in_window, in_window)
+    assert report.failure_rate == float(1.0 - in_window.mean())
 
 
 @pytest.mark.parametrize("trials", [50, 2 * _FORK_FLOOR + 1], ids=["in-process", "in-workers"])

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from grouse.full_data import full_step, predicted_decrease, run_full
+from grouse.full_data import _EXACT_EPS_LIMIT, full_step, predicted_decrease, run_full
 from grouse.metrics import Basis, epsilon, epsilon_residual
 from grouse.partial_data import Observation, run_stream
-from grouse.harness import ProblemSpec, generate_problem, pair_with_epsilon, random_basis
+from grouse.harness import (
+    _OBSERVATION_STREAM,
+    ProblemSpec,
+    generate_problem,
+    pair_with_epsilon,
+    random_basis,
+    run_full_trial,
+)
 from grouse.linalg import NumericalError
 from grouse.metrics import REORTHO_EVERY
-from grouse.results import _Trajectory
+from grouse.results import _EPS_SWITCH, _Trajectory
 
 
 def test_full_step_in_span_no_change():
@@ -211,6 +218,90 @@ def test_run_full_measured_decrease_matches_prediction():
         measured = rec.epsilon_before - rec.epsilon_after
         assert abs(measured - rec.predicted_decrease) <= 1e-8 * max(rec.epsilon_before, 1e-12)
         u = u1
+
+
+def _span_oracle_epsilons(u0, ubar, iters, seed) -> np.ndarray:
+    """The epsilons of ``run_full_trial``'s steps, taken in coordinates of span(U0, Ubar).
+
+    Every v_t = Ubar s_t, and so every w, p, r and rotation, stays in that
+    span of dimension at most 2d.  With B an orthonormal basis of it, U_t =
+    B C_t and Ubar = B Cbar, and the step on the 2d x d array C_t is the
+    GROUSE rotation at the exact step length (sigma eta = theta), written
+    here without the library's kernels.  C_t is re-orthonormalized after
+    every step, which leaves its span, and so epsilon, as it is.
+    """
+    d = u0.d
+    b = np.linalg.qr(np.hstack([u0.columns, ubar.columns]))[0]
+    # Cbar keeps the coordinates of Ubar's columns: v_t = Ubar s_t depends on them
+    c, cbar = np.linalg.qr(b.T @ u0.columns)[0], b.T @ ubar.columns
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _OBSERVATION_STREAM]))
+
+    def residual_energy(c):
+        g = c - cbar @ (cbar.T @ c)
+        return float(np.sum(g * g))
+
+    epsilons = [residual_energy(c)]
+    for _ in range(iters):
+        v = cbar @ rng.standard_normal(d)
+        w = c.T @ v
+        p = c @ w
+        r = v - p
+        norm_w, norm_p, norm_r = np.linalg.norm(w), np.linalg.norm(p), np.linalg.norm(r)
+        if norm_w > 0.0 and norm_r > 0.0:
+            theta = np.arctan2(norm_r, norm_w)
+            gain = (np.cos(theta) - 1.0) * p / norm_p + np.sin(theta) * r / norm_r
+            c = np.linalg.qr(c + np.outer(gain, w / norm_w))[0]
+        epsilons.append(residual_energy(c))
+    return np.array(epsilons)
+
+
+@pytest.mark.parametrize(
+    "n, d, iters, seed",
+    [
+        # n d^2 below _EXACT_EPS_LIMIT: every epsilon from scratch
+        (2000, 5, 300, 3),
+        # above it: epsilon from the maintained U^T Ubar product down to
+        # _EPS_SWITCH, then from scratch
+        (1500, 40, 1200, 12),
+    ],
+    ids=["from-scratch", "maintained"],
+)
+def test_run_full_epsilons_match_the_span_oracle(n, d, iters, seed):
+    """``run_full``'s epsilons against an independent recursion in span(U0, Ubar).
+
+    The oracle shares no code with ``_split``, ``_rotate`` or the maintained
+    product, so a wrong sign, norm or update there moves epsilon by far more
+    than rounding.  The two runs differ by rounding only; with u = 2^-53:
+
+    - A from-scratch epsilon is ||G||_F^2 for the residual G = U - Ubar Ubar^T U,
+      whose computed Frobenius norm is off by a few u ||U||_F = a few u sqrt(d),
+      and the two iterates' spans differ by angles of a few u more.  Both
+      move epsilon by about 2 sqrt(epsilon) times that: a few u 2 sqrt(d epsilon).
+    - A maintained epsilon is d - ||P||_F^2 for the d x d product P, whose
+      squares sum to about d: rounding in P's rank-one updates (up to
+      ``REORTHO_EVERY`` between refreshes) and in the sum leave an absolute
+      error of a few d u, whatever epsilon is.
+
+    The tolerance is 64 u (2 sqrt(d epsilon) + d), the d term only where the
+    run reads the maintained product.  At these and four more shapes (d
+    from 3 to 40) the largest gap was 7% of it, so it leaves more than ten
+    times headroom.  Only steps with epsilon > 1e-12 are compared: near the
+    1e-24 measurement floor the sqrt(epsilon) term no longer bounds the
+    rounding of a sum of squares of rounded residuals.
+    """
+    spec = ProblemSpec(n=n, d=d, q="full", iters=iters, seed=seed)
+    ubar, u0 = generate_problem(spec)
+    run = run_full_trial(spec).epsilons
+    oracle = _span_oracle_epsilons(u0, ubar, iters, seed)
+    compared = run > 1e-12
+    maintained = n * d * d > _EXACT_EPS_LIMIT
+    assert compared.sum() > iters // 3
+    if maintained:
+        assert (run >= _EPS_SWITCH).any() and (compared & (run < _EPS_SWITCH)).any()
+    u = 2.0**-53
+    tol = 64 * u * (2 * np.sqrt(d * oracle) + np.where(maintained & (run >= _EPS_SWITCH), d, 0.0))
+    gap = np.abs(run - oracle)
+    assert np.all(gap[compared] <= tol[compared]), np.max(gap[compared] / tol[compared])
 
 
 def _stream(ubar, steps, q, seed):

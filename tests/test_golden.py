@@ -182,7 +182,8 @@ def compute_digests() -> dict:
         "full_step_chain": _full_step_chain_sha(),
         "sweep_csv": _cli_csv_sha(_SWEEP),
         "sweep_bypassed_csv": _cli_csv_sha(_SWEEP + " --bypass_gate"),
-        # trial counts past two workers' fork floor, and odd: two uneven ranges
+        # trial counts past two workers' fork floor, and odd: the residual
+        # bound runs two uneven ranges, the Gram window one in-process loop
         "residual_csv": _cli_csv_sha(
             "validate-residual --n 200 --d 4 --epsilon 1e-4 --omega_size 300 --delta 0.1"
             " --trials 1201 --seed 19"

@@ -23,6 +23,7 @@ from grouse.harness import (
     write_problem_spec,
     write_sweep_csv,
 )
+from grouse.concentration import mu_xt_diagnostics, validate_sin_sq_expectation
 from grouse.full_data import full_step, predicted_decrease, run_full
 from grouse.linalg import NumericalError, _one_blas_thread, _openblas_thread_controls
 from grouse.metrics import coherence_basis, epsilon, epsilon_residual
@@ -73,15 +74,16 @@ def test_generate_problem_determinism_and_spread():
 
 
 def _record_bits(record) -> list:
-    """Every bit of a step record: its arrays' bytes and its other fields' reprs."""
+    """Every bit of a record or report: its arrays' bytes and its other fields' reprs."""
     return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in vars(record).values()]
 
 
 @pytest.mark.per_core
 def test_library_runs_keep_their_bits_at_two_blas_threads():
     # OpenBLAS splits a product by its thread count, so generate_problem,
-    # run_full and the single steps pin one thread for the whole call, and a
-    # caller at two threads gets the bits of a pinned run (at these sizes an
+    # pair_with_epsilon, run_full, the single steps and the expectation and
+    # coherence validators pin one thread for the whole call, and a caller
+    # at two threads gets the bits of a pinned run (at these sizes an
     # unpinned call does not)
     controls = _openblas_thread_controls()
     if not controls:
@@ -93,13 +95,16 @@ def test_library_runs_keep_their_bits_at_two_blas_threads():
         v = target.columns @ np.random.default_rng(4).standard_normal(spec.d)
     omega = np.sort(np.random.default_rng(5).choice(spec.n, size=spec.n // 2, replace=False))
     obs = Observation(n=spec.n, omega=omega, values=v[omega])
+    with _one_blas_thread():
+        near, near_target = pair_with_epsilon(5000, 100, 1e-2, 3)
 
     def runs():
         problem = generate_problem(spec)
+        pair = pair_with_epsilon(5000, 100, 1e-4, 3)
         full = run_full(u0, ubar, 20, seed=4)
         stepped, record = full_step(start, v, target)
         moved, step = grouse_step(start, obs, ubar=target)
-        return [b.columns.tobytes() for b in problem] + [
+        return [b.columns.tobytes() for b in problem + pair] + [
             full.epsilons.tobytes(),
             full.theta.tobytes(),
             stepped.columns.tobytes(),
@@ -107,6 +112,8 @@ def test_library_runs_keep_their_bits_at_two_blas_threads():
             *_record_bits(record),
             *_record_bits(step),
             repr(predicted_decrease(start, target, v, record.eta)),
+            repr(validate_sin_sq_expectation(near, near_target, 400, 5)),
+            *_record_bits(mu_xt_diagnostics(near, near_target, 50, 5)),
         ]
 
     with _one_blas_thread():
