@@ -27,8 +27,10 @@ rotation's arguments; the stream driver hands them to the trajectory
 
 Indices are 0-based throughout the in-memory API; the observation CSV
 format uses 1-based indices on the wire.  :func:`read_observations` takes
-the file's rows from the line codec in batches and reads each batch's
-index and value fields with one ``np.fromstring`` per column.
+the file's rows from the line codec in batches, reads each batch's index
+and value fields with one ``np.fromstring`` per column, and checks the
+batch once by the observation rule, :func:`_check_rows`, which every
+``Observation`` constructor also runs on its one row.
 """
 from __future__ import annotations
 
@@ -73,10 +75,15 @@ _GATE_SLACK = 1e3 * 2.0**-53
 class Observation:
     """Observed entries of one subspace vector on an index sample.
 
-    ``omega`` is strictly increasing, 0-based, inside [0, n) (the index
-    rule of :func:`_indices`), and ``n`` is a positive integer.
-    ``latent_s`` is the finite coefficient vector that generated the full
-    vector; it is present only for synthetic data.
+    ``omega`` is strictly increasing, 0-based and inside [0, n), ``values``
+    is as long and finite, and ``n`` is a positive integer.  The
+    constructor takes 1-d arrays of integer indices and of real values and
+    an integer n, and checks the rest by the observation rule,
+    :func:`_check_rows`, on its one row; :func:`read_observations` checks
+    each batch of rows once by the same rule and builds their
+    Observations with :func:`_checked`.  ``latent_s`` is the finite
+    coefficient vector that generated the full vector; it is present only
+    for synthetic data.
     """
 
     n: int
@@ -87,35 +94,93 @@ class Observation:
     def __post_init__(self):
         omega = np.asarray(self.omega)
         values = _real_array("observed values", self.values)
-        if omega.ndim != 1 or values.shape != omega.shape:
+        if omega.ndim != 1 or values.ndim != 1:
             raise ValueError("omega and values must be 1-d and equally long")
-        omega = _indices(omega, self.n, increasing=True)
-        if not np.isfinite(values).all():
-            raise ValueError("observed values must be finite")
+        _count("n", self.n)
+        omega = _integers(omega)
+        _check_rows([self.n], omega, np.array([0, len(omega)]), values, np.array([0, len(values)]))
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
         if self.latent_s is not None:
             object.__setattr__(self, "latent_s", _as_vector("latent_s", self.latent_s))
 
 
-def _indices(omega, n: int, increasing: bool = False) -> np.ndarray:
-    """The index rule: ``omega`` as a 1-d int array inside [0, n); ValueError otherwise.
+def _checked(n: int, omega: np.ndarray, values: np.ndarray) -> Observation:
+    """An :class:`Observation` of arrays that already passed :func:`_check_rows`, not checked again."""
+    obs = object.__new__(Observation)
+    # one field at a time, as the dataclass's __init__ sets them: updating
+    # vars(obs) would give each instance a full dict, about twice the memory
+    object.__setattr__(obs, "n", n)
+    object.__setattr__(obs, "omega", omega)
+    object.__setattr__(obs, "values", values)
+    object.__setattr__(obs, "latent_s", None)
+    return obs
 
-    ``n`` obeys the count rule with floor 1.  An empty sample of any dtype
-    becomes an empty int array.  With ``increasing`` the indices must also
-    strictly increase, and then only the two ends are range-checked.
+
+def _check_rows(ns, omega: np.ndarray, bounds: np.ndarray, values: np.ndarray, value_bounds: np.ndarray):
+    """The observation rule on a batch of rows; ValueError with the first failing row's first fault.
+
+    Row i holds n = ``ns[i]``, the int indices ``omega[bounds[i]:bounds[i + 1]]``
+    and the float values ``values[value_bounds[i]:value_bounds[i + 1]]``.
+    :func:`_fault` checks the whole batch; when some row fails, each row
+    is checked alone, in order, until one raises.
     """
-    _count("n", n, 1)
-    omega = np.asarray(omega)
+    fault = _fault(ns, omega, bounds, values, value_bounds)
+    if fault is None:
+        return
+    if len(ns) > 1:
+        for n, a, b, c, e in zip(ns, bounds[:-1], bounds[1:], value_bounds[:-1], value_bounds[1:]):
+            _check_rows([n], omega[a:b], np.array([0, b - a]), values[c:e], np.array([0, e - c]))
+    raise ValueError(fault)
+
+
+def _fault(ns, omega: np.ndarray, bounds: np.ndarray, values: np.ndarray, value_bounds: np.ndarray):
+    """The message of the first check of the observation rule that some row fails, or None.
+
+    The rows are :func:`_check_rows`'s, and ``ns`` are integers.  The
+    checks, in order: as many values as indices, n at least 1, strictly
+    increasing indices, the first index at least 0 and the last below n
+    (only the two ends, given the increase), and finite values.  Each one
+    reads the whole batch at once, so on a one-row batch the message is
+    that row's first fault.
+    """
+    if np.count_nonzero(bounds != value_bounds):
+        return "omega and values must be 1-d and equally long"
+    if min(ns) < 1:
+        return "n must be at least 1"
+    # rise[j] for 0 < j < len(omega): omega[j] > omega[j - 1], or j starts a row
+    rise = np.empty(len(omega) + 1, dtype=bool)
+    np.greater(omega[1:], omega[:-1], out=rise[1:-1])
+    rise[bounds] = True
+    if np.count_nonzero(rise) < len(rise):
+        return "omega indices must be strictly increasing"
+    # a row increases, so its first index is its least
+    full = bounds[:-1] < bounds[1:]
+    # every n past 2^64 - 1 exceeds every int64 index, as that one does
+    n = np.array([min(k, 2**64 - 1) for k in ns], dtype=np.uint64)[full]
+    if len(omega) and (omega.min() < 0 or np.count_nonzero(omega[bounds[1:][full] - 1] >= n)):
+        return "omega indices out of range"
+    if np.count_nonzero(np.isfinite(values)) < len(values):
+        return "observed values must be finite"
+    return None
+
+
+def _integers(omega: np.ndarray) -> np.ndarray:
+    """``omega`` as an int array if it is a 1-d integer array or empty; ValueError otherwise."""
     if omega.ndim != 1 or (len(omega) and omega.dtype.kind not in "iu"):
         raise ValueError("omega must be a 1-d array of integers")
-    omega = omega.astype(int, copy=False)
-    if len(omega) == 0:
-        return omega
-    if increasing and (omega[1:] <= omega[:-1]).any():
-        raise ValueError("omega indices must be strictly increasing")
-    low, high = (omega[0], omega[-1]) if increasing else (omega.min(), omega.max())
-    if low < 0 or high >= n:
+    return omega.astype(int, copy=False)
+
+
+def _indices(omega, n: int) -> np.ndarray:
+    """The index rule: ``omega`` as a 1-d int array inside [0, n), in any order; ValueError otherwise.
+
+    ``n`` obeys the count rule with floor 1.  An empty sample of any dtype
+    becomes an empty int array.
+    """
+    _count("n", n, 1)
+    omega = _integers(np.asarray(omega))
+    if len(omega) and (omega.min() < 0 or omega.max() >= n):
         raise ValueError("omega indices out of range")
     return omega
 
@@ -520,9 +585,10 @@ def read_observations(path) -> list[Observation]:
 def _parse_rows(rows) -> list[tuple[int, Observation]]:
     """The ``(t, Observation)`` of each row ``[t, n, indices, values]``; ValueError on malformed text.
 
-    Each Observation's arrays are slices of the two arrays that
-    :func:`_parse_fields` reads from all the rows' index and value fields,
-    and ``Observation`` checks each one.
+    :func:`_parse_fields` reads all the rows' index fields into one array
+    and their value fields into another; :func:`_check_rows` checks the
+    batch once, raising what the first failing row's ``Observation`` would,
+    and each Observation holds slices of the two arrays.
     """
     for row in rows:
         if len(row) != 4:
@@ -531,19 +597,17 @@ def _parse_rows(rows) -> list[tuple[int, Observation]]:
     # the codec passes only ASCII, where isdigit holds for 0-9 alone
     if not all(map(str.isdigit, ts + ns)):
         raise ValueError("observation t and n fields must be plain decimal digits")
-    omega, omega_bounds = _parse_fields(index_fields, int)
+    ns = list(map(int, ns))
+    omega, bounds = _parse_fields(index_fields, int)
     omega -= 1
     values, value_bounds = _parse_fields(value_fields, float)
-    return [
-        (int(t), Observation(n=int(n), omega=omega[a:b], values=values[c:e]))
-        for t, n, (a, b), (c, e) in zip(ts, ns, _pairs(omega_bounds), _pairs(value_bounds))
-    ]
-
-
-def _pairs(bounds: np.ndarray):
-    """The consecutive ``(start, end)`` pairs of ``bounds``, as Python ints."""
+    _check_rows(ns, omega, bounds, values, value_bounds)
+    # every row passed, so it has as many values as indices: one set of bounds serves both
     bounds = bounds.tolist()
-    return zip(bounds, bounds[1:])
+    return [
+        (int(t), _checked(n, omega[a:b], values[a:b]))
+        for t, n, a, b in zip(ts, ns, bounds, bounds[1:])
+    ]
 
 
 def _parse_fields(fields, dtype) -> tuple[np.ndarray, np.ndarray]:

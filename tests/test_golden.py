@@ -3,8 +3,9 @@
 The digests hash in-memory arrays (not trajectory CSVs, whose column set
 may grow) plus the bytes of six seeded CLI CSVs: two sweeps, one gated
 and one with the gate bypassed, the per-trial reports of
-``validate-residual`` and ``validate-concentration``, whose trials run in
-forked workers, and two summaries of ``validate-expectation``.  OpenBLAS
+``validate-residual``, whose trials run in forked workers, and of
+``validate-concentration``, whose trials run in one in-process loop, and
+two summaries of ``validate-expectation``.  OpenBLAS
 partitions some products differently per thread count, so the runs happen
 in a child process with BLAS pinned to one thread.  Recorded with Python 3.11.7 on
 x86_64, numpy 2.4.6 (bundled OpenBLAS 0.3.31) and scipy 1.17.1 (bundled

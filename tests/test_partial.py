@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -988,6 +990,171 @@ def test_observation_csv_rejects_malformed_fields_in_any_row(tmp_path, monkeypat
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         read_observations(path)
+
+
+# One fault of the observation rule each, applied to a row (n, 1-based
+# indices, values) of n = 20 with indices 1;3; listed in the order in which
+# the rule checks them.
+_ROW_FAULTS = {
+    "omega and values must be 1-d and equally long": lambda n, idx, vals: (n, idx, vals + [2.0]),
+    "n must be at least 1": lambda n, idx, vals: (0, idx, vals),
+    "omega indices must be strictly increasing": lambda n, idx, vals: (n, idx[::-1], vals),
+    "omega indices out of range": lambda n, idx, vals: (n, [i + 20 for i in idx], vals),
+    "observed values must be finite": lambda n, idx, vals: (n, idx, [np.nan] + vals[1:]),
+}
+
+
+def _faulty_row(t, *faults):
+    """Row t of an observation file, with each of ``faults`` applied in turn."""
+    n, idx, vals = 20, [t + 1, t + 3], [0.5, -1.25]
+    for fault in faults:
+        n, idx, vals = _ROW_FAULTS[fault](n, idx, vals)
+    return f"{t},{n},{';'.join(map(str, idx))},{';'.join(map(repr, vals))}"
+
+
+def _constructor_message(row):
+    """The message ``Observation(...)`` raises on the arrays of an observation row."""
+    _, n, idx, vals = row.split(",")
+    with pytest.raises(ValueError) as info:
+        Observation(n=int(n), omega=np.array(idx.split(";"), dtype=int) - 1,
+                    values=np.array(vals.split(";"), dtype=float))
+    return str(info.value)
+
+
+def test_reader_builds_what_the_constructor_builds(tmp_path, monkeypatch):
+    # the reader checks each batch once and builds without the constructor's check
+    rng = np.random.default_rng(35)
+    sizes = [3, 0, 7, 1, 0, 0, 12, 5]
+    obs_list = [Observation(n=30, omega=np.sort(rng.choice(30, size=q, replace=False)),
+                            values=rng.standard_normal(q)) for q in sizes]
+    path = tmp_path / "observations.csv"
+    write_observations(path, obs_list)
+    for batch in (partial_data._BATCH, 3, 1):
+        monkeypatch.setattr(partial_data, "_BATCH", batch)
+        back = read_observations(path)
+        assert len(back) == len(obs_list)
+        for written, obs in zip(obs_list, back):
+            built = Observation(n=obs.n, omega=obs.omega, values=obs.values)
+            for other in (written, built):
+                assert type(obs.n) is type(other.n) is int and obs.n == other.n
+                assert (obs.omega.dtype, obs.values.dtype) == (other.omega.dtype, other.values.dtype)
+                assert obs.omega.tobytes() == other.omega.tobytes()
+                assert obs.values.tobytes() == other.values.tobytes()
+                assert obs.latent_s is other.latent_s is None
+
+
+@pytest.mark.parametrize("batch", [partial_data._BATCH, 2])
+@pytest.mark.parametrize("second", list(_ROW_FAULTS))
+@pytest.mark.parametrize("first", list(_ROW_FAULTS))
+def test_observation_csv_names_the_first_faulty_row(tmp_path, monkeypatch, first, second, batch):
+    # rows 2 and 3 of five are faulty; 2-row batches hold both in the second batch
+    monkeypatch.setattr(partial_data, "_BATCH", batch)
+    lines = [_faulty_row(t) for t in range(5)]
+    lines[2], lines[3] = _faulty_row(2, first), _faulty_row(3, second)
+    path = tmp_path / "observations.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert _constructor_message(lines[2]) == first
+    with pytest.raises(ValueError, match=f"^{re.escape(first)}$"):
+        read_observations(path)
+
+
+@pytest.mark.parametrize("batch", [partial_data._BATCH, 2])
+@pytest.mark.parametrize("pair", list(itertools.combinations(_ROW_FAULTS, 2)))
+def test_observation_csv_names_a_rows_first_fault(tmp_path, monkeypatch, pair, batch):
+    # one row with two faults names the one its constructor checks first
+    monkeypatch.setattr(partial_data, "_BATCH", batch)
+    lines = [_faulty_row(t) for t in range(5)]
+    lines[3] = _faulty_row(3, *pair)
+    path = tmp_path / "observations.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert _constructor_message(lines[3]) == pair[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(pair[0])}$"):
+        read_observations(path)
+
+
+@pytest.mark.parametrize("batch", [partial_data._BATCH, 2, 1])
+def test_observation_csv_lets_a_row_start_below_the_last_rows_end(tmp_path, monkeypatch, batch):
+    # within a batch, only the indices inside a row must increase, across empty rows too
+    monkeypatch.setattr(partial_data, "_BATCH", batch)
+    path = tmp_path / "observations.csv"
+    path.write_text("0,20,5;9,0.5;1.5\n1,20,2;4,1.0;2.0\n2,20,,\n3,20,1;3,0.25;0.75\n")
+    back = read_observations(path)
+    assert [b.omega.tolist() for b in back] == [[4, 8], [1, 3], [], [0, 2]]
+
+
+@pytest.mark.parametrize("batch", [partial_data._BATCH, 2, 1])
+def test_observation_csv_accepts_empty_samples(tmp_path, monkeypatch, batch):
+    monkeypatch.setattr(partial_data, "_BATCH", batch)
+    path = tmp_path / "observations.csv"
+    path.write_text("0,20,,\n1,20,,\n2,7,3,0.5\n3,20,,\n4,1,,\n")
+    back = read_observations(path)
+    assert [b.n for b in back] == [20, 20, 7, 20, 1]
+    assert [len(b.omega) for b in back] == [0, 0, 1, 0, 0]
+    for b in back:
+        assert (b.omega.dtype, b.values.dtype) == (np.int_, np.float64)
+
+
+def _check_each_row(ns, omega, bounds, values, value_bounds):
+    """The observation rule row by row, in order: the checks ``Observation`` ran on each row before batch checks."""
+    for n, a, b, c, e in zip(ns, bounds[:-1], bounds[1:], value_bounds[:-1], value_bounds[1:]):
+        idx, vals = omega[a:b], values[c:e]
+        if len(idx) != len(vals):
+            raise ValueError("omega and values must be 1-d and equally long")
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        if len(idx) and (idx[1:] <= idx[:-1]).any():
+            raise ValueError("omega indices must be strictly increasing")
+        if len(idx) and (idx[0] < 0 or idx[-1] >= n):
+            raise ValueError("omega indices out of range")
+        if not np.isfinite(vals).all():
+            raise ValueError("observed values must be finite")
+
+
+def _read_outcome(path):
+    try:
+        back = read_observations(path)
+    except ValueError as error:
+        return str(error)
+    return [(b.n, b.omega.dtype, b.omega.tobytes(), b.values.dtype, b.values.tobytes()) for b in back]
+
+
+def test_observation_csv_batch_checks_match_row_by_row_checks(tmp_path, monkeypatch):
+    # seeded files of one to six rows, with faults of the rule, n and
+    # indices past int64, empty samples and byte edits; the reader must
+    # accept and reject each file as it does with the rule run row by row
+    rng = np.random.default_rng(36)
+    ns = ["20", "20", "20", "0", "1", "3", "9223372036854775807", "9223372036854775808", "18446744073709551616"]
+    specials = ["0", "-1", "21", "nan", "inf", "1e400", "9223372036854775808", "-9223372036854775808", ""]
+    path = tmp_path / "observations.csv"
+    outcomes = set()
+    for _ in range(1500):
+        lines = []
+        for t in range(rng.integers(1, 7)):
+            q = int(rng.integers(0, 5))
+            idx = [str(i) for i in np.sort(rng.choice(np.arange(1, 21), size=q, replace=False))]
+            vals = [repr(float(x)) for x in rng.uniform(-5, 5, size=q)]
+            edit = rng.integers(6)
+            if edit == 0 and q:
+                idx[rng.integers(q)] = str(rng.choice(specials))
+            elif edit == 1 and q:
+                vals[rng.integers(q)] = str(rng.choice(specials))
+            elif edit == 2:
+                (idx if rng.integers(2) else vals).append(str(rng.integers(-1, 23)))
+            elif edit == 3:
+                idx.reverse()
+            lines.append(f"{t},{rng.choice(ns)},{';'.join(idx)},{';'.join(vals)}")
+        data = bytearray("\n".join(lines).encode())
+        for _ in range(rng.integers(0, 3)):
+            data[rng.integers(len(data))] = rng.choice(list(b"0123456789;,-.n\n"))
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(partial_data, "_BATCH", int(rng.choice([1, 2, 3, partial_data._BATCH])))
+        batched = _read_outcome(path)
+        with monkeypatch.context() as m:
+            m.setattr(partial_data, "_check_rows", _check_each_row)
+            assert _read_outcome(path) == batched
+        outcomes.add(batched if isinstance(batched, str) else "accepted")
+    # every fault of the rule came up, and files were accepted
+    assert set(_ROW_FAULTS) | {"accepted"} <= outcomes
 
 
 @pytest.mark.parametrize("indices", ["-;3", "1;+", "+"])
