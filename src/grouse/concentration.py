@@ -43,7 +43,12 @@ _CHUNK_DOUBLES = 2**16
 # The fewest trials a forked residual-bound worker runs (see _trial_ranges).
 # The pool costs 16-30 ms on two cores.  Median of 7 runs at n=200, d=4,
 # omega_size=80: 800 trials take 57 ms forked against 55 ms serial; 3200
-# trials take 165 against 238 ms.
+# trials take 165 against 238 ms.  The fork stays: at the montecarlo
+# benchmark's shape (n=400, d=5, omega_size=5000, 2000 trials) one call
+# takes a median of 468 ms forked against 780 ms in one in-process loop (9
+# interleaved calls, 2-core x86_64 VM, one BLAS thread), and with the loop
+# the workload's trials_per_s fell from 75.9k to 52.0k (medians of 4
+# alternating pairs).
 _FORK_FLOOR = 500
 
 

@@ -142,11 +142,12 @@ def run_full(
 
     Steps rotate the buffer of ``results._Trajectory``, a copy of
     ``u0.columns``, in place; a QR replaces it at the fixed
-    re-orthonormalization cadence and, below ``_EXACT_EPS_LIMIT``, on
-    excess drift, which the exact check decides wherever the trajectory's
-    drift bound cannot.  An identity step reuses the last drift check and
-    epsilon.  The run is pinned to one BLAS thread, so its bits do not
-    depend on the caller's thread count.
+    re-orthonormalization cadence and on excess drift.  A step runs the
+    exact drift check unless the trajectory's drift bound is within its
+    limit, so the first step reads ``u0`` or its rotation; above
+    ``_EXACT_EPS_LIMIT`` that limit is infinite and no step checks.  An
+    identity step reuses the last bound and epsilon.  The run is pinned to
+    one BLAS thread, so its bits do not depend on the caller's thread count.
     """
     _count("iters", iters, 0)
     _check_pair(u0, ubar)

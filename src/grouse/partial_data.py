@@ -484,14 +484,14 @@ def run_stream(
 
     Steps rotate the buffer of ``results._Trajectory``, a copy of
     ``u0.columns``, in place; a QR replaces it at the fixed
-    re-orthonormalization cadence and on excess drift, which the exact
-    check decides wherever the trajectory's drift bound cannot.  A skipped
-    or identity step reuses the drift check and epsilon of the unchanged
-    buffer.  The run is pinned to one BLAS thread, so its bits do not
-    depend on the caller's thread count.  Epsilon is recorded when ``ubar``
-    is given.  A bad alpha or ``ubar`` raises ValueError before any
-    observation is read, and an observation of another n when its step
-    reads it.
+    re-orthonormalization cadence and on excess drift.  A step runs the
+    exact drift check unless the trajectory's drift bound is within its
+    limit, so the first step reads ``u0`` or its rotation.  A skipped or
+    identity step reuses the bound and epsilon of the unchanged buffer.
+    The run is pinned to one BLAS thread, so its bits do not depend on the
+    caller's thread count.  Epsilon is recorded when ``ubar`` is given.  A
+    bad alpha or ``ubar`` raises ValueError before any observation is
+    read, and an observation of another n when its step reads it.
     """
     arrays = (_arrays(obs, u0, ubar) for obs in stream)
     return _run_stream(u0, arrays, alpha, ubar, bypass_gate)[0]
@@ -562,12 +562,16 @@ _BATCH = 128
 # The bytes of a bare sign, an element np.fromstring would read as a number.
 _SIGNS = np.frombuffer(b"+-", dtype=np.uint8)
 
+# What np.fromstring reads an integer element at or above 2^63 as.
+_INT_MAX = np.iinfo(int).max
+
 
 def read_observations(path) -> list[Observation]:
     """Read an observation CSV written by :func:`write_observations`; t must not repeat.
 
-    The t and n fields are plain ASCII decimal digits: a sign, padding or
-    an underscore, which ``int()`` would read, raises ValueError.  Lines
+    The t, n and index fields are plain ASCII decimal digits: a sign,
+    padding or an underscore, which ``int()`` would read, raises
+    ValueError, and so does an index at or above 2^63.  Lines
     come from the line codec ``results._read_rows``: a field has no length
     limit, and a quoted field (a ``"`` anywhere) raises ValueError.  Rows
     are parsed ``_BATCH`` at a time by :func:`_parse_rows`.
@@ -614,19 +618,23 @@ def _parse_fields(fields, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The elements of semicolon-separated wire fields as one array, and the fields' bounds in it.
 
     Field i's elements are ``array[bounds[i]:bounds[i + 1]]``; ValueError
-    on malformed text.  The one reader outside the cell rule of
-    ``results._Kind``: observation files also come from other programs, so
-    an element need not be spelled as the writer spells it (``.5`` reads as
-    0.5), and a canonical re-write check would cost about three times the
-    parse.  The non-empty fields, joined by ";", are read by one
-    ``np.fromstring``, which raises on text it cannot read to its end, but
-    reads an element of whitespace, a bare integer sign or a sign followed
-    by whitespace as a number and ends quietly at a trailing ";".  So the
-    joined text must hold no byte at or below the space (no whitespace,
-    which the writer never emits; ``np.fromstring`` raises on the other
-    control bytes), and no element, as the separators bound it, may be
-    blank or a bare sign.  Past one pass for the smallest byte, these
-    checks and the bounds read the separator positions, not the text.
+    on malformed text.  An index element (``dtype`` int) is plain ASCII
+    digits, as the t and n fields are, and below 2^63.  A value element is
+    the one cell outside the cell rule of ``results._Kind``: observation
+    files also come from other programs, so it need not be spelled as the
+    writer spells it (``.5`` reads as 0.5), and a canonical re-write check
+    would cost about three times the parse.  The non-empty fields, joined
+    by ";", are read by one ``np.fromstring``, which raises on text it
+    cannot read to its end, but reads an element of whitespace, a bare
+    sign or a sign followed by whitespace as a number, reads an integer
+    at or above 2^63 as 2^63 - 1 and ends quietly at a trailing ";".  So
+    no element, as the separators bound it, may be blank; index text must
+    hold only digits and ";", and an index read as 2^63 - 1 is re-read
+    exactly; value text must hold no byte at or below the space (no
+    whitespace, which the writer never emits; ``np.fromstring`` raises on
+    the other control bytes), and no value element may be a bare sign.
+    Past one or three passes over the bytes, these checks and the bounds
+    read the separator positions, not the text.
     """
     lengths = np.fromiter(map(len, fields), int, len(fields))
     text = ";".join(filter(None, fields)).encode()
@@ -636,10 +644,19 @@ def _parse_fields(fields, dtype) -> tuple[np.ndarray, np.ndarray]:
     # each element's end (a separator or the end of the text) and start
     ends = np.append(np.flatnonzero(codes == ord(";")), len(text))
     starts = np.append(0, ends[:-1] + 1)
-    short = starts[ends - starts == 1]
-    if codes.min() <= ord(" ") or (ends == starts).any() or np.isin(codes[short], _SIGNS).any():
+    if dtype is int:
+        # the bytes 0-9 and ";", with ":" between them
+        malformed = codes.min() < ord("0") or codes.max() > ord(";") or (codes == ord(":")).any()
+    else:
+        short = starts[ends - starts == 1]
+        malformed = codes.min() <= ord(" ") or np.isin(codes[short], _SIGNS).any()
+    if malformed or (ends == starts).any():
         raise ValueError("malformed observation field")
+    array = np.fromstring(text, dtype=dtype, sep=";")
+    saturated = np.flatnonzero(array == _INT_MAX) if dtype is int else ()
+    if any(int(text[starts[i] : ends[i]]) > _INT_MAX for i in saturated):
+        raise ValueError("observation index at or above 2^63")
     # a field starts after the ones before it and their joining ";"; the
     # elements before that point are the ends before it
     offsets = np.append(0, np.cumsum(lengths + (lengths > 0)))
-    return np.fromstring(text, dtype=dtype, sep=";"), np.searchsorted(ends, offsets)
+    return array, np.searchsorted(ends, offsets)

@@ -137,15 +137,19 @@ class _Trajectory:
     epsilon.  ``maintained`` keeps U^T target by rank-one updates (epsilon
     from scratch only below ``_EPS_SWITCH``) and checks no drift, so no step
     costs O(n d^2).  A QR replaces the buffer every ``REORTHO_EVERY`` steps
-    and on excess drift; a step that leaves the buffer as the last drift
-    check or epsilon found it reuses that result.  A step recorded with no
-    row counts toward the cadence but keeps nothing for :meth:`result`.
+    and on excess drift; a step that leaves the buffer as the last epsilon
+    found it reuses that epsilon.  A step recorded with no row counts
+    toward the cadence but keeps nothing for :meth:`result`.
 
-    The drift check is decided by a certificate where one holds, and every
-    QR decision is the exact check's.  The trajectory carries a bound beta
-    on the buffer's true drift D = ||U^T U - I||_F: +inf at the start (the
-    Basis passed the check, but its value is not kept) and after each QR,
-    grown by :func:`_drift_bound` at each rotation.  The exact check,
+    One rule decides the drift check: a step that is not a cadence QR runs
+    the exact check unless the trajectory's bound beta on the buffer's true
+    drift D = ||U^T U - I||_F is at most a limit, below which the check
+    could not read excess drift; every QR decision is the exact check's.
+    beta is +inf at the start and after each QR, so the next step runs the
+    exact check: the start basis is read once, by the first step, when that
+    step does not rotate it.  beta is reset by each exact check and grown
+    by :func:`_drift_bound` at each rotation.  A maintained trajectory's
+    limit is +inf, so it runs no check.  The exact check,
     ``orthonormality_drift``, computes fl(||fl(U^T U) - I||_F): the product
     is within gamma_n ||U||_F^2 <= 2 n u d (1 + D) of U^T U, the diagonal
     subtraction within u of each entry and the norm within (d^2/2 + 1) u
@@ -156,9 +160,9 @@ class _Trajectory:
       o)(1 + 2k), with o = 2u (n + 1) d and k = 2u ((n + 1) d + d^2 + 4)
       <= 1/2, and beta is reset to that (times ``_UP``);
     - a check would read at most D + r(D) <= beta + r(beta), so where
-      beta <= (tol - o) / (1 + k) it would read at most tol and find no
-      excess drift: the check is skipped, and the buffer counts as checked.
-      Otherwise it runs exactly as without the certificate.
+      beta <= (tol - o) / (1 + k), the limit, it would read at most tol and
+      find no excess drift: the check is skipped.  Otherwise, a NaN beta
+      included, it runs exactly as without the certificate.
     """
 
     def __init__(self, u0: Basis, target: np.ndarray | None, maintained: bool):
@@ -167,14 +171,14 @@ class _Trajectory:
         self._product = self.cols.T @ target if maintained else None
         self._rows = []
         self._steps = 0
-        # the Basis the buffer copies passed the drift check
-        self._checked = True
         self._bound = math.inf
         n, d = self.cols.shape
         self._offset = 2.0 * _UNIT * (n + 1) * d
         self._k = 2.0 * _UNIT * ((n + 1) * d + d * d + 4)
-        # rounded down, so that a bound at most this is at most the exact limit
-        self._limit = (BASIS_DRIFT_TOL - self._offset) / (1.0 + self._k) * (1.0 - 2.0**-40)
+        # rounded down, so that a bound at most this is at most the exact limit;
+        # a maintained trajectory checks no drift
+        limit = (BASIS_DRIFT_TOL - self._offset) / (1.0 + self._k) * (1.0 - 2.0**-40)
+        self._limit = math.inf if maintained else limit
         # n*d doubles, made at first need: a from-scratch epsilon's residual
         # (a C-ordered view) or a QR's factor (a Fortran-ordered view)
         self._work = None
@@ -206,26 +210,21 @@ class _Trajectory:
         qr = self._steps % REORTHO_EVERY == 0
         if rotation is not None:
             y, gain = _rotate(self.cols, *rotation)
-            self._checked = False
             if self._product is not None:
                 self._product = self._product + np.outer(y, self._target.T @ gain)
             elif not qr and self._bound < math.inf:
                 self._bound = _drift_bound(self.cols, y, gain, self._bound)
-        if not (qr or self._checked or self._product is not None):
-            if self._bound <= self._limit:
-                self._checked = True
-            else:
-                drift = orthonormality_drift(self.cols)
-                qr = drift > BASIS_DRIFT_TOL
-                self._checked = not qr
-                self._bound = (drift + self._offset) * (1.0 + 2.0 * self._k) * _UP
+        # spelled so that a NaN bound runs the check
+        if not (qr or self._bound <= self._limit):
+            drift = orthonormality_drift(self.cols)
+            qr = drift > BASIS_DRIFT_TOL
+            self._bound = (drift + self._offset) * (1.0 + 2.0 * self._k) * _UP
         if qr:
             # factored in place in the workspace and copied back, so the buffer
             # and the workspace are the only n x d arrays alive
             work = self._workspace("F")
             np.copyto(work, self.cols)
             np.copyto(self.cols, _orthonormalize_in_place(work))
-            self._checked = False
             self._bound = math.inf
             if self._product is not None:
                 self._product = self.cols.T @ self._target
@@ -250,8 +249,8 @@ class _Kind(NamedTuple):
     writes (no sign, padding, leading zero, underscore, exponent or other
     spelling of the written text).  :func:`_write_cells` and
     :func:`_read_cells` apply it, for every file the library writes; only
-    the observation reader (``partial_data._parse_fields``) keeps a looser
-    rule of its own.
+    the observation reader's value elements (``partial_data._parse_fields``)
+    keep a looser rule of their own.
     """
 
     dtype: Callable  # a value -> the Python scalar its cell holds; a table column's array dtype

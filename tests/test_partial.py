@@ -478,9 +478,9 @@ def test_skipped_steps_reuse_drift_and_epsilon(driver, monkeypatch):
     else:
         res = run_stream(spike, [bad] * steps, ubar=ubar)
         assert res.gate_skips == steps
-    # epsilon at entry and after each cadence QR; no drift check of the
-    # validated, unmoved basis, one of each fresh QR factor
-    assert calls == {"_residual_energy": 3, "orthonormality_drift": 2}
+    # epsilon at entry and after each cadence QR; one drift check of the
+    # unmoved start basis, by the first step, and one of each fresh QR factor
+    assert calls == {"_residual_energy": 3, "orthonormality_drift": 3}
     eps = res.epsilons
     for start in range(0, steps + 1, REORTHO_EVERY):
         assert np.all(eps[start : start + REORTHO_EVERY] == eps[start])
@@ -519,16 +519,17 @@ def _assert_chain_of_grouse_steps(u, stream, alpha, ubar):
     """``run_stream(u, stream, alpha, ubar)`` holds the bits of single ``grouse_step`` calls.
 
     The chain applies the trajectory's QR rule between steps: a QR every
-    ``REORTHO_EVERY`` steps, and one whenever the drift check, run on a
-    rotated basis or on the step after a QR, finds excess drift.  The
-    check and the QR are called through ``grouse.results``, so a test that
-    patches them there patches both sides.  Returns the step records.
+    ``REORTHO_EVERY`` steps, and one whenever the drift check, run by the
+    first step, after each rotation and by the step after a QR, finds
+    excess drift.  The check and the QR are called through
+    ``grouse.results``, so a test that patches them there patches both
+    sides.  Returns the step records.
     """
     import grouse.results
     from grouse.metrics import REORTHO_EVERY
 
     res = run_stream(u, stream, alpha, ubar)
-    records, epsilons, checked = [], [epsilon_residual(u, ubar)], True
+    records, epsilons, checked = [], [epsilon_residual(u, ubar)], False
     for t, obs in enumerate(stream, 1):
         u_next, rec = grouse_step(u, obs, alpha, ubar)
         records.append(rec)
@@ -688,8 +689,9 @@ _CERTIFIED_RUNS = {
 
 
 @pytest.mark.per_core
+@pytest.mark.parametrize("deferred", [math.inf, math.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("case", list(_CERTIFIED_RUNS))
-def test_drift_certificate_keeps_the_bits_of_the_exact_checks(case, monkeypatch):
+def test_drift_certificate_keeps_the_bits_of_the_exact_checks(case, deferred, monkeypatch):
     import grouse.results
     from grouse.metrics import REORTHO_EVERY
 
@@ -700,11 +702,26 @@ def test_drift_certificate_keeps_the_bits_of_the_exact_checks(case, monkeypatch)
     assert qrs == 250 // REORTHO_EVERY
     # the start and each QR factor take one exact check; the certificate decides every other step
     assert 1 <= checks <= qrs + 1
-    # forced to defer, every check runs exactly, with the same bits
+    # forced to defer by a bound of +inf or NaN, every check runs exactly, with the same bits
     events.clear()
-    monkeypatch.setattr(grouse.results, "_drift_bound", lambda *args: math.inf)
+    monkeypatch.setattr(grouse.results, "_drift_bound", lambda *args: deferred)
     assert run() == certified
     assert sum(e[0] == "check" for e in events) > 10 * checks
+
+
+def test_maintained_trajectory_runs_only_the_cadence_qrs(monkeypatch):
+    # run_full above _EXACT_EPS_LIMIT maintains U^T ubar and checks no drift:
+    # its limit is +inf, so no step bounds or checks the buffer
+    from grouse.full_data import _EXACT_EPS_LIMIT
+    from grouse.metrics import REORTHO_EVERY
+
+    n, d = 1300, 40
+    assert n * d * d > _EXACT_EPS_LIMIT
+    u0, ubar = pair_with_epsilon(n, d, 0.3, seed=9)
+    events = _trajectory_events(monkeypatch)
+    res = run_full(u0, ubar, 250, seed=9)
+    assert res.taken.all()
+    assert events == [("qr",)] * (250 // REORTHO_EVERY)
 
 
 def _near_tolerance_start(n: int, d: int, seed: int) -> Basis:
@@ -1165,6 +1182,33 @@ def test_observation_csv_names_a_bare_sign_in_an_index_field(tmp_path, indices):
     path.write_text(f"0,20,1;3,0.5;-1.25\n1,20,{indices},0.5;1.0\n")
     with pytest.raises(ValueError, match="malformed observation field"):
         read_observations(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # np.fromstring read the long index as 2^63 - 1, and the 1-based
+        # shift wrapped the most negative one round to 2^63 - 1
+        (
+            "0,9223372036854775808,-9223372036854775808,1.0\n1,99999999999999999999,99999999999999999999,2.0\n",
+            "malformed observation field",
+        ),
+        ("1,99999999999999999999,99999999999999999999,2.0\n", "at or above 2\\^63"),
+        ("0,20,1;09223372036854775808,1.0;2.0\n", "at or above 2\\^63"),
+        # a sign, which np.fromstring reads, as index 4
+        ("0,20,+5,1.0\n", "malformed observation field"),
+    ],
+    ids=["two-rows", "past-int64", "padded-past-int64", "signed"],
+)
+def test_observation_csv_index_fields_are_plain_digits_below_2_63(tmp_path, text, message):
+    path = tmp_path / "observations.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_observations(path)
+    # the largest int64 index, with leading zeros, still reads exactly
+    path.write_text("0,9223372036854775808,0009223372036854775806;9223372036854775807,1.0;2.0\n")
+    (back,) = read_observations(path)
+    assert back.omega.tolist() == [2**63 - 3, 2**63 - 2]
 
 
 @pytest.mark.parametrize("text", ["\u00e9", "\u00a0", "\uff11", "\u0661"])
