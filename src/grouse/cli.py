@@ -7,11 +7,19 @@ thread count (:func:`main` runs the verb on one OpenBLAS thread).  Exit codes:
 checks only syntax; every range rule (dimensions, alpha, delta, trials,
 seed) is the library's, whose ValueError becomes exit code 2 with its
 message, before any output file is written.
+
+Each verb is declared in one place, the ``@_verb(...)`` line above its
+handler: its help, the flags it takes in ``--help`` order, the help of its
+``--out``, and any keyword it changes in a shared flag.  The handler makes
+the library call, writes the output file(s) and returns the summary line,
+which :func:`execute` prints.  Each flag is declared once, with its help
+text, in ``_FLAGS``; a new verb is one handler with its ``@_verb`` line,
+and a flag for every verb is one ``_FLAGS`` entry named in each ``@_verb``.
 """
 from __future__ import annotations
 
 import argparse
-import functools
+import dataclasses
 import sys
 
 from .concentration import (
@@ -52,27 +60,134 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _add_ints(sub, *names):
-    """One required integer flag per name; its range rule is the library's."""
-    for name in names:
-        sub.add_argument(f"--{name}", type=int, required=True)
+# Every flag a verb takes but --out, as its add_argument keywords; a flag is
+# required unless it has a default.  A verb overrides only what differs.
+_FLAGS = {
+    "n": dict(type=int, help="ambient dimension"),
+    "d": dict(type=int, help="subspace dimension"),
+    "q": dict(type=int, help="observed entries per step"),
+    "alpha": dict(type=float, default=ProblemSpec.alpha, help="step fudge factor in (0,2)"),
+    "iters": dict(type=int, help="number of iterations"),
+    "seed": dict(type=int, help="base seed (mandatory)"),
+    "init_noise_std": dict(type=float, default=ProblemSpec.init_noise_std, help="starting-basis noise std"),
+    "spec_out": dict(default=None, help="also write the run-spec file here"),
+    "bypass_gate": dict(action="store_true", default=False, help="take every step"),
+    "epsilon": dict(type=float, help="pair error metric"),
+    "omega_size": dict(type=int),
+    "delta": dict(type=float),
+    "trials": dict(type=int),
+}
+
+# (name, about, flags, overrides, --out help, handler, defaults) of each verb, in --help order
+_VERBS = []
 
 
-def _add_problem_flags(sub, with_q: bool):
-    sub.add_argument("--n", type=int, required=True, help="ambient dimension")
-    sub.add_argument("--d", type=int, required=True, help="subspace dimension")
-    if with_q:
-        sub.add_argument("--q", type=int, required=True, help="observed entries per step")
-    sub.add_argument(
-        "--alpha", type=float, default=ProblemSpec.alpha, help="step fudge factor in (0,2)"
+def _verb(name, about, flags, out, defaults=None, **overrides):
+    """Declare the decorated handler as verb ``name``, taking ``flags`` (names in ``_FLAGS``) in order.
+
+    ``about`` is the verb's help and ``out`` that of its ``--out``;
+    ``overrides`` maps a flag to the keywords this verb changes, and
+    ``defaults`` sets values that no flag sets.  The handler takes the parsed
+    command, writes the output file(s) and returns the summary line.
+    """
+
+    def declare(handler):
+        _VERBS.append((name, about, flags.split(), overrides, out, handler, defaults or {}))
+        return handler
+
+    return declare
+
+
+def _spec(cmd) -> ProblemSpec:
+    return ProblemSpec(**{f.name: getattr(cmd, f.name) for f in dataclasses.fields(ProblemSpec)})
+
+
+def _trajectory(cmd, spec: ProblemSpec, result, last: str) -> str:
+    """Write a run's trajectory CSV, then its spec file if asked; its summary line ends with ``last``."""
+    write_trajectory_csv(cmd.out, result)
+    if cmd.spec_out:
+        write_problem_spec(cmd.spec_out, spec)
+    return f"final epsilon={_fmt(result.epsilons[-1])} X={_fmt(result.x_factor)} {last}"
+
+
+@_verb(
+    "full", "full-data run (every entry observed)",
+    "n d alpha iters seed init_noise_std spec_out", "trajectory CSV path", defaults={"q": "full"},
+)
+def _full(cmd) -> str:
+    spec = _spec(cmd)
+    result = run_full_trial(spec)
+    return _trajectory(cmd, spec, result, f"tail_slope={_fmt(result.tail_slope)}")
+
+
+@_verb(
+    "partial", "partial-data gated run",
+    "n d q alpha iters seed init_noise_std spec_out bypass_gate", "trajectory CSV path",
+)
+def _partial(cmd) -> str:
+    spec = _spec(cmd)
+    result = run_partial_trial(spec, bypass_gate=cmd.bypass_gate)
+    return _trajectory(cmd, spec, result, f"gate_skips={result.gate_skips}")
+
+
+@_verb(
+    "sweep", "phase-transition sweep over (n, d, q)",
+    "n d q trials iters seed alpha init_noise_std bypass_gate", "sweep CSV path",
+    **{x: dict(type=_int_list, help=f"comma-separated {x} values") for x in ("n", "d", "q")},
+    trials=dict(default=10, help="trials per cell"), iters=dict(default=500),
+)
+def _sweep(cmd) -> str:
+    cells = sweep_phase(
+        cmd.n, cmd.d, cmd.q,
+        trials_per_cell=cmd.trials, iters=cmd.iters, seed=cmd.seed,
+        bypass_gate=cmd.bypass_gate, alpha=cmd.alpha,
+        init_noise_std=cmd.init_noise_std,
     )
-    sub.add_argument("--iters", type=int, required=True, help="number of iterations")
-    sub.add_argument("--seed", type=int, required=True, help="base seed (mandatory)")
-    sub.add_argument(
-        "--init_noise_std", type=float, default=ProblemSpec.init_noise_std,
-        help="starting-basis noise std",
+    write_sweep_csv(cmd.out, cells)
+    feasible = [c.mean_x for c in cells if c.trials > 0]
+    lo, hi = min(feasible, default=None), max(feasible, default=None)
+    return f"cells={len(cells)} mean_X_range=[{_fmt(lo)},{_fmt(hi)}]"
+
+
+@_verb("validate-concentration", "sampled-Gram eigenvalue window check",
+       "n d omega_size delta trials seed", "per-trial report CSV path")
+def _concentration(cmd) -> str:
+    u = incoherent_basis(cmd.n, cmd.d, cmd.seed)
+    report = validate_gram_concentration(u, cmd.omega_size, cmd.delta, cmd.trials, cmd.seed)
+    write_concentration_csv(cmd.out, report)
+    return (
+        f"failure_rate={_fmt(report.failure_rate)}"
+        f" gamma={_fmt(report.gamma)} hypothesis_met={report.hypothesis_met}"
     )
-    sub.add_argument("--spec_out", default=None, help="also write the run-spec file here")
+
+
+@_verb("validate-residual", "sampled-residual lower bound check",
+       "n d epsilon omega_size delta trials seed", "per-trial report CSV path")
+def _residual(cmd) -> str:
+    u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
+    report = validate_residual_bound(u, ubar, cmd.omega_size, cmd.delta, cmd.trials, cmd.seed)
+    write_residual_csv(cmd.out, report)
+    return f"violation_rate={_fmt(report.violation_rate)}"
+
+
+@_verb("validate-expectation", "E[sin^2 theta] = epsilon/d check",
+       "n d epsilon trials seed", "summary CSV path")
+def _expectation(cmd) -> str:
+    u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
+    mean, stderr = validate_sin_sq_expectation(u, ubar, cmd.trials, cmd.seed)
+    target = cmd.epsilon / cmd.d
+    _write_table(cmd.out, _EXPECTATION, [[cmd.trials], [mean], [stderr], [target]])
+    return f"mean={_fmt(mean)} stderr={_fmt(stderr)} target={_fmt(target)}"
+
+
+@_verb("skip-rate", "gate failure rate on algorithm-mode samples",
+       "n d q trials seed epsilon", "summary CSV path",
+       epsilon=dict(default=1e-4, help="error metric of the near-solution basis"))
+def _skip_rate(cmd) -> str:
+    u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
+    rate = estimate_skip_rate(u, cmd.q, cmd.trials, cmd.seed)
+    _write_table(cmd.out, _SKIP_RATE, [[cmd.n], [cmd.d], [cmd.q], [cmd.trials], [rate]])
+    return f"skip_rate={_fmt(rate)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,58 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    # every verb, like the top level, takes its flags only as spelled in full
-    add_verb = functools.partial(subs.add_parser, allow_abbrev=False)
-
-    full = add_verb("full", help="full-data run (every entry observed)")
-    _add_problem_flags(full, with_q=False)
-    full.add_argument("--out", required=True, help="trajectory CSV path")
-
-    partial = add_verb("partial", help="partial-data gated run")
-    _add_problem_flags(partial, with_q=True)
-    partial.add_argument("--bypass_gate", action="store_true", help="take every step")
-    partial.add_argument("--out", required=True, help="trajectory CSV path")
-
-    sweep = add_verb("sweep", help="phase-transition sweep over (n, d, q)")
-    sweep.add_argument("--n", type=_int_list, required=True, help="comma-separated n values")
-    sweep.add_argument("--d", type=_int_list, required=True, help="comma-separated d values")
-    sweep.add_argument("--q", type=_int_list, required=True, help="comma-separated q values")
-    sweep.add_argument("--trials", type=int, default=10, help="trials per cell")
-    sweep.add_argument("--iters", type=int, default=500)
-    sweep.add_argument("--seed", type=int, required=True)
-    sweep.add_argument("--alpha", type=float, default=ProblemSpec.alpha)
-    sweep.add_argument("--init_noise_std", type=float, default=ProblemSpec.init_noise_std)
-    sweep.add_argument("--bypass_gate", action="store_true", help="take every step")
-    sweep.add_argument("--out", required=True, help="sweep CSV path")
-
-    conc = add_verb("validate-concentration", help="sampled-Gram eigenvalue window check")
-    _add_ints(conc, "n", "d", "omega_size")
-    conc.add_argument("--delta", type=float, required=True)
-    _add_ints(conc, "trials", "seed")
-    conc.add_argument("--out", required=True, help="per-trial report CSV path")
-
-    resid = add_verb("validate-residual", help="sampled-residual lower bound check")
-    _add_ints(resid, "n", "d")
-    resid.add_argument("--epsilon", type=float, required=True, help="pair error metric")
-    _add_ints(resid, "omega_size")
-    resid.add_argument("--delta", type=float, required=True)
-    _add_ints(resid, "trials", "seed")
-    resid.add_argument("--out", required=True, help="per-trial report CSV path")
-
-    expect = add_verb("validate-expectation", help="E[sin^2 theta] = epsilon/d check")
-    _add_ints(expect, "n", "d")
-    expect.add_argument("--epsilon", type=float, required=True, help="pair error metric")
-    _add_ints(expect, "trials", "seed")
-    expect.add_argument("--out", required=True, help="summary CSV path")
-
-    skip = add_verb("skip-rate", help="gate failure rate on algorithm-mode samples")
-    _add_ints(skip, "n", "d", "q", "trials", "seed")
-    skip.add_argument(
-        "--epsilon", type=float, default=1e-4,
-        help="error metric of the near-solution basis",
-    )
-    skip.add_argument("--out", required=True, help="summary CSV path")
-
+    for name, about, flags, overrides, out, handler, defaults in _VERBS:
+        # every verb, like the top level, takes its flags only as spelled in full
+        sub = subs.add_parser(name, help=about, allow_abbrev=False)
+        for flag in flags:
+            kwargs = {**_FLAGS[flag], **overrides.get(flag, {})}
+            sub.add_argument(f"--{flag}", required="default" not in kwargs, **kwargs)
+        sub.add_argument("--out", required=True, help=out)
+        sub.set_defaults(handler=handler, **defaults)
     return parser
 
 
@@ -143,64 +214,9 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def execute(cmd: argparse.Namespace) -> int:
-    """Run one parsed command, write its CSV, print a one-line summary."""
+    """Run one parsed command: its verb's handler writes the output file(s); print its summary line."""
     try:
-        if cmd.verb in ("full", "partial"):
-            spec = ProblemSpec(
-                n=cmd.n, d=cmd.d, q=getattr(cmd, "q", "full"), iters=cmd.iters, seed=cmd.seed,
-                alpha=cmd.alpha, init_noise_std=cmd.init_noise_std,
-            )
-            if cmd.verb == "full":
-                result = run_full_trial(spec)
-                last = f"tail_slope={_fmt(result.tail_slope)}"
-            else:
-                result = run_partial_trial(spec, bypass_gate=cmd.bypass_gate)
-                last = f"gate_skips={result.gate_skips}"
-            write_trajectory_csv(cmd.out, result)
-            if cmd.spec_out:
-                write_problem_spec(cmd.spec_out, spec)
-            print(f"final epsilon={_fmt(result.epsilons[-1])} X={_fmt(result.x_factor)} {last}")
-        elif cmd.verb == "sweep":
-            cells = sweep_phase(
-                cmd.n, cmd.d, cmd.q,
-                trials_per_cell=cmd.trials, iters=cmd.iters, seed=cmd.seed,
-                bypass_gate=cmd.bypass_gate, alpha=cmd.alpha,
-                init_noise_std=cmd.init_noise_std,
-            )
-            write_sweep_csv(cmd.out, cells)
-            feasible = [c.mean_x for c in cells if c.trials > 0]
-            lo, hi = min(feasible, default=None), max(feasible, default=None)
-            print(f"cells={len(cells)} mean_X_range=[{_fmt(lo)},{_fmt(hi)}]")
-        elif cmd.verb == "validate-concentration":
-            u = incoherent_basis(cmd.n, cmd.d, cmd.seed)
-            report = validate_gram_concentration(
-                u, cmd.omega_size, cmd.delta, cmd.trials, cmd.seed
-            )
-            write_concentration_csv(cmd.out, report)
-            print(
-                f"failure_rate={_fmt(report.failure_rate)}"
-                f" gamma={_fmt(report.gamma)} hypothesis_met={report.hypothesis_met}"
-            )
-        elif cmd.verb == "validate-residual":
-            u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
-            report = validate_residual_bound(
-                u, ubar, cmd.omega_size, cmd.delta, cmd.trials, cmd.seed
-            )
-            write_residual_csv(cmd.out, report)
-            print(f"violation_rate={_fmt(report.violation_rate)}")
-        elif cmd.verb == "validate-expectation":
-            u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
-            mean, stderr = validate_sin_sq_expectation(u, ubar, cmd.trials, cmd.seed)
-            target = cmd.epsilon / cmd.d
-            _write_table(cmd.out, _EXPECTATION, [[cmd.trials], [mean], [stderr], [target]])
-            print(f"mean={_fmt(mean)} stderr={_fmt(stderr)} target={_fmt(target)}")
-        elif cmd.verb == "skip-rate":
-            u, ubar = pair_with_epsilon(cmd.n, cmd.d, cmd.epsilon, cmd.seed)
-            rate = estimate_skip_rate(u, cmd.q, cmd.trials, cmd.seed)
-            _write_table(cmd.out, _SKIP_RATE, [[cmd.n], [cmd.d], [cmd.q], [cmd.trials], [rate]])
-            print(f"skip_rate={_fmt(rate)}")
-        else:  # pragma: no cover - argparse enforces the verb set
-            return 2
+        print(cmd.handler(cmd))
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

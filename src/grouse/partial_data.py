@@ -42,7 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # least_squares is unused here but stays bound: partial_data.least_squares
-# names the same public fit as linalg.least_squares.
+# names the same public fit as linalg.least_squares, and the benchmark's
+# tracer test (benchmarks/test_bench_logic.py) checks that one wrapper
+# serves both names.
 from .linalg import (
     NumericalError,
     _as_vector,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from functools import partial
@@ -9,15 +10,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grouse import cli
-from grouse.linalg import NumericalError
+from grouse.concentration import (
+    estimate_skip_rate,
+    validate_gram_concentration,
+    validate_residual_bound,
+    validate_sin_sq_expectation,
+)
+from grouse.linalg import NumericalError, _one_blas_thread
 from grouse.harness import (
     ProblemSpec,
     _observation_stream,
     generate_problem,
+    incoherent_basis,
+    pair_with_epsilon,
+    read_problem_spec,
     run_full_trial,
     run_partial_trial,
+    sweep_phase,
+    write_problem_spec,
 )
 from grouse.partial_data import Observation, run_stream
 from grouse.results import _read_table, _write_table, read_trajectory_csv, write_trajectory_csv
@@ -472,3 +485,205 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(argv, tmp_path):
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert _cli_at_blas_threads(argv, 1, one) == _cli_at_blas_threads(argv, 2, two)
     assert one.read_bytes() == two.read_bytes()
+
+
+def _spelled(x) -> str:
+    """A summary value as the CLI prints it: its repr, or na where it does not exist."""
+    return "na" if x is None else repr(float(x))
+
+
+def _run_line(result, last) -> str:
+    return f"final epsilon={_spelled(result.epsilons[-1])} X={_spelled(result.x_factor)} {last}"
+
+
+def _full_line(spec):
+    result = run_full_trial(spec)
+    return _run_line(result, f"tail_slope={_spelled(result.tail_slope)}")
+
+
+def _partial_line(spec, bypass_gate):
+    result = run_partial_trial(spec, bypass_gate=bypass_gate)
+    return _run_line(result, f"gate_skips={result.gate_skips}")
+
+
+def _sweep_line(*grid, **kwargs):
+    cells = sweep_phase(*grid, **kwargs)
+    feasible = [c.mean_x for c in cells if c.trials > 0]
+    lo, hi = min(feasible, default=None), max(feasible, default=None)
+    return f"cells={len(cells)} mean_X_range=[{_spelled(lo)},{_spelled(hi)}]"
+
+
+def _concentration_line(n, d, omega_size, delta, trials, seed):
+    report = validate_gram_concentration(incoherent_basis(n, d, seed), omega_size, delta, trials, seed)
+    return (
+        f"failure_rate={_spelled(report.failure_rate)} gamma={_spelled(report.gamma)}"
+        f" hypothesis_met={report.hypothesis_met}"
+    )
+
+
+def _residual_line(n, d, epsilon, omega_size, delta, trials, seed):
+    u, ubar = pair_with_epsilon(n, d, epsilon, seed)
+    report = validate_residual_bound(u, ubar, omega_size, delta, trials, seed)
+    return f"violation_rate={_spelled(report.violation_rate)}"
+
+
+def _expectation_line(n, d, epsilon, trials, seed):
+    u, ubar = pair_with_epsilon(n, d, epsilon, seed)
+    mean, stderr = validate_sin_sq_expectation(u, ubar, trials, seed)
+    return f"mean={_spelled(mean)} stderr={_spelled(stderr)} target={_spelled(epsilon / d)}"
+
+
+def _skip_rate_line(n, d, q, trials, seed, epsilon):
+    u, _ = pair_with_epsilon(n, d, epsilon, seed)
+    return f"skip_rate={_spelled(estimate_skip_rate(u, q, trials, seed))}"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # d=1 converges below the noise floor at once: no tail slope, "na"
+        ("full --n 100 --d 1 --iters 2 --seed 3",
+         partial(_full_line, ProblemSpec(n=100, d=1, q="full", iters=2, seed=3))),
+        ("full --n 50 --d 2 --iters 20 --seed 1 --alpha 1.5",
+         partial(_full_line, ProblemSpec(n=50, d=2, q="full", iters=20, seed=1, alpha=1.5))),
+        ("partial --n 60 --d 3 --q 20 --iters 30 --seed 2",
+         partial(_partial_line, ProblemSpec(n=60, d=3, q=20, iters=30, seed=2), False)),
+        ("partial --n 60 --d 3 --q 12 --iters 30 --seed 2 --init_noise_std 0.3 --bypass_gate",
+         partial(_partial_line, ProblemSpec(n=60, d=3, q=12, iters=30, seed=2, init_noise_std=0.3), True)),
+        # q=40 > n=30 is an infeasible marker cell, left out of the range
+        ("sweep --n 30,60 --d 3 --q 3,40 --trials 2 --iters 20 --seed 3",
+         partial(_sweep_line, [30, 60], [3], [3, 40], trials_per_cell=2, iters=20, seed=3,
+                 bypass_gate=False, alpha=1.0, init_noise_std=0.5)),
+        ("sweep --n 30 --d 3 --q 40 --seed 3",
+         partial(_sweep_line, [30], [3], [40], trials_per_cell=10, iters=500, seed=3,
+                 bypass_gate=False, alpha=1.0, init_noise_std=0.5)),
+        ("validate-concentration --n 200 --d 4 --omega_size 80 --delta 0.1 --trials 50 --seed 23",
+         partial(_concentration_line, 200, 4, 80, 0.1, 50, 23)),
+        ("validate-residual --n 200 --d 4 --epsilon 1e-4 --omega_size 300 --delta 0.1 --trials 40 --seed 25",
+         partial(_residual_line, 200, 4, 1e-4, 300, 0.1, 40, 25)),
+        ("validate-expectation --n 50 --d 5 --epsilon 0.05 --trials 100 --seed 4",
+         partial(_expectation_line, 50, 5, 0.05, 100, 4)),
+        ("skip-rate --n 200 --d 4 --q 40 --trials 30 --seed 5",
+         partial(_skip_rate_line, 200, 4, 40, 30, 5, 1e-4)),
+        ("skip-rate --n 200 --d 4 --q 40 --trials 30 --seed 5 --epsilon 1e-2",
+         partial(_skip_rate_line, 200, 4, 40, 30, 5, 1e-2)),
+    ],
+    ids=["full-na", "full", "partial", "partial-bypassed", "sweep", "sweep-na", "validate-concentration",
+         "validate-residual", "validate-expectation", "skip-rate", "skip-rate-epsilon"],
+)
+def test_summary_line_is_the_library_result(tmp_path, capsys, argv, expected):
+    assert cli.main([*argv.split(), "--out", str(tmp_path / "out.csv")]) == 0
+    with _one_blas_thread():
+        line = expected()
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_readme_command_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[0] for argv in commands] == ["grouse"] * len(commands)
+    assert sorted(argv[1] for argv in commands) == sorted(_VERB_FLAGS)
+    for argv in commands:
+        assert cli.parse_args(argv[1:]).verb == argv[1]
+
+
+# Bytes a mutation inserts or writes over: the cells' own alphabet and line
+# ends most often, any byte otherwise.
+_BYTES = st.sampled_from(b"0123456789.-+e_,= \t\r\nfulnqx") | st.integers(0, 255)
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "replace", "pad line", "duplicate line", "drop line", "blank line"]),
+        st.integers(0, 2**16),
+        _BYTES,
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    for kind, at, byte in edits:
+        i = at % (len(data) + 1)
+        if kind == "insert":
+            data = data[:i] + bytes([byte]) + data[i:]
+        elif kind in ("delete", "replace"):
+            data = data[:i] + (bytes([byte]) if kind == "replace" else b"") + data[i + 1:]
+        else:
+            lines = data.splitlines(keepends=True) or [b""]
+            j = at % len(lines)
+            if kind == "pad line":
+                # whitespace, which int() and float() strip, at the start of
+                # the line or before its line end
+                body = lines[j].rstrip(b"\r\n")
+                at_end = len(body) if at % 2 else 0
+                lines[j] = lines[j][:at_end] + bytes([b" \t\x0b\x0c"[byte % 4]]) + lines[j][at_end:]
+            elif kind == "duplicate line":
+                lines.insert(j, lines[j])
+            elif kind == "drop line":
+                del lines[j]
+            else:
+                lines.insert(j, (b"\n", b"\r\n", b" \n")[byte % 3])
+            data = b"".join(lines)
+    return data
+
+
+def _spec_lines(path) -> bytes:
+    """The spec file's lines as its reader sees them, blank lines dropped, each ended by \\n."""
+    lines = path.read_text().split("\n")
+    return "".join(line + "\n" for line in lines if line.strip()).encode()
+
+
+def _table_lines(path) -> bytes:
+    """The table's lines as the line codec splits them, each ended by \\r\\n."""
+    return b"".join(line + b"\r\n" for line in path.read_bytes().splitlines())
+
+
+def _table(schema):
+    """The reader and writer of one summary table."""
+    return partial(_read_table, schema=schema), lambda path, columns: _write_table(path, schema, columns)
+
+
+# Each file the CLI writes outside the tested tables: the argv that writes
+# it, less the file's path, its reader and writer, and its lines as its
+# reader sees them.
+_SUMMARY_FILES = {
+    "spec-full": ([*_VALID_ARGV["full"], "--out", os.devnull, "--spec_out"],
+                  read_problem_spec, write_problem_spec, _spec_lines),
+    "spec-partial": ([*_VALID_ARGV["partial"], "--out", os.devnull, "--spec_out"],
+                     read_problem_spec, write_problem_spec, _spec_lines),
+    "validate-expectation": ([*_VALID_ARGV["validate-expectation"], "--out"],
+                             *_table(cli._EXPECTATION), _table_lines),
+    "skip-rate": ([*_VALID_ARGV["skip-rate"], "--out"], *_table(cli._SKIP_RATE), _table_lines),
+}
+
+
+@pytest.fixture(scope="module")
+def summary_files(tmp_path_factory):
+    """The bytes of each file in ``_SUMMARY_FILES``, as the CLI writes it, and a scratch directory."""
+    work = tmp_path_factory.mktemp("summary")
+    written = {}
+    for name, (argv, *_) in _SUMMARY_FILES.items():
+        assert cli.main([*argv, str(work / name)]) == 0
+        written[name] = (work / name).read_bytes()
+    return written, work
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edits=_EDITS)
+@pytest.mark.parametrize("name", list(_SUMMARY_FILES))
+def test_mutated_summary_files_are_rejected_or_read_exactly(summary_files, name, edits):
+    # a mutant either raises ValueError or reads back to values whose
+    # re-write is the mutant's own lines: nothing but a line end (or, in the
+    # spec file, a blank line) is read other than as written
+    written, work = summary_files
+    _, read, write, lines = _SUMMARY_FILES[name]
+    mutant, again = work / f"{name}.mutant", work / f"{name}.again"
+    mutant.write_bytes(_mutated(written[name], edits))
+    try:
+        values = read(mutant)
+    except ValueError:
+        return
+    write(again, values)
+    assert again.read_bytes() == lines(mutant)
