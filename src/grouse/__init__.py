@@ -21,7 +21,6 @@ from .metrics import (
     coherence_vector,
     epsilon,
     epsilon_residual,
-    principal_angles,
     revealed_angle_sin_sq,
 )
 from .partial_data import (

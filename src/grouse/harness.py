@@ -38,6 +38,7 @@ from .results import (
     _INT_OR_FULL,
     TrialResult,
     _read_cells,
+    _read_rows,
     _read_table,
     _write_cells,
     _write_table,
@@ -402,8 +403,8 @@ _SPEC_KEYS = {f.name: _KINDS[f.type] for f in fields(ProblemSpec)}
 
 
 def write_problem_spec(path, spec: ProblemSpec) -> None:
-    """Flat ``key=value`` text file carrying exactly the ProblemSpec fields."""
-    with open(path, "w") as fh:
+    """Flat ``key=value`` text file carrying exactly the ProblemSpec fields, ASCII, ``\\n`` line ends."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
         for key, kind in _SPEC_KEYS.items():
             (cell,) = _write_cells(kind, [getattr(spec, key)])
             fh.write(f"{key}={cell}\n")
@@ -412,22 +413,23 @@ def write_problem_spec(path, spec: ProblemSpec) -> None:
 def read_problem_spec(path) -> ProblemSpec:
     """Parse a run-spec file written by :func:`write_problem_spec`.
 
-    Every line but a blank one is ``key=value`` exactly as the writer
-    writes it: nothing is stripped around the key or the value, and each
-    value obeys its kind's one cell rule (``results._Kind``), so
-    ``n = 500``, ``n=5_00``, ``q=+30``, ``alpha=1``, ``alpha=1e0`` and
+    The lines come from the line codec ``results._read_rows``, as a table's
+    do: the file is ASCII (a ``"`` or any byte past ASCII raises
+    ValueError), ``\\r\\n``, ``\\r`` and ``\\n`` end a line, and only an empty
+    line is blank and skipped.  Every other line is ``key=value`` exactly
+    as the writer writes it: nothing is stripped around the key or the
+    value, and each value obeys its kind's one cell rule (``results._Kind``),
+    so ``n = 500``, ``n=5_00``, ``q=+30``, ``alpha=1``, ``alpha=1e0`` and
     ``init_noise_std=.5`` are rejected.  ValueError on a missing, unknown or
     repeated key or such a value.
     """
     text: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            key, _, value = line.removesuffix("\n").partition("=")
-            if key not in _SPEC_KEYS or key in text:
-                raise ValueError(f"problem spec file has an unknown or repeated key {key!r}")
-            text[key] = value
+    for cells in filter(None, _read_rows(path)):
+        # a "," splits the line into cells; joined back, the value holds it and fails its cell rule
+        key, _, value = ",".join(cells).partition("=")
+        if key not in _SPEC_KEYS or key in text:
+            raise ValueError(f"problem spec file has an unknown or repeated key {key!r}")
+        text[key] = value
     missing = [key for key in _SPEC_KEYS if key not in text]
     if missing:
         raise ValueError(f"problem spec file lacks the {missing[0]} field")

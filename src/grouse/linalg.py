@@ -25,13 +25,16 @@ LAPACK, the BLAS ``dger`` that :mod:`grouse.metrics` rotates with, the
 gate's BLAS ``dsyrk`` and the drift certificate's BLAS ``dgemv``
 (``results._drift_bound``) come from scipy's compiled modules ``_flapack`` and
 ``_fblas``, which :func:`_scipy_linalg_extension` loads from their files in
-scipy's ``linalg`` directory.  The routines are the objects
-``scipy.linalg.lapack`` and ``scipy.linalg.blas`` export, so the bits are
-theirs; but the ``scipy.linalg`` package's ``__init__``, about 60% of
-``import grouse`` through scipy's array-API layer and ``numpy.f2py``, never
-runs.  A fresh ``import grouse, grouse.cli`` takes a median 0.18 s this way
-against 0.40 s through ``scipy.linalg.lapack`` (12 interleaved processes
-each, 2-core x86_64 VM).
+scipy's ``linalg`` directory, found by ``importlib.util.find_spec``.  The
+routines are the objects ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
+export, so the bits are theirs; but neither the ``scipy`` package's
+``__init__`` nor the ``scipy.linalg`` package's, which loads scipy's
+array-API layer and ``numpy.f2py``, ever runs.  On a 2-core x86_64 VM,
+skipping scipy's ``__init__`` took a fresh ``import grouse, grouse.cli``,
+timed inside the process, from a median 0.069 s to 0.063 s (25 interleaved
+pairs of processes, faster in 20); skipping the ``scipy.linalg`` package's
+had taken it from 0.40 s to 0.18 s (12 interleaved processes each, an
+earlier run on a busier machine).
 
 :func:`_one_blas_thread` runs a block on one OpenBLAS thread, so that its
 products give the same bits whatever thread count the process started with.
@@ -56,7 +59,6 @@ import math
 import os
 
 import numpy as np
-import scipy
 
 # A fixed tolerance, about 450x double eps, relative to the largest entry.
 RANK_RTOL = 1e-13
@@ -67,13 +69,24 @@ _TINY = np.finfo(float).tiny
 # finite float value.
 _HUGE = float(np.finfo(float).max)
 
-# The OpenBLAS builds bundled with numpy and with scipy: the package, the
-# library's file pattern beside the package directory, and the thread-count
+# scipy's package directory, found without running scipy's __init__: grouse
+# needs only scipy's compiled LAPACK and BLAS modules.
+_SCIPY = importlib.util.find_spec("scipy")
+if _SCIPY is None:
+    raise ImportError("grouse needs scipy, which is not installed", name="scipy")
+_SCIPY_DIR = _SCIPY.submodule_search_locations[0]
+# on Windows, scipy's __init__ makes the DLLs bundled here loadable
+_SCIPY_LIBS = os.path.join(os.path.dirname(_SCIPY_DIR), "scipy.libs")
+if hasattr(os, "add_dll_directory") and os.path.isdir(_SCIPY_LIBS):
+    os.add_dll_directory(_SCIPY_LIBS)
+
+# The OpenBLAS builds bundled with numpy and with scipy: the package
+# directory, the library's file pattern beside it, and the thread-count
 # setter and getter it exports.
 _OPENBLAS = (
-    (np, "numpy.libs/libscipy_openblas64_*.so",
+    (os.path.dirname(np.__file__), "numpy.libs/libscipy_openblas64_*.so",
      "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    (scipy, "scipy.libs/libscipy_openblas-*.so",
+    (_SCIPY_DIR, "scipy.libs/libscipy_openblas-*.so",
      "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
 )
 
@@ -88,7 +101,7 @@ def _scipy_linalg_extension(name: str):
     routine objects.  Raises ``ImportError`` naming the directory when
     scipy has no such module.
     """
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    directory = os.path.join(_SCIPY_DIR, "linalg")
     spec = importlib.machinery.PathFinder.find_spec(f"scipy.linalg.{name}", [directory])
     if spec is None:
         raise ImportError(f"no compiled scipy module {name} in {directory}", name=f"scipy.linalg.{name}")
@@ -119,7 +132,7 @@ def _openblas_thread_controls() -> tuple:
     """
     controls = []
     for package, pattern, set_name, get_name in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(package.__file__))
+        site = os.path.dirname(package)
         for path in glob.glob(os.path.join(site, pattern)):
             lib = ctypes.CDLL(path)
             if not (hasattr(lib, set_name) and hasattr(lib, get_name)):

@@ -1,4 +1,4 @@
-"""Subspace geometry: bases, the rank-one rotation, principal angles, the error metric, coherences.
+"""Subspace geometry: bases, the rank-one rotation, the error metric, coherences.
 
 The central quantity is ``epsilon(u, ubar) = d - ||ubar^T u||_F^2``, the sum
 of squared sines of the principal angles between the two column spans.  It
@@ -22,7 +22,6 @@ from .linalg import (
     _real_array,
     dger,
     nearest_orthogonal,
-    singular_values,
 )
 
 # How far a Basis may drift from orthonormal, and the fixed number of steps
@@ -185,17 +184,6 @@ def _check_pair(u: Basis, ubar: Basis | None) -> None:
     """The pair rule: two bases share n and d; ValueError otherwise.  A missing ``ubar`` passes."""
     if ubar is not None and (u.n, u.d) != (ubar.n, ubar.d):
         raise ValueError("bases must share ambient and subspace dimensions")
-
-
-def principal_angles(u: Basis, ubar: Basis) -> np.ndarray:
-    """Principal angles (radians, ascending) between the two column spans.
-
-    cos of the i-th angle is the i-th singular value of ubar^T u; values are
-    clamped into [0, 1] before arccos since rounding can exceed 1 by ~1e-16.
-    """
-    _check_pair(u, ubar)
-    sigma = singular_values(ubar.columns.T @ u.columns)
-    return np.arccos(np.clip(sigma, 0.0, 1.0))
 
 
 def epsilon(u: Basis, ubar: Basis) -> float:

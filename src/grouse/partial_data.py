@@ -100,7 +100,7 @@ class Observation:
             raise ValueError("omega and values must be 1-d and equally long")
         _count("n", self.n)
         omega = _integers(omega)
-        _check_rows([self.n], omega, np.array([0, len(omega)]), values, np.array([0, len(values)]))
+        _check_rows([self.n], omega, (0, len(omega)), values, (0, len(values)))
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
         if self.latent_s is not None:
@@ -132,7 +132,7 @@ def _check_rows(ns, omega: np.ndarray, bounds: np.ndarray, values: np.ndarray, v
         return
     if len(ns) > 1:
         for n, a, b, c, e in zip(ns, bounds[:-1], bounds[1:], value_bounds[:-1], value_bounds[1:]):
-            _check_rows([n], omega[a:b], np.array([0, b - a]), values[c:e], np.array([0, e - c]))
+            _check_rows([n], omega[a:b], (0, b - a), values[c:e], (0, e - c))
     raise ValueError(fault)
 
 
@@ -144,8 +144,23 @@ def _fault(ns, omega: np.ndarray, bounds: np.ndarray, values: np.ndarray, value_
     increasing indices, the first index at least 0 and the last below n
     (only the two ends, given the increase), and finite values.  Each one
     reads the whole batch at once, so on a one-row batch the message is
-    that row's first fault.
+    that row's first fault.  One row, as the constructor checks, takes the
+    same checks on the row's own ends and arrays: the batch form's
+    bookkeeping arrays would double the constructor's cost.
     """
+    if len(ns) == 1:
+        (n,) = ns
+        if bounds[1] != value_bounds[1]:
+            return "omega and values must be 1-d and equally long"
+        if n < 1:
+            return "n must be at least 1"
+        if not (omega[1:] > omega[:-1]).all():
+            return "omega indices must be strictly increasing"
+        if len(omega) and (omega[0] < 0 or omega[-1] >= n):
+            return "omega indices out of range"
+        if not np.isfinite(values).all():
+            return "observed values must be finite"
+        return None
     if np.count_nonzero(bounds != value_bounds):
         return "omega and values must be 1-d and equally long"
     if min(ns) < 1:
@@ -622,12 +637,10 @@ def _parse_fields(fields, dtype) -> tuple[np.ndarray, np.ndarray]:
     Field i's elements are ``array[bounds[i]:bounds[i + 1]]``; ValueError
     on malformed text.  An index element (``dtype`` int) is plain ASCII
     digits, as the t and n fields are, and below 2^63.  A value element is
-    the one cell outside the cell rule of ``results._Kind``: observation
-    files also come from other programs, so it need not be spelled as the
-    writer spells it (``.5`` reads as 0.5), and a canonical re-write check
-    would cost about three times the parse.  The non-empty fields, joined
-    by ";", are read by one ``np.fromstring``, which raises on text it
-    cannot read to its end, but reads an element of whitespace, a bare
+    the one cell outside the cell rule of ``results._Kind``, which says
+    what it may be and why no write-back check runs.  The non-empty
+    fields, joined by ";", are read by one ``np.fromstring``, which raises
+    on text it cannot read to its end, but reads an element of whitespace, a bare
     sign or a sign followed by whitespace as a number, reads an integer
     at or above 2^63 as 2^63 - 1 and ends quietly at a trailing ";".  So
     no element, as the separators bound it, may be blank; index text must

@@ -38,7 +38,6 @@ from grouse import (
     orthonormalize,
     pair_with_epsilon,
     predicted_decrease,
-    principal_angles,
     random_basis,
     revealed_angle_sin_sq,
     run_full,
@@ -113,7 +112,6 @@ _CALLS = {
         predicted_decrease, dict(u=U, ubar=UBAR, v=V, eta=0.5),
         dict(ubar="pair", v="vector", eta="real"),
     ),
-    "principal_angles": (principal_angles, dict(u=U, ubar=UBAR), dict(ubar="pair")),
     "random_basis": (
         random_basis, dict(n=20, d=2, seed=1), dict(n="count", d="count", seed="seed")
     ),

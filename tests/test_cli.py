@@ -14,7 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from grouse import cli
 from grouse.concentration import (
+    _CONCENTRATION,
+    _RESIDUAL,
     estimate_skip_rate,
+    read_concentration_csv,
+    read_residual_csv,
     validate_gram_concentration,
     validate_residual_bound,
     validate_sin_sq_expectation,
@@ -27,12 +31,14 @@ from grouse.harness import (
     incoherent_basis,
     pair_with_epsilon,
     read_problem_spec,
+    read_sweep_csv,
     run_full_trial,
     run_partial_trial,
     sweep_phase,
     write_problem_spec,
+    write_sweep_csv,
 )
-from grouse.partial_data import Observation, run_stream
+from grouse.partial_data import Observation, read_observations, run_stream, write_observations
 from grouse.results import _read_table, _write_table, read_trajectory_csv, write_trajectory_csv
 
 
@@ -370,13 +376,13 @@ def test_bad_value_exits_2(tmp_path, capsys, row):
 
 
 def test_every_verb_runs_without_scipy_linalg(tmp_path):
-    # grouse loads scipy's compiled LAPACK and BLAS modules, not the
-    # scipy.linalg package, whose __init__ loads numpy.f2py
+    # grouse loads scipy's compiled LAPACK and BLAS modules, not the scipy
+    # package or the scipy.linalg package, whose __init__ loads numpy.f2py
     code = (
         "import json, sys\n"
         "from grouse import cli\n"
         "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(codes, sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules)))"
+        "print(codes, sorted({'scipy', 'scipy.linalg', 'numpy.f2py'} & set(sys.modules)))"
     )
     runs = [argv + ["--out", str(tmp_path / f"{verb}.csv")] for verb, argv in _VALID_ARGV.items()]
     env = dict(os.environ)
@@ -630,9 +636,8 @@ def _mutated(data: bytes, edits) -> bytes:
 
 
 def _spec_lines(path) -> bytes:
-    """The spec file's lines as its reader sees them, blank lines dropped, each ended by \\n."""
-    lines = path.read_text().split("\n")
-    return "".join(line + "\n" for line in lines if line.strip()).encode()
+    """The spec file's lines as the line codec splits them, empty lines dropped, each ended by \\n."""
+    return b"".join(line + b"\n" for line in path.read_bytes().splitlines() if line)
 
 
 def _table_lines(path) -> bytes:
@@ -645,29 +650,57 @@ def _table(schema):
     return partial(_read_table, schema=schema), lambda path, columns: _write_table(path, schema, columns)
 
 
-# Each file the CLI writes outside the tested tables: the argv that writes
-# it, less the file's path, its reader and writer, and its lines as its
-# reader sees them.
+def _report(schema, read):
+    """The reader of a per-trial report, and a writer of the columns it returns."""
+    return read, lambda path, columns: _write_table(path, schema, [range(len(columns[0])), *columns])
+
+
+def _run_cli(argv, path):
+    assert cli.main([*argv, str(path)]) == 0
+
+
+def _write_small_stream(path):
+    rng = np.random.default_rng(3)
+    write_observations(path, [
+        Observation(20, np.sort(rng.choice(20, 6, replace=False)), rng.standard_normal(6)) for _ in range(4)
+    ])
+
+
+# Each file the fuzz test mutates: a function that writes it at a path, its
+# reader and writer, and its lines as its reader sees them (None for the
+# observation file, whose value elements need not be spelled as written).
 _SUMMARY_FILES = {
-    "spec-full": ([*_VALID_ARGV["full"], "--out", os.devnull, "--spec_out"],
+    "spec-full": (partial(_run_cli, [*_VALID_ARGV["full"], "--out", os.devnull, "--spec_out"]),
                   read_problem_spec, write_problem_spec, _spec_lines),
-    "spec-partial": ([*_VALID_ARGV["partial"], "--out", os.devnull, "--spec_out"],
+    "spec-partial": (partial(_run_cli, [*_VALID_ARGV["partial"], "--out", os.devnull, "--spec_out"]),
                      read_problem_spec, write_problem_spec, _spec_lines),
-    "validate-expectation": ([*_VALID_ARGV["validate-expectation"], "--out"],
+    "validate-expectation": (partial(_run_cli, [*_VALID_ARGV["validate-expectation"], "--out"]),
                              *_table(cli._EXPECTATION), _table_lines),
-    "skip-rate": ([*_VALID_ARGV["skip-rate"], "--out"], *_table(cli._SKIP_RATE), _table_lines),
+    "skip-rate": (partial(_run_cli, [*_VALID_ARGV["skip-rate"], "--out"]), *_table(cli._SKIP_RATE), _table_lines),
+    "trajectory": (partial(_run_cli, [*_VALID_ARGV["partial"], "--out"]),
+                   read_trajectory_csv, write_trajectory_csv, _table_lines),
+    "sweep": (partial(_run_cli, [*_VALID_ARGV["sweep"], "--out"]), read_sweep_csv, write_sweep_csv, _table_lines),
+    "concentration": (partial(_run_cli, [*_VALID_ARGV["validate-concentration"], "--out"]),
+                      *_report(_CONCENTRATION, read_concentration_csv), _table_lines),
+    "residual": (partial(_run_cli, [*_VALID_ARGV["validate-residual"], "--out"]),
+                 *_report(_RESIDUAL, read_residual_csv), _table_lines),
+    "observations": (_write_small_stream, read_observations, write_observations, None),
 }
 
 
 @pytest.fixture(scope="module")
 def summary_files(tmp_path_factory):
-    """The bytes of each file in ``_SUMMARY_FILES``, as the CLI writes it, and a scratch directory."""
+    """The bytes of each file in ``_SUMMARY_FILES``, as it is written, and a scratch directory."""
     work = tmp_path_factory.mktemp("summary")
     written = {}
-    for name, (argv, *_) in _SUMMARY_FILES.items():
-        assert cli.main([*argv, str(work / name)]) == 0
+    for name, (make, *_) in _SUMMARY_FILES.items():
+        make(work / name)
         written[name] = (work / name).read_bytes()
     return written, work
+
+
+def _observed(observations) -> list:
+    return [(obs.n, obs.omega.tolist(), obs.values.tolist()) for obs in observations]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -676,7 +709,8 @@ def summary_files(tmp_path_factory):
 def test_mutated_summary_files_are_rejected_or_read_exactly(summary_files, name, edits):
     # a mutant either raises ValueError or reads back to values whose
     # re-write is the mutant's own lines: nothing but a line end (or, in the
-    # spec file, a blank line) is read other than as written
+    # spec file, an empty line) is read other than as written.  An
+    # observation file's re-write reads back to the same arrays instead.
     written, work = summary_files
     _, read, write, lines = _SUMMARY_FILES[name]
     mutant, again = work / f"{name}.mutant", work / f"{name}.again"
@@ -686,4 +720,7 @@ def test_mutated_summary_files_are_rejected_or_read_exactly(summary_files, name,
     except ValueError:
         return
     write(again, values)
-    assert again.read_bytes() == lines(mutant)
+    if lines is None:
+        assert _observed(read(again)) == _observed(values)
+    else:
+        assert again.read_bytes() == lines(mutant)

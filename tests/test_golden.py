@@ -98,9 +98,9 @@ _NAMES = sorted(GOLDEN[("SkylakeX", "SkylakeX")])
 _CORENAME = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename")
 
 
-def _core(package, pattern: str, symbol: str):
-    """The core name that ``symbol`` reports in the OpenBLAS library beside ``package``, or None."""
-    site = os.path.dirname(os.path.dirname(package.__file__))
+def _core(package: str, pattern: str, symbol: str):
+    """The core name that ``symbol`` reports in the OpenBLAS library beside the ``package`` directory, or None."""
+    site = os.path.dirname(package)
     for path in glob.glob(os.path.join(site, pattern)):
         lib = ctypes.CDLL(path)
         if hasattr(lib, symbol):

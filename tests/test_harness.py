@@ -453,6 +453,23 @@ def test_problem_spec_file_rejects_values_not_as_written(tmp_path, line, written
         read_problem_spec(path)
 
 
+# Lines that str.strip() empties but the line codec does not read as blank,
+# and a line of a byte past ASCII (a UTF-8 no-break space, blank to
+# str.strip() too): the spec file follows a table's line rules.
+@pytest.mark.parametrize(
+    "line", [b"\x0b", b"\x0c", b"\x1c", b"\x1f", b" ", b"\xc2\xa0"],
+    ids=["vt", "ff", "fs", "us", "space", "non-ascii"],
+)
+def test_problem_spec_file_reads_lines_by_the_line_codec(tmp_path, line):
+    path = tmp_path / "run.spec"
+    write_problem_spec(path, ProblemSpec(n=500, d=7, q=30, iters=77, seed=5))
+    data = path.read_bytes()
+    assert b"d=7\n" in data
+    path.write_bytes(data.replace(b"d=7\n", b"d=7\n" + line + b"\n"))
+    with pytest.raises(ValueError):
+        read_problem_spec(path)
+
+
 def test_problem_spec_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed"):
         ProblemSpec(n=100, d=10, q=20, iters=5, seed=-1)

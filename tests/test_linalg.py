@@ -339,7 +339,7 @@ def test_missing_scipy_extension_raises_import_error_naming_the_directory(tmp_pa
     # an installed scipy whose linalg directory lacks a compiled module
     directory = tmp_path / "scipy" / "linalg"
     directory.mkdir(parents=True)
-    monkeypatch.setattr(linalg.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    monkeypatch.setattr(linalg, "_SCIPY_DIR", str(tmp_path / "scipy"))
     for name in ("_flapack", "_fblas"):
         with pytest.raises(ImportError, match=re.escape(str(directory))):
             linalg._scipy_linalg_extension(name)
@@ -465,9 +465,10 @@ def test_fork_map_raises_the_first_failing_task_in_task_order(see_one_cpu, one_c
 
 def test_import_loads_no_pool_machinery():
     # the pool is imported on the first fork, and LAPACK and BLAS come from
-    # scipy's compiled modules without the scipy.linalg package, whose
-    # __init__ loads scipy's array-API layer and numpy.f2py
-    unused = ["multiprocessing", "concurrent.futures.process", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py"]
+    # scipy's compiled modules without the scipy package or the scipy.linalg
+    # package, whose __init__ loads scipy's array-API layer and numpy.f2py
+    unused = ["multiprocessing", "concurrent.futures.process", "scipy", "scipy.linalg", "scipy._lib._array_api",
+              "numpy.f2py"]
     code = f"import sys, grouse, grouse.cli; print(sorted(set({unused!r}) & set(sys.modules)))"
     src = os.path.dirname(os.path.dirname(os.path.abspath(grouse.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -13,7 +13,6 @@ from grouse.metrics import (
     coherence_vector,
     epsilon,
     epsilon_residual,
-    principal_angles,
     revealed_angle_sin_sq,
 )
 from grouse.full_data import run_full
@@ -105,20 +104,6 @@ def test_adopted_basis_holds_its_array_after_the_basis_checks():
             _adopt(bad)
 
 
-def test_principal_angles_identical_and_orthogonal():
-    u = basis_from([[1.0], [0.0]])
-    assert np.allclose(principal_angles(u, u), 0.0, atol=1e-7)
-    v = basis_from([[0.0], [1.0]])
-    assert np.allclose(principal_angles(u, v), np.pi / 2)
-
-
-def test_principal_angles_planted_rotation():
-    a = 0.37
-    u, ubar = rotation_pair(a)
-    # oracle: the 2x2 product ubar^T u is diag(cos a, 1) by construction
-    assert np.allclose(sorted(principal_angles(u, ubar)), [0.0, a], atol=1e-12)
-
-
 def test_epsilon_endpoints_and_rotation():
     u, ubar = rotation_pair(0.37)
     assert np.isclose(epsilon(u, ubar), np.sin(0.37) ** 2, atol=1e-12)
@@ -134,7 +119,9 @@ def test_epsilon_equals_angle_sum_and_residual_form():
         u, ubar = pair_with_epsilon(30, 3, float(rng.uniform(0.001, 2.5)), seed=k)
         e = epsilon(u, ubar)
         assert 0.0 <= e <= 3.0
-        assert np.isclose(e, np.sum(np.sin(principal_angles(u, ubar)) ** 2), atol=1e-10)
+        # the principal angles' cosines are the singular values of ubar^T u
+        angles = np.arccos(np.clip(np.linalg.svd(ubar.columns.T @ u.columns, compute_uv=False), 0.0, 1.0))
+        assert np.isclose(e, np.sum(np.sin(angles) ** 2), atol=1e-10)
         assert np.isclose(e, epsilon_residual(u, ubar), atol=1e-10)
 
 
