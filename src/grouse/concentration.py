@@ -7,6 +7,11 @@ replacement.  Validators here use the model their guarantee is stated in;
 :func:`estimate_skip_rate` uses algorithm-mode sampling so the difference
 between the two models stays measurable.
 
+The two validators that write a per-trial CSV return a report holding
+their rate and one array per column of that CSV:
+:class:`ConcentrationReport` (``eig_min``, ``eig_max``, ``in_window``)
+and :class:`ResidualBoundReport` (``lhs``, ``rhs``, ``violated``).
+
 The residual-bound validator runs its trials in forked workers
 (``linalg._fork_map``), one contiguous range each, and gives the bits of a
 serial loop; the other validators run in-process.  The four validators
@@ -54,15 +59,21 @@ _FORK_FLOOR = 500
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    """Empirical eigenvalue-window failure rate for sampled Gram matrices."""
+    """Empirical eigenvalue-window failure rate for sampled Gram matrices.
+
+    ``failure_rate`` is the fraction of trials whose sampled Gram matrix
+    has an eigenvalue outside [(1 - gamma), (1 + gamma)] omega_size / n,
+    and ``hypothesis_met`` says whether omega_size meets the sample-size
+    hypothesis.  The three arrays hold one entry per trial, the columns of
+    the concentration CSV: ``eig_min`` and ``eig_max``, the extreme
+    eigenvalues, and ``in_window``.
+    """
 
     trials: int
     delta: float
     gamma: float
     omega_size: int
     failure_rate: float
-    eigen_min_quantiles: np.ndarray
-    eigen_max_quantiles: np.ndarray
     hypothesis_met: bool
     eig_min: np.ndarray
     eig_max: np.ndarray
@@ -73,14 +84,14 @@ class ConcentrationReport:
 class ResidualBoundReport:
     """Empirical violation rate of the sampled-residual lower bound.
 
-    ``xi``, ``beta`` and ``bound_rhs`` are means over trials; the per-trial
-    values are kept in the array fields.
+    ``violation_rate`` is the mean of ``violated``.  The three arrays hold
+    one entry per trial, the columns of the residual-bound CSV: ``lhs``,
+    the sampled residual energy; ``rhs``, the bound (0 where v lies in the
+    span of u, NaN where gamma >= 1 leaves no bound); ``violated``, lhs <
+    rhs where the bound's factor is positive.
     """
 
     trials: int
-    xi: float
-    beta: float
-    bound_rhs: float
     violation_rate: float
     lhs: np.ndarray
     rhs: np.ndarray
@@ -124,11 +135,13 @@ def _trial_ranges(trials: int) -> list[tuple[int, int]]:
 
 
 def _residual_trials(cols, target, omega_size, log_inv_delta, mu_u, gamma, seed, start, stop):
-    """Trials ``start`` to ``stop`` of :func:`validate_residual_bound`: (lhs, rhs, violated, xi, beta).
+    """Trials ``start`` to ``stop`` of :func:`validate_residual_bound`: (lhs, rhs, violated).
 
     ``cols`` and ``target`` are the columns of u and ubar.  The generator is
     rebuilt from ``seed`` and the earlier trials' draws are replayed, so
     each trial draws the coefficients and sample the serial loop draws.
+    The coherence of x and the bound's terms xi and beta are computed only
+    for a trial whose bound exists (x != 0 and gamma < 1).
     """
     (n, d), trials = cols.shape, stop - start
     rng = _rng(seed)
@@ -136,11 +149,9 @@ def _residual_trials(cols, target, omega_size, log_inv_delta, mu_u, gamma, seed,
         rng.standard_normal(d)
         rng.integers(0, n, size=omega_size)
     lhs = np.empty(trials)
-    # a trial whose v lies in the span of u keeps rhs, xi and beta at zero
+    # a trial whose v lies in the span of u keeps rhs at zero
     rhs = np.zeros(trials)
     violated = np.zeros(trials, dtype=bool)
-    xi_all = np.zeros(trials)
-    beta_all = np.zeros(trials)
     # keep this allocation order: the ~200 KB per-trial temporaries sit at glibc's mmap threshold
     for t in range(trials):
         s = rng.standard_normal(d)
@@ -154,19 +165,17 @@ def _residual_trials(cols, target, omega_size, log_inv_delta, mu_u, gamma, seed,
         x_sq = float(x @ x)
         if x_sq == 0.0:
             continue
-        mu_x = coherence_vector(x)
-        xi = math.sqrt(2.0 * mu_x**2 / omega_size * log_inv_delta)
-        beta = math.sqrt(2.0 * mu_x * log_inv_delta)
-        xi_all[t] = xi
-        beta_all[t] = beta
         if gamma >= 1.0:
             rhs[t] = np.nan
             continue
+        mu_x = coherence_vector(x)
+        xi = math.sqrt(2.0 * mu_x**2 / omega_size * log_inv_delta)
+        beta = math.sqrt(2.0 * mu_x * log_inv_delta)
         factor = (omega_size * (1.0 - xi) - d * mu_u * (1.0 + beta) ** 2 / (1.0 - gamma)) / n
         rhs[t] = factor * x_sq
         if factor > 0.0:
             violated[t] = lhs[t] < rhs[t]
-    return lhs, rhs, violated, xi_all, beta_all
+    return lhs, rhs, violated
 
 
 def validate_gram_concentration(
@@ -203,8 +212,6 @@ def validate_gram_concentration(
         gamma=gamma,
         omega_size=omega_size,
         failure_rate=float(1.0 - in_window.mean()),
-        eigen_min_quantiles=np.quantile(eig_min, _QUANTILES),
-        eigen_max_quantiles=np.quantile(eig_max, _QUANTILES),
         hypothesis_met=hypothesis_met,
         eig_min=eig_min,
         eig_max=eig_max,
@@ -241,15 +248,9 @@ def validate_residual_bound(
         (u.columns, ubar.columns, omega_size, log_inv_delta, mu_u, gamma, seed, start, stop)
         for start, stop in _trial_ranges(trials)
     ]
-    lhs, rhs, violated, xi_all, beta_all = map(
-        np.concatenate, zip(*_fork_map(_residual_trials, tasks))
-    )
-    finite = rhs[np.isfinite(rhs)]
+    lhs, rhs, violated = map(np.concatenate, zip(*_fork_map(_residual_trials, tasks)))
     return ResidualBoundReport(
         trials=trials,
-        xi=float(xi_all.mean()),
-        beta=float(beta_all.mean()),
-        bound_rhs=float(finite.mean()) if len(finite) else float("nan"),
         violation_rate=float(violated.mean()),
         lhs=lhs,
         rhs=rhs,

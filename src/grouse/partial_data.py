@@ -558,7 +558,8 @@ def write_observations(path, observations) -> None:
 
     Indices are 1-based and semicolon-separated on the wire; values are
     semicolon-separated decimals (binary64 round-trip precision).  Rows go
-    through the line codec ``results._write_rows``, one at a time.
+    through the line codec ``results._write_rows``, one at a time.  An
+    observation's ``latent_s`` is not written, so it reads back as None.
     """
     _write_rows(
         path,

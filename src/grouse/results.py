@@ -418,7 +418,12 @@ def write_trajectory_csv(path, result: TrialResult) -> None:
 
 
 def read_trajectory_csv(path) -> TrialResult:
-    """Parse a trajectory CSV back into a TrialResult (losslessly); ValueError on a malformed file."""
+    """Parse a trajectory CSV back into a TrialResult; ValueError on a malformed file.
+
+    The file carries epsilon and the five step columns, which read back bit
+    for bit.  It does not carry ``x_factor`` or ``tail_slope``, which the
+    ``run_*_trial`` functions attach to a result: they read back as None.
+    """
     t, eps, *steps = _read_table(path, _TRAJECTORY, lagged=_STEP_DTYPE.names)
     if not len(t) or not np.array_equal(t, np.arange(len(t))):
         raise ValueError("trajectory rows must count t = 0, 1, 2, ...")

@@ -597,7 +597,7 @@ def test_readme_command_examples_parse():
 
 # Bytes a mutation inserts or writes over: the cells' own alphabet and line
 # ends most often, any byte otherwise.
-_BYTES = st.sampled_from(b"0123456789.-+e_,= \t\r\nfulnqx") | st.integers(0, 255)
+_BYTES = st.sampled_from(b"0123456789.-+e_,;= \t\r\nfulnqx") | st.integers(0, 255)
 _EDITS = st.lists(
     st.tuples(
         st.sampled_from(["insert", "delete", "replace", "pad line", "duplicate line", "drop line", "blank line"]),
@@ -703,6 +703,26 @@ def _observed(observations) -> list:
     return [(obs.n, obs.omega.tolist(), obs.values.tolist()) for obs in observations]
 
 
+def _assert_rows_read_as_written(data: bytes, observations):
+    """Each row of an observation file the reader accepted, against what it read, matched by t.
+
+    t, n and every index element are plain digits that read as what was
+    read (index + 1): the reader's rule allows leading zeros, so ``00`` is a
+    t of 0.  Every value element is non-empty, holds no byte at or below the
+    space and is not a bare sign.
+    """
+    rows = sorted((line.split(b",") for line in data.splitlines() if line), key=lambda row: int(row[0]))
+    assert len(rows) == len(observations)
+    for (t, n, indices, values), obs in zip(rows, observations):
+        written = [t, n, *(indices.split(b";") if indices else [])]
+        assert all(re.fullmatch(rb"[0-9]+", field) for field in written)
+        assert list(map(int, written[1:])) == [obs.n, *(obs.omega + 1).tolist()]
+        elements = values.split(b";") if values else []
+        assert len(elements) == len(obs.values)
+        for element in elements:
+            assert element and min(element) > ord(" ") and element not in (b"+", b"-")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(edits=_EDITS)
 @pytest.mark.parametrize("name", list(_SUMMARY_FILES))
@@ -710,7 +730,8 @@ def test_mutated_summary_files_are_rejected_or_read_exactly(summary_files, name,
     # a mutant either raises ValueError or reads back to values whose
     # re-write is the mutant's own lines: nothing but a line end (or, in the
     # spec file, an empty line) is read other than as written.  An
-    # observation file's re-write reads back to the same arrays instead.
+    # observation file's re-write reads back to the same arrays instead, and
+    # its rows hold what was read, the value elements in any finite spelling.
     written, work = summary_files
     _, read, write, lines = _SUMMARY_FILES[name]
     mutant, again = work / f"{name}.mutant", work / f"{name}.again"
@@ -722,5 +743,6 @@ def test_mutated_summary_files_are_rejected_or_read_exactly(summary_files, name,
     write(again, values)
     if lines is None:
         assert _observed(read(again)) == _observed(values)
+        _assert_rows_read_as_written(mutant.read_bytes(), values)
     else:
         assert again.read_bytes() == lines(mutant)

@@ -93,6 +93,19 @@ def test_residual_bound_subset_scale_is_vacuous_but_satisfied():
     assert report.violation_rate <= 0.3 + margin
 
 
+def test_residual_bound_at_gamma_one_or_more_computes_no_coherence(monkeypatch):
+    # at gamma >= 1 no trial has a bound (rhs is NaN), so mu(x) is never needed;
+    # 300 trials run in-process, where the patched name is the one called
+    u, ubar = pair_with_epsilon(50, 4, 0.1, seed=1)
+    assert gamma_bound(4, coherence_basis(u), 10, 0.1) >= 1.0
+    calls = []
+    real = concentration.coherence_vector
+    monkeypatch.setattr(concentration, "coherence_vector", lambda x: calls.append(1) or real(x))
+    report = validate_residual_bound(u, ubar, 10, 0.1, 300, seed=1)
+    assert np.isnan(report.rhs).all() and not report.violated.any()
+    assert len(calls) == 0
+
+
 def test_skip_rate_extremes():
     u = random_basis(50, 3, seed=17)
     assert estimate_skip_rate(u, 50, 20, seed=18) == 0.0

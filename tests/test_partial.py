@@ -4,6 +4,7 @@ import math
 import re
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,7 +12,7 @@ from scipy.linalg.blas import dger
 
 from grouse import metrics, partial_data, results
 from grouse.full_data import _is_identity, _split, full_step, run_full
-from grouse.linalg import NumericalError, _openblas_thread_controls, orthonormalize
+from grouse.linalg import NumericalError, _openblas_thread_controls, dgemv, orthonormalize
 from grouse.metrics import BASIS_DRIFT_TOL, Basis, _rotate, epsilon_residual, orthonormality_drift
 from grouse.partial_data import (
     Observation,
@@ -24,6 +25,7 @@ from grouse.partial_data import (
     write_observations,
 )
 from grouse.harness import ProblemSpec, generate_problem, pair_with_epsilon, random_basis
+from grouse.harness import run_full_trial, run_partial_trial
 from grouse.results import read_trajectory_csv, write_trajectory_csv
 
 
@@ -666,8 +668,6 @@ def _sweep_x_bytes(seed: int) -> bytes:
 
 
 def _trial_bytes(bypass_gate=False, **spec) -> bytes:
-    from grouse.harness import run_full_trial, run_partial_trial
-
     spec = ProblemSpec(iters=250, seed=7, **spec)
     if spec.q == "full":
         return _result_bytes(run_full_trial(spec))
@@ -707,6 +707,82 @@ def test_drift_certificate_keeps_the_bits_of_the_exact_checks(case, deferred, mo
     monkeypatch.setattr(grouse.results, "_drift_bound", lambda *args: deferred)
     assert run() == certified
     assert sum(e[0] == "check" for e in events) > 10 * checks
+
+
+def _mp_drift(cols) -> mpmath.mpf:
+    """||B^T B - I||_F of the float array ``cols``, evaluated in mpmath."""
+    cols = [[mpmath.mpf(float(x)) for x in row] for row in cols.T]
+    return mpmath.sqrt(mpmath.fsum(
+        (mpmath.fdot(a, b) - (i == j)) ** 2 for i, a in enumerate(cols) for j, b in enumerate(cols)
+    ))
+
+
+def _mp_drift_bound(cols, y, gain, bound, e) -> mpmath.mpf:
+    """The formula of ``results._drift_bound``'s docstring, in mpmath from its float inputs and e."""
+    (n, d), u = cols.shape, mpmath.mpf(2) ** -53
+    norm_g, norm_y, norm_e = (mpmath.sqrt(mpmath.fdot(v, v)) for v in (gain, y, e))
+    c, s = norm_g**2, 1 + mpmath.mpf(bound) / 2
+    err = 2 * u * (2 * norm_g * norm_y + mpmath.sqrt(d) * s)
+    norm_e += 2 * (n + 2) * u * ((mpmath.sqrt(d) * s + norm_g * norm_y + err) * norm_g + c / 2 * norm_y)
+    return bound + 2 * norm_e * norm_y + 2 * n * u * c * norm_y**2 + 2 * s * err + err**2
+
+
+def _assert_tight(value: float, exact: mpmath.mpf):
+    assert exact <= value <= exact * (1 + mpmath.mpf(2) ** -30)
+
+
+@pytest.mark.parametrize(
+    "run, spec",
+    [
+        (run_full_trial, ProblemSpec(n=60, d=6, q="full", iters=40, seed=1)),
+        (run_full_trial, ProblemSpec(n=7, d=6, q="full", iters=40, seed=2)),
+        (functools.partial(run_partial_trial, bypass_gate=True), ProblemSpec(n=40, d=4, q=10, iters=40, seed=3)),
+        (run_partial_trial, ProblemSpec(n=50, d=2, q=20, iters=40, seed=4)),
+    ],
+    ids=["full-60x6", "full-7x6", "bypassed-40x4", "gated-50x2"],
+)
+def test_drift_certificate_is_the_docstring_formula_and_bounds_the_exact_drift(run, spec, monkeypatch):
+    # the trajectory's bounds, evaluated again at 80 digits from the same
+    # float inputs: each float bound sits at most 2^-30 (relative) above its
+    # formula and bounds the buffer's exact drift; the same for the bound an
+    # exact check resets, (drift + offset)(1 + 2k)
+    events, real_bound, real_check = [], results._drift_bound, results.orthonormality_drift
+
+    def bound(cols, y, gain, value):
+        events.append(("bound", cols.copy(), y.copy(), gain.copy(), value, real_bound(cols, y, gain, value)))
+        return events[-1][-1]
+
+    def check(cols):
+        events.append(("check", cols.copy(), real_check(cols)))
+        return events[-1][-1]
+
+    monkeypatch.setattr(results, "_drift_bound", bound)
+    monkeypatch.setattr(results, "orthonormality_drift", check)
+    run(spec)
+    inputs = set()
+    with mpmath.workdps(80):
+        u = mpmath.mpf(2) ** -53
+        offset, k = 2 * u * (spec.n + 1) * spec.d, 2 * u * ((spec.n + 1) * spec.d + spec.d**2 + 4)
+        for before, event in zip([None, *events], events):
+            if event[0] == "check":
+                continue
+            _, cols, y, gain, value, out = event
+            if before[0] == "check":
+                # the bound after an exact check is its reset, on the buffer it checked
+                _assert_tight(value, (before[2] + offset) * (1 + 2 * k))
+                assert _mp_drift(before[1]) <= value
+            inputs.add(before[0])
+            drift = _mp_drift(cols)
+            assert drift <= out
+            # y = w / ||w|| is a unit vector; the formula holds for any factors of
+            # the rank-one term, and (4 y, gain / 4) is the same update bit for bit
+            for y, gain in ((y, gain), (4.0 * y, 0.25 * gain)):
+                e = dgemv(1.0, cols.T, gain, -0.5 * float(gain.dot(gain)), y)
+                for start in (0.0, value):
+                    _assert_tight(real_bound(cols, y, gain, start), _mp_drift_bound(cols, y, gain, start, e))
+                assert drift <= real_bound(cols, y, gain, value)
+    # bounds grown from a reset and from a grown bound
+    assert inputs == {"check", "bound"}
 
 
 def test_maintained_trajectory_runs_only_the_cadence_qrs(monkeypatch):
