@@ -191,7 +191,11 @@ def test_trajectory_round_trip_every_field(tmp_path, run, spec):
     assert (back.epsilons is None) == (result.epsilons is None)
     for name in ("epsilons", "gate_passed", "taken", "norm_r", "norm_p", "theta"):
         if getattr(result, name) is not None:
-            assert np.array_equal(getattr(back, name), getattr(result, name), equal_nan=True), name
+            ours, theirs = getattr(back, name), getattr(result, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+    # the file carries the columns only: the x_factor and tail_slope that the
+    # run_*_trial functions attach read back as None
+    assert back.x_factor is None and back.tail_slope is None
     # write -> read -> write reproduces the file byte for byte
     again = tmp_path / "again.csv"
     write_trajectory_csv(again, back)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouse import partial_data, results
-from grouse.harness import ProblemSpec, run_partial_trial
 from grouse.partial_data import Observation, read_observations, write_observations
 from grouse.results import TrialResult, _read_rows, _write_rows, read_trajectory_csv, write_trajectory_csv
 
@@ -121,20 +120,6 @@ def test_write_observations_bytes(tmp_path):
         [Observation(n=5, omega=[0, 3], values=[0.5, -1.0 / 3.0]), Observation(n=7, omega=[], values=[])],
     )
     assert path.read_bytes() == b"0,5,1;4,0.5;-0.3333333333333333\r\n1,7,,\r\n"
-
-
-def test_trajectory_csv_carries_its_columns_bit_for_bit_and_not_the_summaries(tmp_path):
-    # the file holds epsilon and the five step columns; the x_factor and
-    # tail_slope that run_partial_trial attaches are not in it
-    result = run_partial_trial(ProblemSpec(n=60, d=3, q=20, iters=30, seed=2))
-    assert result.x_factor is not None and result.tail_slope is not None
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, result)
-    back = read_trajectory_csv(path)
-    for name in ("epsilons", *results._STEP_DTYPE.names):
-        ours, theirs = getattr(back, name), getattr(result, name)
-        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
-    assert back.x_factor is None and back.tail_slope is None
 
 
 def test_write_trajectory_csv_bytes(tmp_path):
