@@ -57,7 +57,7 @@ _CHUNK_DOUBLES = 2**16
 _FORK_FLOOR = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConcentrationReport:
     """Empirical eigenvalue-window failure rate for sampled Gram matrices.
 
@@ -80,7 +80,7 @@ class ConcentrationReport:
     in_window: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualBoundReport:
     """Empirical violation rate of the sampled-residual lower bound.
 
@@ -98,7 +98,7 @@ class ResidualBoundReport:
     violated: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MuXtSummary:
     """Empirical distribution of the residual-direction coherence.
 

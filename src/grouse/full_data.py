@@ -30,7 +30,7 @@ THETA_CEIL = 1e-9
 _EXACT_EPS_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullStepRecord:
     """All quantities of one full-data iteration.
 

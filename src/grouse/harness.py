@@ -76,7 +76,7 @@ def _check_run(iters: int, seed: int, alpha: float, init_noise_std: float) -> No
     _real("init_noise_std", init_noise_std, closed=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepCell:
     """One (n, d, q) cell of a phase sweep."""
 

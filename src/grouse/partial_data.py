@@ -27,10 +27,12 @@ rotation's arguments; the stream driver hands them to the trajectory
 
 Indices are 0-based throughout the in-memory API; the observation CSV
 format uses 1-based indices on the wire.  :func:`read_observations` takes
-the file's rows from the line codec in batches, reads each batch's index
-and value fields with one ``np.fromstring`` per column, and checks the
-batch once by the observation rule, :func:`_check_rows`, which every
-``Observation`` constructor also runs on its one row.
+the file's rows from the line codec in batches, in file order, whose t
+must count 0, 1, 2, ... as :func:`write_observations` writes them; it
+reads each batch's index and value fields with one ``np.fromstring`` per
+column, and checks the batch once by the observation rule,
+:func:`_check_rows`, which every ``Observation`` constructor also runs on
+its one row.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ RESIDUAL_FLOOR = 1e-14
 _GATE_SLACK = 1e3 * 2.0**-53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """Observed entries of one subspace vector on an index sample.
 
@@ -233,7 +235,7 @@ class GateVerdict:
     upper_bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepRecord:
     """Every intermediate quantity of one partial-data iteration.
 
@@ -585,28 +587,29 @@ _INT_MAX = np.iinfo(int).max
 
 
 def read_observations(path) -> list[Observation]:
-    """Read an observation CSV written by :func:`write_observations`; t must not repeat.
+    """Read an observation CSV as :func:`write_observations` writes it, its rows counting t from 0.
 
     The t, n and index fields are plain ASCII decimal digits: a sign,
     padding or an underscore, which ``int()`` would read, raises
-    ValueError, and so does an index at or above 2^63.  Lines
-    come from the line codec ``results._read_rows``: a field has no length
-    limit, and a quoted field (a ``"`` anywhere) raises ValueError.  Rows
-    are parsed ``_BATCH`` at a time by :func:`_parse_rows`.
+    ValueError, and so does an index at or above 2^63.  Row i's t is
+    ``str(i)``, as the writer writes it, so rows out of order, a gap, a
+    repeated t or a leading zero raise ValueError.  Lines come from the
+    line codec ``results._read_rows``: a blank line is skipped and counts
+    as no row, a field has no length limit, and a quoted field (a ``"``
+    anywhere) raises ValueError.  Rows are parsed ``_BATCH`` at a time by
+    :func:`_parse_rows`.
     """
     rows = filter(None, _read_rows(path))  # a blank line reads as []
-    pairs = []
+    observations = []
     for batch in iter(lambda: list(itertools.islice(rows, _BATCH)), []):
-        pairs += _parse_rows(batch)
-    pairs.sort(key=lambda pair: pair[0])
-    if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
-        raise ValueError("duplicate observation index t")
-    return [obs for _, obs in pairs]
+        observations += _parse_rows(batch, len(observations))
+    return observations
 
 
-def _parse_rows(rows) -> list[tuple[int, Observation]]:
-    """The ``(t, Observation)`` of each row ``[t, n, indices, values]``; ValueError on malformed text.
+def _parse_rows(rows, first: int) -> list[Observation]:
+    """The Observation of each row ``[t, n, indices, values]``; ValueError on malformed text.
 
+    The rows' t must count ``first``, ``first + 1``, ... as decimal text.
     :func:`_parse_fields` reads all the rows' index fields into one array
     and their value fields into another; :func:`_check_rows` checks the
     batch once, raising what the first failing row's ``Observation`` would,
@@ -619,6 +622,8 @@ def _parse_rows(rows) -> list[tuple[int, Observation]]:
     # the codec passes only ASCII, where isdigit holds for 0-9 alone
     if not all(map(str.isdigit, ts + ns)):
         raise ValueError("observation t and n fields must be plain decimal digits")
+    if ts != tuple(map(str, range(first, first + len(ts)))):
+        raise ValueError("observation rows must count t = 0, 1, 2, ...")
     ns = list(map(int, ns))
     omega, bounds = _parse_fields(index_fields, int)
     omega -= 1
@@ -626,10 +631,7 @@ def _parse_rows(rows) -> list[tuple[int, Observation]]:
     _check_rows(ns, omega, bounds, values, value_bounds)
     # every row passed, so it has as many values as indices: one set of bounds serves both
     bounds = bounds.tolist()
-    return [
-        (int(t), _checked(n, omega[a:b], values[a:b]))
-        for t, n, a, b in zip(ts, ns, bounds, bounds[1:])
-    ]
+    return [_checked(n, omega[a:b], values[a:b]) for n, a, b in zip(ns, bounds, bounds[1:])]
 
 
 def _parse_fields(fields, dtype) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,7 @@ _STEP_DTYPE = np.dtype(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialResult:
     """Per-iteration trajectory of one run plus summary statistics.
 

@@ -708,19 +708,21 @@ def _observed(observations) -> list:
 
 
 def _assert_rows_read_as_written(data: bytes, observations):
-    """Each row of an observation file the reader accepted, against what it read, matched by t.
+    """Each row of an observation file the reader accepted, in file order, against what it read.
 
-    t, n and every index element are plain digits that read as what was
-    read (index + 1): the reader's rule allows leading zeros, so ``00`` is a
-    t of 0.  Every value element is non-empty, holds no byte at or below the
-    space and is not a bare sign.
+    Row i's t is ``str(i)``, as the writer writes it.  n and every index
+    element are plain digits that read as what was read (index + 1): the
+    reader allows leading zeros there, so ``05`` is an n of 5.  Every value
+    element is non-empty, holds no byte at or below the space and is not a
+    bare sign.
     """
-    rows = sorted((line.split(b",") for line in data.splitlines() if line), key=lambda row: int(row[0]))
+    rows = [line.split(b",") for line in data.splitlines() if line]
     assert len(rows) == len(observations)
-    for (t, n, indices, values), obs in zip(rows, observations):
-        written = [t, n, *(indices.split(b";") if indices else [])]
+    for i, ((t, n, indices, values), obs) in enumerate(zip(rows, observations)):
+        assert t == str(i).encode()
+        written = [n, *(indices.split(b";") if indices else [])]
         assert all(re.fullmatch(rb"[0-9]+", field) for field in written)
-        assert list(map(int, written[1:])) == [obs.n, *(obs.omega + 1).tolist()]
+        assert list(map(int, written)) == [obs.n, *(obs.omega + 1).tolist()]
         elements = values.split(b";") if values else []
         assert len(elements) == len(obs.values)
         for element in elements:

@@ -75,6 +75,21 @@ def test_residual_bound_identical_bases():
     assert report.violation_rate == 0.0
 
 
+def test_residual_bound_is_zero_where_v_lies_in_the_span_of_u(tmp_path):
+    # v = e s has exact zeros off the span, so no trial has a residual
+    # direction x: every rhs is 0.0, and the CSV says so in every cell
+    e = Basis(np.eye(4)[:, :2])
+    report = validate_residual_bound(e, e, 200, 0.1, 300, 5)
+    assert report.violation_rate == 0.0 and not report.violated.any()
+    assert report.rhs.tobytes() == np.zeros(300).tobytes()
+    assert report.lhs.max() < 1e-26
+    path = tmp_path / "resid.csv"
+    write_residual_csv(path, report)
+    header, *rows = path.read_text().splitlines()
+    column = header.split(",").index("rhs")
+    assert len(rows) == 300 and {row.split(",")[column] for row in rows} == {"0.0"}
+
+
 def test_residual_bound_positive_factor_regime():
     u, ubar = pair_with_epsilon(400, 5, 1e-5, seed=13)
     report = validate_residual_bound(u, ubar, 5000, 0.1, 400, seed=14)

@@ -75,6 +75,15 @@ def test_observation_validation():
     assert narrow.omega.dtype == np.int_
 
 
+def test_observations_compare_and_hash_by_identity():
+    # a record holding arrays compares as Basis does: by identity, without
+    # asking numpy for the truth value of an array
+    first, second = (Observation(n=5, omega=[0, 2], values=[1.0, 2.0]) for _ in range(2))
+    assert first == first and first != second and not first == second
+    assert first in [second, first] and second not in [first]
+    assert len({first, second, first}) == 2 and hash(first) != hash(second)
+
+
 def test_gate_check_index_rule():
     u = random_basis(30, 4, seed=2)
     for bad in ([-1, 0, 1, 2], [0, 1, 2, 30], [0.5, 1.7, 2.2, 3.9], [[0, 1], [2, 3]]):
@@ -206,6 +215,48 @@ def test_passes_defers_to_the_gate_at_the_window_bounds(count_calls, end, offset
     calls = count_calls(partial_data, "_gate")
     assert [partial_data._passes(sub, n, fail_first) for fail_first in (False, True)] == [exact, exact]
     assert len(calls) == 2
+
+
+def _slack(sub: np.ndarray, n: int) -> float:
+    """The slack s of :func:`partial_data._passes`'s docstring for an m x d sample of n rows."""
+    m, d = sub.shape
+    return partial_data._GATE_SLACK * (m + d * d) * (float(np.sum(sub * sub)) + 1.5 * d * m / n)
+
+
+def _exact_extremes(sub: np.ndarray) -> tuple:
+    """The least and greatest eigenvalue of S^T S for the float sample S, at 80 digits."""
+    with mpmath.workdps(80):
+        s = mpmath.matrix(sub.tolist())
+        eigenvalues = mpmath.eigsy(s.T * s, eigvals_only=True)
+        return min(eigenvalues), max(eigenvalues)
+
+
+@pytest.mark.per_core
+@pytest.mark.parametrize("m, d, n", [(80, 10, 2000), (40, 6, 150), (12, 3, 30), (4, 1, 8)])
+def test_passes_defers_to_the_gate_inside_the_slack_band_only(count_calls, m, d, n):
+    # an extreme of S^T S within s of a window bound, by the exact
+    # eigenvalue, is left to the gate in either check order; a sample more
+    # than 2s from both bounds is decided by the certificates alone
+    gate = partial_data._gate
+    calls = count_calls(partial_data, "_gate")
+    for end, bound in (("lower", 0.5 * m / n), ("upper", 1.5 * m / n)):
+        s = _slack(_on_window_bound(m, d, n, end, 0.0, seed=m), n)
+        for offset, in_band in ((s / 4, True), (-s / 4, True), (7 * s / 8, True), (-7 * s / 8, True),
+                                (2.5 * s, False), (-2.5 * s, False)):
+            sub = _on_window_bound(m, d, n, end, offset, seed=m)
+            # the sample's own slack, which its placement moves slightly
+            slack = _slack(sub, n)
+            low, high = _exact_extremes(sub)
+            assert abs((low if end == "lower" else high) - (bound + offset)) < slack / 64
+            # the placed extreme's distance to its bound, then the others
+            extremes = (low, high) if d > 1 else (low,)
+            distances = sorted(abs(x - b) for x in extremes for b in (0.5 * m / n, 1.5 * m / n))
+            assert distances[1] > 2 * slack
+            assert distances[0] < slack if in_band else distances[0] > 2 * slack
+            for fail_first in (False, True):
+                before = len(calls)
+                assert partial_data._passes(sub, n, fail_first) == gate(sub, n).passed
+                assert len(calls) == before + in_band
 
 
 @pytest.mark.per_core
@@ -1269,7 +1320,7 @@ def test_observation_csv_names_a_bare_sign_in_an_index_field(tmp_path, indices):
             "0,9223372036854775808,-9223372036854775808,1.0\n1,99999999999999999999,99999999999999999999,2.0\n",
             "malformed observation field",
         ),
-        ("1,99999999999999999999,99999999999999999999,2.0\n", "at or above 2\\^63"),
+        ("0,99999999999999999999,99999999999999999999,2.0\n", "at or above 2\\^63"),
         ("0,20,1;09223372036854775808,1.0;2.0\n", "at or above 2\\^63"),
         # a sign, which np.fromstring reads, as index 4
         ("0,20,+5,1.0\n", "malformed observation field"),
@@ -1342,8 +1393,44 @@ def test_observation_csv_rejects_short_and_long_rows(tmp_path, row):
 def test_observation_csv_rejects_duplicate_t(tmp_path):
     path = tmp_path / "observations.csv"
     path.write_text("0,5,1;3,0.5;1.5\n1,5,2,2.0\n0,5,4,1.0\n")
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="must count t = 0, 1, 2"):
         read_observations(path)
+
+
+@pytest.mark.parametrize("batch", [partial_data._BATCH, 2])
+@pytest.mark.parametrize(
+    "ts",
+    [["1", "0"], ["0", "2"], ["0", "1", "1"], ["0", "01"], ["00"], ["0", "1", "0", "1"]],
+    ids=["out-of-order", "gap", "repeated", "leading-zero", "zero-padded", "restarts"],
+)
+def test_observation_csv_rows_count_t_in_file_order(tmp_path, monkeypatch, ts, batch):
+    # row i's t is str(i), as the writer writes it; with 2-row batches the
+    # restarting count is a whole second batch
+    monkeypatch.setattr(partial_data, "_BATCH", batch)
+    path = tmp_path / "observations.csv"
+    path.write_text("".join(f"{t},20,1;3,0.5;-1.25\n" for t in ts))
+    with pytest.raises(ValueError, match=r"^observation rows must count t = 0, 1, 2, \.\.\.$"):
+        read_observations(path)
+
+
+@pytest.mark.parametrize("batch", [partial_data._BATCH, 2])
+def test_observation_csv_blank_lines_count_no_row(tmp_path, monkeypatch, batch):
+    monkeypatch.setattr(partial_data, "_BATCH", batch)
+    path = tmp_path / "observations.csv"
+    path.write_text("")
+    assert read_observations(path) == []
+    rng = np.random.default_rng(40)
+    obs_list = [Observation(n=30, omega=np.sort(rng.choice(30, size=q, replace=False)),
+                            values=rng.standard_normal(q)) for q in (4, 0, 7, 2, 5)]
+    write_observations(path, obs_list)
+    path.write_text("\n" + path.read_text().replace("\n", "\n\n"))
+    back = read_observations(path)
+    assert len(back) == len(obs_list)
+    for a, b in zip(obs_list, back):
+        assert b.n == a.n
+        assert (b.omega.dtype, b.values.dtype) == (a.omega.dtype, a.values.dtype)
+        assert b.omega.tobytes() == a.omega.tobytes()
+        assert b.values.tobytes() == a.values.tobytes()
 
 
 def test_grouse_step_rejects_dimension_mismatch():
